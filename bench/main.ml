@@ -809,7 +809,7 @@ let b16_to_json rows =
 
 module Serve_session = Elm_serve.Session
 module Serve_dispatcher = Elm_serve.Dispatcher
-module Serve_pool = Elm_serve.Pool
+module Serve_pool = Elm_core.Pool
 
 type b17_row = {
   b17_chains : int;
@@ -1040,7 +1040,7 @@ let b18_run ?pool ~live ~events () =
   in
   let drain () =
     match pool with
-    | Some _ -> Serve_dispatcher.drain_parallel ~seed:42 d
+    | Some _ -> Serve_dispatcher.drain ~seed:42 d
     | None -> Serve_dispatcher.drain d
   in
   let sessions = Array.init live (fun _ -> Serve_dispatcher.open_session d) in
@@ -1496,7 +1496,7 @@ let b20_run ~chains ~depth ~live ~domains ~upgrade =
   let d = Serve_dispatcher.create ~fuse:false ?pool root in
   let drain () =
     match pool with
-    | Some _ -> Serve_dispatcher.drain_parallel d
+    | Some _ -> Serve_dispatcher.drain d
     | None -> Serve_dispatcher.drain d
   in
   let sessions = Array.init live (fun _ -> Serve_dispatcher.open_session d) in

@@ -64,6 +64,9 @@
 # (B11/B13/B16/B17/B19) against the committed bench/baseline.json and
 # fails on > 20% regression — see bin/bench_diff.sh for how to accept
 # an intended perf change by regenerating the baseline.
+# bin/loc.py then reports the engine's code size (lib/core + lib/serve,
+# comments and blank lines stripped) — tracked next to the numbers, not
+# gated.
 # The full run also writes BENCH_core.json (latency percentiles, trace
 # summaries, B13 fusion ratios, B14 fault-injection matrix, B15
 # exploration cells, B16 backend matrix, B17 serving metrics) for CI
@@ -90,6 +93,7 @@ done
 
 dune build
 dune runtest
+python3 bin/loc.py
 
 if [ "$quick" -eq 1 ]; then
     echo "ci.sh: --quick: bench smoke skipped; running explore smoke only"

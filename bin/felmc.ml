@@ -246,9 +246,8 @@ let run_cmd =
              Displayed values and virtual times are bit-identical to the \
              sequential dispatcher for every $(docv). $(b,--domains=1) \
              runs the wave coordinator without a pool (the sequential \
-             wave baseline); with $(b,--backend=pipelined), \
-             $(b,--queue-capacity) or a scheduler mutation the option \
-             silently falls back to the threaded dispatcher.")
+             wave baseline). Combining it with $(b,--backend=pipelined) \
+             or $(b,--queue-capacity) is an error.")
   in
   let run file replay trace_out sequential print_stats no_fuse backend policy
       capacity sched_seed sched_pct domains =
@@ -470,7 +469,7 @@ let sessions_cmd =
              upgrade (fused composite state is re-created at the seam). *)
           let no_fuse = no_fuse || upgrade_at <> None in
           let pool =
-            if domains > 1 then Some (Elm_serve.Pool.create ~domains ())
+            if domains > 1 then Some (Elm_core.Pool.create ~domains ())
             else None
           in
           let evs = Array.of_list events in
@@ -596,11 +595,11 @@ let sessions_cmd =
                 (fun i w ->
                   Printf.printf
                     "domain d%d: tasks=%d steals=%d idle_probes=%d\n" i
-                    w.Elm_serve.Pool.ws_tasks w.Elm_serve.Pool.ws_steals
-                    w.Elm_serve.Pool.ws_idle_probes)
-                (Elm_serve.Pool.worker_stats p)
+                    w.Elm_core.Pool.ws_tasks w.Elm_core.Pool.ws_steals
+                    w.Elm_core.Pool.ws_idle_probes)
+                (Elm_core.Pool.worker_stats p)
           end;
-          Option.iter Elm_serve.Pool.close pool
+          Option.iter Elm_core.Pool.close pool
         | v ->
           Printf.printf "-- %s : %s\n" (Filename.basename file)
             (Felm.Ty.to_string ty);

@@ -309,6 +309,14 @@ let run ?(schedules = 50) ?(seed = 0) ?invariants
     ?(max_switches = 5_000_000) ?mutate ?domains p =
   if Sched.running () then
     invalid_arg "Explore.run: must be called outside Cml.run";
+  (* Checked here rather than surfacing as a crash in every run. *)
+  if
+    domains <> None
+    && (backend = Runtime.Pipelined || mutate <> None || queue_capacity <> None)
+  then
+    invalid_arg
+      "Explore.run: domains needs the compiled backend, without mutate or \
+       queue_capacity";
   let opts =
     {
       o_backend = backend;
@@ -405,7 +413,7 @@ let pp_report ppf r =
 module Upgrade = Elm_core.Upgrade
 module Dispatcher = Elm_serve.Dispatcher
 module Session = Elm_serve.Session
-module Pool = Elm_serve.Pool
+module Pool = Elm_core.Pool
 
 type 'a ugraph = {
   ug_root : 'a Signal.t;

@@ -118,7 +118,9 @@ val run :
     ([Runtime.start ~domains], compiled backend) — the oracle that change
     traces are independent of the domain count is the caller comparing
     reports/traces across domain values, since each [run] holds its
-    [domains] fixed.
+    [domains] fixed. [domains] requires [~backend:Compiled] and excludes
+    [mutate] and [queue_capacity] (as {!Elm_core.Runtime.start} does):
+    raises [Invalid_argument] otherwise.
 
     The reference run is checked against the schedule-independent
     invariants ({!Accounting}, {!Node_epoch_order}, {!No_deadlock}); chaos

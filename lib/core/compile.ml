@@ -29,8 +29,9 @@
      same op array drives any number of concurrent arenas. The [exec]
      record carries the instance's arena and its environment hooks (value
      queues, display, async registration, supervision, accounting) — the
-     runtime binds them to mailboxes and threads, the session layer
-     ([Serve]) to plain queues stepped synchronously.
+     threaded instantiation below binds them to mailboxes and threads,
+     [Exec] (wave mode, serving sessions) to plain queues and buffered
+     effects.
 
    Node state lives in the arena as [Obj.t]: the graph is heterogeneous,
    and moving cells out of the nodes (where a generation-stamped slot
@@ -166,6 +167,10 @@ type plan = {
       (* region index -> op templates in execution order *)
   p_region_sources : Reach.set array;
       (* region index -> sources reaching any member (the wake test) *)
+  p_reps : int array;  (* region index -> representative node id *)
+  p_cones : (int, int array * int) Hashtbl.t;
+      (* source id -> (regions its event wakes, ascending; cone size in
+         nodes): everything admission bills, computed once per shape *)
   p_region_deps : (int * int) list;
       (* ordering edges between regions: (producer, consumer) for every
          async/delay seam whose endpoints live in different regions, plus
@@ -723,6 +728,18 @@ let plan : type r. r Signal.t -> plan =
     Array.of_list
       (List.map (fun rg -> Reach.union_reaching reach rg.rg_member_ids) regions)
   in
+  let cones = Hashtbl.create 16 in
+  List.iter
+    (fun src ->
+      let woken =
+        List.filter
+          (fun rg -> Reach.set_mem src region_sources.(rg.rg_index))
+          regions
+      in
+      Hashtbl.replace cones src
+        ( Array.of_list (List.map (fun rg -> rg.rg_index) woken),
+          Reach.cone_size reach src ))
+    (Reach.sources reach);
   (* ---- region dependency DAG ----
      Edges that order region execution within one event wave. Seam edges:
      an async/delay cut whose inner node and boundary node landed in
@@ -867,6 +884,8 @@ let plan : type r. r Signal.t -> plan =
     p_state_node = state_node;
     p_ops = ops;
     p_region_sources = region_sources;
+    p_reps = Array.of_list (List.map (fun rg -> rg.rg_rep) regions);
+    p_cones = cones;
     p_region_deps = region_deps;
     p_group_of = group_of;
     p_group_regions = group_regions;
@@ -889,6 +908,10 @@ let inputs pl = pl.p_inputs
 let slot_of pl id = Hashtbl.find_opt pl.p_slot_of id
 let queue_slots pl = pl.p_queue_slots
 let region_sources pl i = pl.p_region_sources.(i)
+let region_count pl = Array.length pl.p_reps
+let region_rep pl i = pl.p_reps.(i)
+let no_cone = ([||], 0)
+let cone pl source = try Hashtbl.find pl.p_cones source with Not_found -> no_cone
 let slot_ids pl = pl.p_slot_ids
 let slot_names pl = pl.p_slot_names
 let slot_keys pl = pl.p_keys
@@ -926,25 +949,25 @@ let pp_plan ppf pl =
 (* ------------------------------------------------------------------ *)
 (* Plan cache *)
 
-(* Keyed on the root node id: graphs are immutable after construction and
-   [Fuse.fuse_cached] returns a stable fused root, so the id identifies the
-   graph shape. Bounded crudely — a full reset at [max_cached_plans] — so
-   test suites churning through thousands of generated graphs cannot grow
-   the table (or pin their graphs against the GC) without bound.
+(* Memoised on the root node itself, as [Fuse.fuse_cached] memoises the
+   fused root: graphs are immutable after construction, so a resolved plan
+   stays valid for as long as its root is alive, dies with it (test suites
+   churning through thousands of generated graphs pin nothing), and is
+   never evicted under another domain's feet — every caller agrees on one
+   canonical plan per root. [clear_plan_cache] invalidates every memo at
+   once by bumping [cache_generation].
 
-   The table is shared by every domain (that sharing is the whole point of
-   the plan/arena split), so lookups and inserts are serialised by
-   [cache_lock] — a bare Hashtbl would be corrupted the moment two domains
-   compile concurrently, e.g. two pool workers both opening dispatchers.
-   The (pure, allocation-heavy) [plan] build itself runs *outside* the
-   lock; a race that builds the same plan twice is resolved by keeping the
-   first inserted plan, so every caller agrees on one canonical plan per
-   root and per-plan state (arenas, slot indices) stays interchangeable. *)
-let plan_cache : (int, plan) Hashtbl.t = Hashtbl.create 64
+   Memo reads and writes are serialised by [cache_lock] (several domains
+   may resolve the same root). The (pure, allocation-heavy) [plan] build
+   itself runs outside the lock; a race that builds the same plan twice
+   keeps the first memoised one. *)
+type Signal.memo += Plan of int * plan  (* cache generation, plan *)
+
 let cache_lock = Mutex.create ()
+let cache_generation = ref 0
 let cache_hits = ref 0
 let cache_misses = ref 0
-let max_cached_plans = 256
+let cache_entries = ref 0
 
 type cache_stats = {
   hits : int;
@@ -955,31 +978,31 @@ type cache_stats = {
 let plan_cache_stats () =
   Mutex.lock cache_lock;
   let s =
-    {
-      hits = !cache_hits;
-      misses = !cache_misses;
-      entries = Hashtbl.length plan_cache;
-    }
+    { hits = !cache_hits; misses = !cache_misses; entries = !cache_entries }
   in
   Mutex.unlock cache_lock;
   s
 
 let clear_plan_cache () =
   Mutex.lock cache_lock;
-  Hashtbl.reset plan_cache;
+  incr cache_generation;
+  cache_entries := 0;
   Mutex.unlock cache_lock;
-  (* The fusion memos must fall with the plans: [fuse_cached] keyed the
-     cache on fused roots, and a memo that survives the reset keeps
-     resolving to a root whose plan is gone — every later [plan_of] on that
-     graph misses (or, across a live upgrade, silently serves the
-     pre-upgrade fused graph). Taken after [cache_lock] is released; the
-     two locks are never held together, so no ordering cycle. *)
+  (* The fusion memos must fall with the plans: a memoised fused root that
+     survives the clear would keep resolving a graph to its pre-upgrade
+     fused form. Taken after [cache_lock] is released; the two locks are
+     never held together, so no ordering cycle. *)
   Fuse.clear_memos ()
 
+(* Call with [cache_lock] held. *)
+let memoised root =
+  match Signal.get_memo root with
+  | Some (Plan (g, pl)) when g = !cache_generation -> Some pl
+  | _ -> None
+
 let plan_of root =
-  let key = Signal.id root in
   Mutex.lock cache_lock;
-  match Hashtbl.find_opt plan_cache key with
+  match memoised root with
   | Some pl ->
     incr cache_hits;
     Mutex.unlock cache_lock;
@@ -990,12 +1013,11 @@ let plan_of root =
     let pl = plan root in
     Mutex.lock cache_lock;
     let pl =
-      match Hashtbl.find_opt plan_cache key with
+      match memoised root with
       | Some winner -> winner (* another domain built it first: keep theirs *)
       | None ->
-        if Hashtbl.length plan_cache >= max_cached_plans then
-          Hashtbl.reset plan_cache;
-        Hashtbl.replace plan_cache key pl;
+        Signal.set_memo root (Plan (!cache_generation, pl));
+        incr cache_entries;
         pl
     in
     Mutex.unlock cache_lock;

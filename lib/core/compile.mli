@@ -26,7 +26,7 @@
     Ops close over slot {e indices}, never over cells, and receive the
     instance's {!exec} context on every run, so the same plan drives the
     thread-and-mailbox runtime instantiation below ({!instantiate}) and the
-    synchronous session layer ([Serve]) alike.
+    {!Exec} instances of wave mode and the session layer alike.
 
     Select it with [Runtime.start ~backend:Compiled]; this module holds the
     partitioning, the op compiler and the region threads, while the runtime
@@ -69,15 +69,16 @@ val plan : 'a Signal.t -> plan
     caches the result per graph. *)
 
 val plan_of : 'a Signal.t -> plan
-(** [plan root], cached: keyed on the (built, immutable) graph's root node,
-    so repeated instantiations of one graph shape — one per user session,
-    say — pay the partition + compile cost once. The cache is bounded; see
-    {!plan_cache_stats}. *)
+(** [plan root], cached: memoised on the (built, immutable) graph's root
+    node, so repeated instantiations of one graph shape — one per user
+    session, say — pay the partition + compile cost once. A memoised plan
+    stays the one canonical plan of its root, across domains, until
+    {!clear_plan_cache}; it is reclaimed with the graph. *)
 
 type cache_stats = {
   hits : int;
   misses : int;  (** Monotonic since process start, unlike [entries]. *)
-  entries : int;  (** Current cache population. *)
+  entries : int;  (** Plans memoised since the last {!clear_plan_cache}. *)
 }
 
 val plan_cache_stats : unit -> cache_stats
@@ -120,6 +121,16 @@ val slot_of : plan -> int -> int option
 val region_sources : plan -> int -> Reach.set
 (** [region_sources plan i] is the set of sources reaching any member of
     region [i] — the dispatcher's wake test for the region. *)
+
+val region_count : plan -> int
+
+val region_rep : plan -> int -> int
+(** The representative node id of region [i] (its trace row). *)
+
+val cone : plan -> int -> int array * int
+(** [cone plan source]: the regions an event of [source] wakes (ascending
+    indices) and the source's cone size in nodes; [([||], 0)] for a node
+    that is not a source of the plan. Precomputed per plan. *)
 
 val slot_ids : plan -> int array
 (** Slot -> node id. The plan's own array — treat as read-only. *)
@@ -254,9 +265,9 @@ type exec = {
       (** The root's display emission, one per round reaching the root. *)
 }
 (** The per-instance execution context threaded through every op: the arena
-    plus the environment hooks. One record per instance — the runtime binds
-    the hooks to mailboxes and [Cml] threads, [Serve] to plain queues
-    stepped synchronously. *)
+    plus the environment hooks. {!instantiate} binds the hooks to mailboxes
+    and [Cml] threads, {!Exec} (wave mode, serving sessions) to plain
+    queues and buffered effects. *)
 
 val run_region : plan -> exec -> int -> round -> unit
 (** [run_region plan x i r] runs all of region [i]'s ops for round [r], in

@@ -1,0 +1,432 @@
+(* The one executor for a compiled plan instance.
+
+   Fig. 11's runtime has one job: take events in FIFO order, give each an
+   epoch, run the synchronous part it reaches, and let async boundaries
+   re-enter as new events. Every compiled execution of a plan except the
+   threaded [Compile.instantiate] goes through this module — the runtime's
+   wave coordinator ([Runtime.start ~domains/~pool]) and every serving
+   session — so that algorithm exists once:
+
+   - [step]/[admit] take one wake: assign its epoch and bill the
+     deterministic per-event counters (events, notified regions, the
+     elided balance, the tracer's dispatch row), all computable from the
+     plan alone.
+   - The woken regions run on a {e lane}: an execution context over the
+     shared arena with its own counters, supervisors and effect buffer.
+     [step] runs the round at once on the instance's sequential lane;
+     [admit] queues it on the woken regions' group lanes, which then run
+     inline in group-DAG order or as [Pool.run_dag] tasks ([run_groups],
+     or a caller's own task DAG via [run_group]).
+   - No lane performs a boundary effect: value pushes, async fires, delay
+     schedules, displays and observer calls are buffered and applied by
+     [flush] to the caller's hooks, in (admission epoch, group) order. The
+     one exception is a caller's [~display] sink that is safe to call from
+     whichever domain runs the root's region (a serving session's change
+     log): displays then go straight to it, sparing the coordinator the
+     one effect nearly every event has.
+
+   Why buffering is exact: under cone dispatch one event wakes one region
+   (a source's synchronous cone is region-local), groups share no slot,
+   queue or counter, and no boundary effect is consumed in the epoch that
+   produces it — async fires and delays re-enter as later events, displays
+   only leave the graph. So flushing after the run, stably ordered by
+   (epoch, group), reproduces exactly what a one-event-at-a-time
+   dispatcher would have done, whatever ran where. *)
+
+type error_policy =
+  | Propagate
+  | Isolate
+  | Restart of int
+
+(* ------------------------------------------------------------------ *)
+(* Supervision: the one guard factory *)
+
+let propagate = { Compile.guard = (fun ~prev:_ ~reset:_ ~epoch:_ f -> f ()) }
+
+(* A per-node supervisor, created once so a [Restart] budget is local to
+   the node. It wraps only the fallible part of a round — the user
+   function application, after every input has been read — so per-event
+   alignment is never at stake: a failed round yields [No_change
+   last-good], exactly what a quiescent node would have produced. [reset]
+   reinitialises node state ([foldp] accumulator, composite step);
+   [Isolate] never calls it, [Restart n] calls it on the first [n]
+   failures and then degrades to [Isolate]. Under [Propagate] exceptions
+   escape to the caller. *)
+let guard ~policy ~stats ~tracer ~node =
+  match policy with
+  | Propagate -> propagate
+  | Isolate | Restart _ ->
+    let left = ref (match policy with Restart b -> b | Propagate | Isolate -> 0) in
+    {
+      Compile.guard =
+        (fun ~prev ~reset ~epoch f ->
+          try f ()
+          with _ ->
+            stats.Stats.node_failures <- stats.Stats.node_failures + 1;
+            (match tracer with
+            | None -> ()
+            | Some tr -> Trace.node_failure tr ~node ~epoch);
+            if !left > 0 then begin
+              decr left;
+              stats.Stats.node_restarts <- stats.Stats.node_restarts + 1;
+              reset ()
+            end;
+            Event.No_change prev);
+    }
+
+(* ------------------------------------------------------------------ *)
+(* Instances *)
+
+type effect =
+  | Push of { epoch : int; slot : int; value : Obj.t }
+  | Fire of { epoch : int; source : int }
+  | Delay of { epoch : int; node : int; slot : int; seconds : float; value : Obj.t }
+  | Observe of { epoch : int; node : int; changed : bool }
+  | Display of { epoch : int; changed : bool; value : Obj.t }
+
+let epoch_of = function
+  | Push { epoch; _ }
+  | Fire { epoch; _ }
+  | Delay { epoch; _ }
+  | Observe { epoch; _ }
+  | Display { epoch; _ } ->
+    epoch
+
+type hooks = {
+  fire : int -> unit;
+  delay : node:int -> slot:int -> seconds:float -> Obj.t -> unit;
+  display : epoch:int -> changed:bool -> Obj.t -> unit;
+  observe : node:int -> epoch:int -> changed:bool -> unit;
+}
+
+type lane = {
+  l_regions : int array;  (* region indices this lane runs, ascending *)
+  l_exec : Compile.exec;
+  l_stats : Stats.t;  (* the instance's own counters, or group scratch *)
+  mutable l_snap : Stats.t;  (* group lanes: last state merged *)
+  l_epoch : int ref;  (* epoch of the running round: tags effects *)
+  l_effects : effect Queue.t;
+  l_rounds : Compile.round Queue.t;  (* group lanes: admitted work *)
+  mutable l_last : int;  (* epoch last queued, so a round queues once *)
+}
+
+type t = {
+  plan : Compile.plan;
+  arena : Compile.arena;
+  queues : Obj.t Queue.t option array;  (* per slot; [Some] on sources *)
+  bounded : bool array;  (* per slot; false on async/delay queues *)
+  stats : Stats.t;
+  tracer : Trace.t option;
+  offset : int;  (* added to node ids in trace rows *)
+  policy : error_policy;
+  flood : (int array * int) option;
+      (* flood dispatch: every region woken by every event; the woken set
+         and the node count, as [Compile.cone] would give them *)
+  observe : bool;  (* buffer per-node emissions for [hooks.observe] *)
+  display : (epoch:int -> changed:bool -> Obj.t -> unit) option;
+      (* unbuffered display sink, see [create] *)
+  mutable epoch : int;
+  mutable seq : lane option;  (* built on first [step] *)
+  mutable groups : lane array;  (* [||] until first [admit] *)
+}
+
+let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
+    ?(observe = false) ?display ~policy ~stats ~epoch plan arena =
+  let n = Compile.node_count plan in
+  let queues = Array.make n None and bounded = Array.make n false in
+  List.iter
+    (fun (_id, sl, b) ->
+      queues.(sl) <- Some (Queue.create ());
+      bounded.(sl) <- b)
+    (Compile.queue_slots plan);
+  (match tracer with
+  | None -> ()
+  | Some tr ->
+    List.iter
+      (fun rg ->
+        Trace.register_node tr
+          ~id:(offset + rg.Compile.rg_rep)
+          ~name:
+            (Printf.sprintf "%sregion:%s(%d)" label rg.Compile.rg_name
+               (List.length rg.Compile.rg_member_ids)))
+      (Compile.regions plan));
+  {
+    plan;
+    arena;
+    queues;
+    bounded;
+    stats;
+    tracer;
+    offset;
+    policy;
+    flood =
+      (if flood then
+         Some (Array.init (Compile.region_count plan) Fun.id, n)
+       else None);
+    observe;
+    display;
+    epoch;
+    seq = None;
+    groups = [||];
+  }
+
+let plan x = x.plan
+let arena x = x.arena
+let stats x = x.stats
+let epoch x = x.epoch
+let queues x = x.queues
+let bounded x sl = x.bounded.(sl)
+
+let queue x sl =
+  match x.queues.(sl) with
+  | Some q -> q
+  | None -> invalid_arg "Exec: not a source slot"
+
+let push x sl v = Queue.push v (queue x sl)
+
+let trace_display x ~epoch ~changed =
+  match x.tracer with
+  | None -> ()
+  | Some tr -> Trace.display tr ~epoch ~changed
+
+let make_lane x ~regions ~stats =
+  let epoch = ref 0 and effects = Queue.create () in
+  let emit e = Queue.push e effects in
+  let guards =
+    Array.map
+      (fun id ->
+        guard ~policy:x.policy ~stats ~tracer:x.tracer ~node:(x.offset + id))
+      (Compile.slot_ids x.plan)
+  in
+  let exec =
+    {
+      Compile.x_arena = x.arena;
+      x_flood = x.flood <> None;
+      x_stats = stats;
+      x_guards = guards;
+      x_account =
+        (fun ~node ~epoch:ep ~changed ~real ->
+          if real then stats.Stats.messages <- stats.Stats.messages + 1
+          else stats.Stats.elided_messages <- stats.Stats.elided_messages + 1;
+          if x.observe then emit (Observe { epoch = ep; node; changed });
+          Some ep);
+      x_root_stamp = None;
+      x_pop = (fun sl -> Queue.pop (queue x sl));
+      x_push = (fun slot value -> emit (Push { epoch = !epoch; slot; value }));
+      x_fire_async = (fun source -> emit (Fire { epoch = !epoch; source }));
+      x_delay =
+        (fun ~node ~slot ~seconds value ->
+          emit (Delay { epoch = !epoch; node; slot; seconds; value }));
+      x_display =
+        (match x.display with
+        | None ->
+          fun ~epoch ~changed value -> emit (Display { epoch; changed; value })
+        | Some f ->
+          fun ~epoch ~changed value ->
+            trace_display x ~epoch ~changed;
+            f ~epoch ~changed value);
+    }
+  in
+  {
+    l_regions = regions;
+    l_exec = exec;
+    l_stats = stats;
+    l_snap = Stats.copy stats;
+    l_epoch = epoch;
+    l_effects = effects;
+    l_rounds = Queue.create ();
+    l_last = 0;
+  }
+
+let seq_lane x =
+  match x.seq with
+  | Some l -> l
+  | None ->
+    let l =
+      make_lane x
+        ~regions:(Array.init (Compile.region_count x.plan) Fun.id)
+        ~stats:x.stats
+    in
+    x.seq <- Some l;
+    l
+
+(* Group lanes are scratch-counted so concurrently running groups never
+   share a mutable word; [flush] merges their deltas. Built lazily: most
+   instances never run a group concurrently, and opening one must stay
+   ~an array copy. *)
+let group_lanes x =
+  if Array.length x.groups = 0 then
+    x.groups <-
+      Array.init (Compile.group_count x.plan) (fun g ->
+          make_lane x
+            ~regions:(Array.of_list (Compile.group_regions x.plan g))
+            ~stats:(Stats.create ()));
+  x.groups
+
+(* ------------------------------------------------------------------ *)
+(* Admission and execution *)
+
+(* Open the next epoch for a wake of [source]: bill everything that
+   depends on the plan alone and return the woken regions. *)
+let open_epoch x ~source =
+  let pl = x.plan in
+  let woken, cone_size =
+    match x.flood with Some all -> all | None -> Compile.cone pl source
+  in
+  x.epoch <- x.epoch + 1;
+  let st = x.stats in
+  st.Stats.events <- st.Stats.events + 1;
+  st.Stats.notified_nodes <- st.Stats.notified_nodes + Array.length woken;
+  st.Stats.elided_messages <-
+    st.Stats.elided_messages + (Compile.node_count pl - cone_size);
+  (match x.tracer with
+  | None -> ()
+  | Some tr ->
+    Trace.dispatch tr ~source:(x.offset + source) ~epoch:x.epoch
+      ~targets:(Array.length woken));
+  woken
+
+let run_region x lane i (r : Compile.round) =
+  let node = x.offset + Compile.region_rep x.plan i in
+  (match x.tracer with
+  | None -> ()
+  | Some tr -> Trace.node_start tr ~node ~epoch:r.epoch);
+  lane.l_stats.Stats.region_steps <- lane.l_stats.Stats.region_steps + 1;
+  Compile.run_region x.plan lane.l_exec i r;
+  match x.tracer with
+  | None -> ()
+  | Some tr -> Trace.node_end tr ~node ~epoch:r.epoch
+
+let step x ~source =
+  let woken = open_epoch x ~source in
+  let lane = seq_lane x in
+  let r = { Compile.epoch = x.epoch; source } in
+  lane.l_epoch := r.epoch;
+  for k = 0 to Array.length woken - 1 do
+    run_region x lane woken.(k) r
+  done
+
+let admit x ~source =
+  let woken = open_epoch x ~source in
+  let lanes = group_lanes x in
+  let r = { Compile.epoch = x.epoch; source } in
+  Array.iter
+    (fun i ->
+      let l = lanes.(Compile.group_of x.plan i) in
+      if l.l_last <> r.epoch then begin
+        l.l_last <- r.epoch;
+        Queue.push r l.l_rounds
+      end)
+    woken
+
+let active_groups x =
+  let acc = ref [] in
+  for g = Array.length x.groups - 1 downto 0 do
+    if not (Queue.is_empty x.groups.(g).l_rounds) then acc := g :: !acc
+  done;
+  !acc
+
+(* Run one group's admitted rounds (safe as a pool task): member regions
+   in index order per round. The counters it bills are also added to
+   [dstats], the running worker's attribution slot. *)
+let run_group x g ~dstats =
+  let l = x.groups.(g) in
+  let before = Stats.copy l.l_stats in
+  while not (Queue.is_empty l.l_rounds) do
+    let r = Queue.pop l.l_rounds in
+    l.l_epoch := r.Compile.epoch;
+    Array.iter
+      (fun i ->
+        if
+          x.flood <> None
+          || Reach.set_mem r.Compile.source (Compile.region_sources x.plan i)
+        then run_region x l i r)
+      l.l_regions
+  done;
+  Stats.add_delta dstats ~before ~after:l.l_stats
+
+(* Run every active group under the plan's group DAG: a single group
+   inline, several on [pool] via [Pool.run_dag], or — without a pool —
+   inline in smallest-index-first Kahn order. Both are topological orders
+   of the same DAG and group results are schedule-independent, so the
+   choice is unobservable. *)
+let run_groups ?pool ?(seed = 0) x ~dstats =
+  match active_groups x with
+  | [] -> ()
+  | [ g ] -> run_group x g ~dstats:dstats.(0)
+  | actives -> (
+    let arr = Array.of_list actives in
+    let pos = Hashtbl.create 8 in
+    Array.iteri (fun i g -> Hashtbl.replace pos g i) arr;
+    let preds =
+      Array.map
+        (fun g ->
+          List.filter_map (Hashtbl.find_opt pos) (Compile.group_preds x.plan g))
+        arr
+    in
+    match pool with
+    | Some p ->
+      Pool.run_dag ~seed p ~deps:preds
+        (Array.map (fun g w -> run_group x g ~dstats:dstats.(w)) arr)
+    | None ->
+      let unmet = Array.map List.length preds in
+      let succ = Array.make (Array.length arr) [] in
+      Array.iteri
+        (fun i ps -> List.iter (fun p -> succ.(p) <- i :: succ.(p)) ps)
+        preds;
+      let module IS = Set.Make (Int) in
+      let ready = ref IS.empty in
+      Array.iteri (fun i c -> if c = 0 then ready := IS.add i !ready) unmet;
+      while not (IS.is_empty !ready) do
+        let i = IS.min_elt !ready in
+        ready := IS.remove i !ready;
+        run_group x arr.(i) ~dstats:dstats.(0);
+        List.iter
+          (fun j ->
+            unmet.(j) <- unmet.(j) - 1;
+            if unmet.(j) = 0 then ready := IS.add j !ready)
+          succ.(i)
+      done)
+
+(* ------------------------------------------------------------------ *)
+(* Flush *)
+
+let apply x hooks = function
+  | Push { slot; value; _ } -> push x slot value
+  | Fire { source; _ } ->
+    x.stats.Stats.async_events <- x.stats.Stats.async_events + 1;
+    hooks.fire source
+  | Delay { node; slot; seconds; value; _ } ->
+    hooks.delay ~node ~slot ~seconds value
+  | Observe { node; epoch; changed } -> hooks.observe ~node ~epoch ~changed
+  | Display { epoch; changed; value } ->
+    trace_display x ~epoch ~changed;
+    hooks.display ~epoch ~changed value
+
+(* Apply every buffered effect to [hooks]: the sequential lane's in
+   execution order, the group lanes' merged stably by admission epoch over
+   ascending group index — each lane's own order is kept within a round,
+   so a value push precedes its paired fire and member observations
+   precede their round's display. Group scratch counters are merged into
+   the instance's. *)
+let flush x hooks =
+  (match x.seq with
+  | None -> ()
+  | Some l when not (Queue.is_empty l.l_effects) ->
+    Queue.iter (apply x hooks) l.l_effects;
+    Queue.clear l.l_effects
+  | Some _ -> ());
+  if Array.length x.groups > 0 then begin
+    let tagged =
+      Array.fold_right
+        (fun l acc ->
+          let effs = List.of_seq (Queue.to_seq l.l_effects) in
+          Queue.clear l.l_effects;
+          Stats.add_delta x.stats ~before:l.l_snap ~after:l.l_stats;
+          l.l_snap <- Stats.copy l.l_stats;
+          effs @ acc)
+        x.groups []
+    in
+    List.iter (apply x hooks)
+      (List.stable_sort (fun a b -> compare (epoch_of a) (epoch_of b)) tagged)
+  end

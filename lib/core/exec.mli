@@ -1,0 +1,131 @@
+(** The one executor for a compiled plan instance.
+
+    An [Exec.t] is one running instance of a {!Compile.plan} over one
+    arena: its pending-value queues, its epoch counter, its counters and
+    its supervisors. It implements the paper's Fig. 11 dispatch step once
+    for every compiled execution except the threaded
+    {!Compile.instantiate}: the runtime's wave coordinator
+    ([Runtime.start ~domains/~pool]) and every serving session.
+
+    A wake is taken in three phases. {!step} or {!admit} assigns the
+    epoch and bills every per-event counter the plan alone determines.
+    The woken regions then run — at once on the instance's sequential
+    lane ({!step}), or queued on their region groups' lanes ({!admit}),
+    which run inline in group-DAG order or as {!Pool.run_dag} tasks
+    ({!run_groups}, {!run_group}). Running never performs a boundary
+    effect: value pushes, async fires, delay schedules, displays and
+    observer calls are buffered, and {!flush} applies them to the
+    caller's {!hooks} in (admission epoch, group) order — the order a
+    one-event-at-a-time dispatcher would have produced, whatever ran
+    where. Only displays may bypass the buffer, into a [~display] sink
+    given at {!create}. *)
+
+type error_policy =
+  | Propagate  (** A raising node function aborts the run (the default). *)
+  | Isolate
+      (** The failing round emits [No_change] of the last good value;
+          counted in {!Stats.t.node_failures}. *)
+  | Restart of int
+      (** Like [Isolate], and the first [n] failures per node also
+          re-initialise its state ([foldp] accumulator, composite step),
+          counted in {!Stats.t.node_restarts}. *)
+(** Per-node supervision; re-exported as [Runtime.error_policy]. *)
+
+val guard :
+  policy:error_policy ->
+  stats:Stats.t ->
+  tracer:Trace.t option ->
+  node:int ->
+  Compile.guarded
+(** The supervisor of one node (trace id [node]), billing failures and
+    restarts into [stats]. Create one per node: a [Restart] budget lives
+    in the returned record. Every backend takes its guards from here. *)
+
+type t
+
+val create :
+  ?tracer:Trace.t ->
+  ?offset:int ->
+  ?label:string ->
+  ?flood:bool ->
+  ?observe:bool ->
+  ?display:(epoch:int -> changed:bool -> Obj.t -> unit) ->
+  policy:error_policy ->
+  stats:Stats.t ->
+  epoch:int ->
+  Compile.plan ->
+  Compile.arena ->
+  t
+(** An instance over [arena] with empty pending-value queues, numbering
+    its next wake [epoch + 1] and billing [stats]. [offset] is added to
+    node ids in trace rows and [label] prefixes the region rows' names
+    (registered with [tracer] here). [flood] wakes every region on every
+    event; [observe] buffers one {!hooks.observe} call per node emission.
+    [display], when given, receives the root's emissions directly from
+    the lane that runs the root's region instead of through {!flush}: it
+    must be safe to call from that lane's domain (a per-instance log,
+    say). No lane is built yet: opening an instance is the queue
+    array. *)
+
+val plan : t -> Compile.plan
+val arena : t -> Compile.arena
+val stats : t -> Stats.t
+
+val epoch : t -> int
+(** The epoch of the last admitted wake. *)
+
+val queues : t -> Obj.t Queue.t option array
+(** Per slot pending-value queues ([Some] on sources); the array itself
+    is the instance's — treat as read-only. *)
+
+val queue : t -> int -> Obj.t Queue.t
+(** The pending-value queue of a source slot. *)
+
+val bounded : t -> int -> bool
+(** Whether a slot's queue may be capacity-bounded (inputs and constants;
+    async/delay queues never are). *)
+
+val push : t -> int -> Obj.t -> unit
+(** Queue a value for a source slot (external injection, delay
+    delivery). *)
+
+val step : t -> source:int -> unit
+(** Admit one wake of [source] and run its woken regions at once, in
+    index (= topological) order, on the sequential lane. *)
+
+val admit : t -> source:int -> unit
+(** Admit one wake of [source] and queue its round on the woken regions'
+    group lanes, for {!run_groups} or {!run_group}. *)
+
+val active_groups : t -> int list
+(** Groups with admitted rounds not yet run, ascending. *)
+
+val run_group : t -> int -> dstats:Stats.t -> unit
+(** Run one group's admitted rounds in epoch order (safe as a pool task:
+    groups share no mutable word). The counters it bills are also added
+    to [dstats], the running worker's attribution slot. *)
+
+val run_groups : ?pool:Pool.t -> ?seed:int -> t -> dstats:Stats.t array -> unit
+(** Run every active group under the plan's group DAG: one group inline
+    (attributed to [dstats.(0)]); several as {!Pool.run_dag} tasks on
+    [pool] (attributed per worker), or without a pool inline in
+    smallest-index-first topological order. *)
+
+type hooks = {
+  fire : int -> unit;  (** An async boundary fired: a new event for it. *)
+  delay : node:int -> slot:int -> seconds:float -> Obj.t -> unit;
+      (** A delay boundary fired: deliver the value to [slot] ({!push})
+          and register an event for [node] [seconds] later. *)
+  display : epoch:int -> changed:bool -> Obj.t -> unit;
+      (** The root's emission for one round that reached it (unless the
+          instance has a [~display] sink). *)
+  observe : node:int -> epoch:int -> changed:bool -> unit;
+      (** One node emission (only with [~observe:true]). *)
+}
+(** Where {!flush} sends the boundary effects. *)
+
+val flush : t -> hooks -> unit
+(** Apply every buffered effect: value pushes to the queues, the rest to
+    [hooks] (async fires also bill {!Stats.t.async_events}, displays the
+    tracer's display row), in (admission epoch, group) order; merge the
+    group lanes' counters into {!stats}. *)

@@ -17,7 +17,7 @@ type dispatch =
   | Flood
   | Cone
 
-type error_policy =
+type error_policy = Exec.error_policy =
   | Propagate
   | Isolate
   | Restart of int
@@ -238,75 +238,12 @@ let recv_wake ctx ~id wake =
   | Some tr -> Trace.node_start tr ~node:id ~epoch:r.epoch);
   r
 
-let note_failure ctx ~id ~epoch =
-  ctx.c_stats.node_failures <- ctx.c_stats.node_failures + 1;
-  match ctx.c_tracer with
-  | None -> ()
-  | Some tr -> Trace.node_failure tr ~node:id ~epoch
-
-(* Per-node supervisor, created once at build time so a [Restart] budget is
-   local to the node. It wraps only the {e fallible} part of a round — the
-   user function application, after every incoming edge has been read — so
-   per-event alignment is never at stake: a failed round still emits, and
-   what it emits is [No_change last-good], which is exactly the message a
-   quiescent node would have produced. [reset] reinitialises node state
-   ([foldp] accumulator, composite step); [Isolate] never calls it,
-   [Restart n] calls it on the first [n] failures and then degrades to
-   [Isolate]. Under [Propagate] the wrapper is the identity: exceptions
-   unwind the node thread and surface out of [Cml.run], the seed
-   behaviour. *)
+(* The node's supervisor (see [Exec.guard]): one per node, so a [Restart]
+   budget stays local to it. *)
 let supervisor ctx ~id =
-  match ctx.c_policy with
-  | Propagate -> fun ~prev:_ ~reset:_ ~epoch:_ f -> f ()
-  | Isolate ->
-    fun ~prev ~reset:_ ~epoch f ->
-      (try f ()
-       with _ ->
-         note_failure ctx ~id ~epoch;
-         Event.No_change prev)
-  | Restart budget ->
-    let left = ref budget in
-    fun ~prev ~reset ~epoch f ->
-      (try f ()
-       with _ ->
-         note_failure ctx ~id ~epoch;
-         if !left > 0 then begin
-           decr left;
-           ctx.c_stats.node_restarts <- ctx.c_stats.node_restarts + 1;
-           reset ()
-         end;
-         Event.No_change prev)
-
-(* The compiled backend's form of [supervisor]: the same per-node policy
-   and [Restart] budget, packaged behind [Compile.guarded]'s polymorphic
-   field so the region step can apply it at the node's value type. The
-   budget ref is monomorphic, so one record per node keeps it across
-   rounds. *)
-let make_guard ctx ~id =
-  let left =
-    ref (match ctx.c_policy with Restart budget -> budget | Propagate | Isolate -> 0)
-  in
-  {
-    Compile.guard =
-      (fun ~prev ~reset ~epoch f ->
-        match ctx.c_policy with
-        | Propagate -> f ()
-        | Isolate -> (
-          try f ()
-          with _ ->
-            note_failure ctx ~id ~epoch;
-            Event.No_change prev)
-        | Restart _ -> (
-          try f ()
-          with _ ->
-            note_failure ctx ~id ~epoch;
-            if !left > 0 then begin
-              decr left;
-              ctx.c_stats.node_restarts <- ctx.c_stats.node_restarts + 1;
-              reset ()
-            end;
-            Event.No_change prev));
-  }
+  (Exec.guard ~policy:ctx.c_policy ~stats:ctx.c_stats ~tracer:ctx.c_tracer
+     ~node:id)
+    .Compile.guard
 
 (* Register this node with the dispatcher: the returned mailbox receives one
    [round] per event whose cone contains the node. The mailbox is named so
@@ -744,470 +681,153 @@ let push_bounded history lst count x =
     if count + 1 > 2 * cap then (take cap (x :: lst), cap)
     else (x :: lst, count + 1)
 
-(* ------------------------------------------------------------------ *)
-(* Intra-session parallel dispatch (wave mode).
-
-   [start ~domains:k] (or [~pool]) on the compiled backend replaces the
-   threaded region dispatcher with a coordinator that batches the queued
-   events into a {e wave}, runs the wave's active region groups — the
-   plan's SCC-condensed region dependency DAG, see [Compile.group_deps] —
-   on a domain pool via [Pool.run_dag], and then flushes every buffered
-   boundary effect in one canonical order.
-
-   Why this is exact (checked bit-for-bit by the explorer's Domains mode
-   and bench B19):
-
-   - Under cone dispatch one event wakes exactly one region (a source's
-     synchronous cone is region-local), so a wave's work partitions by
-     region group; two groups share no arena slot, no pending-value queue
-     and no scratch counters, so their op execution commutes.
-   - Every cross-group interaction is an async/delay seam or the display,
-     and none is consumed in the epoch that produces it: async fires
-     re-enter through [newEvent] as fresh dispatcher events, delays
-     through the timer, displays only leave the graph. Buffering those
-     effects during the wave and flushing them afterwards, stably ordered
-     by (admission epoch, group index), therefore reproduces exactly the
-     sequence a wave of size one — i.e. a sequential dispatcher — would
-     have produced.
-   - Epochs are assigned FIFO at admission by the coordinator, so
-     per-source event order is the paper's arrival order whatever the
-     wave boundaries or the domain count.
-
-   With [k = 1] no pool exists and a wave's groups run inline in a
-   deterministic topological order: the sequential baseline the oracle
-   compares against, with no pool or buffering overhead beyond the queue
-   swap itself. *)
-
-type weffect =
-  | W_push of int * Obj.t  (* pending value for a source slot *)
-  | W_fire of int  (* async boundary: register a global event *)
-  | W_delay of int * int * float * Obj.t  (* node, slot, seconds, value *)
-  | W_observe of int * int * bool  (* node, stamped epoch, changed *)
-  | W_display of int * bool * Obj.t  (* stamped epoch, changed, value *)
-
-type wgroup = {
-  wg_index : int;  (* group index in the plan *)
-  wg_regions : (int * Compile.region) array;  (* member regions, ascending *)
-  wg_exec : Compile.exec;
-  wg_stats : Stats.t;  (* scratch, owned by the task running the group *)
-  mutable wg_snap : Stats.t;  (* last state merged into the main stats *)
-  wg_epoch : int ref;  (* current round's epoch, tags buffered effects *)
-  wg_effects : (int * weffect) Queue.t;  (* (admission epoch, effect) *)
-  wg_rounds : Compile.round Queue.t;  (* this wave's work, coordinator-filled *)
-}
-
-(* [make_guard] without the ctx: bills failures into the group's scratch
-   stats (merged wave-by-wave by the coordinator) so concurrently running
-   groups never contend on a counter. Budget refs are per slot and a slot
-   belongs to exactly one group, so they are uncontended too. *)
-let make_wave_guard ~policy ~stats ~tracer ~id =
-  let left =
-    ref (match policy with Restart budget -> budget | Propagate | Isolate -> 0)
+(* The display side of Fig. 11: record one root emission on the "screen"
+   (the runtime record and its listeners). *)
+let show rt msg =
+  let time = Cml.now () in
+  let msgs, nm =
+    push_bounded rt.history rt.rev_messages rt.n_messages (time, msg)
   in
+  rt.rev_messages <- msgs;
+  rt.n_messages <- nm;
+  match msg with
+  | Event.Change v ->
+    rt.current <- v;
+    let chs, nc = push_bounded rt.history rt.rev_changes rt.n_changes (time, v) in
+    rt.rev_changes <- chs;
+    rt.n_changes <- nc;
+    Queue.iter (fun f -> f time v) rt.listeners
+  | Event.No_change _ -> ()
+
+let make_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes ~history ~sources
+    ~owned_pool ~d_stats root =
   {
-    Compile.guard =
-      (fun ~prev ~reset ~epoch f ->
-        match policy with
-        | Propagate -> f ()
-        | Isolate | Restart _ -> (
-          try f ()
-          with _ ->
-            stats.Stats.node_failures <- stats.Stats.node_failures + 1;
-            (match tracer with
-            | None -> ()
-            | Some tr -> Trace.node_failure tr ~node:id ~epoch);
-            if !left > 0 then begin
-              decr left;
-              stats.Stats.node_restarts <- stats.Stats.node_restarts + 1;
-              reset ()
-            end;
-            Event.No_change prev));
+    gen;
+    mode;
+    dispatch;
+    stats;
+    new_event;
+    nodes;
+    history;
+    current = Signal.default root;
+    rev_changes = [];
+    n_changes = 0;
+    rev_messages = [];
+    n_messages = 0;
+    listeners = Queue.create ();
+    sources;
+    stopped = false;
+    owned_pool;
+    d_stats;
+    quiesce = Queue.create ();
   }
 
-let start_wave : type r.
-    mode:mode ->
-    dispatch:dispatch ->
-    history:int option ->
-    tracer:Trace.t option ->
-    policy:error_policy ->
-    observer:(node:int -> epoch:int -> changed:bool -> unit) option ->
-    original_nodes:int ->
-    fuse:bool ->
-    pool:Pool.t option ->
-    owned_pool:Pool.t option ->
-    r Signal.t ->
-    r t =
- fun ~mode ~dispatch ~history ~tracer ~policy ~observer ~original_nodes ~fuse
-     ~pool ~owned_pool root ->
-  let pl = Compile.plan_of root in
-  let reach = Compile.reach pl in
-  let gen = fresh_generation () in
-  let stats = Stats.create () in
-  let new_event = Mailbox.create ~name:"newEvent" () in
-  (match tracer with
+(* The cml probe is process-wide: install it for this runtime, or clear a
+   leftover one so an untraced runtime never records into a stale tracer.
+   The scheduler also clears it when the enclosing [Cml.run] finishes. *)
+let attach_tracer tracer gen =
+  match tracer with
   | Some tr ->
     Trace.set_pid tr gen;
     Trace.attach tr
-  | None -> Cml.Probe.clear ());
-  let node_count = Reach.node_count reach in
-  stats.Stats.fused_nodes <- (if fuse then original_nodes - node_count else 0);
-  let regions = Array.of_list (Compile.regions pl) in
-  stats.Stats.compiled_regions <- Array.length regions;
-  (match tracer with
-  | None -> ()
-  | Some tr ->
-    Array.iter
-      (fun rg ->
-        Trace.register_node tr ~id:rg.Compile.rg_rep
-          ~name:
-            (Printf.sprintf "region:%s(%d)" rg.Compile.rg_name
-               (List.length rg.Compile.rg_member_ids)))
-      regions);
-  let arena = Compile.new_arena pl in
-  (* Plain per-slot pending-value queues (the mailbox-less counterpart of
-     the instantiate wiring): pushed by injectors and the coordinator's
-     flush — never during a wave — and popped only by the owning region's
-     source op inside one, so no queue is ever touched from two domains at
-     once. *)
-  let queues : Obj.t Queue.t option array =
-    Array.make (max (Compile.node_count pl) 1) None
+  | None -> Cml.Probe.clear ()
+
+(* ------------------------------------------------------------------ *)
+(* Wave mode: [start ~domains/~pool] on the compiled backend.
+
+   A coordinator thread over one [Exec] instance replaces the threaded
+   region dispatcher: it admits every queued event into a wave (epochs
+   assigned FIFO, so per-source order is the paper's arrival order
+   whatever the wave boundaries), runs the wave's active region groups —
+   on the pool via [Pool.run_dag] or inline — and flushes the buffered
+   boundary effects, acting as the display loop, the async boundary
+   threads and the delay spawner of the threaded build. The change trace
+   is therefore bit-identical for every domain count and seed (see
+   [Exec]; checked by the explorer's Domains mode and bench B19). *)
+
+let start_wave ~mode ~dispatch ~history ~tracer ~policy ~observer ~fused
+    ~pool ~owned_pool root =
+  let pl = Compile.plan_of root in
+  let gen = fresh_generation () in
+  let stats = Stats.create () in
+  let new_event = Mailbox.create ~name:"newEvent" () in
+  attach_tracer tracer gen;
+  stats.Stats.fused_nodes <- fused;
+  stats.Stats.compiled_regions <- Compile.region_count pl;
+  let x =
+    Exec.create ?tracer ~flood:(dispatch = Flood) ~observe:(observer <> None)
+      ~policy ~stats ~epoch:0 pl (Compile.new_arena pl)
   in
-  List.iter
-    (fun (_id, sl, _bounded) -> queues.(sl) <- Some (Queue.create ()))
-    (Compile.queue_slots pl);
-  let queue_exn sl =
-    match queues.(sl) with
-    | Some q -> q
-    | None -> invalid_arg "Runtime: not a source slot"
+  let nworkers = match pool with Some p -> Pool.domains p | None -> 1 in
+  let rt =
+    make_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:(Compile.node_count pl)
+      ~history ~sources:(Compile.sources pl) ~owned_pool
+      ~d_stats:(Array.init nworkers (fun _ -> Stats.create ()))
+      root
   in
-  let ngroups = Compile.group_count pl in
-  let groups =
-    Array.init ngroups (fun g ->
-        let wg_stats = Stats.create () in
-        let epoch_ref = ref 0 in
-        let effects = Queue.create () in
-        let x =
-          {
-            Compile.x_arena = arena;
-            x_flood = (dispatch = Flood);
-            x_stats = wg_stats;
-            x_guards =
-              Array.map
-                (fun id -> make_wave_guard ~policy ~stats:wg_stats ~tracer ~id)
-                (Compile.slot_ids pl);
-            x_account =
-              (fun ~node ~epoch ~changed ~real ->
-                if real then
-                  wg_stats.Stats.messages <- wg_stats.Stats.messages + 1
-                else
-                  wg_stats.Stats.elided_messages <-
-                    wg_stats.Stats.elided_messages + 1;
-                (* The observer itself is replayed by the coordinator: the
-                   checker's hooks are not thread-safe, and replaying in
-                   flush order keeps the calls in the same global order a
-                   sequential dispatcher would have made them. *)
-                if observer <> None then
-                  Queue.push (!epoch_ref, W_observe (node, epoch, changed)) effects;
-                Some epoch);
-            x_root_stamp = None;
-            x_pop = (fun sl -> Queue.pop (queue_exn sl));
-            x_push = (fun sl v -> Queue.push (!epoch_ref, W_push (sl, v)) effects);
-            x_fire_async = (fun id -> Queue.push (!epoch_ref, W_fire id) effects);
-            x_delay =
-              (fun ~node ~slot ~seconds v ->
-                Queue.push (!epoch_ref, W_delay (node, slot, seconds, v)) effects);
-            x_display =
-              (fun ~epoch ~changed v ->
-                Queue.push (!epoch_ref, W_display (epoch, changed, v)) effects);
-          }
-        in
-        {
-          wg_index = g;
-          wg_regions =
-            Array.of_list
-              (List.map (fun i -> (i, regions.(i))) (Compile.group_regions pl g));
-          wg_exec = x;
-          wg_stats;
-          wg_snap = Stats.copy wg_stats;
-          wg_epoch = epoch_ref;
-          wg_effects = effects;
-          wg_rounds = Queue.create ();
-        })
-  in
-  (* Wire the input pushes: value first, notification second, exactly as
-     the other backends do, so the wave finds the value waiting. *)
+  (* Input pushes: value first, notification second, so the wave finds the
+     value waiting. *)
   List.iter
     (fun (Signal.Pack s) ->
       let id = Signal.id s in
-      let sl =
-        match Compile.slot_of pl id with Some sl -> sl | None -> assert false
-      in
-      let push v =
-        Queue.push (Obj.repr v) (queue_exn sl);
-        Mailbox.send new_event id
-      in
+      let sl = Option.get (Compile.slot_of pl id) in
       Signal.set_inst s
         {
           Signal.gen;
           out =
-            Multicast.create ~name:(Printf.sprintf "in:%d:%s" id (Signal.name s))
+            Multicast.create
+              ~name:(Printf.sprintf "in:%d:%s" id (Signal.name s))
               ();
-          push = Some push;
+          push =
+            Some
+              (fun v ->
+                Exec.push x sl (Obj.repr v);
+                Mailbox.send new_event id);
         })
     (Compile.inputs pl);
-  let nworkers = match pool with Some p -> Pool.domains p | None -> 1 in
-  let dstats = Array.init nworkers (fun _ -> Stats.create ()) in
-  let rt =
+  let hooks =
     {
-      gen;
-      mode;
-      dispatch;
-      stats;
-      new_event;
-      nodes = node_count;
-      history;
-      current = Signal.default root;
-      rev_changes = [];
-      n_changes = 0;
-      rev_messages = [];
-      n_messages = 0;
-      listeners = Queue.create ();
-      sources = Compile.sources pl;
-      stopped = false;
-      owned_pool;
-      d_stats = dstats;
-      quiesce = Queue.create ();
-    }
-  in
-  let nregions = Array.length regions in
-  let all_region_idxs = Array.init nregions Fun.id in
-  let cones = Hashtbl.create 16 in
-  List.iter
-    (fun src ->
-      let idxs = ref [] in
-      for i = nregions - 1 downto 0 do
-        if Reach.set_mem src (Compile.region_sources pl i) then
-          idxs := i :: !idxs
-      done;
-      Hashtbl.replace cones src (Array.of_list !idxs, Reach.cone_size reach src))
-    (Reach.sources reach);
-  (* Admit one event: assign the next epoch, bill the dispatch counters
-     exactly as the threaded dispatcher does, and append the round to each
-     active group's work queue. *)
-  let admit eid =
-    stats.events <- stats.events + 1;
-    let r = { Compile.epoch = stats.events; source = eid } in
-    let region_idxs, cone_sz =
-      match dispatch with
-      | Flood -> (all_region_idxs, node_count)
-      | Cone -> (
-        match Hashtbl.find_opt cones eid with Some c -> c | None -> ([||], 0))
-    in
-    stats.notified_nodes <- stats.notified_nodes + Array.length region_idxs;
-    stats.elided_messages <- stats.elided_messages + (node_count - cone_sz);
-    (match tracer with
-    | None -> ()
-    | Some tr ->
-      Trace.dispatch tr ~source:eid ~epoch:r.Compile.epoch
-        ~targets:(Array.length region_idxs));
-    match dispatch with
-    | Flood -> Array.iter (fun wg -> Queue.push r wg.wg_rounds) groups
-    | Cone ->
-      (* One woken region -> one group today; the [seen] list only matters
-         if a future partition lets one source wake several regions of one
-         group (the round must still be queued once). *)
-      let seen = ref [] in
-      Array.iter
-        (fun i ->
-          let g = Compile.group_of pl i in
-          if not (List.mem g !seen) then begin
-            seen := g :: !seen;
-            Queue.push r groups.(g).wg_rounds
-          end)
-        region_idxs
-  in
-  (* Run one group's share of the wave (worker [w]): its queued rounds in
-     epoch order, each sweeping the group's member regions in index order.
-     Per-domain attribution mirrors the serve layer: snapshot the scratch
-     before, bill the delta after. *)
-  let run_group wg w =
-    let before = Stats.copy wg.wg_stats in
-    let rec go () =
-      match Queue.take_opt wg.wg_rounds with
-      | None -> ()
-      | Some r ->
-        wg.wg_epoch := r.Compile.epoch;
-        Array.iter
-          (fun (i, rg) ->
-            let woken =
-              match dispatch with
-              | Flood -> true
-              | Cone ->
-                Reach.set_mem r.Compile.source (Compile.region_sources pl i)
-            in
-            if woken then begin
-              (match tracer with
-              | None -> ()
-              | Some tr ->
-                Trace.node_start tr ~node:rg.Compile.rg_rep
-                  ~epoch:r.Compile.epoch);
-              wg.wg_stats.Stats.region_steps <-
-                wg.wg_stats.Stats.region_steps + 1;
-              Compile.run_region pl wg.wg_exec i r;
-              match tracer with
-              | None -> ()
-              | Some tr ->
-                Trace.node_end tr ~node:rg.Compile.rg_rep ~epoch:r.Compile.epoch
-            end)
-          wg.wg_regions;
-        go ()
-    in
-    go ();
-    Stats.add_delta dstats.(w) ~before ~after:wg.wg_stats
-  in
-  (* Execute the wave's active groups under the plan's group DAG: on the
-     pool via the ready-queue DAG mode, or inline (K = 1) in
-     smallest-index-first Kahn order — both are topological orders of the
-     same DAG, and group results are schedule-independent (see above), so
-     the choice is unobservable. *)
-  let run_wave actives =
-    match actives with
-    | [] -> ()
-    | [ wg ] -> run_group wg 0
-    | _ -> (
-      let arr = Array.of_list actives in
-      let n = Array.length arr in
-      let pos = Hashtbl.create 8 in
-      Array.iteri (fun i wg -> Hashtbl.replace pos wg.wg_index i) arr;
-      let preds =
-        Array.map
-          (fun wg ->
-            List.filter_map
-              (fun g -> Hashtbl.find_opt pos g)
-              (Compile.group_preds pl wg.wg_index))
-          arr
-      in
-      match (if rt.stopped then None else pool) with
-      | Some p ->
-        Pool.run_dag ~seed:stats.events p ~deps:preds
-          (Array.map (fun wg w -> run_group wg w) arr)
-      | None ->
-        let unmet = Array.map List.length preds in
-        let succ = Array.make n [] in
-        Array.iteri
-          (fun i ps -> List.iter (fun p -> succ.(p) <- i :: succ.(p)) ps)
-          preds;
-        let module IS = Set.Make (Int) in
-        let ready = ref IS.empty in
-        Array.iteri (fun i c -> if c = 0 then ready := IS.add i !ready) unmet;
-        while not (IS.is_empty !ready) do
-          let i = IS.min_elt !ready in
-          ready := IS.remove i !ready;
-          run_group arr.(i) 0;
-          List.iter
-            (fun j ->
-              unmet.(j) <- unmet.(j) - 1;
-              if unmet.(j) = 0 then ready := IS.add j !ready)
-            succ.(i)
-        done)
-  in
-  (* Flush the wave: apply every buffered boundary effect in (admission
-     epoch, group index) order — [stable_sort] keeps each group's own
-     effect order within a round, so a value push always precedes its
-     paired fire and member observations precede their round's display.
-     This is the coordinator acting as the display loop, the async
-     boundary threads and the delay spawner of the threaded build, in the
-     order a sequential dispatcher would have interleaved them. *)
-  let flush actives =
-    let tagged =
-      List.concat_map
-        (fun wg ->
-          let l =
-            Queue.fold
-              (fun acc (ep, e) -> (ep, wg.wg_index, e) :: acc)
-              [] wg.wg_effects
-          in
-          Queue.clear wg.wg_effects;
-          List.rev l)
-        actives
-    in
-    let ordered =
-      List.stable_sort
-        (fun ((e1 : int), (g1 : int), _) (e2, g2, _) ->
-          if e1 <> e2 then compare e1 e2 else compare g1 g2)
-        tagged
-    in
-    List.iter
-      (fun (_ep, _g, eff) ->
-        match eff with
-        | W_push (sl, v) -> Queue.push v (queue_exn sl)
-        | W_fire id ->
-          stats.async_events <- stats.async_events + 1;
-          Mailbox.send new_event id
-        | W_delay (node, slot, seconds, v) ->
+      Exec.fire = (fun id -> Mailbox.send new_event id);
+      delay =
+        (fun ~node ~slot ~seconds v ->
           Cml.spawn (fun () ->
               Cml.sleep seconds;
-              Queue.push v (queue_exn slot);
-              stats.async_events <- stats.async_events + 1;
-              Mailbox.send new_event node)
-        | W_observe (node, epoch, changed) -> (
-          match observer with None -> () | Some f -> f ~node ~epoch ~changed)
-        | W_display (epoch, changed, v) ->
-          (match tracer with
-          | None -> ()
-          | Some tr -> Trace.display tr ~epoch ~changed);
-          let time = Cml.now () in
-          let v : r = Obj.obj v in
-          let msg = if changed then Event.Change v else Event.No_change v in
-          let msgs, nm =
-            push_bounded rt.history rt.rev_messages rt.n_messages (time, msg)
-          in
-          rt.rev_messages <- msgs;
-          rt.n_messages <- nm;
-          if changed then begin
-            rt.current <- v;
-            let chs, nc =
-              push_bounded rt.history rt.rev_changes rt.n_changes (time, v)
-            in
-            rt.rev_changes <- chs;
-            rt.n_changes <- nc;
-            Queue.iter (fun f -> f time v) rt.listeners
-          end)
-      ordered;
-    List.iter
-      (fun wg ->
-        Stats.add_delta stats ~before:wg.wg_snap ~after:wg.wg_stats;
-        wg.wg_snap <- Stats.copy wg.wg_stats)
-      actives;
-    stats.switches <- Cml.Scheduler.switch_count ()
+              Exec.push x slot v;
+              stats.Stats.async_events <- stats.Stats.async_events + 1;
+              Mailbox.send new_event node));
+      display =
+        (fun ~epoch:_ ~changed v ->
+          let v = Obj.obj v in
+          show rt (if changed then Event.Change v else Event.No_change v));
+      observe =
+        (match observer with
+        | Some f -> f
+        | None -> fun ~node:_ ~epoch:_ ~changed:_ -> ());
+    }
   in
-  (* The coordinator: block for one event, then (in [Pipelined] mode)
-     sweep everything else already queued into the same wave. [Sequential]
-     keeps waves at size one — each event is fully displayed before the
-     next is admitted, the non-pipelined baseline by construction. *)
-  let glist = Array.to_list groups in
+  (* Block for one event, then (in [Pipelined] mode) sweep everything else
+     already queued into the same wave. [Sequential] keeps waves at size
+     one — each event is fully displayed before the next is admitted. *)
   Cml.spawn (fun () ->
       let rec serve pending =
-        let eid =
-          match pending with Some e -> e | None -> Mailbox.recv new_event
-        in
-        admit eid;
+        let eid = match pending with Some e -> e | None -> Mailbox.recv new_event in
+        Exec.admit x ~source:eid;
         (match mode with
         | Sequential -> ()
         | Pipelined ->
-          let rec drain_queued () =
+          let rec admit_queued () =
             match Mailbox.recv_opt new_event with
             | Some eid ->
-              admit eid;
-              drain_queued ()
+              Exec.admit x ~source:eid;
+              admit_queued ()
             | None -> ()
           in
-          drain_queued ());
-        let actives =
-          List.filter (fun wg -> not (Queue.is_empty wg.wg_rounds)) glist
-        in
-        run_wave actives;
-        flush actives;
+          admit_queued ());
+        Exec.run_groups
+          ?pool:(if rt.stopped then None else pool)
+          ~seed:stats.Stats.events x ~dstats:rt.d_stats;
+        Exec.flush x hooks;
+        stats.Stats.switches <- Cml.Scheduler.switch_count ();
         (* Wave boundary: if the flush registered no follow-up events (and
            none arrived meanwhile) the graph is settled — the quiescence
            seam where [at_quiescence] callbacks (live upgrades) run. *)
@@ -1245,6 +865,19 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   | Some n when n < 1 ->
     invalid_arg "Runtime.start: queue_capacity must be >= 1"
   | _ -> ());
+  (* Wave mode runs compiled plans only, with plain unbounded queues
+     (backpressure would block the coordinator itself) and no planted
+     mutations: a request outside that envelope is an error, not a silent
+     fallback. *)
+  if domains <> None || pool <> None then begin
+    let reject what =
+      invalid_arg ("Runtime.start: domains/pool cannot be combined with " ^ what)
+    in
+    if mutate <> None then reject "mutate";
+    if queue_capacity <> None then reject "queue_capacity";
+    if backend = Pipelined then reject "backend Pipelined";
+    if not memoize then reject "memoize:false"
+  end;
   (* The recompute-always baseline exists to measure pull-style costs, so it
      defaults to flooding; cone dispatch would silently skip the very
      recomputations it is meant to count. *)
@@ -1264,30 +897,17 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   (* [fuse_cached] keeps the fused root physically stable across starts of
      the same graph, which is what lets [Compile.plan_of] hit its cache. *)
   let root = if fuse then Fuse.fuse_cached root else root in
-  (* Intra-session parallel dispatch: only the compiled backend has the
-     region-group DAG, and the wave coordinator supports neither planted
-     mutations nor mailbox capacities (its pending-value queues are plain
-     and unbounded by design — backpressure would block the coordinator
-     itself). Outside that envelope a [?domains]/[?pool] request silently
-     falls back to the threaded dispatcher, exactly as [Compiled] itself
-     falls back under [memoize:false]. *)
-  let use_wave =
-    (domains <> None || pool <> None)
-    && backend = Compiled && mutate = None && queue_capacity = None
-  in
-  if use_wave then begin
-    let owned_pool, wave_pool =
-      match pool with
-      | Some p -> (None, Some p)
-      | None -> (
-        match domains with
-        | Some k when k > 1 ->
-          let p = Pool.create ~domains:k () in
-          (Some p, Some p)
-        | _ -> (None, None))
+  let fused node_count = if fuse then original_nodes - node_count else 0 in
+  if domains <> None || pool <> None then begin
+    let owned_pool =
+      match (pool, domains) with
+      | None, Some k when k > 1 -> Some (Pool.create ~domains:k ())
+      | _ -> None
     in
     start_wave ~mode ~dispatch ~history ~tracer ~policy:on_node_error ~observer
-      ~original_nodes ~fuse ~pool:wave_pool ~owned_pool root
+      ~fused:(fused (Compile.node_count (Compile.plan_of root)))
+      ~pool:(match pool with Some p -> Some p | None -> owned_pool)
+      ~owned_pool root
   end
   else
   let gen = fresh_generation () in
@@ -1327,16 +947,9 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
       c_sources = [];
     }
   in
-  (* The cml probe is process-wide: install it for this runtime, or clear a
-     leftover one so an untraced runtime never records into a stale tracer.
-     The scheduler also clears it when the enclosing [Cml.run] finishes. *)
-  (match tracer with
-  | Some tr ->
-    Trace.set_pid tr ctx.rt_gen;
-    Trace.attach tr
-  | None -> Cml.Probe.clear ());
+  attach_tracer tracer gen;
   let node_count = Reach.node_count reach in
-  stats.Stats.fused_nodes <- (if fuse then original_nodes - node_count else 0);
+  stats.Stats.fused_nodes <- fused node_count;
   (* Per-backend instantiation. Both produce the same dispatcher inputs: a
      display channel, a flood target array, a per-source cone target lookup,
      and the per-event elided balance the dispatcher still owes on top of
@@ -1388,7 +1001,9 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
           cfg_account =
             (fun ~node ~epoch ~changed ~real ->
               account ctx ~id:node ~epoch ~changed ~real);
-          cfg_guard = (fun id -> make_guard ctx ~id);
+          cfg_guard =
+            (fun id ->
+              Exec.guard ~policy:on_node_error ~stats ~tracer ~node:id);
           cfg_fire_async =
             (fun id ->
               stats.Stats.async_events <- stats.Stats.async_events + 1;
@@ -1433,26 +1048,8 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         inst.Compile.i_sources )
   in
   let rt =
-    {
-      gen = ctx.rt_gen;
-      mode;
-      dispatch;
-      stats;
-      new_event;
-      nodes = node_count;
-      history;
-      current = Signal.default root;
-      rev_changes = [];
-      n_changes = 0;
-      rev_messages = [];
-      n_messages = 0;
-      listeners = Queue.create ();
-      sources = rt_sources;
-      stopped = false;
-      owned_pool = None;
-      d_stats = [||];
-      quiesce = Queue.create ();
-    }
+    make_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:node_count ~history
+      ~sources:rt_sources ~owned_pool:None ~d_stats:[||] root
   in
   let root_reach = Reach.reaching reach (Signal.id root) in
   let reaches_root eid =
@@ -1470,22 +1067,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         (match tracer with
         | None -> ()
         | Some tr -> Trace.display tr ~epoch ~changed:(Event.is_change msg));
-        let time = Cml.now () in
-        let msgs, nm =
-          push_bounded rt.history rt.rev_messages rt.n_messages (time, msg)
-        in
-        rt.rev_messages <- msgs;
-        rt.n_messages <- nm;
-        (match msg with
-        | Event.Change v ->
-          rt.current <- v;
-          let chs, nc =
-            push_bounded rt.history rt.rev_changes rt.n_changes (time, v)
-          in
-          rt.rev_changes <- chs;
-          rt.n_changes <- nc;
-          Queue.iter (fun f -> f time v) rt.listeners
-        | Event.No_change _ -> ());
+        show rt msg;
         stats.switches <- Cml.Scheduler.switch_count ();
         (match mode with
         | Sequential -> Mailbox.send ack ()

@@ -93,7 +93,7 @@ type dispatch =
     sent, so downstream edge caches and the elision invariant are
     untouched. Failures are counted in {!Stats.t.node_failures} and, when a
     tracer is attached, recorded as [Node_fail] instants. *)
-type error_policy =
+type error_policy = Exec.error_policy =
   | Propagate
       (** Seed behaviour (default): the exception unwinds the node thread
           and surfaces out of {!Cml.run}, tearing the session down. *)
@@ -215,31 +215,31 @@ val start :
 
     [domains]/[pool] enable {e intra-session parallel dispatch} on the
     compiled backend: the threaded region dispatcher is replaced by a
-    coordinator that batches queued events into waves and runs each wave's
-    data-independent region groups (the plan's SCC-condensed dependency
-    DAG, {!Compile.group_deps}) concurrently on a domain pool, flushing
-    async/delay/display effects afterwards in (admission epoch, group)
-    order — change traces are bit-identical to the sequential dispatcher
-    (property-checked by [Check.Explore]'s [Domains] policy and gated by
-    bench B19). Region steps run atomically in virtual time: a step that
-    charges virtual cost ([Cml.sleep] inside a lift) delays the whole
-    wave's flush, so async programs with costly branches keep their
-    values and per-source order but may stamp displays later than the
-    threaded dispatcher would; such costs are only supported inline
-    (single-group waves or [~domains:1]) — on a pool worker the
-    scheduler is unavailable and the step fails under the node's
-    supervision policy. [~domains:k] with [k > 1] creates a private pool closed by
-    {!stop}; [~domains:1] runs waves inline with no pool (the sequential
-    wave baseline); [~pool] borrows a caller-owned pool (never closed
-    here) and takes precedence over [domains]. The wave coordinator
-    applies only when [backend = Compiled] and neither [mutate] nor
-    [queue_capacity] is given — otherwise the request silently falls back
-    to the threaded dispatcher, as [Compiled] itself does under
-    [memoize:false].
+    coordinator over one {!Exec} instance that batches queued events into
+    waves and runs each wave's data-independent region groups (the plan's
+    SCC-condensed dependency DAG, {!Compile.group_deps}) concurrently on a
+    domain pool, flushing async/delay/display effects afterwards in
+    (admission epoch, group) order — change traces are bit-identical to
+    the sequential dispatcher (property-checked by [Check.Explore]'s
+    [Domains] policy and gated by bench B19). Region steps run atomically
+    in virtual time: a step that charges virtual cost ([Cml.sleep] inside
+    a lift) delays the whole wave's flush, so async programs with costly
+    branches keep their values and per-source order but may stamp
+    displays later than the threaded dispatcher would; such costs are
+    only supported inline (single-group waves or [~domains:1]) — on a
+    pool worker the scheduler is unavailable and the step fails under the
+    node's supervision policy. [~domains:k] with [k > 1] creates a private
+    pool closed by {!stop}; [~domains:1] runs waves inline with no pool
+    (the sequential wave baseline); [~pool] borrows a caller-owned pool
+    (never closed here) and takes precedence over [domains]. Wave mode
+    needs [backend = Compiled] and admits neither [mutate],
+    [queue_capacity] nor [memoize:false]: any such combination raises.
     @raise Invalid_argument outside a running scheduler, when [history]
     is negative, when a [Restart] budget is negative, when
-    [queue_capacity < 1], when [domains < 1], or when a [mutate]
-    occurrence is [< 1]. *)
+    [queue_capacity < 1], when [domains < 1], when a [mutate]
+    occurrence is [< 1], or when [domains]/[pool] is combined with
+    [mutate], [queue_capacity], [backend = Pipelined] or
+    [memoize:false]. *)
 
 val inject : _ t -> 'b Signal.t -> 'b -> unit
 (** [inject rt input v] delivers an external event: the new value [v] for

@@ -4,6 +4,8 @@ type 'a inst = {
   push : ('a -> unit) option;
 }
 
+type memo = ..
+
 type 'a t = {
   node_id : int;
   node_name : string;
@@ -12,6 +14,7 @@ type 'a t = {
   mutable node_inst : 'a inst option;
   mutable node_subst : 'a subst option;
   mutable node_fused : 'a t option;
+  mutable node_memo : memo option;
 }
 
 and 'a subst = { subst_gen : int; subst_node : 'a t }
@@ -61,6 +64,7 @@ let make ?name ~fallback_name default kind =
     node_inst = None;
     node_subst = None;
     node_fused = None;
+    node_memo = None;
   }
 
 let id t = t.node_id
@@ -91,13 +95,27 @@ let set_fused t f = t.node_fused <- Some f
    plan compiled against nodes the upgrade just replaced. *)
 let clear_fused t = t.node_fused <- None
 
+(* An opaque per-node slot for derived data owned by another module (the
+   compiled plan of the graph rooted here, see [Compile.plan_of]). The
+   owner defines its own constructor and stamps it with whatever validity
+   token it needs; like [node_fused], it dies with the graph. *)
+let get_memo t = t.node_memo
+let set_memo t m = t.node_memo <- Some m
+
 (* Rebuild a node around a new kind (same id/name/default) when a fusion
    pass rewrites its dependencies. Keeping the id stable makes node
    identities comparable across fused and unfused runs of the same graph;
    ids stay unique because the original node is no longer part of the
    rewritten graph. *)
 let with_kind t kind =
-  { t with node_kind = kind; node_inst = None; node_subst = None; node_fused = None }
+  {
+    t with
+    node_kind = kind;
+    node_inst = None;
+    node_subst = None;
+    node_fused = None;
+    node_memo = None;
+  }
 
 let constant ?name v = make ?name ~fallback_name:"constant" v Constant
 

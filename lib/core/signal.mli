@@ -227,6 +227,15 @@ val clear_fused : 'a t -> unit
     a cache reset would resolve to a stale fused graph and miss the plan
     cache forever after. *)
 
+type memo = ..
+(** Derived data memoised on a node by another module, which adds its own
+    constructor (the compiled plan, see {!Compile.plan_of}). *)
+
+val get_memo : 'a t -> memo option
+val set_memo : 'a t -> memo -> unit
+(** Like the fusion slot, the memo lives as long as the node; its owner
+    decides when an entry is stale. *)
+
 (** {2 Fusion support (used by {!Fuse})} *)
 
 val composite : ?name:string -> default:'a -> ('b, 'a) composite -> 'b t -> 'a t

@@ -18,13 +18,14 @@
    sessions (and the benches churn 10k of them) from plain code. *)
 
 module Signal = Elm_core.Signal
-module Reach = Elm_core.Reach
 module Stats = Elm_core.Stats
 module Trace = Elm_core.Trace
 module Fuse = Elm_core.Fuse
 module Compile = Elm_core.Compile
 module Runtime = Elm_core.Runtime
 module Upgrade = Elm_core.Upgrade
+module Exec = Elm_core.Exec
+module Pool = Elm_core.Pool
 module Pqueue = Cml.Pqueue
 
 type delayed = {
@@ -44,7 +45,6 @@ type 'a t = {
   d_sessions : (int, 'a Session.t) Hashtbl.t;
   d_ready : (int * int) Queue.t;  (* (session id, source id), FIFO *)
   d_delays : ((float * int), delayed) Pqueue.t ref;
-  d_seq : int ref;  (* tie-break: equal due times stay FIFO *)
   d_now : float ref;  (* virtual clock, advanced by drain *)
   d_tracer : Trace.t option;
   d_policy : Runtime.error_policy;
@@ -54,12 +54,7 @@ type 'a t = {
   d_intra : bool;
       (* split each session's work by region group (plan group DAG) so one
          session's independent groups also run concurrently; needs a pool *)
-  d_in_parallel : bool ref;
-      (* true while pool workers are stepping sessions: boundary re-entries
-         route to session inboxes instead of [d_ready], and the delay heap
-         goes behind [d_delay_lock]. A ref (not a field) because the env
-         closures are built before the record. *)
-  d_delay_lock : Mutex.t;  (* guards d_delays + d_seq (workers schedule) *)
+  mutable d_draining : bool;  (* lifecycle is frozen while [drain] runs *)
   mutable d_domain_stats : Stats.t array;
       (* per-worker-slot accumulators, grown lazily to the pool width *)
   mutable d_next_sid : int;
@@ -90,10 +85,11 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
   let delays =
     ref (Pqueue.empty ~compare:(fun (a : float * int) b -> compare a b))
   in
-  let seq = ref 0 in
+  let seq = ref 0 in  (* tie-break: equal due times stay FIFO *)
   let now = ref 0.0 in
-  let in_parallel = ref false in
-  let delay_lock = Mutex.create () in
+  (* Both hooks run coordinator-side, from [Session.flush] after a round's
+     tasks have finished, so they touch the shared queue and heap from one
+     domain only. *)
   let env =
     {
       Session.env_fire =
@@ -101,34 +97,18 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
           match Hashtbl.find_opt sessions sid with
           | Some s when not (Session.closed s) ->
             Session.mark_pending s;
-            (* During a parallel round an async re-entry lands on its own
-               session's inbox: only the worker currently pinned to [sid]
-               calls this for [sid], so the push is single-writer, and the
-               task drains the inbox before returning — the re-entry runs
-               on the same domain, after everything already queued for the
-               session, exactly as the global FIFO would have ordered it.
-               (The sessions table is read-only while workers run:
-               open/close/clone are rejected mid-drain.) *)
-            if !in_parallel then Session.wake_push s source
-            else Queue.push (sid, source) ready
+            Queue.push (sid, source) ready
           | Some _ | None -> ());
       env_delay =
         (fun ~sid ~node ~slot ~seconds v ->
           match Hashtbl.find_opt sessions sid with
           | Some s when not (Session.closed s) ->
             Session.mark_pending_delay s;
-            (* Workers on different domains race to schedule; the lock
-               makes (heap, seq) updates atomic. A session's own delays
-               still get increasing seq numbers (its calls are ordered by
-               its single pinned domain), so per-session heap order — the
-               only order the oracle can observe — matches sequential. *)
-            Mutex.lock delay_lock;
             incr seq;
             delays :=
               Pqueue.insert !delays
                 (!now +. seconds, !seq)
-                { dl_sid = sid; dl_node = node; dl_slot = slot; dl_value = v };
-            Mutex.unlock delay_lock
+                { dl_sid = sid; dl_node = node; dl_slot = slot; dl_value = v }
           | Some _ | None -> ());
     }
   in
@@ -140,7 +120,6 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     d_sessions = sessions;
     d_ready = ready;
     d_delays = delays;
-    d_seq = seq;
     d_now = now;
     d_tracer = tracer;
     d_policy = on_node_error;
@@ -148,8 +127,7 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     d_history = history;
     d_pool = pool;
     d_intra = intra;
-    d_in_parallel = in_parallel;
-    d_delay_lock = delay_lock;
+    d_draining = false;
     d_domain_stats = [||];
     d_next_sid = 0;
     d_opened = 0;
@@ -169,15 +147,15 @@ let fresh_sid d =
   d.d_next_sid <- sid + 1;
   sid
 
-(* Lifecycle mutates the sessions table, which workers read lock-free
-   during a parallel round; nothing in a round can legitimately call these
-   (tasks run no user code), so a violation is a programming error. *)
-let check_not_parallel d what =
-  if !(d.d_in_parallel) then
-    invalid_arg (Printf.sprintf "Serve.Dispatcher.%s: parallel drain running" what)
+(* Lifecycle mutates the sessions table, which a drain reads throughout;
+   nothing in a drain can legitimately call these (it runs no user code),
+   so a violation is a programming error. *)
+let check_not_draining d what =
+  if d.d_draining then
+    invalid_arg (Printf.sprintf "Serve.Dispatcher.%s: drain running" what)
 
 let open_session d =
-  check_not_parallel d "open_session";
+  check_not_draining d "open_session";
   let sid = fresh_sid d in
   let s =
     Session.open_session ~sid ~env:d.d_env ?tracer:d.d_tracer
@@ -189,7 +167,7 @@ let open_session d =
   s
 
 let clone d src =
-  check_not_parallel d "clone";
+  check_not_draining d "clone";
   let sid = fresh_sid d in
   let s = Session.clone ~sid src in
   Hashtbl.replace d.d_sessions sid s;
@@ -197,7 +175,7 @@ let clone d src =
   s
 
 let close d s =
-  check_not_parallel d "close";
+  check_not_draining d "close";
   if not (Session.closed s) then begin
     Session.close s;
     Hashtbl.remove d.d_sessions (Session.id s);
@@ -223,7 +201,7 @@ let inject d s input v =
 (* ------------------------------------------------------------------ *)
 (* Live upgrade.
 
-   Admission is wave-boundary only: [check_not_parallel] rejects an
+   Admission is wave-boundary only: [check_not_draining] rejects an
    upgrade while pool workers are stepping, and the synchronous drains
    never call out to user code between steps, so every session's arena is
    a consistent cut when we get here. Pending work survives: queued input
@@ -240,7 +218,7 @@ let inject d s input v =
    Fuse.clear_memos). *)
 
 let upgrade_all ?migrate ?mutate d new_root =
-  check_not_parallel d "upgrade_all";
+  check_not_draining d "upgrade_all";
   d.d_upgrades <- d.d_upgrades + 1;
   let occ = d.d_upgrades in
   let planted spec =
@@ -309,56 +287,34 @@ let upgrade_all ?migrate ?mutate d new_root =
 
 let upgrades d = d.d_upgrades
 
-(* Drain to quiescence: dispatch ready events in FIFO order; when the
-   ready queue empties, advance the virtual clock to the next due delayed
-   value, re-queue its wake, and continue. Terminates because every step
-   consumes one queued event and delays only re-enter with strictly later
-   due times (drains are finite for programs whose delay chains are). *)
-let drain_sequential d =
-  let dispatched = ref 0 in
-  let rec loop () =
-    match Queue.take_opt d.d_ready with
-    | Some (sid, source) ->
-      (match find d sid with
-      | Some s ->
-        incr dispatched;
-        Session.step s ~source
-      | None -> ());
-      loop ()
-    | None -> (
-      match Pqueue.pop_min !(d.d_delays) with
-      | None -> ()
-      | Some ((due, _), dl, rest) ->
-        d.d_delays := rest;
-        if due > !(d.d_now) then d.d_now := due;
-        (match find d dl.dl_sid with
-        | Some s ->
-          Session.deliver_delayed s ~slot:dl.dl_slot dl.dl_value;
-          Session.mark_pending s;
-          Queue.push (dl.dl_sid, dl.dl_node) d.d_ready
-        | None -> ());
-        loop ())
-  in
-  loop ();
-  !dispatched
-
 (* ------------------------------------------------------------------ *)
-(* Parallel drain.
+(* Drain.
 
-   Why per-session traces cannot depend on the schedule: the sequential
-   drain's global FIFO, restricted to one session, is exactly that
-   session's arrival order — and that restriction is all any session can
-   observe (sessions share no mutable state). The parallel drain realises
-   precisely the same restriction: phase 1 deals the global FIFO into
-   per-session inboxes preserving order; a session task is pinned to one
-   domain and drains its inbox to quiescence, with async re-entries
-   appended at its own tail (same position the global queue would have
-   given them); delays are delivered only at global quiescence by the
-   coordinator, in (due, seq) heap order, at most one per session per
-   round so a session's delay wake never overtakes the ready events that
-   sequential dispatch would have drained first. Which domain runs a task,
-   and in which steal order, is therefore unobservable — the B18 oracle
-   checks this bit-for-bit against [drain_sequential] under many seeds. *)
+   One drain is a sequence of rounds. A round deals the ready FIFO into
+   per-session inboxes, takes every dealt wake, runs the resulting work,
+   then flushes each session's buffered boundary effects coordinator-side:
+   async re-entries land at the tail of the ready FIFO (the next round),
+   delays in the heap. Once a round finds nothing ready, the earliest due
+   delays are delivered — all heap entries at the minimum due time, at
+   most one per session — and the next round starts.
+
+   Only the per-session restriction of the FIFO is observable (sessions
+   share no mutable state), and every placement realises the same one:
+   a session's wakes are taken in dealt order, its re-entries queue
+   behind them, and a second same-due delay of one session waits for the
+   round after, where a one-event-at-a-time drain would also have run
+   everything the first one caused before popping it. The placement
+   follows from the dispatcher's [pool]/[intra]:
+
+   - no pool: each runnable session steps its wakes inline;
+   - a pool: one task per runnable session (pinned to one domain);
+   - a pool and [intra]: the coordinator admits every wake, then one task
+     per (session, active region group) runs under the plan's group DAG
+     via [Pool.run_dag] (edges only within a session).
+
+   Per-session traces are therefore bit-identical for every placement,
+   seed and domain count — the serve tests and benches B18/B19 gate
+   exactly this. *)
 
 let ensure_domain_stats d n =
   if Array.length d.d_domain_stats < n then
@@ -367,222 +323,119 @@ let ensure_domain_stats d n =
           if i < Array.length d.d_domain_stats then d.d_domain_stats.(i)
           else Stats.create ())
 
-(* Deal the global ready queue into per-session inboxes, returning the
-   sessions that became runnable in first-seen order (deterministic:
-   depends only on queue contents). *)
-let deal_ready d =
+(* Deal the ready FIFO into per-session inboxes, returning the sessions
+   that became runnable in first-seen order (deterministic: depends only
+   on queue contents). *)
+let deal d =
   let runnable = ref [] in
-  let rec go () =
-    match Queue.take_opt d.d_ready with
-    | Some (sid, source) ->
-      (match find d sid with
-      | Some s ->
-        if not (Session.has_wakes s) then runnable := s :: !runnable;
-        Session.wake_push s source
-      | None -> ());
-      go ()
+  while not (Queue.is_empty d.d_ready) do
+    let sid, source = Queue.pop d.d_ready in
+    match find d sid with
+    | Some s ->
+      if not (Session.has_wakes s) then runnable := s :: !runnable;
+      Session.wake_push s source
     | None -> ()
-  in
-  go ();
+  done;
   List.rev !runnable
 
-(* At global quiescence: deliver the earliest batch of due delays — all
-   heap entries at the minimum due time, but at most one per session, in
-   (due, seq) order — into inboxes, advancing the virtual clock. At most
-   one per session because the sequential drain fully drains a session's
-   resulting events before its next delay pops; a second same-due delivery
-   in one round would let that wake overtake them. Returns the runnable
-   sessions in delivery order. *)
-let deliver_due_delays d =
-  match Pqueue.pop_min !(d.d_delays) with
+(* Deliver the earliest batch of due delays (see above) into session
+   inboxes, advancing the virtual clock; returns the sessions made
+   runnable, in heap order. Called only when every inbox is empty, so an
+   inbox holding a wake marks a session already served this batch: its
+   next entry stays in the heap, and everything behind it with it. *)
+let rec deliver_due_delays d =
+  match Pqueue.min !(d.d_delays) with
   | None -> []
-  | Some ((due, _), first, rest) ->
-    d.d_delays := rest;
+  | Some ((due, _), _) ->
     if due > !(d.d_now) then d.d_now := due;
-    let seen = Hashtbl.create 8 in
-    let batch = ref [ first ] in
-    Hashtbl.replace seen first.dl_sid ();
-    let rec collect () =
+    let rec collect acc =
       match Pqueue.pop_min !(d.d_delays) with
-      | Some ((due', _), dl, rest') when due' = due && not (Hashtbl.mem seen dl.dl_sid)
-        ->
-        d.d_delays := rest';
-        Hashtbl.replace seen dl.dl_sid ();
-        batch := dl :: !batch;
-        collect ()
-      (* First entry that is later-due or a repeat session stays in the
-         heap (pop_min is non-destructive until we commit [rest']), and
-         everything behind it waits for the next round with it. *)
-      | Some _ | None -> ()
+      | Some ((due', _), dl, rest) when due' = due -> (
+        match find d dl.dl_sid with
+        | Some s when Session.has_wakes s -> acc
+        | found -> (
+          d.d_delays := rest;
+          match found with
+          | Some s ->
+            Session.deliver_delayed s ~slot:dl.dl_slot dl.dl_value;
+            Session.mark_pending s;
+            Session.wake_push s dl.dl_node;
+            collect (s :: acc)
+          | None -> collect acc))
+      | Some _ | None -> acc
     in
-    collect ();
-    List.rev !batch
-    |> List.filter_map (fun dl ->
-           match find d dl.dl_sid with
-           | Some s ->
-             Session.deliver_delayed s ~slot:dl.dl_slot dl.dl_value;
-             Session.mark_pending s;
-             let fresh = not (Session.has_wakes s) in
-             Session.wake_push s dl.dl_node;
-             if fresh then Some s else None
-           | None -> None)
+    (* a batch of closed sessions' entries delivers nothing: go on *)
+    match collect [] with [] -> deliver_due_delays d | batch -> List.rev batch
 
-let drain_parallel ?(seed = 0) d =
-  let pool =
-    match d.d_pool with
-    | Some p -> p
-    | None -> invalid_arg "Serve.Dispatcher.drain_parallel: no pool"
-  in
-  check_not_parallel d "drain_parallel";
-  let n = Pool.domains pool in
-  ensure_domain_stats d n;
-  let dispatched = Atomic.make 0 in
-  let task_of s w =
-    let before = Stats.copy (Session.stats s) in
-    let rec go () =
-      match Session.wake_pop s with
-      | Some source ->
-        ignore (Atomic.fetch_and_add dispatched 1);
-        Session.step s ~source;
-        go ()
-      | None -> ()
-    in
-    go ();
-    Stats.add_delta d.d_domain_stats.(w) ~before ~after:(Session.stats s)
-  in
-  (* One round = one parallel sweep over the runnable sessions, then a
-     coordinator-sequential delay delivery. Terminates when a round ends
-     with nothing runnable and an empty (or all-future-quiet) heap — the
-     same quiescence the sequential drain reaches. *)
-  let rec rounds i runnable =
-    (match runnable with
-    | [] -> ()
-    | _ :: _ ->
-      d.d_in_parallel := true;
-      Fun.protect
-        ~finally:(fun () -> d.d_in_parallel := false)
-        (fun () ->
-          Pool.run ~seed:(seed + i) pool
-            (Array.of_list (List.map task_of runnable))));
-    match deliver_due_delays d with
-    | [] -> ()
-    | next -> rounds (i + 1) next
-  in
-  rounds 0 (deal_ready d);
-  Atomic.get dispatched
-
-(* ------------------------------------------------------------------ *)
-(* Intra-session parallel drain.
-
-   Like [drain_parallel], but each runnable session's admitted round is
-   further split by region group, so data-independent groups of one
-   session also run concurrently: one pool task per (session, active
-   group), scheduled under the plan's group DAG via [Pool.run_dag] (edges
-   only between groups of the same session — sessions stay independent).
-   The coordinator owns everything order-sensitive: it admits wakes
-   (assigning epochs and dispatch billing) before the barrier, and flushes
-   each session's buffered async/delay re-entries after it in (admission
-   epoch, group) order — so per-session traces remain bit-identical to
-   [drain_sequential], which the serve tests and bench B19 gate. *)
-
-let drain_intra ?(seed = 0) d =
-  let pool =
-    match d.d_pool with
-    | Some p -> p
-    | None -> invalid_arg "Serve.Dispatcher.drain_intra: no pool"
-  in
-  check_not_parallel d "drain_intra";
-  ensure_domain_stats d (Pool.domains pool);
-  let dispatched = ref 0 in
-  let admit_all s =
-    let rec go () =
-      match Session.wake_pop s with
-      | Some source ->
-        incr dispatched;
-        Session.admit s ~source;
-        go ()
-      | None -> ()
-    in
-    go ()
-  in
-  let schedule_delay s ~node ~slot ~seconds v =
-    Session.mark_pending_delay s;
-    Mutex.lock d.d_delay_lock;
-    incr d.d_seq;
-    d.d_delays :=
-      Pqueue.insert !(d.d_delays)
-        (!(d.d_now) +. seconds, !(d.d_seq))
-        { dl_sid = Session.id s; dl_node = node; dl_slot = slot; dl_value = v };
-    Mutex.unlock d.d_delay_lock
-  in
-  (* One sweep = admit every queued wake, run the (session x group) task
-     DAG, flush. Async re-entries queue the next sweep; delays are
-     delivered only once no session has wakes left, as in the sequential
-     drain. *)
-  let rec sweep i runnable =
-    match runnable with
-    | [] -> (
-      match deliver_due_delays d with [] -> () | next -> sweep (i + 1) next)
-    | _ ->
-      List.iter admit_all runnable;
-      let active =
-        List.filter (fun s -> Session.active_groups s <> []) runnable
-      in
-      let pos = Hashtbl.create 32 in
-      let count = ref 0 in
-      let rev_tasks = ref [] in
-      List.iter
-        (fun s ->
-          List.iter
-            (fun g ->
-              Hashtbl.replace pos (Session.id s, g) !count;
-              incr count;
-              rev_tasks := (s, g) :: !rev_tasks)
-            (Session.active_groups s))
-        active;
-      let tasks = Array.of_list (List.rev !rev_tasks) in
-      let deps =
-        Array.map
-          (fun (s, g) ->
-            List.filter_map
-              (fun p -> Hashtbl.find_opt pos (Session.id s, p))
-              (Compile.group_preds d.d_plan g))
-          tasks
-      in
-      (match tasks with
-      | [||] -> ()
-      | _ ->
-        d.d_in_parallel := true;
-        Fun.protect
-          ~finally:(fun () -> d.d_in_parallel := false)
-          (fun () ->
-            Pool.run_dag ~seed:(seed + i) pool ~deps
-              (Array.map
-                 (fun (s, g) w ->
-                   Session.run_group s g ~dstats:d.d_domain_stats.(w))
-                 tasks)));
-      let next = ref [] in
-      List.iter
-        (fun s ->
-          Session.flush_groups s
-            ~fire:(fun source ->
-              Session.mark_pending s;
-              let fresh = not (Session.has_wakes s) in
-              Session.wake_push s source;
-              if fresh then next := s :: !next)
-            ~delay:(fun ~node ~slot ~seconds v ->
-              schedule_delay s ~node ~slot ~seconds v))
-        active;
-      sweep i (List.rev !next)
-  in
-  sweep 0 (deal_ready d);
-  !dispatched
-
-let drain d =
+(* Run one round's work on the dispatcher's placement; returns the number
+   of wakes taken. *)
+let run_round d ~seed runnable =
   match d.d_pool with
-  | Some _ when d.d_intra -> drain_intra d
-  | Some _ -> drain_parallel d
-  | None -> drain_sequential d
+  | None -> List.fold_left (fun n s -> n + Session.step_wakes s) 0 runnable
+  | Some pool when not d.d_intra ->
+    let taken = Atomic.make 0 in
+    Pool.run ~seed pool
+      (Array.of_list
+         (List.map
+            (fun s w ->
+              let before = Stats.copy (Session.stats s) in
+              ignore (Atomic.fetch_and_add taken (Session.step_wakes s));
+              Stats.add_delta d.d_domain_stats.(w) ~before
+                ~after:(Session.stats s))
+            runnable));
+    Atomic.get taken
+  | Some pool ->
+    let taken =
+      List.fold_left (fun n s -> n + Session.admit_wakes s) 0 runnable
+    in
+    let tasks =
+      Array.of_list
+        (List.concat_map
+           (fun s ->
+             List.map (fun g -> (s, g)) (Exec.active_groups (Session.exec s)))
+           runnable)
+    in
+    let pos = Hashtbl.create 32 in
+    Array.iteri (fun i (s, g) -> Hashtbl.replace pos (Session.id s, g) i) tasks;
+    let deps =
+      Array.map
+        (fun (s, g) ->
+          List.filter_map
+            (fun p -> Hashtbl.find_opt pos (Session.id s, p))
+            (Compile.group_preds d.d_plan g))
+        tasks
+    in
+    if Array.length tasks > 0 then
+      Pool.run_dag ~seed pool ~deps
+        (Array.map
+           (fun (s, g) w ->
+             Exec.run_group (Session.exec s) g ~dstats:d.d_domain_stats.(w))
+           tasks);
+    taken
+
+let drain ?(seed = 0) d =
+  check_not_draining d "drain";
+  (match d.d_pool with
+  | Some p -> ensure_domain_stats d (Pool.domains p)
+  | None -> ());
+  let rec rounds i taken = function
+    | [] -> (
+      match deliver_due_delays d with
+      | [] -> taken
+      | next -> rounds (i + 1) taken next)
+    | runnable ->
+      let n = run_round d ~seed:(seed + i) runnable in
+      List.iter Session.flush runnable;
+      rounds (i + 1) (taken + n) (deal d)
+  in
+  d.d_draining <- true;
+  match rounds 0 0 (deal d) with
+  | taken ->
+    d.d_draining <- false;
+    taken
+  | exception e ->
+    d.d_draining <- false;
+    raise e
 
 let accounting d =
   let idle = ref 0 and pend = ref 0 and pendd = ref 0 in

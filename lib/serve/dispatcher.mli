@@ -27,6 +27,7 @@ module Trace = Elm_core.Trace
 module Compile = Elm_core.Compile
 module Runtime = Elm_core.Runtime
 module Upgrade = Elm_core.Upgrade
+module Pool = Elm_core.Pool
 
 type 'a t
 
@@ -46,10 +47,10 @@ val create :
     state makes {!clone} approximate; pass [~fuse:false] for exact clones.
     The options are applied to every session opened through this
     dispatcher. A shared [tracer] gets per-session node ids (offset by
-    [Compile.id_stride]), so rows never collide. [intra] (default false;
-    requires [pool], else [Invalid_argument]) makes {!drain} use
-    {!drain_intra}: one session's data-independent region groups also run
-    concurrently. *)
+    [Compile.id_stride]), so rows never collide. [pool] makes {!drain}
+    run sessions concurrently; [intra] (default false; requires [pool],
+    else [Invalid_argument]) also runs one session's data-independent
+    region groups concurrently. *)
 
 val root : 'a t -> 'a Signal.t
 (** The graph all sessions run (after fusion, if enabled) — use its input
@@ -86,39 +87,25 @@ val try_inject : 'a t -> 'a Session.t -> 'i Signal.t -> 'i -> bool
 (** Like {!inject} but returns [false] (counting a drop against the
     session) instead of raising on a full queue. *)
 
-val drain : 'a t -> int
+val drain : ?seed:int -> 'a t -> int
 (** Dispatch queued events until quiescence, advancing the virtual clock
-    through due delayed values once the ready queue empties. Returns the
-    number of events dispatched. Sequential FIFO when the dispatcher has
-    no pool; {!drain_parallel} (seed 0) when it does — per-session
-    observable traces are identical either way. *)
+    through due delayed values once nothing is ready. Returns the number
+    of events dispatched.
 
-val drain_parallel : ?seed:int -> 'a t -> int
-(** Drain by fanning the runnable sessions out over the dispatcher's
-    {!Pool} in rounds: each round runs one task per runnable session (a
-    task drains that session's inbox to quiescence on one domain — the
-    pinning that preserves per-(session,source) FIFO), then the
-    coordinator delivers the earliest batch of due delayed values (at most
-    one per session, in heap order) and starts the next round. [seed]
-    selects the pool's deal/steal schedule; per-session change traces are
-    bit-identical for every seed and equal to the sequential drain's —
-    the interleaving oracle in the test suite and bench B18 check exactly
-    this. Raises [Invalid_argument] if the dispatcher has no pool.
-    Session lifecycle calls ([open_session]/[clone]/[close]) are rejected
-    while a parallel drain is running. *)
-
-val drain_intra : ?seed:int -> 'a t -> int
-(** Drain with {e intra-session} parallelism: each sweep admits every
-    queued wake coordinator-side ({!Session.admit} — epochs and dispatch
-    billing are assigned before anything runs), then executes one pool
-    task per (session, active region group) under the plan's group DAG
-    ({!Pool.run_dag}; edges only between groups of the same session), then
-    flushes each session's buffered async/delay re-entries in (admission
-    epoch, group) order. Delays are delivered only at global quiescence,
-    as in the other drains. Per-session change traces and counter totals
-    are bit-identical to {!drain} without a pool, for every [seed] and
-    domain count. Raises [Invalid_argument] if the dispatcher has no
-    pool. *)
+    A drain runs in rounds: deal the ready FIFO into per-session inboxes,
+    take every dealt wake, run the work, then flush each session's
+    buffered async/delay re-entries (they queue for the next round); when
+    nothing is ready, deliver the earliest due delayed values — at most
+    one per session, in heap order. Where the work runs follows from
+    {!create}: inline without a pool; one task per runnable session on
+    the {!Pool} (a session's wakes are pinned to one domain); with
+    [intra], one task per (session, active region group) under the plan's
+    group DAG ({!Pool.run_dag}). [seed] selects the pool's deal/steal
+    schedule. Per-session change traces and counter totals are
+    bit-identical for every placement, seed and domain count — the
+    interleaving oracles in the test suite and benches B18/B19 check
+    exactly this. Session lifecycle calls ([open_session]/[clone]/
+    [close]/[upgrade_all]) are rejected while a drain is running. *)
 
 (** {1 Live upgrade} *)
 
@@ -143,8 +130,7 @@ val upgrade_all :
     a no-op at any drain point.
 
     Admission is wave-boundary only: raises [Invalid_argument] during a
-    parallel drain ([check_not_parallel]); the sequential drains never
-    run user code between steps, so calling this between [drain]s — or
+    drain; drains never run user code, so calling this between [drain]s — or
     from a {!Runtime.at_quiescence} hook on a runtime-driven graph —
     always sees consistent arenas.
 
@@ -160,10 +146,12 @@ val pool : 'a t -> Pool.t option
 
 val domain_stats : 'a t -> Stats.t array
 (** Per-worker-slot counter accumulators: slot [w] holds the work executed
-    by pool worker [w] across parallel drains (attributed via
-    {!Elm_core.Stats.add_delta} snapshots around each task). Merging all
-    slots with {!Elm_core.Stats.merge} reproduces the totals of the same
-    drain run sequentially. Empty until the first parallel drain. *)
+    by pool worker [w] across drains (attributed via
+    {!Elm_core.Stats.add_delta} snapshots around each task). With one task
+    per session, merging all slots with {!Elm_core.Stats.merge} reproduces
+    the sessions' event, message and elision totals; with [intra] the
+    coordinator admits, so the slots hold region execution only. Empty
+    until the first drain over a pool. *)
 
 val now : 'a t -> float
 (** The virtual clock: the due time of the latest delayed value

@@ -9,21 +9,19 @@
    reachable from both.
 
    Sessions are fully synchronous: no threads, no mailboxes, no Cml
-   scheduler. External events queue up (Dispatcher routes them); [step]
-   runs one event to completion by sweeping the plan's regions in index
-   order — which is topological order, so one sweep is exactly one settled
-   round of the compiled runtime. Async taps re-enter through the
-   dispatcher's ready queue ([env_fire]) and delay taps through its virtual
-   delay heap ([env_delay]), preserving the paper's boundary semantics:
-   order is maintained within the synchronous part and within each async
-   subgraph, but not between them. *)
+   scheduler. All execution is the session's [Exec] instance; the session
+   adds what serving needs around it: the display sink, the wake inbox the
+   dispatcher deals into, lifecycle counters and live upgrade. Async taps
+   re-enter through the dispatcher's ready queue ([env_fire]) and delay
+   taps through its virtual delay heap ([env_delay]), preserving the
+   paper's boundary semantics: order is maintained within the synchronous
+   part and within each async subgraph, but not between them. *)
 
 module Signal = Elm_core.Signal
-module Event = Elm_core.Event
-module Reach = Elm_core.Reach
 module Stats = Elm_core.Stats
 module Trace = Elm_core.Trace
 module Compile = Elm_core.Compile
+module Exec = Elm_core.Exec
 module Runtime = Elm_core.Runtime
 module Upgrade = Elm_core.Upgrade
 
@@ -34,8 +32,6 @@ type env = {
   env_delay : sid:int -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
 }
 
-(* The display sink, separated from the session record so the exec's
-   display hook (created before the record) has something to write into. *)
 type 'a sink = {
   mutable k_current : 'a;
   mutable k_rev_changes : (int * 'a) list;  (* (epoch, value), newest first *)
@@ -43,56 +39,21 @@ type 'a sink = {
   k_history : int option;
 }
 
-(* Intra-session parallel stepping: the boundary effects a region-group
-   task buffers instead of performing, applied by the coordinator after the
-   group barrier in (admission epoch, group index) order — touching the
-   dispatcher's ready queue, the delay heap and the tracer's dispatch shard
-   from a worker would race (or shard-split the round). *)
-type geffect =
-  | G_push of int * Obj.t  (* pending value for a source slot *)
-  | G_fire of int  (* async boundary: re-enter as a fresh wake *)
-  | G_delay of int * int * float * Obj.t  (* node, slot, seconds, value *)
-  | G_display of int * bool  (* the tracer's display instant *)
-
-(* One region group's execution context: shares the session's arena (groups
-   touch disjoint slots) but owns its scratch counters, guards and effect
-   buffer, so two groups of one session can run on different domains with
-   no shared mutable word. *)
-type gexec = {
-  g_regions : (int * Compile.region) array;  (* member regions, ascending *)
-  g_exec : Compile.exec;
-  g_stats : Stats.t;  (* scratch, owned by the running task *)
-  mutable g_snap : Stats.t;  (* last state merged into the session stats *)
-  g_epoch : int ref;  (* current round's epoch, tags buffered effects *)
-  g_effects : (int * geffect) Queue.t;
-  g_rounds : Compile.round Queue.t;  (* this round's work, set by [admit] *)
-}
-
-(* The plan-shaped fields are mutable for exactly one writer: [upgrade],
-   which swaps a session onto a new plan's layout between event waves.
-   Everything that names a slot or a node id (queues, bounds, the exec's
-   op closures, the trace id offset) changes together; the sink, stats and
-   epoch persist — an upgraded session keeps its history. *)
+(* [s_exec] is mutable for exactly one writer: [upgrade], which swaps a
+   session onto a new plan's instance between event waves. The sink,
+   stats and epoch persist — an upgraded session keeps its history. *)
 type 'a t = {
   s_id : int;
-  mutable s_plan : Compile.plan;
   s_env : env;
   s_policy : Runtime.error_policy;
-  mutable s_exec : Compile.exec;
-  mutable s_queues : Obj.t Queue.t option array;
-      (* per slot; [Some] on sources *)
-  mutable s_bounded : bool array;  (* per slot; false on async/delay queues *)
+  mutable s_exec : Exec.t;
   s_capacity : int option;
-  s_stats : Stats.t;
   s_tracer : Trace.t option;
-  mutable s_offset : int;  (* sid * id_stride: per-session trace id offset *)
   s_sink : 'a sink;
+  s_hooks : Exec.hooks;
   s_inbox : int Queue.t;
-      (* source-id wakes pinned to this session during a parallel drain:
-         the per-session restriction of the dispatcher's global FIFO. Only
-         the domain currently running this session's task touches it. *)
-  mutable s_gexecs : gexec array;  (* [||] until intra-mode is first used *)
-  mutable s_epoch : int;  (* session-local event counter *)
+      (* source-id wakes dealt to this session for the current drain
+         round: the per-session restriction of the dispatcher's FIFO *)
   mutable s_pending : int;  (* routed events not yet stepped *)
   mutable s_pending_delays : int;  (* values in the dispatcher's heap *)
   mutable s_dropped : int;  (* injections refused by a full queue *)
@@ -122,115 +83,17 @@ let record_change k epoch v =
       k.k_n_changes <- k.k_n_changes + 1
     end
 
-(* Per-slot supervisors, mirroring the runtime's [make_guard]. [Propagate]
-   needs no per-node state, so every slot shares one record and opening a
-   session allocates nothing here (the default serving configuration);
-   [Isolate]/[Restart] carry per-node failure attribution and budgets. *)
-let make_guards ~policy ~stats ~tracer ~offset pl =
-  let n = Compile.node_count pl in
-  match (policy : Runtime.error_policy) with
-  | Runtime.Propagate ->
-    Array.make n { Compile.guard = (fun ~prev:_ ~reset:_ ~epoch:_ f -> f ()) }
-  | Runtime.Isolate | Runtime.Restart _ ->
-    let note id epoch =
-      stats.Stats.node_failures <- stats.Stats.node_failures + 1;
-      match tracer with
-      | None -> ()
-      | Some tr -> Trace.node_failure tr ~node:(offset + id) ~epoch
-    in
-    Array.map
-      (fun id ->
-        let left =
-          ref (match policy with Runtime.Restart b -> b | _ -> 0)
-        in
-        {
-          Compile.guard =
-            (fun ~prev ~reset ~epoch f ->
-              try f ()
-              with _ ->
-                note id epoch;
-                if !left > 0 then begin
-                  decr left;
-                  stats.Stats.node_restarts <- stats.Stats.node_restarts + 1;
-                  reset ()
-                end;
-                Event.No_change prev);
-        })
-      (Compile.slot_ids pl)
+(* The change log is written straight from the lane that runs the root's
+   region: the sink is this session's alone, and the root belongs to one
+   group, so there is a single writer whatever the placement. *)
+let sink_display (type r) (sink : r sink) ~epoch ~changed v =
+  if changed then record_change sink epoch (Obj.obj v : r)
 
-let fresh_queues pl =
-  let n = Compile.node_count pl in
-  let queues = Array.make n None in
-  let bounded = Array.make n false in
-  List.iter
-    (fun (_id, sl, b) ->
-      queues.(sl) <- Some (Queue.create ());
-      bounded.(sl) <- b)
-    (Compile.queue_slots pl);
-  (queues, bounded)
-
-let queue_exn queues sl =
-  match queues.(sl) with
-  | Some q -> q
-  | None -> invalid_arg "Serve.Session: not a source slot"
-
-let register_regions ~tracer ~sid ~offset pl =
-  match tracer with
-  | None -> ()
-  | Some tr ->
-    List.iter
-      (fun rg ->
-        Trace.register_node tr
-          ~id:(offset + rg.Compile.rg_rep)
-          ~name:
-            (Printf.sprintf "s%d:region:%s(%d)" sid rg.Compile.rg_name
-               (List.length rg.Compile.rg_member_ids)))
-      (Compile.regions pl)
-
-(* The sequential execution context for one plan layout. Shared by [build]
-   and [upgrade]; every closure here captures the queue array and arena it
-   was built with, which is why an upgrade rebuilds the whole record rather
-   than patching fields. *)
-let make_exec : type r.
-    sid:int ->
-    env:env ->
-    policy:Runtime.error_policy ->
-    tracer:Trace.t option ->
-    stats:Stats.t ->
-    offset:int ->
-    queues:Obj.t Queue.t option array ->
-    sink:r sink ->
-    arena:Compile.arena ->
-    Compile.plan ->
-    Compile.exec =
- fun ~sid ~env ~policy ~tracer ~stats ~offset ~queues ~sink ~arena pl ->
-  {
-      Compile.x_arena = arena;
-      x_flood = false;
-      x_stats = stats;
-      x_guards = make_guards ~policy ~stats ~tracer ~offset pl;
-      x_account =
-        (fun ~node:_ ~epoch ~changed:_ ~real ->
-          if real then stats.Stats.messages <- stats.Stats.messages + 1
-          else stats.Stats.elided_messages <- stats.Stats.elided_messages + 1;
-          Some epoch);
-      x_root_stamp = None;
-      x_pop = (fun sl -> Queue.pop (queue_exn queues sl));
-      x_push = (fun sl v -> Queue.push v (queue_exn queues sl));
-      x_fire_async =
-        (fun id ->
-          stats.Stats.async_events <- stats.Stats.async_events + 1;
-          env.env_fire ~sid ~source:id);
-      x_delay =
-        (fun ~node ~slot ~seconds v ->
-          env.env_delay ~sid ~node ~slot ~seconds v);
-      x_display =
-        (fun ~epoch ~changed v ->
-          (match tracer with
-          | None -> ()
-          | Some tr -> Trace.display tr ~epoch ~changed);
-          if changed then record_change sink epoch (Obj.obj v : r));
-  }
+let make_exec ~sid ~policy ~tracer ~stats ~sink ~epoch pl arena =
+  Exec.create ?tracer
+    ~offset:(sid * Compile.id_stride pl)
+    ?label:(Option.map (fun _ -> Printf.sprintf "s%d:" sid) tracer)
+    ~display:(sink_display sink) ~policy ~stats ~epoch pl arena
 
 (* Shared by [open_session] and [clone]: everything but the arena and the
    sink contents. *)
@@ -246,29 +109,23 @@ let build : type r.
     epoch:int ->
     plan:Compile.plan ->
     r t =
- fun ~sid ~env ~policy ~capacity ~tracer ~stats ~sink ~arena ~epoch ~plan:pl ->
-  let queues, bounded = fresh_queues pl in
-  let offset = sid * Compile.id_stride pl in
-  register_regions ~tracer ~sid ~offset pl;
-  let x =
-    make_exec ~sid ~env ~policy ~tracer ~stats ~offset ~queues ~sink ~arena pl
-  in
+ fun ~sid ~env ~policy ~capacity ~tracer ~stats ~sink ~arena ~epoch ~plan ->
   {
     s_id = sid;
-    s_plan = pl;
     s_env = env;
     s_policy = policy;
-    s_exec = x;
-    s_queues = queues;
-    s_bounded = bounded;
+    s_exec = make_exec ~sid ~policy ~tracer ~stats ~sink ~epoch plan arena;
     s_capacity = capacity;
-    s_stats = stats;
     s_tracer = tracer;
-    s_offset = offset;
     s_sink = sink;
+    s_hooks =
+      {
+        Exec.fire = (fun source -> env.env_fire ~sid ~source);
+        delay = env.env_delay ~sid;
+        display = sink_display sink;
+        observe = (fun ~node:_ ~epoch:_ ~changed:_ -> ());
+      };
     s_inbox = Queue.create ();
-    s_gexecs = [||];
-    s_epoch = epoch;
     s_pending = 0;
     s_pending_delays = 0;
     s_dropped = 0;
@@ -308,25 +165,22 @@ let clone ~sid src =
   if src.s_closed then invalid_arg "Serve.Session.clone: session is closed";
   if src.s_pending > 0 || src.s_pending_delays > 0 then
     invalid_arg "Serve.Session.clone: session has in-flight events";
-  let sink =
-    {
-      k_current = src.s_sink.k_current;
-      k_rev_changes = src.s_sink.k_rev_changes;
-      k_n_changes = src.s_sink.k_n_changes;
-      k_history = src.s_sink.k_history;
-    }
-  in
+  (* a fresh (mutable) sink starting from the parent's contents *)
+  let sink = { src.s_sink with k_current = src.s_sink.k_current } in
+  let x = src.s_exec in
   build ~sid ~env:src.s_env ~policy:src.s_policy ~capacity:src.s_capacity
     ~tracer:src.s_tracer
-    ~stats:(Stats.copy src.s_stats)
+    ~stats:(Stats.copy (Exec.stats x))
     ~sink
-    ~arena:(Compile.clone_arena src.s_plan src.s_exec.Compile.x_arena)
-    ~epoch:src.s_epoch ~plan:src.s_plan
+    ~arena:(Compile.clone_arena (Exec.plan x) (Exec.arena x))
+    ~epoch:(Exec.epoch x) ~plan:(Exec.plan x)
 
 let close s =
   s.s_closed <- true;
   (* Drop queued values so a closed session pins no event payloads. *)
-  Array.iter (function Some q -> Queue.clear q | None -> ()) s.s_queues
+  Array.iter
+    (function Some q -> Queue.clear q | None -> ())
+    (Exec.queues s.s_exec)
 
 (* Deliver an external value for [input]. The caller (Dispatcher.inject)
    routes the matching ready-queue entry; value first, routing second, so
@@ -342,68 +196,42 @@ let offer : type i. 'a t -> i Signal.t -> i -> bool =
     invalid_arg
       (Printf.sprintf "Serve.Session: %s (node %d) is not an input"
          (Signal.name input) (Signal.id input)));
-  match Compile.slot_of s.s_plan (Signal.id input) with
+  match Compile.slot_of (Exec.plan s.s_exec) (Signal.id input) with
   | None ->
     invalid_arg
       (Printf.sprintf "Serve.Session: %s (node %d) is not part of this plan"
          (Signal.name input) (Signal.id input))
   | Some sl -> (
-    let q = queue_exn s.s_queues sl in
+    let q = Exec.queue s.s_exec sl in
     match s.s_capacity with
-    | Some cap when s.s_bounded.(sl) && Queue.length q >= cap ->
+    | Some cap when Exec.bounded s.s_exec sl && Queue.length q >= cap ->
       s.s_dropped <- s.s_dropped + 1;
       false
     | _ ->
       Queue.push (Obj.repr v) q;
       true)
 
-(* Run one routed event to completion: bump the session-local epoch, sweep
-   the regions whose wake test passes in index (= topological) order. The
-   dispatcher's bookkeeping (cone size vs node count) settles the elision
-   invariant exactly as the runtime's dispatcher does, so
-   [messages + elided = nodes * events] holds per session. *)
-let step s ~source =
-  s.s_pending <- s.s_pending - 1;
-  if not s.s_closed then begin
-    s.s_epoch <- s.s_epoch + 1;
-    let st = s.s_stats in
-    st.Stats.events <- st.Stats.events + 1;
-    let r = { Compile.epoch = s.s_epoch; source } in
-    let reach = Compile.reach s.s_plan in
-    (match s.s_tracer with
-    | None -> ()
-    | Some tr ->
-      Trace.dispatch tr ~source:(s.s_offset + source) ~epoch:s.s_epoch
-        ~targets:(Reach.cone_size reach source));
-    List.iter
-      (fun rg ->
-        let i = rg.Compile.rg_index in
-        if Reach.set_mem source (Compile.region_sources s.s_plan i) then begin
-          st.Stats.notified_nodes <- st.Stats.notified_nodes + 1;
-          st.Stats.region_steps <- st.Stats.region_steps + 1;
-          (match s.s_tracer with
-          | None -> ()
-          | Some tr ->
-            Trace.node_start tr ~node:(s.s_offset + rg.Compile.rg_rep)
-              ~epoch:s.s_epoch);
-          Compile.run_region s.s_plan s.s_exec i r;
-          match s.s_tracer with
-          | None -> ()
-          | Some tr ->
-            Trace.node_end tr ~node:(s.s_offset + rg.Compile.rg_rep)
-              ~epoch:s.s_epoch
-        end)
-      (Compile.regions s.s_plan);
-    st.Stats.elided_messages <-
-      st.Stats.elided_messages
-      + (Compile.node_count s.s_plan - Reach.cone_size reach source)
-  end
+(* Take every dealt wake: [Exec.step] runs each at once (the sequential
+   lane), [Exec.admit] queues it on the region groups. A closed session
+   consumes its wakes without effect. Returns the number taken. *)
+let take_wakes s ~run =
+  let n = Queue.length s.s_inbox in
+  while not (Queue.is_empty s.s_inbox) do
+    let source = Queue.pop s.s_inbox in
+    s.s_pending <- s.s_pending - 1;
+    if not s.s_closed then run s.s_exec ~source
+  done;
+  n
+
+let step_wakes s = take_wakes s ~run:Exec.step
+let admit_wakes s = take_wakes s ~run:Exec.admit
+let flush s = Exec.flush s.s_exec s.s_hooks
 
 (* A delayed value coming back from the dispatcher's heap: park it in the
    delay node's (unbounded) queue; the dispatcher routes the wake. *)
 let deliver_delayed s ~slot v =
   s.s_pending_delays <- s.s_pending_delays - 1;
-  if not s.s_closed then Queue.push v (queue_exn s.s_queues slot)
+  if not s.s_closed then Exec.push s.s_exec slot v
 
 (* Dispatcher bookkeeping hooks. *)
 let mark_pending s = s.s_pending <- s.s_pending + 1
@@ -419,25 +247,23 @@ let drop_pending_delay s = s.s_pending_delays <- s.s_pending_delays - 1
    [Dispatcher.upgrade_all] between event waves — never mid-step, so the
    arena is a consistent cut. Matched slots carry value/stamp (via the
    patch's migrations), attached slots seed from defaults, and pending
-   values queued on matched source slots transfer to the new queue array
-   (a transfer may transiently overfill a bounded queue; upgrades never
-   drop accepted events). The sink, stats and epoch persist — an upgraded
-   session keeps its change history and its epoch numbering. *)
-let upgrade : type r.
-    ?stale_map:bool ->
-    ?skip_migration:bool ->
-    ?leak_mailbox:bool ->
-    r t ->
-    Upgrade.patch ->
-    unit =
- fun ?(stale_map = false) ?(skip_migration = false) ?(leak_mailbox = false) s
-     patch ->
+   values queued on matched source slots transfer to the new instance's
+   queues (a transfer may transiently overfill a bounded queue; upgrades
+   never drop accepted events). The sink, stats and epoch persist — an
+   upgraded session keeps its change history and its epoch numbering. *)
+let upgrade ?(stale_map = false) ?(skip_migration = false)
+    ?(leak_mailbox = false) s patch =
   if not s.s_closed then begin
+    let old = s.s_exec in
     let np = Upgrade.new_plan patch in
     let arena =
-      Upgrade.remap ~stale_map ~skip_migration patch s.s_exec.Compile.x_arena
+      Upgrade.remap ~stale_map ~skip_migration patch (Exec.arena old)
     in
-    let queues, bounded = fresh_queues np in
+    let x =
+      make_exec ~sid:s.s_id ~policy:s.s_policy ~tracer:s.s_tracer
+        ~stats:(Exec.stats old) ~sink:s.s_sink ~epoch:(Exec.epoch old) np
+        arena
+    in
     (* [leak_mailbox] is the planted Leak_seam_mailbox bug: the old seam
        mailboxes (pending-value queues) are forgotten instead of
        transferred, so the ready-queue entries the dispatcher remaps
@@ -446,211 +272,17 @@ let upgrade : type r.
     if not leak_mailbox then
       Array.iteri
         (fun old_sl q ->
-          match q with
-          | None -> ()
-          | Some q -> (
-            match Upgrade.new_slot_of_old patch old_sl with
-            | Some nsl -> (
-              match queues.(nsl) with
-              | Some nq -> Queue.transfer q nq
-              | None -> ())
-            | None -> ()))
-        s.s_queues;
-    let offset = s.s_id * Compile.id_stride np in
-    register_regions ~tracer:s.s_tracer ~sid:s.s_id ~offset np;
-    s.s_plan <- np;
-    s.s_queues <- queues;
-    s.s_bounded <- bounded;
-    s.s_offset <- offset;
-    s.s_gexecs <- [||];  (* rebuilt lazily against the new plan's groups *)
-    s.s_exec <-
-      make_exec ~sid:s.s_id ~env:s.s_env ~policy:s.s_policy ~tracer:s.s_tracer
-        ~stats:s.s_stats ~offset ~queues ~sink:s.s_sink ~arena np
+          match (q, Upgrade.new_slot_of_old patch old_sl) with
+          | Some q, Some nsl when (Exec.queues x).(nsl) <> None ->
+            Queue.transfer q (Exec.queue x nsl)
+          | _ -> ())
+        (Exec.queues old);
+    s.s_exec <- x
   end
 
-(* Parallel-drain inbox. The dispatcher moves a session's share of the
-   global FIFO here before handing the session to a pool worker; async
-   re-entries append while the task runs. FIFO within the queue = the
-   global arrival order restricted to this session, which is all the
-   paper's per-(session,source) guarantee needs. *)
 let wake_push s source = Queue.push source s.s_inbox
-let wake_pop s = Queue.take_opt s.s_inbox
 let has_wakes s = not (Queue.is_empty s.s_inbox)
-
-(* ------------------------------------------------------------------ *)
-(* Intra-session parallel stepping.
-
-   [admit] (coordinator) assigns the epoch and settles every deterministic
-   per-event counter (events, notified, region_steps, elided, the tracer's
-   dispatch row — all computable from the plan alone), queueing the round
-   on each woken region's group. [run_group] (a pool task, one per active
-   group, ordered by the plan's group DAG) performs the actual op
-   execution, billing value-dependent counters into the group's scratch
-   and buffering boundary effects. [flush_groups] (coordinator, after the
-   barrier) applies the buffered effects in (epoch, group) order — the
-   order a sequential [step] sweep would have performed them — and merges
-   the scratch deltas, so [stats] totals match sequential stepping
-   exactly. The root's sink is written directly by the root's group (the
-   single writer); the coordinator only reads it after the barrier. *)
-
-let ensure_gexecs : type r. r t -> unit =
- fun s ->
-  if Array.length s.s_gexecs = 0 then begin
-    let pl = s.s_plan in
-    let regions = Array.of_list (Compile.regions pl) in
-    s.s_gexecs <-
-      Array.init (Compile.group_count pl) (fun g ->
-          let g_stats = Stats.create () in
-          let epoch_ref = ref 0 in
-          let effects = Queue.create () in
-          let x =
-            {
-              Compile.x_arena = s.s_exec.Compile.x_arena;
-              x_flood = false;
-              x_stats = g_stats;
-              x_guards =
-                make_guards ~policy:s.s_policy ~stats:g_stats ~tracer:s.s_tracer
-                  ~offset:s.s_offset pl;
-              x_account =
-                (fun ~node:_ ~epoch ~changed:_ ~real ->
-                  if real then g_stats.Stats.messages <- g_stats.Stats.messages + 1
-                  else
-                    g_stats.Stats.elided_messages <-
-                      g_stats.Stats.elided_messages + 1;
-                  Some epoch);
-              x_root_stamp = None;
-              x_pop = (fun sl -> Queue.pop (queue_exn s.s_queues sl));
-              x_push =
-                (fun sl v -> Queue.push (!epoch_ref, G_push (sl, v)) effects);
-              x_fire_async =
-                (fun id ->
-                  g_stats.Stats.async_events <- g_stats.Stats.async_events + 1;
-                  Queue.push (!epoch_ref, G_fire id) effects);
-              x_delay =
-                (fun ~node ~slot ~seconds v ->
-                  Queue.push (!epoch_ref, G_delay (node, slot, seconds, v)) effects);
-              x_display =
-                (fun ~epoch ~changed v ->
-                  if s.s_tracer <> None then
-                    Queue.push (!epoch_ref, G_display (epoch, changed)) effects;
-                  if changed then record_change s.s_sink epoch (Obj.obj v : r));
-            }
-          in
-          {
-            g_regions =
-              Array.of_list
-                (List.map (fun i -> (i, regions.(i))) (Compile.group_regions pl g));
-            g_exec = x;
-            g_stats;
-            g_snap = Stats.copy g_stats;
-            g_epoch = epoch_ref;
-            g_effects = effects;
-            g_rounds = Queue.create ();
-          })
-  end
-
-let admit s ~source =
-  s.s_pending <- s.s_pending - 1;
-  if not s.s_closed then begin
-    ensure_gexecs s;
-    s.s_epoch <- s.s_epoch + 1;
-    let st = s.s_stats in
-    st.Stats.events <- st.Stats.events + 1;
-    let r = { Compile.epoch = s.s_epoch; source } in
-    let reach = Compile.reach s.s_plan in
-    (match s.s_tracer with
-    | None -> ()
-    | Some tr ->
-      Trace.dispatch tr ~source:(s.s_offset + source) ~epoch:s.s_epoch
-        ~targets:(Reach.cone_size reach source));
-    let pushed = ref [] in
-    List.iter
-      (fun rg ->
-        let i = rg.Compile.rg_index in
-        if Reach.set_mem source (Compile.region_sources s.s_plan i) then begin
-          st.Stats.notified_nodes <- st.Stats.notified_nodes + 1;
-          st.Stats.region_steps <- st.Stats.region_steps + 1;
-          let g = Compile.group_of s.s_plan i in
-          if not (List.mem g !pushed) then begin
-            pushed := g :: !pushed;
-            Queue.push r s.s_gexecs.(g).g_rounds
-          end
-        end)
-      (Compile.regions s.s_plan);
-    st.Stats.elided_messages <-
-      st.Stats.elided_messages
-      + (Compile.node_count s.s_plan - Reach.cone_size reach source)
-  end
-
-let active_groups s =
-  let acc = ref [] in
-  Array.iteri
-    (fun g gx -> if not (Queue.is_empty gx.g_rounds) then acc := g :: !acc)
-    s.s_gexecs;
-  List.rev !acc
-
-let run_group s g ~dstats =
-  let gx = s.s_gexecs.(g) in
-  let before = Stats.copy gx.g_stats in
-  let rec go () =
-    match Queue.take_opt gx.g_rounds with
-    | None -> ()
-    | Some r ->
-      gx.g_epoch := r.Compile.epoch;
-      Array.iter
-        (fun (i, rg) ->
-          if Reach.set_mem r.Compile.source (Compile.region_sources s.s_plan i)
-          then begin
-            (match s.s_tracer with
-            | None -> ()
-            | Some tr ->
-              Trace.node_start tr ~node:(s.s_offset + rg.Compile.rg_rep)
-                ~epoch:r.Compile.epoch);
-            Compile.run_region s.s_plan gx.g_exec i r;
-            match s.s_tracer with
-            | None -> ()
-            | Some tr ->
-              Trace.node_end tr ~node:(s.s_offset + rg.Compile.rg_rep)
-                ~epoch:r.Compile.epoch
-          end)
-        gx.g_regions;
-      go ()
-  in
-  go ();
-  Stats.add_delta dstats ~before ~after:gx.g_stats
-
-let flush_groups s ~fire ~delay =
-  if Array.length s.s_gexecs > 0 then begin
-    let tagged = ref [] in
-    Array.iteri
-      (fun g gx ->
-        Queue.iter (fun (ep, eff) -> tagged := (ep, g, eff) :: !tagged)
-          gx.g_effects;
-        Queue.clear gx.g_effects)
-      s.s_gexecs;
-    let ordered =
-      List.stable_sort
-        (fun ((e1 : int), (g1 : int), _) (e2, g2, _) ->
-          if e1 <> e2 then compare e1 e2 else compare g1 g2)
-        (List.rev !tagged)
-    in
-    List.iter
-      (fun (_ep, _g, eff) ->
-        match eff with
-        | G_push (sl, v) -> Queue.push v (queue_exn s.s_queues sl)
-        | G_fire id -> fire id
-        | G_delay (node, slot, seconds, v) -> delay ~node ~slot ~seconds v
-        | G_display (epoch, changed) -> (
-          match s.s_tracer with
-          | None -> ()
-          | Some tr -> Trace.display tr ~epoch ~changed))
-      ordered;
-    Array.iter
-      (fun gx ->
-        Stats.add_delta s.s_stats ~before:gx.g_snap ~after:gx.g_stats;
-        gx.g_snap <- Stats.copy gx.g_stats)
-      s.s_gexecs
-  end
+let exec s = s.s_exec
 
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
@@ -666,26 +298,23 @@ let changes s =
   in
   List.rev l
 
-let stats s = s.s_stats
-let epoch s = s.s_epoch
+let stats s = Exec.stats s.s_exec
+let epoch s = Exec.epoch s.s_exec
 let pending s = s.s_pending
 let pending_delays s = s.s_pending_delays
 let dropped s = s.s_dropped
 let closed s = s.s_closed
 let is_idle s = s.s_pending = 0 && s.s_pending_delays = 0
 
-let pp_stats ppf s =
-  Stats.pp_labeled (Printf.sprintf "s%d" s.s_id) ppf s.s_stats
+let pp_stats ppf s = Stats.pp_labeled (Printf.sprintf "s%d" s.s_id) ppf (stats s)
 
 (* The session's own memory: arena + queues + history + counters. The plan
-   is deliberately not behind any of these roots (ops and defaults are
-   reached only through [s_exec]'s closures over the shared plan, which we
-   exclude by rooting at the mutable parts), so the number approximates the
-   marginal footprint of one more idle session. *)
+   is deliberately not behind any of these roots, so the number
+   approximates the marginal footprint of one more idle session. *)
 let footprint_words s =
   Obj.reachable_words
     (Obj.repr
-       ( s.s_exec.Compile.x_arena,
-         s.s_queues,
+       ( Exec.arena s.s_exec,
+         Exec.queues s.s_exec,
          s.s_sink.k_rev_changes,
-         s.s_stats ))
+         Exec.stats s.s_exec ))

@@ -18,6 +18,7 @@ module Signal = Elm_core.Signal
 module Stats = Elm_core.Stats
 module Trace = Elm_core.Trace
 module Compile = Elm_core.Compile
+module Exec = Elm_core.Exec
 module Runtime = Elm_core.Runtime
 module Upgrade = Elm_core.Upgrade
 
@@ -117,12 +118,6 @@ val offer : 'a t -> 'i Signal.t -> 'i -> bool
     or the session is closed. The caller is responsible for routing the
     matching ready-queue entry {e after} a [true] return. *)
 
-val step : 'a t -> source:int -> unit
-(** Run one routed event to completion: bump the session-local epoch and
-    sweep the plan's regions (wake test per region) in topological order.
-    Settles the per-session elision invariant
-    [messages + elided = nodes * events]. *)
-
 val deliver_delayed : 'a t -> slot:int -> Obj.t -> unit
 (** A delayed value coming due: park it in the delay node's queue; the
     dispatcher routes the wake. *)
@@ -154,52 +149,30 @@ val upgrade :
     mutation-catalogue upgrade bugs and are not for applications. *)
 
 val wake_push : 'a t -> int -> unit
-(** Append a source-id wake to the session's parallel-drain inbox — the
-    per-session restriction of the dispatcher's global FIFO. Owned by the
-    domain currently running the session's task (or the coordinator
-    between rounds); never touched concurrently. *)
-
-val wake_pop : 'a t -> int option
-(** Take the oldest queued wake, if any. *)
+(** Append a source-id wake to the session's inbox — the per-session
+    restriction of the dispatcher's FIFO for the current drain round.
+    Touched by the coordinator between rounds, or by the one task that
+    takes the session's wakes; never concurrently. *)
 
 val has_wakes : 'a t -> bool
 
-(** {2 Intra-session parallel stepping}
+val step_wakes : 'a t -> int
+(** Take every inbox wake and run each to completion on the session's
+    {!Exec} instance ({!Exec.step}: epoch, counters, woken regions in
+    topological order), buffering its boundary effects for {!flush}.
+    Closed sessions consume their wakes without effect. Returns the
+    number of wakes taken. *)
 
-    The dispatcher's [intra] mode splits one session's work by region
-    {e group} (the plan's SCC-condensed region dependency DAG,
-    {!Compile.group_deps}) so data-independent groups of one round can run
-    on different pool domains. Protocol per round: the coordinator
-    {!admit}s every queued wake (assigning epochs and settling the
-    deterministic per-event counters), schedules one task per
-    {!active_groups} entry under the plan's group-DAG edges
-    ({!Compile.group_preds}), each task calls {!run_group}, and after the
-    barrier the coordinator calls {!flush_groups} to apply buffered
-    async/delay re-entries in (admission epoch, group) order and merge the
-    scratch counters — totals and change traces are bit-identical to
-    {!step}ping the same wakes sequentially. *)
+val admit_wakes : 'a t -> int
+(** Like {!step_wakes} but only admits ({!Exec.admit}): each round is
+    queued on its region groups, for the dispatcher to run as
+    [Exec.run_group] tasks. *)
 
-val admit : 'a t -> source:int -> unit
-(** Coordinator-side admission of one routed wake: bump the session epoch,
-    bill events/notified/region_steps/elided and the tracer dispatch row,
-    and queue the round on each woken region's group. Closed sessions
-    consume the wake without effect, as {!step} does. *)
+val flush : 'a t -> unit
+(** Apply the session's buffered boundary effects ({!Exec.flush}): async
+    fires and delays go to the dispatcher through the session's {!env}.
+    (Displays are not buffered: the lane running the root writes the
+    change history directly.) *)
 
-val active_groups : 'a t -> int list
-(** Groups with admitted, not-yet-run rounds, ascending. *)
-
-val run_group : 'a t -> int -> dstats:Stats.t -> unit
-(** Run every admitted round of one group (pool-task side): member regions
-    in index order per round, value-dependent counters billed to the
-    group's scratch, boundary effects buffered. The delta is also added to
-    [dstats] — the caller's per-worker attribution slot. *)
-
-val flush_groups :
-  'a t ->
-  fire:(int -> unit) ->
-  delay:(node:int -> slot:int -> seconds:float -> Obj.t -> unit) ->
-  unit
-(** Coordinator-side: apply the buffered effects of every group in
-    (admission epoch, group index) order — [fire source] for async
-    re-entries, [delay] for heap scheduling — and merge each group's
-    scratch delta into {!stats}. *)
+val exec : 'a t -> Exec.t
+(** The session's current instance (replaced by {!upgrade}). *)

@@ -162,7 +162,7 @@ let arb_deterministic_shape_events =
 
 module Serve_dispatcher = Elm_serve.Dispatcher
 module Serve_session = Elm_serve.Session
-module Serve_pool = Elm_serve.Pool
+module Serve_pool = Elm_core.Pool
 
 (* Run [shape]'s graph through a dispatcher, upgrading to a freshly
    rebuilt graph before event [k = upgrade_at mod (n+1)] ([quiesce]
@@ -181,7 +181,7 @@ let serve_upgrade_run ?(fuse = false) ?pool ?(quiesce = true) ?migrate ?mutate
   let drain () =
     ignore
       (match pool with
-      | Some _ -> Serve_dispatcher.drain_parallel d
+      | Some _ -> Serve_dispatcher.drain d
       | None -> Serve_dispatcher.drain d)
   in
   let s = Serve_dispatcher.open_session d in

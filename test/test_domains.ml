@@ -15,6 +15,8 @@ module Signal = Elm_core.Signal
 module Runtime = Elm_core.Runtime
 module Stats = Elm_core.Stats
 module Pool = Elm_core.Pool
+module Dispatcher = Elm_serve.Dispatcher
+module Session = Elm_serve.Session
 module World = Elm_std.World
 module Keyboard = Elm_std.Keyboard
 module Touch = Elm_std.Touch
@@ -116,6 +118,125 @@ let test_owned_pool_roundtrip () =
       true
       (owned = inline)
   done
+
+(* Wave mode admits no fallback: a [~domains]/[~pool] request outside its
+   envelope raises instead of silently running the threaded dispatcher. *)
+let wave_rejects what start =
+  let raised =
+    Gen_graph.with_world (fun () ->
+        let a = Signal.input ~name:"a" 0 in
+        try
+          ignore (start (Signal.lift succ a));
+          false
+        with Invalid_argument _ -> true)
+  in
+  check_bool (Printf.sprintf "domains + %s rejected" what) true raised
+
+let test_wave_rejects_mutate () =
+  wave_rejects "mutate" (fun root ->
+      Runtime.start ~backend:Runtime.Compiled ~domains:1
+        ~mutate:(Runtime.Drop_no_change 1) root)
+
+let test_wave_rejects_queue_capacity () =
+  wave_rejects "queue_capacity" (fun root ->
+      Runtime.start ~backend:Runtime.Compiled ~domains:1 ~queue_capacity:4 root)
+
+let test_wave_rejects_pipelined () =
+  wave_rejects "backend Pipelined" (fun root ->
+      Runtime.start
+        ~backend:(Runtime.Pipelined : Runtime.backend)
+        ~pool:(pool_of 2) root)
+
+let test_wave_rejects_no_memoize () =
+  wave_rejects "memoize:false" (fun root ->
+      Runtime.start ~backend:Runtime.Compiled ~memoize:false ~domains:1 root)
+
+(* Supervision parity: one guard factory serves every placement, so a
+   lift and a fold raising on seeded values must give the same displayed
+   values and the same failure/restart counts on the threaded compiled
+   runtime, both wave configurations and all three dispatcher
+   placements. *)
+let supervised_graph () =
+  let a = Signal.input ~name:"a" 0 in
+  let b = Signal.input ~name:"b" 0 in
+  let risky =
+    Signal.lift2 ~name:"risky"
+      (fun x y -> if (x + y) mod 5 = 4 then failwith "lift boom" else (x * 10) + y)
+      a b
+  in
+  let acc =
+    Signal.foldp ~name:"acc"
+      (fun v acc -> if v mod 7 = 3 then failwith "fold boom" else acc + v)
+      0 risky
+  in
+  (a, b, acc)
+
+let supervised_events =
+  List.init 30 (fun i -> (i mod 3 <> 0, ((i * 7) + 3) mod 11))
+
+let supervised_runtime ~policy ?domains ?pool () =
+  let rt =
+    Gen_graph.with_world (fun () ->
+        let a, b, root = supervised_graph () in
+        let rt =
+          Runtime.start ~backend:Runtime.Compiled ~fuse:false
+            ~on_node_error:policy ?domains ?pool root
+        in
+        List.iter
+          (fun (left, v) -> Runtime.inject rt (if left then a else b) v)
+          supervised_events;
+        rt)
+  in
+  Runtime.stop rt;
+  let st = Runtime.stats rt in
+  ( List.map snd (Runtime.changes rt),
+    st.Stats.node_failures,
+    st.Stats.node_restarts )
+
+let supervised_serve ~policy ?pool ?intra () =
+  let a, b, root = supervised_graph () in
+  let d =
+    Dispatcher.create ~fuse:false ~on_node_error:policy ?pool ?intra root
+  in
+  let s = Dispatcher.open_session d in
+  List.iter
+    (fun (left, v) -> Dispatcher.inject d s (if left then a else b) v)
+    supervised_events;
+  ignore (Dispatcher.drain d);
+  let st = Session.stats s in
+  ( List.map snd (Session.changes s),
+    st.Stats.node_failures,
+    st.Stats.node_restarts )
+
+let test_supervision_parity () =
+  List.iter
+    (fun (pname, policy) ->
+      let ((values, failures, restarts) as reference) =
+        supervised_runtime ~policy ()
+      in
+      check_bool (pname ^ ": lifts did fail") true (failures > 0);
+      check_bool (pname ^ ": restarts match the policy") true
+        (match policy with
+        | Runtime.Restart _ -> restarts > 0
+        | _ -> restarts = 0);
+      check_bool (pname ^ ": something displayed") true (values <> []);
+      List.iter
+        (fun (placement, run) ->
+          check_bool
+            (Printf.sprintf "%s: %s = threaded compiled" pname placement)
+            true
+            (run () = reference))
+        [
+          ("wave ~domains:1", fun () -> supervised_runtime ~policy ~domains:1 ());
+          ( "wave ~pool:2",
+            fun () -> supervised_runtime ~policy ~pool:(pool_of 2) () );
+          ("dispatcher, no pool", fun () -> supervised_serve ~policy ());
+          ( "dispatcher, pool",
+            fun () -> supervised_serve ~policy ~pool:(pool_of 2) () );
+          ( "dispatcher, pool + intra",
+            fun () -> supervised_serve ~policy ~pool:(pool_of 2) ~intra:true () );
+        ])
+    [ ("Isolate", Runtime.Isolate); ("Restart 1", Runtime.Restart 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool.run_dag scheduling contract *)
@@ -310,6 +431,15 @@ let () =
           qc prop_wave_matches_sequential;
           tc "owned pool round-trip (~domains:2)" `Quick
             test_owned_pool_roundtrip;
+          tc "domains + mutate rejected" `Quick test_wave_rejects_mutate;
+          tc "domains + queue_capacity rejected" `Quick
+            test_wave_rejects_queue_capacity;
+          tc "pool + backend Pipelined rejected" `Quick
+            test_wave_rejects_pipelined;
+          tc "domains + memoize:false rejected" `Quick
+            test_wave_rejects_no_memoize;
+          tc "supervision parity on every placement" `Quick
+            test_supervision_parity;
         ] );
       ( "run_dag",
         [

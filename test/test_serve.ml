@@ -14,7 +14,7 @@ module Trace = Elm_core.Trace
 module Compile = Elm_core.Compile
 module Session = Elm_serve.Session
 module Dispatcher = Elm_serve.Dispatcher
-module Pool = Elm_serve.Pool
+module Pool = Elm_core.Pool
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -349,8 +349,8 @@ let run_serving ?pool ?(intra = false) ?(seed = 0) ~bursty shape events =
   let sessions = Array.init 4 (fun _ -> Dispatcher.open_session d) in
   let drain () =
     match pool with
-    | Some _ when intra -> ignore (Dispatcher.drain_intra ~seed d)
-    | Some _ -> ignore (Dispatcher.drain_parallel ~seed d)
+    | Some _ when intra -> ignore (Dispatcher.drain ~seed d)
+    | Some _ -> ignore (Dispatcher.drain ~seed d)
     | None -> ignore (Dispatcher.drain d)
   in
   let inject i e =
@@ -468,7 +468,7 @@ let test_domain_stats_balance () =
   let sessions = Array.init 6 (fun _ -> Dispatcher.open_session d) in
   for round = 1 to 3 do
     Array.iter (fun s -> Dispatcher.inject d s a round) sessions;
-    ignore (Dispatcher.drain_parallel ~seed:round d)
+    ignore (Dispatcher.drain ~seed:round d)
   done;
   let merged = Stats.create () in
   Array.iter (fun ds -> Stats.merge merged ds) (Dispatcher.domain_stats d);
@@ -552,13 +552,6 @@ let test_tracer_under_pool () =
 (* Lifecycle is frozen while workers run: not directly reachable from a
    task, but the guard must at least reject a reentrant drain. *)
 let test_pool_misuse_rejected () =
-  let _, root = counter_graph () in
-  let d = Dispatcher.create root in
-  check_bool "drain_parallel without a pool rejected" true
-    (try
-       ignore (Dispatcher.drain_parallel d);
-       false
-     with Invalid_argument _ -> true);
   check_bool "zero-width pool rejected" true
     (try
        ignore (Pool.create ~domains:0 ());

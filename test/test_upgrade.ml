@@ -14,7 +14,7 @@ module Compile = Elm_core.Compile
 module Upgrade = Elm_core.Upgrade
 module Session = Elm_serve.Session
 module Dispatcher = Elm_serve.Dispatcher
-module Pool = Elm_serve.Pool
+module Pool = Elm_core.Pool
 module Explore = Elm_check.Explore
 module Mutate = Elm_check.Mutate
 
