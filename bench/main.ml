@@ -842,8 +842,7 @@ let b17_measure ~chains ~depth ~live ~events_per_session =
   (* ~fuse:false: B16's finding — instantiation costing as much as the run —
      is about the graph as written; fusion would collapse the chains to a
      handful of nodes and make "compilation" trivially cheap. Serving the
-     unfused plan is the configuration where amortising it matters (and it
-     makes the clone gate exact: every stateful slot is plain arena data). *)
+     unfused plan is the configuration where amortising it matters. *)
   let d = Serve_dispatcher.create ~fuse:false ~history:events_per_session root in
   (* Cold compile cost: rebuild the plan with the cache cleared each rep,
      on the exact graph sessions run. *)

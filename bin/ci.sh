@@ -64,6 +64,12 @@
 # (B11/B13/B16/B17/B19) against the committed bench/baseline.json and
 # fails on > 20% regression — see bin/bench_diff.sh for how to accept
 # an intended perf change by regenerating the baseline.
+# The end-to-end benchmark's own test then runs: perfbench/run.py --smoke
+# builds perfbench/main.exe and runs every BENCHMARK.json workload for a
+# few seconds, untraced and traced, checking each declared metric is
+# printed and that the output oracle (the reference model plus the
+# pipelined replay) passed. Its output directory is created first, since
+# run.py does not create it on a fresh checkout.
 # bin/loc.py then reports the engine's code size (lib/core + lib/serve,
 # comments and blank lines stripped) — tracked next to the numbers, not
 # gated.
@@ -104,3 +110,4 @@ fi
 dune exec bench/main.exe -- --smoke --json
 dune exec bench/main.exe -- --b20-smoke
 dune exec bench/diff.exe -- bench/baseline.json BENCH_core.json
+mkdir -p .perfbench_out/smoke && python3 perfbench/run.py --smoke

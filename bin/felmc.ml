@@ -425,14 +425,6 @@ let sessions_cmd =
       value & flag
       & info [ "stats" ] ~doc:"Print per-session counters and accounting.")
   in
-  let no_fuse_arg =
-    Arg.(
-      value & flag
-      & info [ "no-fuse" ]
-          ~doc:
-            "Skip build-time fusion (clones of unfused graphs are exact; \
-             see DESIGN.md).")
-  in
   let domains_arg =
     Arg.(
       value & opt int 1
@@ -442,7 +434,7 @@ let sessions_cmd =
              stealing (default 1: sequential). Per-session change traces \
              are identical either way.")
   in
-  let run file replay n print_stats no_fuse domains upgrade_at =
+  let run file replay n print_stats domains upgrade_at =
     or_die (fun () ->
         let program, ty = load_checked file in
         let events =
@@ -465,9 +457,6 @@ let sessions_cmd =
              observable traces are the same (B18's oracle). *)
           if domains < 1 then
             raise (Invalid_argument "--domains must be >= 1");
-          (* Only unfused plans promise bit-identical traces across an
-             upgrade (fused composite state is re-created at the seam). *)
-          let no_fuse = no_fuse || upgrade_at <> None in
           let pool =
             if domains > 1 then Some (Elm_core.Pool.create ~domains ())
             else None
@@ -490,9 +479,7 @@ let sessions_cmd =
                 (Felm.Sgraph.inputs g)
             in
             let table = Felm.Interp.build_signals program g in
-            let d =
-              D.create ~fuse:(not no_fuse) ?pool (Hashtbl.find table root_id)
-            in
+            let d = D.create ?pool (Hashtbl.find table root_id) in
             let sessions = List.init n (fun _ -> D.open_session d) in
             let inject inputs lo hi =
               for j = lo to hi - 1 do
@@ -615,8 +602,7 @@ let sessions_cmd =
              graph from the same program (structurally identical, fresh \
              node ids) and hot-swap every live session onto it, then \
              replay the rest. The resulting trace is checked against a \
-             non-upgraded replay with the same drain pattern. Implies \
-             $(b,--no-fuse).")
+             non-upgraded replay with the same drain pattern.")
   in
   Cmd.v
     (Cmd.info "sessions"
@@ -627,8 +613,8 @@ let sessions_cmd =
           per-session change traces. With $(b,--upgrade-at) the plan is \
           hot-swapped mid-replay and the trace must not change.")
     Term.(
-      const run $ file_arg $ replay_arg $ count_arg $ stats_arg $ no_fuse_arg
-      $ domains_arg $ upgrade_at_arg)
+      const run $ file_arg $ replay_arg $ count_arg $ stats_arg $ domains_arg
+      $ upgrade_at_arg)
 
 let () =
   let info =

@@ -485,10 +485,10 @@ let uobserve p d sessions =
 
 (* Two sessions per run: upgrades must preserve isolation as well as each
    session's own trace. [upgrade_at = None] is the reference. *)
-let urun p ~fuse ~pool ~mutate ~upgrade_at =
+let urun p ~pool ~mutate ~upgrade_at =
   try
     let g = p.u_old () in
-    let d = Dispatcher.create ~fuse ?pool g.ug_root in
+    let d = Dispatcher.create ?pool g.ug_root in
     let s1 = Dispatcher.open_session d in
     let s2 = Dispatcher.open_session d in
     let evs = Array.of_list p.u_events in
@@ -545,7 +545,7 @@ let ucheck p ~reference outcome ~where =
            acc.Dispatcher.idle acc.Dispatcher.live obs.uo_dropped);
     List.rev !vs
 
-let run_upgrade ?(fuse = false) ?mutate ?domains p =
+let run_upgrade ?mutate ?domains p =
   if Sched.running () then
     invalid_arg "Explore.run_upgrade: must be called outside Cml.run";
   let with_pool f =
@@ -557,7 +557,7 @@ let run_upgrade ?(fuse = false) ?mutate ?domains p =
   in
   with_pool (fun pool ->
       let n = List.length p.u_events in
-      match urun p ~fuse ~pool ~mutate:None ~upgrade_at:None with
+      match urun p ~pool ~mutate:None ~upgrade_at:None with
       | Error msg ->
         {
           r_program = p.u_name;
@@ -584,7 +584,7 @@ let run_upgrade ?(fuse = false) ?mutate ?domains p =
                   (if quiesce then "quiescent" else "pending events")
               in
               let outcome =
-                urun p ~fuse ~pool ~mutate ~upgrade_at:(Some (k, quiesce))
+                urun p ~pool ~mutate ~upgrade_at:(Some (k, quiesce))
               in
               List.iter
                 (fun (inv, detail) ->

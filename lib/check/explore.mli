@@ -190,7 +190,6 @@ val upgrade_program :
     upgrade point. *)
 
 val run_upgrade :
-  ?fuse:bool ->
   ?mutate:Elm_core.Runtime.mutation ->
   ?domains:int ->
   'a uprogram ->
@@ -202,9 +201,7 @@ val run_upgrade :
     {!Trace_equal} and (with [classify]) {!Per_source_order} against the
     never-upgraded reference, {!No_deadlock} (run completes, same events
     stepped), {!Accounting} (nothing pending, every session idle, zero
-    dropped events). [fuse] defaults to [false]: fused composite state is
-    re-created on upgrade (the {!Elm_core.Compile.clone_arena}
-    approximation), so only unfused plans promise bit-identical traces.
+    dropped events). Runs use the dispatcher's default (fused) plans.
     [mutate] plants an upgrade bug on every upgrade
     ({!Elm_core.Runtime.mutation}, occurrence counted per dispatcher);
     [domains] drains through a worker pool of that size. Violations carry

@@ -20,9 +20,10 @@
 
    - An [arena] is everything one running instance owns: a flat block of
      per-node value/stamp slots plus a few extra state slots ([foldp]
-     restart flags, [keep_when] gate history, composite step closures).
-     Opening an instance is ~an array copy ([new_arena]); cloning one is
-     exactly that plus re-creating the non-copyable state ([clone_arena]).
+     restart flags, [keep_when] gate history, fused [drop_repeats] cells).
+     Every slot is plain immutable data, so opening an instance
+     ([new_arena]) and cloning one ([clone_arena]) are both three array
+     copies.
 
    - An op template is [exec -> round -> unit]: it closes over slot
      *indices* and the node's typed functions, never over cells, so the
@@ -100,9 +101,9 @@ type guarded = {
 (* Everything one instance owns. [ar_values.(i)]/[ar_stamps.(i)] are node
    [i]'s last emitted body and the epoch that last changed it (the dirty
    bit is [stamp = epoch]). [ar_state] holds the few per-node extras that
-   are not plain last-values: foldp restart flags and keep_when gate
-   history (plain data, copied by [clone_arena]) and composite step
-   closures (hidden mutable state, re-created from the plan on clone). *)
+   are not plain last-values: foldp restart flags, keep_when gate history
+   and the cells of fused drop_repeats stages — all plain data, so a copy
+   of the three arrays is an exact copy of the instance. *)
 type arena = {
   ar_values : Obj.t array;
   ar_stamps : int array;
@@ -155,14 +156,11 @@ type plan = {
   p_id_stride : int;
       (* 1 + max node id: offset multiplier for per-session trace ids *)
   p_defaults : Obj.t array;  (* slot -> default value *)
-  p_n_state : int;
-  p_state_init : (unit -> Obj.t) array;
-  p_state_copy : bool array;
-      (* true: plain data, [clone_arena] copies the slot; false: hidden
-         mutable state (composite steps), re-initialised instead *)
+  p_state_init : Obj.t array;  (* state slot -> initial value *)
   p_state_node : int array;
-      (* state slot -> owning node id (each node allocates at most one);
-         upgrades remap state through the owner's structural key *)
+      (* state slot -> owning node id (a composite owns one slot per cell,
+         contiguous); upgrades remap state through the owner's structural
+         key *)
   p_ops : (exec -> round -> unit) array array;
       (* region index -> op templates in execution order *)
   p_region_sources : Reach.set array;
@@ -334,13 +332,11 @@ let plan : type r. r Signal.t -> plan =
   in
   let n_state = ref 0 in
   let state_inits = ref [] in
-  let state_copies = ref [] in
   let state_nodes = ref [] in
-  let state_slot ~node ~init ~copy =
+  let state_slot ~node init =
     let k = !n_state in
     incr n_state;
     state_inits := init :: !state_inits;
-    state_copies := copy :: !state_copies;
     state_nodes := node :: !state_nodes;
     k
   in
@@ -559,7 +555,7 @@ let plan : type r. r Signal.t -> plan =
          pipelined deferral: downstream reads keep the last-good value
          until the restarted fold runs again. The flag is a plain bool
          state slot, so clones inherit a pending restart faithfully. *)
-      let k = state_slot ~node:id ~init:(fun () -> Obj.repr false) ~copy:true in
+      let k = state_slot ~node:id (Obj.repr false) in
       member ~id (fun x r ->
           let ar = x.x_arena in
           if (Obj.obj ar.ar_state.(k) : bool) then begin
@@ -642,13 +638,8 @@ let plan : type r. r Signal.t -> plan =
       and ss = slot (Signal.id src) in
       (* Tracks the gate across the rounds that reach this node, exactly
          like the pipelined loop's [gate_prev] parameter: emit while open,
-         and on the rising edge to resynchronize with the source. Plain
-         bool state, copied on clone. *)
-      let k =
-        state_slot ~node:id
-          ~init:(fun () -> Obj.repr (Signal.default gate))
-          ~copy:true
-      in
+         and on the rising edge to resynchronize with the source. *)
+      let k = state_slot ~node:id (Obj.repr (Signal.default gate)) in
       member ~id (fun x r ->
           let ar = x.x_arena in
           let gate_now : bool = Obj.obj ar.ar_values.(sg) in
@@ -665,16 +656,14 @@ let plan : type r. r Signal.t -> plan =
           changed)
     | Signal.Composite (comp, dep) ->
       let sl = slot id and sd = slot (Signal.id dep) in
-      (* Fresh step per arena, as in the pipelined build: fused stateful
-         stages never leak state across instances. A [Restart] swaps in a
-         fresh step, re-seeding every fused stage. The closure hides its
-         state, so [clone_arena] re-creates it rather than copying — the
-         one approximation in an otherwise exact clone (see DESIGN.md). *)
-      let k =
-        state_slot ~node:id
-          ~init:(fun () -> Obj.repr (comp.Signal.comp_make ()))
-          ~copy:false
-      in
+      (* The chain's cells are ordinary state slots [k, k + n): plain data,
+         copied by [clone_arena] and carried across upgrades like any other
+         state. A [Restart] re-seeds them from the composite's initial
+         cells, re-seeding every fused stage. *)
+      let cells = comp.Signal.comp_cells in
+      let k = !n_state in
+      Array.iter (fun c -> ignore (state_slot ~node:id c)) cells;
+      let step = comp.Signal.comp_step in
       member ~id (fun x r ->
           let ar = x.x_arena in
           if ar.ar_stamps.(sd) = r.epoch then begin
@@ -683,11 +672,10 @@ let plan : type r. r Signal.t -> plan =
               x.x_guards.(sl).guard
                 ~prev:(Obj.obj ar.ar_values.(sl) : x)
                 ~reset:(fun () ->
-                  ar.ar_state.(k) <- Obj.repr (comp.Signal.comp_make ()))
+                  Array.blit cells 0 ar.ar_state k (Array.length cells))
                 ~epoch:r.epoch
                 (fun () ->
-                  let step : _ -> x option = Obj.obj ar.ar_state.(k) in
-                  match step (Obj.obj ar.ar_values.(sd)) with
+                  match step ar.ar_state k (Obj.obj ar.ar_values.(sd)) with
                   | Some w -> Event.Change w
                   | None -> Event.No_change (Obj.obj ar.ar_values.(sl)))
             with
@@ -861,8 +849,10 @@ let plan : type r. r Signal.t -> plan =
       (fun sid -> Option.map (fun nm -> (sid, nm)) (Hashtbl.find_opt name_of sid))
       (Reach.sources reach)
   in
-  let state_init = Array.of_list (List.rev !state_inits) in
-  let state_copy = Array.of_list (List.rev !state_copies) in
+  (* Seeded, then filled: [Array.of_list] would flatten a float first
+     initial value into a float array (see [obj_array]). *)
+  let state_init = Array.make !n_state (Obj.repr 0) in
+  List.iteri (fun i v -> state_init.(i) <- v) (List.rev !state_inits);
   let state_node = Array.of_list (List.rev !state_nodes) in
   {
     p_regions = regions;
@@ -878,9 +868,7 @@ let plan : type r. r Signal.t -> plan =
     p_keys = keys;
     p_id_stride = id_stride;
     p_defaults = defaults;
-    p_n_state = !n_state;
     p_state_init = state_init;
-    p_state_copy = state_copy;
     p_state_node = state_node;
     p_ops = ops;
     p_region_sources = region_sources;
@@ -917,10 +905,9 @@ let slot_names pl = pl.p_slot_names
 let slot_keys pl = pl.p_keys
 let root_slot pl = pl.p_root_slot
 let defaults pl = pl.p_defaults
-let state_count pl = pl.p_n_state
+let state_count pl = Array.length pl.p_state_init
 let state_node pl k = pl.p_state_node.(k)
-let state_copyable pl k = pl.p_state_copy.(k)
-let state_initial pl k = pl.p_state_init.(k) ()
+let state_initial pl k = pl.p_state_init.(k)
 let region_deps pl = pl.p_region_deps
 let group_count pl = Array.length pl.p_group_regions
 let group_of pl i = pl.p_group_of.(i)
@@ -955,7 +942,8 @@ let pp_plan ppf pl =
    churning through thousands of generated graphs pin nothing), and is
    never evicted under another domain's feet — every caller agrees on one
    canonical plan per root. [clear_plan_cache] invalidates every memo at
-   once by bumping [cache_generation].
+   once by bumping [cache_generation] — the [Fuse.fuse_cached] memos too,
+   which are stamped with the same generation.
 
    Memo reads and writes are serialised by [cache_lock] (several domains
    may resolve the same root). The (pure, allocation-heavy) [plan] build
@@ -964,7 +952,8 @@ let pp_plan ppf pl =
 type Signal.memo += Plan of int * plan  (* cache generation, plan *)
 
 let cache_lock = Mutex.create ()
-let cache_generation = ref 0
+let generation = Atomic.make 0
+let cache_generation () = Atomic.get generation
 let cache_hits = ref 0
 let cache_misses = ref 0
 let cache_entries = ref 0
@@ -985,19 +974,14 @@ let plan_cache_stats () =
 
 let clear_plan_cache () =
   Mutex.lock cache_lock;
-  incr cache_generation;
+  Atomic.incr generation;
   cache_entries := 0;
-  Mutex.unlock cache_lock;
-  (* The fusion memos must fall with the plans: a memoised fused root that
-     survives the clear would keep resolving a graph to its pre-upgrade
-     fused form. Taken after [cache_lock] is released; the two locks are
-     never held together, so no ordering cycle. *)
-  Fuse.clear_memos ()
+  Mutex.unlock cache_lock
 
 (* Call with [cache_lock] held. *)
 let memoised root =
   match Signal.get_memo root with
-  | Some (Plan (g, pl)) when g = !cache_generation -> Some pl
+  | Some (Plan (g, pl)) when g = Atomic.get generation -> Some pl
   | _ -> None
 
 let plan_of root =
@@ -1016,7 +1000,7 @@ let plan_of root =
       match memoised root with
       | Some winner -> winner (* another domain built it first: keep theirs *)
       | None ->
-        Signal.set_memo root (Plan (!cache_generation, pl));
+        Signal.set_memo root (Plan (Atomic.get generation, pl));
         incr cache_entries;
         pl
     in
@@ -1026,21 +1010,20 @@ let plan_of root =
 (* ------------------------------------------------------------------ *)
 (* Arenas *)
 
+(* [Array.copy] keeps the generic block representation of its source, so
+   copies of [obj_array]-built blocks never turn into flat float arrays. *)
 let new_arena pl =
   {
     ar_values = Array.copy pl.p_defaults;
     ar_stamps = Array.make pl.p_nodes 0;
-    ar_state = obj_array pl.p_n_state (fun i -> pl.p_state_init.(i) ());
+    ar_state = Array.copy pl.p_state_init;
   }
 
-let clone_arena pl ar =
+let clone_arena ar =
   {
     ar_values = Array.copy ar.ar_values;
     ar_stamps = Array.copy ar.ar_stamps;
-    ar_state =
-      obj_array pl.p_n_state (fun i ->
-          if pl.p_state_copy.(i) then ar.ar_state.(i)
-          else pl.p_state_init.(i) ());
+    ar_state = Array.copy ar.ar_state;
   }
 
 (* Runs all of one region's ops for one round, in compiled order. *)
@@ -1125,8 +1108,6 @@ type config = {
 type runtime_region = {
   rr_region : region;
   rr_wake : round Mailbox.t;
-  rr_sources : Reach.set;
-      (* sources reaching any member: the dispatcher's wake test *)
 }
 
 type 'a instance = {
@@ -1247,11 +1228,7 @@ let instantiate : type r. config -> r Signal.t -> r instance =
               loop ()
             in
             loop ());
-        {
-          rr_region = rg;
-          rr_wake = wake;
-          rr_sources = pl.p_region_sources.(rg.rg_index);
-        })
+        { rr_region = rg; rr_wake = wake })
       pl.p_regions
   in
   {

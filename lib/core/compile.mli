@@ -20,8 +20,8 @@
       Built once and cached ({!plan_of}, keyed on the built graph — pair it
       with {!Fuse.fuse_cached} so fused roots are stable).
     - The {!arena} is everything one instance owns: flat value/stamp/state
-      blocks. {!new_arena} is ~an array copy; {!clone_arena} snapshots a
-      running instance.
+      blocks of plain data. {!new_arena} copies the plan's initial blocks;
+      {!clone_arena} copies a running instance's, exactly.
 
     Ops close over slot {e indices}, never over cells, and receive the
     instance's {!exec} context on every run, so the same plan drives the
@@ -85,11 +85,16 @@ val plan_cache_stats : unit -> cache_stats
 
 val clear_plan_cache : unit -> unit
 (** Drop every cached plan (the hit/miss counters keep counting) {e and}
-    the {!Fuse.fuse_cached} memos — a fusion memo that outlives the plans
-    would keep resolving to a fused root whose plan is gone, so every later
-    lookup on that graph misses (or serves a stale graph across a live
-    upgrade). The next {!plan_of} per graph recompiles; results are
-    bit-identical — plans carry no instance state. *)
+    the {!Fuse.fuse_cached} memos, by bumping the one generation both are
+    stamped with — a fusion memo that outlived the plans would keep
+    resolving to a fused root whose plan is gone, so every later lookup on
+    that graph would miss (or serve a stale graph across a live upgrade).
+    The next {!plan_of} per graph recompiles; results are bit-identical —
+    plans carry no instance state. *)
+
+val cache_generation : unit -> int
+(** The current plan cache generation, bumped by {!clear_plan_cache}.
+    {!Fuse.fuse_cached} stamps its memos with it. *)
 
 val regions : plan -> region list
 val region_of : plan -> int -> int option
@@ -157,14 +162,12 @@ val state_count : plan -> int
 (** Number of extra state slots ([ar_state] length). *)
 
 val state_node : plan -> int -> int
-(** Owning node id of a state slot (each node allocates at most one). *)
-
-val state_copyable : plan -> int -> bool
-(** Whether a state slot is plain data ({!clone_arena} copies it) rather
-    than a hidden-state closure (re-initialised instead). *)
+(** Owning node id of a state slot. A [foldp] or [keep_when] node owns one;
+    a composite owns one per fused [drop_repeats] cell, contiguous and in
+    chain order; other nodes own none. *)
 
 val state_initial : plan -> int -> Obj.t
-(** A fresh initial value for a state slot. *)
+(** The initial value of a state slot, as seeded into fresh arenas. *)
 
 val region_deps : plan -> (int * int) list
 (** Ordering edges [(producer, consumer)] between region indices: one per
@@ -211,25 +214,22 @@ type arena = {
       (** Slot -> epoch that last changed it; the dirty bit of a round is
           [stamp = epoch]. *)
   ar_state : Obj.t array;
-      (** Extra state slots: [foldp] restart flags and [keep_when] gate
-          history (plain data, copied by {!clone_arena}) and composite step
-          closures (re-created instead). *)
+      (** Extra state slots: [foldp] restart flags, [keep_when] gate history
+          and the cells of fused [drop_repeats] stages. All plain data. *)
 }
 (** Values are [Obj.t] because the graph is heterogeneous; this is safe by
     construction — slot [i] is only ever touched by the ops the plan
     compiled for node [i], inside the typed scope of that node's kind. *)
 
 val new_arena : plan -> arena
-(** A fresh instance at the graph's defaults: value block copied from the
-    plan, stamps zeroed, state slots initialised. O(nodes) array work — no
-    graph traversal, no thread or channel creation. *)
+(** A fresh instance at the graph's defaults: value and state blocks copied
+    from the plan, stamps zeroed. Three array allocations — no graph
+    traversal, no closure, thread or channel creation. *)
 
-val clone_arena : plan -> arena -> arena
-(** Snapshot a {e quiescent} instance: values, stamps and plain state
-    (foldp restart flags, keep_when gates) are copied; composite step
-    closures are re-created from the plan, so fused [drop_repeats] state
-    resets to "first value always emits" in the clone (callers that need
-    exact clones should plan unfused graphs; see DESIGN.md). *)
+val clone_arena : arena -> arena
+(** Snapshot a {e quiescent} instance: values, stamps and state are copied.
+    Every slot is plain data, so the clone continues exactly as its parent
+    would, fused or not. *)
 
 (** {1 Execution} *)
 
@@ -311,9 +311,7 @@ type runtime_region = {
   rr_region : region;
   rr_wake : round Cml.Mailbox.t;
       (** The region's wakeup mailbox; the dispatcher sends one round per
-          event whose cone intersects the region. *)
-  rr_sources : Reach.set;
-      (** Sources reaching any member — the dispatcher's wake test. *)
+          event whose cone intersects the region ({!cone}). *)
 }
 
 type 'a instance = {

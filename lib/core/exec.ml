@@ -48,7 +48,7 @@ let propagate = { Compile.guard = (fun ~prev:_ ~reset:_ ~epoch:_ f -> f ()) }
    function application, after every input has been read — so per-event
    alignment is never at stake: a failed round yields [No_change
    last-good], exactly what a quiescent node would have produced. [reset]
-   reinitialises node state ([foldp] accumulator, composite step);
+   reinitialises node state ([foldp] accumulator, composite cells);
    [Isolate] never calls it, [Restart n] calls it on the first [n]
    failures and then degrades to [Isolate]. Under [Propagate] exceptions
    escape to the caller. *)

@@ -11,8 +11,9 @@
    signal statelessly with respect to the global event order:
 
    - [Lift1 (f, d)] — step is [fun v -> Some (f v)];
-   - [Drop_repeats (eq, d)] — step carries its own previous-value cell,
-     created fresh per instantiation by the composite's [comp_make] factory;
+   - [Drop_repeats (eq, d)] — step compares against, and updates, its
+     one explicit cell (the previous value), starting at the node's
+     default;
    - [Lift2/3/4]/[Lift_list] where every dependency but one is a [Constant]
      — constants never change, so their defaults are closed over;
    - an existing [Composite] — composites re-fuse, so repeated passes are
@@ -30,15 +31,18 @@
 
 module S = Signal
 
-(* One collected stage (or chain of stages): a step-function factory from
-   the chain's input signal ['b] to the head node's type. The factory
-   discipline keeps fused [Drop_repeats] state per-instantiation, so a
-   signal graph can be started, run and re-started without state leaking
-   between runtimes. *)
+(* One collected stage (or chain of stages): a step from the chain's input
+   signal ['b] to the head node's type, plus the initial values of the
+   cells it keeps (one per fused [Drop_repeats], input side first). The
+   step never closes over state: [step cells k v] finds its cells at
+   [cells.(k)] onward, so whoever instantiates the chain owns, copies and
+   re-seeds them — a graph can be started, run, cloned and re-started
+   without state leaking between instances. *)
 type 'a stage =
   | Stage : {
       dep : 'b S.t;
-      mk : unit -> 'b -> 'a option;
+      step : Obj.t array -> int -> 'b -> 'a option;
+      cells : Obj.t list;
       names : string list;  (* input side first *)
       size : int;  (* original nodes collapsed so far *)
     }
@@ -50,32 +54,34 @@ let is_constant (type a) (s : a S.t) =
 (* View a single node as a stage, if it is one. *)
 let as_stage : type a. a S.t -> a stage option =
  fun s ->
-  match S.kind s with
-  | S.Lift1 (f, d) ->
+  let pure dep f =
     Some
       (Stage
          {
-           dep = d;
-           mk = (fun () v -> Some (f v));
+           dep;
+           step = (fun _ _ v -> Some (f v));
+           cells = [];
            names = [ S.name s ];
            size = 1;
          })
+  in
+  match S.kind s with
+  | S.Lift1 (f, d) -> pure d f
   | S.Drop_repeats (eq, d) ->
     Some
       (Stage
          {
            dep = d;
-           mk =
-             (fun () ->
-               (* Same initial comparison point as the unfused node: its
-                  default, which equals the upstream default. *)
-               let prev = ref (S.default s) in
-               fun v ->
-                 if eq v !prev then None
-                 else begin
-                   prev := v;
-                   Some v
-                 end);
+           step =
+             (fun cells k v ->
+               if eq v (Obj.obj cells.(k)) then None
+               else begin
+                 cells.(k) <- Obj.repr v;
+                 Some v
+               end);
+           (* Same initial comparison point as the unfused node: its
+              default, which equals the upstream default. *)
+           cells = [ Obj.repr (S.default s) ];
            names = [ S.name s ];
            size = 1;
          })
@@ -83,100 +89,37 @@ let as_stage : type a. a S.t -> a stage option =
     match (is_constant a, is_constant b) with
     | false, true ->
       let bv = S.default b in
-      Some
-        (Stage
-           {
-             dep = a;
-             mk = (fun () v -> Some (f v bv));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure a (fun v -> f v bv)
     | true, false ->
       let av = S.default a in
-      Some
-        (Stage
-           {
-             dep = b;
-             mk = (fun () v -> Some (f av v));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure b (fun v -> f av v)
     | _ -> None)
   | S.Lift3 (f, a, b, c) -> (
     match (is_constant a, is_constant b, is_constant c) with
     | false, true, true ->
       let bv = S.default b and cv = S.default c in
-      Some
-        (Stage
-           {
-             dep = a;
-             mk = (fun () v -> Some (f v bv cv));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure a (fun v -> f v bv cv)
     | true, false, true ->
       let av = S.default a and cv = S.default c in
-      Some
-        (Stage
-           {
-             dep = b;
-             mk = (fun () v -> Some (f av v cv));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure b (fun v -> f av v cv)
     | true, true, false ->
       let av = S.default a and bv = S.default b in
-      Some
-        (Stage
-           {
-             dep = c;
-             mk = (fun () v -> Some (f av bv v));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure c (fun v -> f av bv v)
     | _ -> None)
   | S.Lift4 (f, a, b, c, d) -> (
     match (is_constant a, is_constant b, is_constant c, is_constant d) with
     | false, true, true, true ->
       let bv = S.default b and cv = S.default c and dv = S.default d in
-      Some
-        (Stage
-           {
-             dep = a;
-             mk = (fun () v -> Some (f v bv cv dv));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure a (fun v -> f v bv cv dv)
     | true, false, true, true ->
       let av = S.default a and cv = S.default c and dv = S.default d in
-      Some
-        (Stage
-           {
-             dep = b;
-             mk = (fun () v -> Some (f av v cv dv));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure b (fun v -> f av v cv dv)
     | true, true, false, true ->
       let av = S.default a and bv = S.default b and dv = S.default d in
-      Some
-        (Stage
-           {
-             dep = c;
-             mk = (fun () v -> Some (f av bv v dv));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure c (fun v -> f av bv v dv)
     | true, true, true, false ->
       let av = S.default a and bv = S.default b and cv = S.default c in
-      Some
-        (Stage
-           {
-             dep = d;
-             mk = (fun () v -> Some (f av bv cv v));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure d (fun v -> f av bv cv v)
     | _ -> None)
   | S.Lift_list (f, ds) -> (
     (* The felm interpreter lowers every lift to [lift_list], so the unary
@@ -184,33 +127,31 @@ let as_stage : type a. a S.t -> a stage option =
        live dependency must appear exactly once. *)
     match List.filter (fun d -> not (is_constant d)) ds with
     | [ d ] ->
-      Some
-        (Stage
-           {
-             dep = d;
-             mk =
-               (fun () v ->
-                 Some
-                   (f
-                      (List.map
-                         (fun d' -> if d' == d then v else S.default d')
-                         ds)));
-             names = [ S.name s ];
-             size = 1;
-           })
+      pure d (fun v ->
+          f (List.map (fun d' -> if d' == d then v else S.default d') ds))
     | _ -> None)
   | S.Composite (c, d) ->
     Some
       (Stage
          {
            dep = d;
-           mk = c.S.comp_make;
+           step = c.S.comp_step;
+           cells = Array.to_list c.S.comp_cells;
            names = c.S.comp_names;
            size = c.S.comp_size;
          })
   | S.Constant | S.Input | S.Foldp _ | S.Async _ | S.Delay _ | S.Merge _
   | S.Sample_on _ | S.Keep_when _ ->
     None
+
+(* Cells as a generic block. Never [Array.of_list]: a float first cell
+   would make [caml_make_vect] build a flat float array, and a later store
+   of a boxed value into it would be reinterpreted as an unboxed double.
+   Copies of a generic block ([Array.copy]) stay generic. *)
+let cell_block cells =
+  let a = Array.make (List.length cells) (Obj.repr 0) in
+  List.iteri (fun i c -> a.(i) <- c) cells;
+  a
 
 (* Distinguishes substitution slots of this pass from earlier passes.
    Atomic: two domains fusing (different graphs) concurrently must not tear
@@ -245,10 +186,15 @@ let fuse root =
     | None ->
       let s' =
         match collect s with
-        | Some (Stage { dep; mk; names; size }) when size >= 2 ->
+        | Some (Stage { dep; step; cells; names; size }) when size >= 2 ->
           let dep' = rewrite dep in
           S.composite ~default:(S.default s)
-            { S.comp_make = mk; comp_names = names; comp_size = size }
+            {
+              S.comp_step = step;
+              comp_cells = cell_block cells;
+              comp_names = names;
+              comp_size = size;
+            }
             dep'
         | _ -> rebuild s
       in
@@ -267,16 +213,19 @@ let fuse root =
         match collect st.dep with
         | None -> Some (Stage st)
         | Some (Stage lower) ->
+          (* The upper stage's cells follow the lower chain's. *)
+          let lo = lower.step and hi = st.step in
+          let n_lo = List.length lower.cells in
           Some
             (Stage
                {
                  dep = lower.dep;
-                 mk =
-                   (fun () ->
-                     let lo = lower.mk () in
-                     let hi = st.mk () in
-                     fun v ->
-                       match lo v with None -> None | Some w -> hi w);
+                 step =
+                   (fun cells k v ->
+                     match lo cells k v with
+                     | None -> None
+                     | Some w -> hi cells (k + n_lo) w);
+                 cells = lower.cells @ st.cells;
                  names = lower.names @ st.names;
                  size = lower.size + st.size;
                }))
@@ -342,7 +291,11 @@ let fuse root =
    which would defeat any cache keyed on the fused root (Compile's plan
    cache). Memoising the pass on the root node itself keeps the fused root
    stable across [Runtime.start] and session-layer calls; the slot dies with
-   the graph, so nothing leaks.
+   the graph, so nothing leaks. The memo is stamped with the plan cache
+   generation and an older stamp reads as absent, so
+   [Compile.clear_plan_cache] drops fused roots and plans together: a memo
+   outliving its plan would resolve the graph to a stale fused root (across
+   a live upgrade, the pre-upgrade one).
 
    The memo (and the pass it guards) must be serialised across domains: two
    domains racing through the [None] arm would each run a rewrite and
@@ -353,56 +306,15 @@ let fuse root =
    slots on shared nodes, which the same lock protects. *)
 let fuse_lock = Mutex.create ()
 
-(* Every root whose fusion result is currently memoised, held weakly so the
-   registry never pins a dead graph against the GC (the plan cache's bounding
-   logic worries about exactly that). [clear_memos] walks the live entries
-   and drops their [node_fused] slots; collected entries are simply skipped.
-   Guarded by [fuse_lock], like the memo slots themselves. *)
-let memo_roots = ref (Weak.create 64)
-let memo_count = ref 0
-
-let register_memo root =
-  let w = !memo_roots in
-  if !memo_count >= Weak.length w then begin
-    (* Compact collected entries before growing: churn-heavy callers (one
-       throwaway graph per request) would otherwise double forever. *)
-    let live = ref [] in
-    for i = 0 to Weak.length w - 1 do
-      match Weak.get w i with
-      | Some p -> live := p :: !live
-      | None -> ()
-    done;
-    let n = List.length !live in
-    let w' = Weak.create (max 64 (2 * (n + 1))) in
-    List.iteri (fun i p -> Weak.set w' i (Some p)) !live;
-    memo_roots := w';
-    memo_count := n
-  end;
-  Weak.set !memo_roots !memo_count (Some (S.Pack root));
-  incr memo_count
-
-let clear_memos () =
-  Mutex.lock fuse_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock fuse_lock)
-    (fun () ->
-      let w = !memo_roots in
-      for i = 0 to !memo_count - 1 do
-        match Weak.get w i with
-        | Some (S.Pack root) -> S.clear_fused root
-        | None -> ()
-      done;
-      memo_count := 0)
-
 let fuse_cached root =
   Mutex.lock fuse_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock fuse_lock)
     (fun () ->
-      match S.get_fused root with
+      let gen = Compile.cache_generation () in
+      match S.get_fused root ~gen with
       | Some f -> f
       | None ->
         let f = fuse root in
-        S.set_fused root f;
-        register_memo root;
+        S.set_fused root ~gen f;
         f)

@@ -34,13 +34,7 @@ val fuse_cached : 'a Signal.t -> 'a Signal.t
 (** Like {!fuse}, but memoised on the root node: repeated calls return the
     {e same} fused graph (physical equality), so downstream caches keyed on
     the fused root — {!Compile.plan_of} — hit. Used by [Runtime.start] and
-    the session layer; call plain {!fuse} to force an independent pass. *)
-
-val clear_memos : unit -> unit
-(** Forget every {!fuse_cached} memo. Must accompany any
-    {!Compile.clear_plan_cache}: a memo that outlives the plan cache resolves
-    to a fused root whose plan is gone, so the next [fuse_cached] call keeps
-    returning the stale root and every plan lookup after the reset misses
-    (or, across a live upgrade, silently serves the pre-upgrade graph).
-    [Compile.clear_plan_cache] calls this itself; exposed for tests. Roots
-    are tracked weakly — clearing never revives or pins a dead graph. *)
+    the session layer; call plain {!fuse} to force an independent pass.
+    The memo shares the plan cache's generation: after
+    {!Compile.clear_plan_cache} the next call fuses afresh, so a fused root
+    never outlives its plan. *)

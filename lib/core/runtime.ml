@@ -601,14 +601,14 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
     plain out
   | Signal.Composite (c, dep) ->
     (* A fused chain (see {!Fuse}): one thread and one channel in place of
-       [comp_size] originals. The step function is created fresh here so
-       stateful stages (fused [drop_repeats]) never leak state across
-       runtimes. Composites always memoize — the step is stateful, so the
-       [memoize:false] recompute-always baseline cannot safely re-run it on
-       quiescent rounds (and [Runtime.start ~memoize:false] keeps graphs
-       unfused for exactly that reason). *)
+       [comp_size] originals. Each instantiation gets its own copy of the
+       chain's cells, so stateful stages (fused [drop_repeats]) never leak
+       state across runtimes. Composites always memoize — the step is
+       stateful, so the [memoize:false] recompute-always baseline cannot
+       safely re-run it on quiescent rounds (and [Runtime.start
+       ~memoize:false] keeps graphs unfused for exactly that reason). *)
     let e = edge ctx dep in
-    let step = ref (c.Signal.comp_make ()) in
+    let cells = Array.copy c.Signal.comp_cells in
     let id = Signal.id s in
     let out =
       Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) ()
@@ -617,9 +617,9 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
     let guard = supervisor ctx ~id in
     Cml.spawn (fun () ->
         (* A crash anywhere inside the fused chain isolates (or restarts)
-           the composite as a unit: the stages share one step closure, so
-           partial per-stage state cannot be salvaged. [Restart] swaps in a
-           fresh step from [comp_make], re-seeding every fused stage. *)
+           the composite as a unit: the stages share one step, so partial
+           per-stage state cannot be salvaged. [Restart] re-seeds every
+           cell from the composite's initial values. *)
         let rec loop prev =
           let r = recv_wake ctx ~id wake in
           let msg =
@@ -627,10 +627,11 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
             | Event.Change v ->
               ctx.c_stats.applications <- ctx.c_stats.applications + 1;
               guard ~prev
-                ~reset:(fun () -> step := c.Signal.comp_make ())
+                ~reset:(fun () ->
+                  Array.blit c.Signal.comp_cells 0 cells 0 (Array.length cells))
                 ~epoch:r.epoch
                 (fun () ->
-                  match !step v with
+                  match c.Signal.comp_step cells 0 v with
                   | Some w -> Event.Change w
                   | None -> Event.No_change prev)
             | Event.No_change _ -> Event.No_change prev
@@ -1012,24 +1013,19 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         }
       in
       let inst = Compile.instantiate cfg root in
+      let pl = inst.Compile.i_plan in
       stats.Stats.compiled_regions <- List.length inst.Compile.i_regions;
+      (* Region wake mailboxes by region index; each source's woken regions
+         and cone size come precomputed with the plan ([Compile.cone]). *)
       let all_regions =
         Array.of_list
           (List.map (fun rr -> rr.Compile.rr_wake) inst.Compile.i_regions)
       in
       let cones = Hashtbl.create 16 in
-      let cone_nodes = Hashtbl.create 16 in
       List.iter
         (fun src ->
           Hashtbl.replace cones src
-            (Array.of_list
-               (List.filter_map
-                  (fun rr ->
-                    if Reach.set_mem src rr.Compile.rr_sources then
-                      Some rr.Compile.rr_wake
-                    else None)
-                  inst.Compile.i_regions));
-          Hashtbl.replace cone_nodes src (Reach.cone_size reach src))
+            (Array.map (Array.get all_regions) (fst (Compile.cone pl src))))
         (Reach.sources reach);
       let cone_targets eid =
         match Hashtbl.find_opt cones eid with Some c -> c | None -> [||]
@@ -1037,9 +1033,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
       let extra_elided eid _n_targets =
         match dispatch with
         | Flood -> 0
-        | Cone ->
-          node_count
-          - (match Hashtbl.find_opt cone_nodes eid with Some n -> n | None -> 0)
+        | Cone -> node_count - snd (Compile.cone pl eid)
       in
       ( inst.Compile.i_out,
         all_regions,

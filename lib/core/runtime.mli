@@ -99,11 +99,11 @@ type error_policy = Exec.error_policy =
           and surfaces out of {!Cml.run}, tearing the session down. *)
   | Isolate
       (** Catch the exception, emit [No_change last-good], keep the node's
-          state (accumulator, composite step) as it was, and keep going. *)
+          state (accumulator, composite cells) as it was, and keep going. *)
   | Restart of int
       (** Like [Isolate], but additionally re-initialise the node's state —
-          a fresh [foldp] accumulator from the signal default, a fresh
-          composite step from the fusion factory — on each of the first [n]
+          a fresh [foldp] accumulator from the signal default, composite
+          cells re-seeded from their initial values — on each of the first [n]
           failures {e of that node} (counted in {!Stats.t.node_restarts});
           after the budget is spent the node degrades to [Isolate].
           [Restart 0] is equivalent to [Isolate]. *)

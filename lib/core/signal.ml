@@ -12,12 +12,12 @@ type 'a t = {
   node_default : 'a;
   node_kind : 'a kind;
   mutable node_inst : 'a inst option;
-  mutable node_subst : 'a subst option;
-  mutable node_fused : 'a t option;
+  mutable node_subst : 'a tagged option;
+  mutable node_fused : 'a tagged option;
   mutable node_memo : memo option;
 }
 
-and 'a subst = { subst_gen : int; subst_node : 'a t }
+and 'a tagged = { tag_gen : int; tag_node : 'a t }
 
 and 'a kind =
   | Constant
@@ -37,10 +37,13 @@ and 'a kind =
   | Composite : ('b, 'a) composite * 'b t -> 'a kind
 
 and ('b, 'a) composite = {
-  comp_make : unit -> 'b -> 'a option;
-      (** Factory for the fused step function. Each runtime instantiation
-          calls it once so stateful stages (fused [Drop_repeats]) get fresh
-          state. [None] means "no change this round". *)
+  comp_step : Obj.t array -> int -> 'b -> 'a option;
+      (** [comp_step cells k v]: the fused chain applied to [v], reading and
+          writing its cells at [cells.(k)] onward. [None] means "no change
+          this round". *)
+  comp_cells : Obj.t array;
+      (** Initial cell values: one per fused [Drop_repeats], input side
+          first. Never mutated; instances copy it. *)
   comp_names : string list;  (** Constituent node names, input side first. *)
   comp_size : int;  (** Number of original nodes this composite replaces. *)
 }
@@ -74,26 +77,21 @@ let kind t = t.node_kind
 let get_inst t = t.node_inst
 let set_inst t i = t.node_inst <- Some i
 
-let get_subst t ~pass =
-  match t.node_subst with
-  | Some { subst_gen; subst_node } when subst_gen = pass -> Some subst_node
+let tagged_get slot gen =
+  match slot with
+  | Some { tag_gen; tag_node } when tag_gen = gen -> Some tag_node
   | _ -> None
 
-let set_subst t ~pass s =
-  t.node_subst <- Some { subst_gen = pass; subst_node = s }
+let get_subst t ~pass = tagged_get t.node_subst pass
+let set_subst t ~pass s = t.node_subst <- Some { tag_gen = pass; tag_node = s }
 
-(* The cached result of fusing the graph rooted at [t]. Graphs are immutable
-   after construction and [Fuse.fuse] is deterministic, so unlike [inst] and
-   [subst] this slot needs no generation stamp: once computed it is valid for
-   the node's whole lifetime and dies with the graph. *)
-let get_fused t = t.node_fused
-let set_fused t f = t.node_fused <- Some f
-
-(* Drop the memoised fusion result. Only {!Fuse.clear_memos} calls this: the
-   slot is valid for the node's lifetime in steady state, but a live-upgrade
-   reseeds the plan cache, and a stale fused root would hand new sessions a
-   plan compiled against nodes the upgrade just replaced. *)
-let clear_fused t = t.node_fused <- None
+(* The cached result of fusing the graph rooted at [t], stamped with the
+   plan cache generation it was computed under ([Fuse.fuse_cached]): a
+   cache reset makes every older stamp read as absent, so the fused root
+   and its plan are invalidated together and the slot dies with the
+   graph. *)
+let get_fused t ~gen = tagged_get t.node_fused gen
+let set_fused t ~gen f = t.node_fused <- Some { tag_gen = gen; tag_node = f }
 
 (* An opaque per-node slot for derived data owned by another module (the
    compiled plan of the graph rooted here, see [Compile.plan_of]). The

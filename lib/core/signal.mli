@@ -197,10 +197,17 @@ type 'a kind =
           thread and one channel in place of [comp_size] originals. *)
 
 and ('b, 'a) composite = {
-  comp_make : unit -> 'b -> 'a option;
-      (** Factory for the fused step function; called once per runtime
-          instantiation so stateful stages (fused [drop_repeats]) get fresh
-          state. The step returns [None] for "no change this round". *)
+  comp_step : Obj.t array -> int -> 'b -> 'a option;
+      (** [comp_step cells k v] applies the fused chain to [v]. The chain's
+          state is explicit: its [j]-th cell is [cells.(k + j)], the only
+          memory the step reads or writes, so the caller decides where
+          cells live (arena state slots in {!Compile}, a private array per
+          pipelined instantiation) and copying them copies the chain. Returns
+          [None] for "no change this round". *)
+  comp_cells : Obj.t array;
+      (** Initial cell values, one per fused [drop_repeats] (its default),
+          input side first. Never mutated: instances copy it, and a
+          [Restart] re-seeds from it. *)
   comp_names : string list;
       (** Names of the fused nodes, input side first; the composite's
           display name joins them with ["∘"]. *)
@@ -211,21 +218,17 @@ val kind : 'a t -> 'a kind
 val get_inst : 'a t -> 'a inst option
 val set_inst : 'a t -> 'a inst -> unit
 
-val get_fused : 'a t -> 'a t option
+val get_fused : 'a t -> gen:int -> 'a t option
 (** The cached {!Fuse.fuse} result for the graph rooted at this node, if one
-    was computed (see {!Fuse.fuse_cached}). Graphs are immutable and fusion
-    is deterministic, so the slot carries no generation stamp: it is valid
-    for the node's whole lifetime. Compiled-backend state no longer lives on
-    the nodes at all — it moved to per-instance arenas ({!Compile.arena}),
-    which is what lets many runtimes and sessions share one graph. *)
+    was computed under plan cache generation [gen] (see
+    {!Fuse.fuse_cached}). The slot is stamped with the generation it was
+    set under and an older stamp reads as absent, so
+    {!Compile.clear_plan_cache} invalidates the fused root together with
+    its plan. Compiled-backend state does not live on the nodes at all —
+    it lives in per-instance arenas ({!Compile.arena}), which is what lets
+    many runtimes and sessions share one graph. *)
 
-val set_fused : 'a t -> 'a t -> unit
-
-val clear_fused : 'a t -> unit
-(** Forget the memoised fusion result. Used only by {!Fuse.clear_memos} when
-    the plan cache is invalidated (live upgrade): a root whose memo survived
-    a cache reset would resolve to a stale fused graph and miss the plan
-    cache forever after. *)
+val set_fused : 'a t -> gen:int -> 'a t -> unit
 
 type memo = ..
 (** Derived data memoised on a node by another module, which adds its own

@@ -92,21 +92,32 @@ let diff ?(migrate = []) old_pl new_pl =
   Array.iteri (fun i j -> if j < 0 then added := i :: !added) slot_map;
   Array.iteri (fun j i -> if i < 0 then dropped := j :: !dropped) old_to_new;
   (* State slots follow their owning node: a matched owner carries its
-     foldp restart flag / keep_when gate across; an unmatched one
-     re-initialises from the new plan. *)
-  let old_state_of_node = Hashtbl.create 8 in
-  for k = 0 to Compile.state_count old_pl - 1 do
-    Hashtbl.replace old_state_of_node (Compile.state_node old_pl k) k
-  done;
+     foldp restart flag / keep_when gate / fused drop_repeats cells across,
+     slot by slot in the owner's order; an unmatched one re-initialises
+     from the new plan. *)
+  let first_state pl =
+    let first = Hashtbl.create 8 in
+    for k = Compile.state_count pl - 1 downto 0 do
+      Hashtbl.replace first (Compile.state_node pl k) k
+    done;
+    first
+  in
+  let old_first = first_state old_pl and new_first = first_state new_pl in
   let state_map =
     Array.init (Compile.state_count new_pl) (fun k ->
         let owner = Compile.state_node new_pl k in
         match Hashtbl.find_opt node_map_rev owner with
         | None -> -1
         | Some old_owner -> (
-          match Hashtbl.find_opt old_state_of_node old_owner with
-          | Some ok -> ok
-          | None -> -1))
+          match Hashtbl.find_opt old_first old_owner with
+          | None -> -1
+          | Some ok ->
+            let j = ok + k - Hashtbl.find new_first owner in
+            if
+              j < Compile.state_count old_pl
+              && Compile.state_node old_pl j = old_owner
+            then j
+            else -1))
   in
   (* Region granularity: a region every one of whose members is unmatched
      is a whole attached (new plan) or detached (old plan) subgraph — the
@@ -228,8 +239,7 @@ let remap ?(stale_map = false) ?(skip_migration = false) p
   let state =
     obj_array (Compile.state_count np) (fun k ->
         let jk = p.up_state_map.(k) in
-        if jk >= 0 && Compile.state_copyable np k then
-          ar.Compile.ar_state.(jk)
+        if jk >= 0 then ar.Compile.ar_state.(jk)
         else Compile.state_initial np k)
   in
   { Compile.ar_values = values; ar_stamps = stamps; ar_state = state }

@@ -53,10 +53,10 @@ val remap :
 (** Remap one live arena onto the new plan's layout: matched slots keep
     value and stamp (migrated where a migration targets them), attached
     slots seed from defaults with stamp 0, dropped slots are simply not
-    carried. State slots follow their owner: copied where matched and
-    plain data, re-initialised otherwise (composite step closures are
-    always re-created, the {!Compile.clone_arena} approximation — plan
-    unfused graphs for exact upgrades, see DESIGN.md).
+    carried. State slots follow their owner: copied where the owner is
+    matched (a fused composite's cells one by one, in chain order),
+    seeded from the new plan otherwise. All state is plain data, so an
+    identity upgrade of a fused plan is as exact as of an unfused one.
 
     The flags plant upgrade bugs for the mutation-testing catalogue and
     are driven by [Serve.Dispatcher.upgrade_all]'s [?mutate]:

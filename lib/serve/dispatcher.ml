@@ -214,8 +214,8 @@ let inject d s input v =
    The shared plan cache is invalidated and reseeded: the old root's plan
    entry and its fusion memo are dead the moment sessions stop serving
    it, and a stale fusion memo would keep resolving future [fuse_cached]
-   calls on that graph to the pre-upgrade composite (see
-   Fuse.clear_memos). *)
+   calls on that graph to the pre-upgrade composite (both memos share the
+   cache generation that [Compile.clear_plan_cache] bumps). *)
 
 let upgrade_all ?migrate ?mutate d new_root =
   check_not_draining d "upgrade_all";

@@ -43,10 +43,9 @@ val create :
   'a t
 (** Build (or fetch from the plan cache) the compiled plan for the graph
     rooted here and create an empty dispatcher over it. [fuse] (default
-    true) runs {!Elm_core.Fuse.fuse_cached} first — note fused composite
-    state makes {!clone} approximate; pass [~fuse:false] for exact clones.
-    The options are applied to every session opened through this
-    dispatcher. A shared [tracer] gets per-session node ids (offset by
+    true) runs {!Elm_core.Fuse.fuse_cached} first; {!clone} and
+    {!upgrade_all} are exact either way. The options are applied to every
+    session opened through this dispatcher. A shared [tracer] gets per-session node ids (offset by
     [Compile.id_stride]), so rows never collide. [pool] makes {!drain}
     run sessions concurrently; [intra] (default false; requires [pool],
     else [Invalid_argument]) also runs one session's data-independent

@@ -172,7 +172,7 @@ let clone ~sid src =
     ~tracer:src.s_tracer
     ~stats:(Stats.copy (Exec.stats x))
     ~sink
-    ~arena:(Compile.clone_arena (Exec.plan x) (Exec.arena x))
+    ~arena:(Compile.clone_arena (Exec.arena x))
     ~epoch:(Exec.epoch x) ~plan:(Exec.plan x)
 
 let close s =

@@ -61,8 +61,8 @@ val open_session :
 val clone : sid:int -> 'a t -> 'a t
 (** Snapshot a {e quiescent} session ([is_idle] true): arena, current
     value, change history and counters are copied; fresh empty queues.
-    Composite step state (fused [drop_repeats]) is re-created rather than
-    copied — clones of unfused graphs are exact; see DESIGN.md. Raises
+    Every arena slot is plain data ({!Compile.clone_arena}), so the clone
+    continues exactly as its parent would, fused plan or not. Raises
     [Invalid_argument] if the session is closed or has in-flight events
     (there is no consistent cut through a half-dispatched event). *)
 

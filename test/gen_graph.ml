@@ -171,19 +171,13 @@ module Serve_pool = Elm_core.Pool
    skips the upgrade itself — the replay-differential reference, since an
    interior drain already reorders delay/async deliveries relative to the
    single-drain run). Returns the change trace, the session, the
-   dispatcher and the applied patch. [fuse] defaults to [false]: only
-   unfused plans promise bit-identical traces across an upgrade
-   (composite step state is re-created, as in [Compile.clone_arena]). *)
-let serve_upgrade_run ?(fuse = false) ?pool ?(quiesce = true) ?migrate ?mutate
-    ?(apply = true) ~upgrade_at shape events =
+   dispatcher and the applied patch. The dispatcher runs its default
+   (fused) plans. *)
+let serve_upgrade_run ?pool ?(quiesce = true) ?migrate ?mutate ?(apply = true)
+    ~upgrade_at shape events =
   let a, b, root = build_shape shape in
-  let d = Serve_dispatcher.create ~fuse ?pool root in
-  let drain () =
-    ignore
-      (match pool with
-      | Some _ -> Serve_dispatcher.drain d
-      | None -> Serve_dispatcher.drain d)
-  in
+  let d = Serve_dispatcher.create ?pool root in
+  let drain () = ignore (Serve_dispatcher.drain d) in
   let s = Serve_dispatcher.open_session d in
   let evs = Array.of_list events in
   let n = Array.length evs in

@@ -191,9 +191,9 @@ let test_drop_repeats_fused_behaviour () =
     (List.length (values on) < 7)
 
 let test_fused_state_fresh_per_runtime () =
-  (* comp_make is a factory: restarting a graph containing a fused
-     drop_repeats must start from the default again, not from the previous
-     runtime's last value. *)
+  (* Each instantiation copies the composite's initial cells: restarting a
+     graph containing a fused drop_repeats must start from the default
+     again, not from the previous runtime's last value. *)
   let drive () =
     with_world (fun () ->
         let x = Signal.input 0 in
@@ -205,6 +205,29 @@ let test_fused_state_fresh_per_runtime () =
   let first = values (drive ()) in
   let second = values (drive ()) in
   check_ints "second runtime replays identically" first second
+
+(* A [Restart] re-seeds the composite's cells on both backends: the crash
+   on 198 leaves the drop_repeats cell at 99, the restart puts it back to
+   its default 0, so a following 0 is a repeat again and stays dropped. *)
+let test_restart_reseeds_cells () =
+  List.iter
+    (fun backend ->
+      let rt =
+        with_world (fun () ->
+            let x = Signal.input 0 in
+            let s =
+              Signal.lift
+                (fun v -> if v = 99 then failwith "boom" else v + 100)
+                (Signal.drop_repeats (Signal.lift (fun v -> v / 2) x))
+            in
+            let rt =
+              Runtime.start ~backend ~on_node_error:(Runtime.Restart 1) s
+            in
+            List.iter (fun v -> Runtime.inject rt x v) [ 4; 198; 0 ];
+            rt)
+      in
+      check_ints "restarted cell drops its default again" [ 102 ] (values rt))
+    [ Runtime.Pipelined; Runtime.Compiled ]
 
 (* ------------------------------------------------------------------ *)
 (* DOT rendering: composite boxes and name escaping *)
@@ -283,6 +306,7 @@ let () =
             test_drop_repeats_fused_behaviour;
           tc "fused state fresh per runtime" `Quick
             test_fused_state_fresh_per_runtime;
+          tc "Restart re-seeds fused cells" `Quick test_restart_reseeds_cells;
         ] );
       ( "dot",
         [

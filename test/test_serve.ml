@@ -126,13 +126,14 @@ let test_clone_at_birth_equal () =
     (session_values s1 = session_values s2)
 
 let test_clone_resumes_parent_state () =
-  (* Unfused so every stateful slot (foldp accumulator, drop_repeats
-     previous value) is plain arena data and the clone is exact. *)
+  (* Default (fused) dispatcher: the lift and the drop_repeats fuse into one
+     composite whose previous-value cell is an arena state slot, copied by
+     the clone like the foldp accumulator. *)
   let a = Signal.input ~name:"a" 0 in
   let root =
     Signal.foldp ( + ) 0 (Signal.drop_repeats (Signal.lift (fun x -> x / 2) a))
   in
-  let d = Dispatcher.create ~fuse:false root in
+  let d = Dispatcher.create root in
   let s1 = Dispatcher.open_session d in
   List.iter (fun v -> Dispatcher.inject d s1 a v) [ 2; 3; 4 ];
   ignore (Dispatcher.drain d);
@@ -157,6 +158,36 @@ let test_clone_resumes_parent_state () =
   ignore (Dispatcher.drain d);
   check_bool "post-fork events do not leak" true
     (Session.current s1 <> Session.current s2)
+
+(* Over the whole shape catalogue, under the default (fused) dispatcher: a
+   session cloned at any quiescent split point continues exactly like its
+   parent when both receive the same suffix. *)
+let prop_clone_continues_like_parent =
+  QCheck.Test.make
+    ~name:"fused clone at a random split continues like its parent" ~count:100
+    QCheck.(
+      triple
+        (int_bound (Gen_graph.shape_count - 1))
+        (list (pair bool (int_bound 7)))
+        small_nat)
+    (fun (shape, events, k) ->
+      let a, b, root = Gen_graph.build_shape shape in
+      let d = Dispatcher.create root in
+      let parent = Dispatcher.open_session d in
+      let k = k mod (List.length events + 1) in
+      let inject s evs =
+        List.iter
+          (fun (left, v) -> Dispatcher.inject d s (if left then a else b) v)
+          evs
+      in
+      inject parent (List.filteri (fun i _ -> i < k) events);
+      ignore (Dispatcher.drain d);
+      let clone = Dispatcher.clone d parent in
+      let suffix = List.filteri (fun i _ -> i >= k) events in
+      inject parent suffix;
+      inject clone suffix;
+      ignore (Dispatcher.drain d);
+      Session.changes clone = Session.changes parent)
 
 let test_clone_requires_idle () =
   let a, root = counter_graph () in
@@ -579,6 +610,7 @@ let () =
           tc "clone resumes the parent's exact state" `Quick
             test_clone_resumes_parent_state;
           tc "clone requires an idle session" `Quick test_clone_requires_idle;
+          qc prop_clone_continues_like_parent;
         ] );
       ( "bounds",
         [

@@ -126,6 +126,19 @@ let prop_identity_upgrade =
               && Session.is_idle s))
         [ 1; 2; 4 ])
 
+(* Shape 2 fuses a drop_repeats into a composite. Its previous-value cell
+   is arena state and must carry across the upgrade: after 4 (4/4 = 1
+   emits), a post-upgrade 5 (5/4 = 1 again) is a repeat and stays dropped. *)
+let test_fused_cells_carry_across_upgrade () =
+  let events = [ (true, 4); (true, 5); (false, 1); (true, 9) ] in
+  let reference, _, _, _ =
+    Gen_graph.serve_upgrade_run ~apply:false ~upgrade_at:1 2 events
+  in
+  let got, _, _, patch = Gen_graph.serve_upgrade_run ~upgrade_at:1 2 events in
+  check_bool "identity patch" true
+    (match patch with Some p -> Upgrade.is_identity p | None -> false);
+  check_bool "trace equals the never-upgraded run" true (got = reference)
+
 (* Upgrading is idempotent in sequence: two identity upgrades back to back
    (a plan-cache reseed in between) still replay exactly. *)
 let test_double_upgrade () =
@@ -134,7 +147,7 @@ let test_double_upgrade () =
     Gen_graph.serve_upgrade_run ~apply:false ~upgrade_at:0 shape events
   in
   let a, b, root = Gen_graph.build_shape shape in
-  let d = Dispatcher.create ~fuse:false root in
+  let d = Dispatcher.create root in
   let s = Dispatcher.open_session d in
   Dispatcher.inject d s a 1;
   ignore (Dispatcher.drain d);
@@ -172,14 +185,14 @@ let counter_new () =
 let test_migration_splice () =
   let reference =
     let a, root = counter_old () in
-    let d = Dispatcher.create ~fuse:false root in
+    let d = Dispatcher.create root in
     let s = Dispatcher.open_session d in
     List.iter (fun v -> Dispatcher.inject d s a v) [ 1; 2; 3; 4; 5 ];
     ignore (Dispatcher.drain d);
     Session.changes s
   in
   let a, root = counter_old () in
-  let d = Dispatcher.create ~fuse:false root in
+  let d = Dispatcher.create root in
   let s = Dispatcher.open_session d in
   List.iter (fun v -> Dispatcher.inject d s a v) [ 1; 2; 3 ];
   ignore (Dispatcher.drain d);
@@ -203,7 +216,7 @@ let test_migration_splice () =
 let test_migration_skipped_is_visible () =
   let run_with migrate =
     let a, root = counter_old () in
-    let d = Dispatcher.create ~fuse:false root in
+    let d = Dispatcher.create root in
     let s = Dispatcher.open_session d in
     List.iter (fun v -> Dispatcher.inject d s a v) [ 1; 2; 3 ];
     ignore (Dispatcher.drain d);
@@ -235,7 +248,7 @@ let test_detach_shrinks_footprint () =
       (Signal.lift ~name:"l" succ a_old)
       (Signal.async (Gen_graph.chain 2 8 b_old))
   in
-  let d = Dispatcher.create ~fuse:false old_root in
+  let d = Dispatcher.create old_root in
   let s = Dispatcher.open_session d in
   Dispatcher.inject d s a_old 1;
   Dispatcher.inject d s b_old 2;
@@ -302,6 +315,20 @@ let test_clean_victims_pass () =
   check_bool "migration victim clean" true
     (Explore.ok (Explore.run_upgrade (Mutate.migration_victim ())))
 
+(* The explorer's sweep on a fused program with drop_repeats state: every
+   split point, both admission styles, trace-equal to the reference. *)
+let test_fused_sweep_exact () =
+  let graph () =
+    let a, b, root = Gen_graph.build_shape 2 in
+    { Explore.ug_root = root; ug_inputs = [| a; b |] }
+  in
+  let p =
+    Explore.upgrade_program ~name:"fused-drop-repeats" ~show:string_of_int
+      ~old_graph:graph ~new_graph:graph
+      [ (0, 4); (0, 5); (1, 1); (0, 6); (0, 9); (0, 8); (1, 1) ]
+  in
+  check_bool "fused sweep clean" true (Explore.ok (Explore.run_upgrade p))
+
 let test_planted_upgrade_bugs_caught () =
   List.iter
     (fun (planted, report) ->
@@ -336,6 +363,8 @@ let () =
           qc prop_identity_upgrade;
           tc "two upgrades back to back still replay" `Quick
             test_double_upgrade;
+          tc "fused drop_repeats cells carry across" `Quick
+            test_fused_cells_carry_across_upgrade;
         ] );
       ( "migration",
         [
@@ -354,6 +383,8 @@ let () =
       ( "mutations",
         [
           tc "clean victims pass the sweep" `Quick test_clean_victims_pass;
+          tc "fused drop_repeats program passes the sweep" `Quick
+            test_fused_sweep_exact;
           tc "all planted upgrade bugs caught" `Quick
             test_planted_upgrade_bugs_caught;
           tc "caught under a worker pool too" `Quick
