@@ -480,12 +480,16 @@ let bench_b11 () =
    [cost] virtual seconds; Mouse.x then fires every 100ms. With the slow
    branch synchronous, every Mouse.x display waits behind the computation;
    behind an async boundary the p95 collapses to ~0. Measured by the
-   Trace.summary metrics rather than by scraping the change log. *)
+   Trace.summary metrics rather than by scraping the change log. The async
+   case also runs on the compiled backend, which must keep the property:
+   its summary and its display times have to equal the pipelined ones (the
+   summary alone would miss a dispatcher that admits Mouse.x late: the
+   tracer measures latency from admission). *)
 
-let b12_run ~use_async ~cost =
+let b12_run ?backend ~use_async ~cost () =
   let tracer = Trace.create () in
-  ignore
-    (with_world (fun () ->
+  let rt =
+    with_world (fun () ->
          let armed = ref false in
          let mouse_x = Signal.input ~name:"Mouse.x" 0 in
          let mouse_y = Signal.input ~name:"Mouse.y" 0 in
@@ -493,7 +497,7 @@ let b12_run ~use_async ~cost =
            Signal.lift ~name:"slowF" (costly armed cost Fun.id) mouse_y
          in
          let branch = if use_async then Signal.async slow else slow in
-         let rt = Runtime.start ~tracer (Signal.pair mouse_x branch) in
+         let rt = Runtime.start ?backend ~tracer (Signal.pair mouse_x branch) in
          armed := true;
          Cml.spawn (fun () ->
              Cml.sleep 0.05;
@@ -502,21 +506,32 @@ let b12_run ~use_async ~cost =
                Cml.sleep 0.1;
                Runtime.inject rt mouse_x i
              done);
-         rt));
-  Trace.summary tracer
+         rt)
+  in
+  (Trace.summary tracer, List.map fst (Runtime.changes rt))
 
 let bench_b12 () =
   section "B12 Event-to-display latency percentiles: sync vs async (tracer)";
   let cost = 2.0 in
-  let sync = b12_run ~use_async:false ~cost in
-  let asy = b12_run ~use_async:true ~cost in
+  let sync, _ = b12_run ~use_async:false ~cost () in
+  let asy, asy_times = b12_run ~use_async:true ~cost () in
+  let compiled, compiled_times =
+    b12_run ~backend:Runtime.Compiled ~use_async:true ~cost ()
+  in
+  let summary s = (s.Trace.p50, s.Trace.p95, s.Trace.max) in
   Printf.printf "slow branch costs %.1fs; latency of displayed updates (virtual s)\n" cost;
   Printf.printf "%8s  %8s %8s %8s\n" "" "p50" "p95" "max";
   Printf.printf "%8s  %8.3f %8.3f %8.3f\n" "sync" sync.Trace.p50 sync.Trace.p95
     sync.Trace.max;
   Printf.printf "%8s  %8.3f %8.3f %8.3f\n" "async" asy.Trace.p50 asy.Trace.p95
     asy.Trace.max;
-  (sync, asy)
+  Printf.printf "%8s  %8.3f %8.3f %8.3f  (compiled backend)\n" "async"
+    compiled.Trace.p50 compiled.Trace.p95 compiled.Trace.max;
+  let same =
+    summary compiled = summary asy && compiled_times = asy_times
+  in
+  Printf.printf "compiled async = pipelined (summary, display times): %b\n" same;
+  (sync, asy, compiled, same)
 
 (* ------------------------------------------------------------------ *)
 (* B13: build-time fusion of stateless lift chains (the Fuse pass). Two
@@ -2151,7 +2166,7 @@ let b14_to_json rows =
            ])
        rows)
 
-let write_json ~path b11_rows (b12_sync, b12_async) b13_rows b14_rows
+let write_json ~path b11_rows (b12_sync, b12_async, b12_compiled, _) b13_rows b14_rows
     (b15_rows, b15_mutations_caught) b16_rows b17_rows b18 b19 b20 micro =
   let doc =
     Json.Object
@@ -2164,6 +2179,7 @@ let write_json ~path b11_rows (b12_sync, b12_async) b13_rows b14_rows
               ("sync", Trace.summary_to_json b12_sync);
               ("async", Trace.summary_to_json b12_async);
             ] );
+        ("b12_async_latency_compiled", Trace.summary_to_json b12_compiled);
         ("b13_fusion", b13_to_json b13_rows);
         ("b14_fault_injection", b14_to_json b14_rows);
         ("b16_compiled_backend", b16_to_json b16_rows);
@@ -2280,6 +2296,13 @@ let () =
     exit 1
   end;
   let b12 = bench_b12 () in
+  (* B12 gate: the compiled backend keeps the §5 property — its async
+     latency summary and display times equal the pipelined runtime's. *)
+  let _, _, _, b12_same = b12 in
+  if not b12_same then begin
+    prerr_endline "B12: compiled async latency differs from the pipelined runtime!";
+    exit 1
+  end;
   (* B13 smoke gates: fusion must be invisible in the change trace and must
      never increase messages/event, under either dispatch strategy. *)
   let b13_rows = bench_b13 () in

@@ -9,6 +9,10 @@
 # differs from the flooding baseline, or if tracing perturbs the
 # messages/event account by more than 10%, so a semantics regression in
 # the dispatcher or tracer fails CI even if no unit test covers it.
+# B12 gates the paper's Section 5 property on the compiled backend: its
+# async case (a 2 s virtual-cost branch behind async, Mouse.x every
+# 0.1 s) must show the same latency summary and display times as the
+# pipelined runtime.
 # The same smoke run gates the fusion pass via B13: fused and unfused
 # deep-chain runs must produce identical change traces, fusion must
 # never increase messages/event, depth >= 8 chains must show at least a

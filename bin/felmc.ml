@@ -48,6 +48,10 @@ let or_die f =
   | Felm.Trace.Trace_error (msg, line) ->
     Printf.eprintf "Trace error on line %d: %s\n" line msg;
     exit 1
+  | Invalid_argument msg ->
+    (* Flag combinations the runtime rejects (--domains, --queue-capacity). *)
+    Printf.eprintf "Error: %s\n" msg;
+    exit 1
 
 let load_checked path =
   let program = Felm.Program.of_source (read_file path) in
@@ -132,7 +136,7 @@ let run_cmd =
             "Runtime execution strategy: $(b,compiled) (default — \
              synchronous regions between async/delay boundaries are \
              compiled to straight-line step functions, one thread per \
-             region) or $(b,pipelined) (the paper's Fig. 10 translation \
+             region group) or $(b,pipelined) (the paper's Fig. 10 translation \
              verbatim, one thread per node and one channel per edge). Both \
              display the same values at the same virtual times; compiled \
              pays an order of magnitude fewer context switches and \
@@ -188,7 +192,9 @@ let run_cmd =
           ~doc:
             "Bound every node wakeup and source value mailbox at $(docv) \
              messages (default: unbounded). Senders block until the reader \
-             drains — backpressure instead of unbounded buffering.")
+             drains — backpressure instead of unbounded buffering. Needs \
+             $(b,--backend=pipelined): compiled runs keep unbounded \
+             queues.")
   in
   let sched_seed_arg =
     Arg.(
@@ -278,6 +284,13 @@ let run_cmd =
         | Some k when k < 1 ->
           raise (Invalid_argument "--domains must be >= 1")
         | _ -> ());
+        (match (capacity, backend) with
+        | Some _, Elm_core.Runtime.Compiled ->
+          raise
+            (Invalid_argument
+               "--queue-capacity needs --backend=pipelined (compiled runs \
+                keep unbounded queues)")
+        | _ -> ());
         let outcome =
           Felm.Interp.run ~policy:sched_policy ~backend ~mode ?tracer
             ~fuse:(not no_fuse) ~on_node_error:policy
@@ -363,8 +376,8 @@ let graph_cmd =
             "Render the compiled backend's region partition: the fused \
              graph with each maximal synchronous region (delimited by \
              async/delay boundaries) drawn as a dashed cluster — what \
-             $(b,run --backend=compiled) executes with one thread per \
-             region. Implies $(b,--fused).")
+             $(b,run --backend=compiled) executes, one thread per region \
+             group. Implies $(b,--fused).")
   in
   let run file out fused compiled =
     or_die (fun () ->

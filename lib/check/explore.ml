@@ -310,13 +310,13 @@ let run ?(schedules = 50) ?(seed = 0) ?invariants
   if Sched.running () then
     invalid_arg "Explore.run: must be called outside Cml.run";
   (* Checked here rather than surfacing as a crash in every run. *)
-  if
-    domains <> None
-    && (backend = Runtime.Pipelined || mutate <> None || queue_capacity <> None)
+  if backend = Runtime.Compiled && (mutate <> None || queue_capacity <> None)
   then
     invalid_arg
-      "Explore.run: domains needs the compiled backend, without mutate or \
+      "Explore.run: the compiled backend takes neither mutate nor \
        queue_capacity";
+  if domains <> None && backend = Runtime.Pipelined then
+    invalid_arg "Explore.run: domains needs the compiled backend";
   let opts =
     {
       o_backend = backend;

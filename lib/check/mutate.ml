@@ -51,18 +51,18 @@ let victim () =
             done);
       })
 
-let catches ?backend ?(schedules = 4) ?(seed = 0) () =
+let catches ?(schedules = 4) ?(seed = 0) () =
   List.map
     (fun planted ->
       ( planted,
-        Explore.run ?backend ~schedules ~seed ~mutate:planted.spec (victim ())
+        Explore.run ~schedules ~seed ~mutate:planted.spec (victim ())
       ))
     all
 
-let all_caught ?backend ?schedules ?seed () =
+let all_caught ?schedules ?seed () =
   List.for_all
     (fun (_, report) -> not (Explore.ok report))
-    (catches ?backend ?schedules ?seed ())
+    (catches ?schedules ?seed ())
 
 (* ------------------------------------------------------------------ *)
 (* Upgrade mutations. Each upgrade-point sweep performs exactly one

@@ -23,20 +23,13 @@ val victim : unit -> int Explore.program
     a mutation must report zero violations. *)
 
 val catches :
-  ?backend:Elm_core.Runtime.backend ->
-  ?schedules:int ->
-  ?seed:int ->
-  unit ->
-  (planted * Explore.report) list
-(** Explore {!victim} once per planted mutation (default [4] schedules per
-    mutation, plus the reference run that usually already trips).
-    [backend] selects the runtime backend under test — the compiled
-    backend routes emissions through the same accounting hooks, so every
-    mutation must still be caught there. *)
+  ?schedules:int -> ?seed:int -> unit -> (planted * Explore.report) list
+(** Explore {!victim} once per planted mutation on the pipelined backend
+    (default [4] schedules per mutation, plus the reference run that
+    usually already trips). The mutations are channel faults: the compiled
+    backend has no site for them and rejects [~mutate]. *)
 
-val all_caught :
-  ?backend:Elm_core.Runtime.backend -> ?schedules:int -> ?seed:int -> unit ->
-  bool
+val all_caught : ?schedules:int -> ?seed:int -> unit -> bool
 (** [true] when every planted mutation produced at least one violation. *)
 
 (** {1 Upgrade mutations}

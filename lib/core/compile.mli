@@ -9,8 +9,8 @@
     regions, topologically sorts each, and compiles it to a single op array:
     [foldp] accumulators become arena slots, [No_change] becomes a per-node
     dirty-bit skip, and fan-out/merge become plain sequential reads and
-    writes. Async boundaries keep their mailboxes and threads, so
-    supervision and tracing still see region-level spans.
+    writes. Async and delay boundaries re-enter as new events, so
+    supervision and tracing see region-level spans.
 
     The compilation result is split in two so many concurrent instances can
     share one graph:
@@ -24,23 +24,18 @@
       {!clone_arena} copies a running instance's, exactly.
 
     Ops close over slot {e indices}, never over cells, and receive the
-    instance's {!exec} context on every run, so the same plan drives the
-    thread-and-mailbox runtime instantiation below ({!instantiate}) and the
-    {!Exec} instances of wave mode and the session layer alike.
-
-    Select it with [Runtime.start ~backend:Compiled]; this module holds the
-    partitioning, the op compiler and the region threads, while the runtime
-    keeps ownership of dispatch, accounting, supervision policy and
-    mutations (threaded in through {!config}). *)
+    instance's {!exec} context on every run, so one plan drives any number
+    of {!Exec} instances: [Runtime.start ~backend:Compiled] and every
+    serving session. This module holds the partitioning and the op
+    compiler; {!Exec} owns dispatch, accounting and supervision. *)
 
 type round = {
   epoch : int;
   source : int;
 }
-(** One dispatcher round; re-exported as [Runtime.round]. Region wakeup
-    mailboxes carry the same rounds node wakeup mailboxes do, so the
-    dispatcher (and the [Reorder_wakeup] mutation) treats both backends
-    uniformly. *)
+(** One dispatcher round; re-exported as [Runtime.round]. Compiled
+    rounds and the pipelined runtime's node wakeups carry the same
+    record. *)
 
 (** {1 Region partitioning} *)
 
@@ -248,12 +243,10 @@ type exec = {
   x_flood : bool;  (** Flood dispatch: every node active every round. *)
   x_stats : Stats.t;
   x_guards : guarded array;  (** Per slot. *)
-  x_account :
-    node:int -> epoch:int -> changed:bool -> real:bool -> int option;
-      (** Per-node emission accounting (see {!config.cfg_account}). *)
-  mutable x_root_stamp : int option;
-      (** Bridges the root's account result from its member op to the
-          display op that runs right after it in the same region step. *)
+  x_account : node:int -> epoch:int -> changed:bool -> real:bool -> unit;
+      (** One member emission, for the message counters and observers;
+          [real] marks the root's, the one that leaves the region as the
+          display. *)
   x_pop : int -> Obj.t;  (** Consume the pending value for a source slot. *)
   x_push : int -> Obj.t -> unit;  (** Enqueue a value for a source slot. *)
   x_fire_async : int -> unit;
@@ -265,9 +258,8 @@ type exec = {
       (** The root's display emission, one per round reaching the root. *)
 }
 (** The per-instance execution context threaded through every op: the arena
-    plus the environment hooks. {!instantiate} binds the hooks to mailboxes
-    and [Cml] threads, {!Exec} (wave mode, serving sessions) to plain
-    queues and buffered effects. *)
+    plus the environment hooks, which {!Exec} binds to plain queues and
+    buffered effects. *)
 
 val run_region : plan -> exec -> int -> round -> unit
 (** [run_region plan x i r] runs all of region [i]'s ops for round [r], in
@@ -280,52 +272,3 @@ val queue_slots : plan -> (int * int * bool) list
     Async/delay queues are unbounded ([bounded = false]): their tap runs on
     the instance's own step path, so blocking it on a full queue could
     deadlock the instance. *)
-
-(** {1 Runtime instantiation (threads + mailboxes)} *)
-
-type config = {
-  cfg_gen : int;  (** Runtime generation stamping the input insts. *)
-  cfg_flood : bool;  (** Flood dispatch: every node active every round. *)
-  cfg_stats : Stats.t;
-  cfg_tracer : Trace.t option;
-  cfg_capacity : int option;
-      (** Bound for region wake and input value mailboxes. Async/delay
-          value mailboxes stay unbounded: their tap runs on a region
-          thread that may also host the async source itself, so blocking
-          it could deadlock the region. *)
-  cfg_account :
-    node:int -> epoch:int -> changed:bool -> real:bool -> int option;
-      (** Per-node emission accounting — the runtime's [emit] minus the
-          channel send (mutation hooks, observer, message/elided
-          counters). Returns the epoch actually stamped, or [None] if a
-          mutation swallowed the emission. [real] marks the root's
-          emission, the only one that still leaves the region as a
-          channel message. *)
-  cfg_guard : int -> guarded;  (** Per-node supervisor factory. *)
-  cfg_fire_async : int -> unit;
-      (** Async/delay boundary: register a global event for this source. *)
-  cfg_notify : int -> unit;  (** Input push: register a global event. *)
-}
-
-type runtime_region = {
-  rr_region : region;
-  rr_wake : round Cml.Mailbox.t;
-      (** The region's wakeup mailbox; the dispatcher sends one round per
-          event whose cone intersects the region ({!cone}). *)
-}
-
-type 'a instance = {
-  i_plan : plan;
-  i_arena : arena;
-  i_regions : runtime_region list;
-  i_out : 'a Event.stamped Cml.Multicast.t;
-      (** The root's display channel: the one real data channel left. *)
-  i_sources : (int * string) list;
-      (** Runtime sources (id, name), topological order. *)
-}
-
-val instantiate : config -> 'a Signal.t -> 'a instance
-(** Fetch (or build) the cached plan, allocate a fresh arena, and spawn one
-    step thread per region, each looping [recv wake; run_region]. Input
-    nodes get generation-stamped push insts so [Runtime.inject] finds them.
-    Must be called inside [Cml.run]. *)

@@ -2,10 +2,9 @@
 
    Fig. 11's runtime has one job: take events in FIFO order, give each an
    epoch, run the synchronous part it reaches, and let async boundaries
-   re-enter as new events. Every compiled execution of a plan except the
-   threaded [Compile.instantiate] goes through this module — the runtime's
-   wave coordinator ([Runtime.start ~domains/~pool]) and every serving
-   session — so that algorithm exists once:
+   re-enter as new events. Every compiled execution of a plan goes through
+   this module — [Runtime.start ~backend:Compiled] (lanes or waves) and
+   every serving session — so that algorithm exists once:
 
    - [step]/[admit] take one wake: assign its epoch and bill the
      deterministic per-event counters (events, notified regions, the
@@ -13,14 +12,17 @@
      plan alone.
    - The woken regions run on a {e lane}: an execution context over the
      shared arena with its own counters, supervisors and effect buffer.
-     [step] runs the round at once on the instance's sequential lane;
-     [admit] queues it on the woken regions' group lanes, which then run
-     inline in group-DAG order or as [Pool.run_dag] tasks ([run_groups],
-     or a caller's own task DAG via [run_group]).
+     [step] runs the round at once on the instance's sequential lane.
+     Otherwise the round is queued on the woken regions' group lanes, in
+     one of two placements. Waves ([admit]): the lanes run inline in
+     group-DAG order or as [Pool.run_dag] tasks ([run_groups], or a
+     caller's own task DAG via [run_group]). Lanes ([admit_lanes]): one
+     caller thread per group takes one round at a time ([step_lane]).
    - No lane performs a boundary effect: value pushes, async fires, delay
-     schedules, displays and observer calls are buffered and applied by
-     [flush] to the caller's hooks, in (admission epoch, group) order. The
-     one exception is a caller's [~display] sink that is safe to call from
+     schedules, displays and observer calls are buffered and applied to
+     the caller's hooks — by [flush], in (admission epoch, group) order,
+     or by [step_lane] right after the round that produced them. The one
+     exception is a caller's [~display] sink that is safe to call from
      whichever domain runs the root's region (a serving session's change
      log): displays then go straight to it, sparing the coordinator the
      one effect nearly every event has.
@@ -208,9 +210,7 @@ let make_lane x ~regions ~stats =
         (fun ~node ~epoch:ep ~changed ~real ->
           if real then stats.Stats.messages <- stats.Stats.messages + 1
           else stats.Stats.elided_messages <- stats.Stats.elided_messages + 1;
-          if x.observe then emit (Observe { epoch = ep; node; changed });
-          Some ep);
-      x_root_stamp = None;
+          if x.observe then emit (Observe { epoch = ep; node; changed }));
       x_pop = (fun sl -> Queue.pop (queue x sl));
       x_push = (fun slot value -> emit (Push { epoch = !epoch; slot; value }));
       x_fire_async = (fun source -> emit (Fire { epoch = !epoch; source }));
@@ -250,17 +250,18 @@ let seq_lane x =
     x.seq <- Some l;
     l
 
-(* Group lanes are scratch-counted so concurrently running groups never
-   share a mutable word; [flush] merges their deltas. Built lazily: most
-   instances never run a group concurrently, and opening one must stay
-   ~an array copy. *)
-let group_lanes x =
+(* Group lanes, built lazily by the first admission (opening an instance
+   must stay ~an array copy), whose placement picks their counters. Waves
+   give each lane scratch counters, so concurrently running groups never
+   share a mutable word ([flush] merges their deltas); lanes all run on
+   the caller's domain and bill the instance's counters directly. *)
+let group_lanes x ~stats =
   if Array.length x.groups = 0 then
     x.groups <-
       Array.init (Compile.group_count x.plan) (fun g ->
           make_lane x
             ~regions:(Array.of_list (Compile.group_regions x.plan g))
-            ~stats:(Stats.create ()));
+            ~stats:(stats ()));
   x.groups
 
 (* ------------------------------------------------------------------ *)
@@ -306,18 +307,26 @@ let step x ~source =
     run_region x lane woken.(k) r
   done
 
-let admit x ~source =
+(* Queue one wake's round on every woken group's lane, once per group,
+   and tell [wake] which groups got it. *)
+let queue_round x ~stats ~source ~wake =
   let woken = open_epoch x ~source in
-  let lanes = group_lanes x in
+  let lanes = group_lanes x ~stats in
   let r = { Compile.epoch = x.epoch; source } in
-  Array.iter
-    (fun i ->
-      let l = lanes.(Compile.group_of x.plan i) in
-      if l.l_last <> r.epoch then begin
-        l.l_last <- r.epoch;
-        Queue.push r l.l_rounds
-      end)
-    woken
+  for k = 0 to Array.length woken - 1 do
+    let g = Compile.group_of x.plan woken.(k) in
+    let l = lanes.(g) in
+    if l.l_last <> r.epoch then begin
+      l.l_last <- r.epoch;
+      Queue.push r l.l_rounds;
+      wake g
+    end
+  done
+
+let admit x ~source = queue_round x ~stats:Stats.create ~source ~wake:ignore
+
+let admit_lanes x ~source ~wake =
+  queue_round x ~stats:(fun () -> x.stats) ~source ~wake
 
 let active_groups x =
   let acc = ref [] in
@@ -326,22 +335,26 @@ let active_groups x =
   done;
   !acc
 
-(* Run one group's admitted rounds (safe as a pool task): member regions
-   in index order per round. The counters it bills are also added to
-   [dstats], the running worker's attribution slot. *)
+(* Run a lane's oldest admitted round: member regions in index order. *)
+let run_round x l =
+  let r = Queue.pop l.l_rounds in
+  l.l_epoch := r.Compile.epoch;
+  for k = 0 to Array.length l.l_regions - 1 do
+    let i = l.l_regions.(k) in
+    if
+      x.flood <> None
+      || Reach.set_mem r.Compile.source (Compile.region_sources x.plan i)
+    then run_region x l i r
+  done
+
+(* Run one group's admitted rounds (safe as a pool task). The counters it
+   bills are also added to [dstats], the running worker's attribution
+   slot. *)
 let run_group x g ~dstats =
   let l = x.groups.(g) in
   let before = Stats.copy l.l_stats in
   while not (Queue.is_empty l.l_rounds) do
-    let r = Queue.pop l.l_rounds in
-    l.l_epoch := r.Compile.epoch;
-    Array.iter
-      (fun i ->
-        if
-          x.flood <> None
-          || Reach.set_mem r.Compile.source (Compile.region_sources x.plan i)
-        then run_region x l i r)
-      l.l_regions
+    run_round x l
   done;
   Stats.add_delta dstats ~before ~after:l.l_stats
 
@@ -402,6 +415,16 @@ let apply x hooks = function
   | Display { epoch; changed; value } ->
     trace_display x ~epoch ~changed;
     hooks.display ~epoch ~changed value
+
+(* Lane placement: run group [g]'s oldest admitted round, then apply that
+   round's effects at once, so a display or an async fire leaves as soon
+   as its region ran rather than at the end of a wave. *)
+let step_lane x g hooks =
+  let l = x.groups.(g) in
+  run_round x l;
+  while not (Queue.is_empty l.l_effects) do
+    apply x hooks (Queue.pop l.l_effects)
+  done
 
 (* Apply every buffered effect to [hooks]: the sequential lane's in
    execution order, the group lanes' merged stably by admission epoch over

@@ -3,21 +3,23 @@
     An [Exec.t] is one running instance of a {!Compile.plan} over one
     arena: its pending-value queues, its epoch counter, its counters and
     its supervisors. It implements the paper's Fig. 11 dispatch step once
-    for every compiled execution except the threaded
-    {!Compile.instantiate}: the runtime's wave coordinator
-    ([Runtime.start ~domains/~pool]) and every serving session.
+    for every compiled execution: [Runtime.start ~backend:Compiled] and
+    every serving session.
 
-    A wake is taken in three phases. {!step} or {!admit} assigns the
-    epoch and bills every per-event counter the plan alone determines.
-    The woken regions then run — at once on the instance's sequential
-    lane ({!step}), or queued on their region groups' lanes ({!admit}),
-    which run inline in group-DAG order or as {!Pool.run_dag} tasks
-    ({!run_groups}, {!run_group}). Running never performs a boundary
-    effect: value pushes, async fires, delay schedules, displays and
-    observer calls are buffered, and {!flush} applies them to the
-    caller's {!hooks} in (admission epoch, group) order — the order a
-    one-event-at-a-time dispatcher would have produced, whatever ran
-    where. Only displays may bypass the buffer, into a [~display] sink
+    A wake is taken in three phases. {!step}, {!admit} or {!admit_lanes}
+    assigns the epoch and bills every per-event counter the plan alone
+    determines. The woken regions then run — at once on the instance's
+    sequential lane ({!step}), or queued on their region groups' lanes in
+    one of two placements: {e waves} ({!admit}), run inline in group-DAG
+    order or as {!Pool.run_dag} tasks ({!run_groups}, {!run_group}), or
+    {e lanes} ({!admit_lanes}), one caller thread per group taking one
+    round at a time ({!step_lane}). An instance uses one placement.
+    Running never performs a boundary effect: value pushes, async fires,
+    delay schedules, displays and observer calls are buffered and applied
+    to the caller's {!hooks} — by {!flush} in (admission epoch, group)
+    order, the order a one-event-at-a-time dispatcher would have
+    produced whatever ran where, or by {!step_lane} right after their
+    round. Only displays may bypass the buffer, into a [~display] sink
     given at {!create}. *)
 
 type error_policy =
@@ -97,6 +99,11 @@ val admit : t -> source:int -> unit
 (** Admit one wake of [source] and queue its round on the woken regions'
     group lanes, for {!run_groups} or {!run_group}. *)
 
+val admit_lanes : t -> source:int -> wake:(int -> unit) -> unit
+(** The lane placement's {!admit}: queue the round on the woken groups'
+    lanes and call [wake g] for each of them, once per round. The lanes
+    run on the caller's domain and bill {!stats} directly. *)
+
 val active_groups : t -> int list
 (** Groups with admitted rounds not yet run, ascending. *)
 
@@ -123,6 +130,13 @@ type hooks = {
       (** One node emission (only with [~observe:true]). *)
 }
 (** Where {!flush} sends the boundary effects. *)
+
+val step_lane : t -> int -> hooks -> unit
+(** [step_lane x g hooks] runs the oldest round {!admit_lanes} queued on
+    group [g], then applies that round's effects to [hooks] as {!flush}
+    would, so a display or an async fire leaves as soon as its region ran.
+    Lanes need no {!flush}.
+    @raise Queue.Empty if [g] has no admitted round. *)
 
 val flush : t -> hooks -> unit
 (** Apply every buffered effect: value pushes to the queues, the rest to

@@ -25,7 +25,7 @@ type error_policy = Exec.error_policy =
 (* One dispatcher round: the global event number and the source that fired
    it. Under flood dispatch every node receives every round; under cone
    dispatch only the nodes the source can reach do. Defined in [Compile] so
-   region wakeup mailboxes carry the same rounds node wakeup mailboxes do. *)
+   compiled rounds and node wakeups share the record. *)
 type round = Compile.round = {
   epoch : int;
   source : int;
@@ -94,9 +94,8 @@ type 'a t = {
 }
 
 (* Run (and consume) every registered quiescence callback. Called by the
-   dispatcher thread only, between event waves, so callbacks observe a
-   settled graph under the wave coordinator and an empty event queue under
-   the threaded dispatcher. *)
+   dispatcher thread only, between events, so callbacks observe a settled
+   graph under compiled waves and an empty event queue otherwise. *)
 let drain_quiesce rt =
   while not (Queue.is_empty rt.quiesce) do
     (Queue.pop rt.quiesce) ()
@@ -174,45 +173,6 @@ let emit ctx ~id out r msg =
     match ctx.c_tracer with
     | None -> ()
     | Some tr -> Trace.node_end tr ~node:id ~epoch:r.epoch
-  end
-
-(* The compiled backend's twin of [emit]: same mutation hooks and the same
-   observer visibility, but no channel send — a region member's round
-   result stays in its arena cell. [real] selects which side of the elision
-   invariant the emission lands on: interior members send nothing, so their
-   per-event emissions count as elided; the root's display emission is the
-   one real message a region step still sends. Returns the epoch actually
-   stamped on the (conceptual) wire, or [None] when a [Drop_no_change]
-   mutation swallowed the emission. *)
-let account ctx ~id ~epoch:ep ~changed ~real =
-  let drop =
-    match ctx.c_mutate with
-    | Some ({ m_spec = Drop_no_change n; _ } as m) when not changed ->
-      m.m_count <- m.m_count + 1;
-      m.m_count = n
-    | _ -> false
-  in
-  if drop then None
-  else begin
-    let epoch =
-      match ctx.c_mutate with
-      | Some ({ m_spec = Skip_epoch n; _ } as m) ->
-        m.m_count <- m.m_count + 1;
-        let stale =
-          match Hashtbl.find_opt m.m_last_stamp id with
-          | Some e -> e
-          | None -> 0
-        in
-        Hashtbl.replace m.m_last_stamp id ep;
-        if m.m_count = n then stale else ep
-      | _ -> ep
-    in
-    if real then ctx.c_stats.messages <- ctx.c_stats.messages + 1
-    else ctx.c_stats.elided_messages <- ctx.c_stats.elided_messages + 1;
-    (match ctx.c_observer with
-    | None -> ()
-    | Some f -> f ~node:id ~epoch ~changed);
-    Some epoch
   end
 
 (* Admit one round into a node's wakeup mailbox. With a [Reorder_wakeup]
@@ -734,20 +694,29 @@ let attach_tracer tracer gen =
   | None -> Cml.Probe.clear ()
 
 (* ------------------------------------------------------------------ *)
-(* Wave mode: [start ~domains/~pool] on the compiled backend.
+(* The compiled backend: one [Exec] instance over the plan.
 
-   A coordinator thread over one [Exec] instance replaces the threaded
-   region dispatcher: it admits every queued event into a wave (epochs
-   assigned FIFO, so per-source order is the paper's arrival order
-   whatever the wave boundaries), runs the wave's active region groups —
-   on the pool via [Pool.run_dag] or inline — and flushes the buffered
-   boundary effects, acting as the display loop, the async boundary
-   threads and the delay spawner of the threaded build. The change trace
-   is therefore bit-identical for every domain count and seed (see
-   [Exec]; checked by the explorer's Domains mode and bench B19). *)
+   A dispatcher thread admits events FIFO (epochs assigned in arrival
+   order, so per-source order is the paper's whatever runs where), and the
+   instance's hooks act as the display loop, the async boundary threads
+   and the delay spawner. Two placements run the admitted rounds:
 
-let start_wave ~mode ~dispatch ~history ~tracer ~policy ~observer ~fused
-    ~pool ~owned_pool root =
+   - Lanes (the default): one thread per region group, woken once per
+     round queued on it. A lane runs one round and applies its effects
+     before it takes the next, so a display or async fire leaves as soon
+     as its region ran, and a region that charges virtual time
+     ([Cml.sleep] inside a lift) holds back only its own group — the §5
+     property of [async]. [Sequential] waits for the display's ack.
+   - Waves ([~domains]/[~pool]): the dispatcher sweeps every queued event
+     into a wave, runs the wave's active groups on the pool via
+     [Pool.run_dag] or inline, and flushes the buffered effects in
+     (admission epoch, group) order, so the change trace is bit-identical
+     for every domain count and seed (see [Exec]; checked by the
+     explorer's Domains mode and bench B19). [Sequential] keeps waves at
+     size one. *)
+
+let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
+    ~fused ~waves ~pool ~owned_pool root =
   let pl = Compile.plan_of root in
   let gen = fresh_generation () in
   let stats = Stats.create () in
@@ -759,15 +728,18 @@ let start_wave ~mode ~dispatch ~history ~tracer ~policy ~observer ~fused
     Exec.create ?tracer ~flood:(dispatch = Flood) ~observe:(observer <> None)
       ~policy ~stats ~epoch:0 pl (Compile.new_arena pl)
   in
-  let nworkers = match pool with Some p -> Pool.domains p | None -> 1 in
+  let d_stats =
+    if not waves then [||]
+    else
+      let nworkers = match pool with Some p -> Pool.domains p | None -> 1 in
+      Array.init nworkers (fun _ -> Stats.create ())
+  in
   let rt =
     make_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:(Compile.node_count pl)
-      ~history ~sources:(Compile.sources pl) ~owned_pool
-      ~d_stats:(Array.init nworkers (fun _ -> Stats.create ()))
-      root
+      ~history ~sources:(Compile.sources pl) ~owned_pool ~d_stats root
   in
-  (* Input pushes: value first, notification second, so the wave finds the
-     value waiting. *)
+  (* Input pushes: value first, notification second, so the round finds
+     the value waiting. *)
   List.iter
     (fun (Signal.Pack s) ->
       let id = Signal.id s in
@@ -786,6 +758,8 @@ let start_wave ~mode ~dispatch ~history ~tracer ~policy ~observer ~fused
                 Mailbox.send new_event id);
         })
     (Compile.inputs pl);
+  let ack = Mailbox.create ~name:"displayAck" () in
+  let acked = mode = Sequential && not waves in
   let hooks =
     {
       Exec.fire = (fun id -> Mailbox.send new_event id);
@@ -799,44 +773,75 @@ let start_wave ~mode ~dispatch ~history ~tracer ~policy ~observer ~fused
       display =
         (fun ~epoch:_ ~changed v ->
           let v = Obj.obj v in
-          show rt (if changed then Event.Change v else Event.No_change v));
+          show rt (if changed then Event.Change v else Event.No_change v);
+          if acked then Mailbox.send ack ());
       observe =
         (match observer with
         | Some f -> f
         | None -> fun ~node:_ ~epoch:_ ~changed:_ -> ());
     }
   in
-  (* Block for one event, then (in [Pipelined] mode) sweep everything else
-     already queued into the same wave. [Sequential] keeps waves at size
-     one — each event is fully displayed before the next is admitted. *)
-  Cml.spawn (fun () ->
-      let rec serve pending =
-        let eid = match pending with Some e -> e | None -> Mailbox.recv new_event in
-        Exec.admit x ~source:eid;
-        (match mode with
-        | Sequential -> ()
-        | Pipelined ->
-          let rec admit_queued () =
-            match Mailbox.recv_opt new_event with
-            | Some eid ->
-              Exec.admit x ~source:eid;
-              admit_queued ()
-            | None -> ()
+  (* After each admission (lanes) or flushed wave: if no further event is
+     queued, this is the quiescence seam where [at_quiescence] callbacks
+     (live upgrades) run. *)
+  let settle () =
+    stats.Stats.switches <- Cml.Scheduler.switch_count ();
+    let next = Mailbox.recv_opt new_event in
+    if next = None then drain_quiesce rt;
+    next
+  in
+  if waves then
+    Cml.spawn (fun () ->
+        let rec serve pending =
+          let eid =
+            match pending with Some e -> e | None -> Mailbox.recv new_event
           in
-          admit_queued ());
-        Exec.run_groups
-          ?pool:(if rt.stopped then None else pool)
-          ~seed:stats.Stats.events x ~dstats:rt.d_stats;
-        Exec.flush x hooks;
-        stats.Stats.switches <- Cml.Scheduler.switch_count ();
-        (* Wave boundary: if the flush registered no follow-up events (and
-           none arrived meanwhile) the graph is settled — the quiescence
-           seam where [at_quiescence] callbacks (live upgrades) run. *)
-        let next = Mailbox.recv_opt new_event in
-        if next = None then drain_quiesce rt;
-        serve next
-      in
-      serve None);
+          Exec.admit x ~source:eid;
+          (match mode with
+          | Sequential -> ()
+          | Pipelined ->
+            let rec admit_queued () =
+              match Mailbox.recv_opt new_event with
+              | Some eid ->
+                Exec.admit x ~source:eid;
+                admit_queued ()
+              | None -> ()
+            in
+            admit_queued ());
+          Exec.run_groups
+            ?pool:(if rt.stopped then None else pool)
+            ~seed:stats.Stats.events x ~dstats:rt.d_stats;
+          Exec.flush x hooks;
+          serve (settle ())
+        in
+        serve None)
+  else begin
+    let wakes =
+      Array.init (Compile.group_count pl) (fun g ->
+          let wake = Mailbox.create ~name:(Printf.sprintf "lane:%d" g) () in
+          Cml.spawn (fun () ->
+              let rec lane () =
+                Mailbox.recv wake;
+                Exec.step_lane x g hooks;
+                lane ()
+              in
+              lane ());
+          wake)
+    in
+    let wake g = Mailbox.send wakes.(g) () in
+    let root_reach = Reach.reaching (Compile.reach pl) (Compile.root_id pl) in
+    Cml.spawn (fun () ->
+        let rec serve pending =
+          let eid =
+            match pending with Some e -> e | None -> Mailbox.recv new_event
+          in
+          Exec.admit_lanes x ~source:eid ~wake;
+          if acked && (dispatch = Flood || Reach.set_mem eid root_reach) then
+            Mailbox.recv ack;
+          serve (settle ())
+        in
+        serve None)
+  end;
   rt
 
 let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
@@ -866,19 +871,22 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   | Some n when n < 1 ->
     invalid_arg "Runtime.start: queue_capacity must be >= 1"
   | _ -> ());
-  (* Wave mode runs compiled plans only, with plain unbounded queues
-     (backpressure would block the coordinator itself) and no planted
-     mutations: a request outside that envelope is an error, not a silent
-     fallback. *)
-  if domains <> None || pool <> None then begin
-    let reject what =
-      invalid_arg ("Runtime.start: domains/pool cannot be combined with " ^ what)
-    in
+  (* The compiled backend runs plans on [Exec] with plain unbounded queues
+     (backpressure would block the dispatcher or a lane itself), has no
+     site for the channel-level planted mutations, and is dirty-bit (i.e.
+     memoizing) by construction: a request outside that envelope is an
+     error, not a silent fallback. *)
+  let reject what =
+    invalid_arg ("Runtime.start: backend Compiled cannot be combined with " ^ what)
+  in
+  (match backend with
+  | Compiled ->
     if mutate <> None then reject "mutate";
     if queue_capacity <> None then reject "queue_capacity";
-    if backend = Pipelined then reject "backend Pipelined";
     if not memoize then reject "memoize:false"
-  end;
+  | Pipelined ->
+    if domains <> None || pool <> None then
+      invalid_arg "Runtime.start: domains/pool need backend Compiled");
   (* The recompute-always baseline exists to measure pull-style costs, so it
      defaults to flooding; cone dispatch would silently skip the very
      recomputations it is meant to count. *)
@@ -888,40 +896,31 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   (* Fusion composites carry stateful step functions that cannot be re-run
      on quiescent rounds, so the recompute-always baseline stays unfused:
      it exists to count recomputations, and fusing away the nodes that
-     would perform them would falsify the measurement. The compiled backend
-     is dirty-bit (i.e. memoizing) by construction, so the recompute-always
-     baseline falls back to the threaded interpretation for the same
-     reason. *)
+     would perform them would falsify the measurement. *)
   let fuse = fuse && memoize in
-  let backend : backend = if memoize then backend else Pipelined in
   let original_nodes = if fuse then List.length (Signal.reachable root) else 0 in
   (* [fuse_cached] keeps the fused root physically stable across starts of
      the same graph, which is what lets [Compile.plan_of] hit its cache. *)
   let root = if fuse then Fuse.fuse_cached root else root in
   let fused node_count = if fuse then original_nodes - node_count else 0 in
-  if domains <> None || pool <> None then begin
+  match backend with
+  | Compiled ->
     let owned_pool =
       match (pool, domains) with
       | None, Some k when k > 1 -> Some (Pool.create ~domains:k ())
       | _ -> None
     in
-    start_wave ~mode ~dispatch ~history ~tracer ~policy:on_node_error ~observer
+    start_compiled ~mode ~dispatch ~history ~tracer ~policy:on_node_error
+      ~observer
       ~fused:(fused (Compile.node_count (Compile.plan_of root)))
+      ~waves:(domains <> None || pool <> None)
       ~pool:(match pool with Some p -> Some p | None -> owned_pool)
       ~owned_pool root
-  end
-  else
+  | Pipelined ->
   let gen = fresh_generation () in
   let stats = Stats.create () in
   let new_event = Mailbox.create ~name:"newEvent" () in
-  (* The compiled plan already ran the reachability analysis; reuse it so a
-     plan-cache hit skips the whole build-time analysis, not just the op
-     compilation. *)
-  let reach =
-    match backend with
-    | Compiled -> Compile.reach (Compile.plan_of root)
-    | Pipelined -> Reach.analyze root
-  in
+  let reach = Reach.analyze root in
   let ctx =
     {
       rt_gen = gen;
@@ -951,99 +950,30 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   attach_tracer tracer gen;
   let node_count = Reach.node_count reach in
   stats.Stats.fused_nodes <- fused node_count;
-  (* Per-backend instantiation. Both produce the same dispatcher inputs: a
-     display channel, a flood target array, a per-source cone target lookup,
-     and the per-event elided balance the dispatcher still owes on top of
-     what the woken threads account themselves. *)
-  let display_channel, all_targets, cone_targets, extra_elided, rt_sources =
-    match backend with
-    | Pipelined ->
-      (* One thread per node, one channel per edge (Fig. 10). Wakeup
-         delivery plan: per source id, the affected cone's mailboxes in
-         topological order; the flood plan is every node. Computed once at
-         build time — dispatching an event is then one array iteration.
-         Every woken node sends (or drops into) exactly one accounted
-         message, so the dispatcher owes the nodes it did not wake. *)
-      let root_inst = build ctx root in
-      let mailboxes_of nodes =
-        Array.of_list
-          (List.filter_map
-             (fun (Signal.Pack s) -> Hashtbl.find_opt ctx.wakeups (Signal.id s))
-             nodes)
-      in
-      let all_nodes = mailboxes_of (Reach.order reach) in
-      let cones = Hashtbl.create 16 in
-      List.iter
-        (fun src ->
-          Hashtbl.replace cones src (mailboxes_of (Reach.cone reach src)))
-        (Reach.sources reach);
-      let cone_targets eid =
-        match Hashtbl.find_opt cones eid with Some c -> c | None -> [||]
-      in
-      let extra_elided _eid n_targets = node_count - n_targets in
-      ( root_inst.Signal.out,
-        all_nodes,
-        cone_targets,
-        extra_elided,
-        List.rev ctx.c_sources )
-    | Compiled ->
-      (* One step thread per synchronous region (see Compile): the
-         dispatcher wakes regions instead of nodes. A woken region accounts
-         one emission per member the round reaches (the root's is the real
-         display message, the rest are elided in place), so the dispatcher
-         owes only the nodes outside the firing source's cone. *)
-      let cfg =
-        {
-          Compile.cfg_gen = ctx.rt_gen;
-          cfg_flood = (dispatch = Flood);
-          cfg_stats = stats;
-          cfg_tracer = tracer;
-          cfg_capacity = queue_capacity;
-          cfg_account =
-            (fun ~node ~epoch ~changed ~real ->
-              account ctx ~id:node ~epoch ~changed ~real);
-          cfg_guard =
-            (fun id ->
-              Exec.guard ~policy:on_node_error ~stats ~tracer ~node:id);
-          cfg_fire_async =
-            (fun id ->
-              stats.Stats.async_events <- stats.Stats.async_events + 1;
-              Mailbox.send new_event id);
-          cfg_notify = (fun id -> Mailbox.send new_event id);
-        }
-      in
-      let inst = Compile.instantiate cfg root in
-      let pl = inst.Compile.i_plan in
-      stats.Stats.compiled_regions <- List.length inst.Compile.i_regions;
-      (* Region wake mailboxes by region index; each source's woken regions
-         and cone size come precomputed with the plan ([Compile.cone]). *)
-      let all_regions =
-        Array.of_list
-          (List.map (fun rr -> rr.Compile.rr_wake) inst.Compile.i_regions)
-      in
-      let cones = Hashtbl.create 16 in
-      List.iter
-        (fun src ->
-          Hashtbl.replace cones src
-            (Array.map (Array.get all_regions) (fst (Compile.cone pl src))))
-        (Reach.sources reach);
-      let cone_targets eid =
-        match Hashtbl.find_opt cones eid with Some c -> c | None -> [||]
-      in
-      let extra_elided eid _n_targets =
-        match dispatch with
-        | Flood -> 0
-        | Cone -> node_count - snd (Compile.cone pl eid)
-      in
-      ( inst.Compile.i_out,
-        all_regions,
-        cone_targets,
-        extra_elided,
-        inst.Compile.i_sources )
+  (* One thread per node, one channel per edge (Fig. 10). Wakeup delivery
+     plan: per source id, the affected cone's mailboxes in topological
+     order; the flood plan is every node. Computed once at build time —
+     dispatching an event is then one array iteration. Every woken node
+     sends (or drops into) exactly one accounted message, so the
+     dispatcher owes the nodes it did not wake. *)
+  let root_inst = build ctx root in
+  let mailboxes_of nodes =
+    Array.of_list
+      (List.filter_map
+         (fun (Signal.Pack s) -> Hashtbl.find_opt ctx.wakeups (Signal.id s))
+         nodes)
+  in
+  let all_targets = mailboxes_of (Reach.order reach) in
+  let cones = Hashtbl.create 16 in
+  List.iter
+    (fun src -> Hashtbl.replace cones src (mailboxes_of (Reach.cone reach src)))
+    (Reach.sources reach);
+  let cone_targets eid =
+    match Hashtbl.find_opt cones eid with Some c -> c | None -> [||]
   in
   let rt =
     make_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:node_count ~history
-      ~sources:rt_sources ~owned_pool:None ~d_stats:[||] root
+      ~sources:(List.rev ctx.c_sources) ~owned_pool:None ~d_stats:[||] root
   in
   let root_reach = Reach.reaching reach (Signal.id root) in
   let reaches_root eid =
@@ -1054,7 +984,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   let ack = Mailbox.create ~name:"displayAck" () in
   (* Display loop (Fig. 11): funnel values from the root's channel to the
      "screen" (here: the runtime record and registered listeners). *)
-  let display_port = Multicast.port display_channel in
+  let display_port = Multicast.port root_inst.Signal.out in
   Cml.spawn (fun () ->
       let rec display () =
         let { Event.epoch; event = msg } = Multicast.recv display_port in
@@ -1090,7 +1020,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         in
         stats.notified_nodes <- stats.notified_nodes + Array.length targets;
         stats.elided_messages <-
-          stats.elided_messages + extra_elided eid (Array.length targets);
+          stats.elided_messages + (node_count - Array.length targets);
         (* Record before the wakeups go out so the dispatch timestamp lower-
            bounds every node-start and display timestamp of this epoch. *)
         (match tracer with

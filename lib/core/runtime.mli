@@ -60,19 +60,28 @@
     {!current}, {!message_log}, listeners, supervision and the per-event
     alignment invariants are identical (the equivalence is
     property-checked across the shape catalogue and through the
-    [Check.Explore] harness). [Compiled] requires memoization — under
-    [memoize:false] it silently falls back to the threaded backend, like
-    fusion does. *)
+    [Check.Explore] harness). [Compiled] is memoizing by construction and
+    keeps plain unbounded queues: {!start} rejects it with
+    [memoize:false], [queue_capacity] or [mutate]. *)
 type backend =
   | Pipelined
       (** Fig. 10 verbatim: one green thread per node, one multicast
           channel per edge. Default. *)
   | Compiled
       (** Synchronous regions compiled to straight-line step functions
-          (see {!Compile}): one thread per async/delay-delimited region,
-          node state in a flat arena, [No_change] as a dirty-bit skip.
-          Order-of-magnitude fewer context switches and messages per
-          event; async boundaries keep their mailboxes and threads. *)
+          (see {!Compile}), run by one {!Exec} instance: node state in a
+          flat arena, [No_change] as a dirty-bit skip, order-of-magnitude
+          fewer context switches and messages per event. By default each
+          region {e group} (the plan's SCC-condensed region DAG,
+          {!Compile.group_deps}) runs on its own green thread, a {e lane}
+          that applies a round's displays, async fires and delays as soon
+          as the round ran — so a costly step behind [async] holds back
+          only its own group, as the paper's §5 requires. Granularity:
+          virtual-time costs overlap between groups, not inside one (the
+          pipelined backend overlaps them node by node). A group is one
+          region unless async seams point both ways between regions, which
+          joins them into one group whose costs then run one after the
+          other. *)
 
 type mode =
   | Pipelined  (** Paper semantics: nodes run concurrently, FIFO edges. *)
@@ -195,8 +204,8 @@ val start :
     A crash inside a fused chain isolates or restarts the whole composite
     as a unit.
 
-    [queue_capacity] bounds every node wakeup and source value mailbox
-    (default: unbounded, the seed behaviour). Overflow policy is
+    [queue_capacity] bounds every node wakeup and source value mailbox of
+    the pipelined backend (default: unbounded, the seed behaviour). Overflow policy is
     {!Cml.Mailbox.Block}: a dispatcher or injector that outruns a node
     suspends until the node drains its backlog — real backpressure rather
     than unbounded buffering. Probe-observed queue depths (tracer
@@ -210,36 +219,33 @@ val start :
     visible), and whether the message was a [Change]. Without it the
     emission path is unchanged.
 
-    [mutate] plants one ordering bug (see {!mutation}); only the checker's
-    mutation-coverage tests and benches pass it.
+    [mutate] plants one ordering bug (see {!mutation}) in the pipelined
+    backend's channels; only the checker's mutation-coverage tests and
+    benches pass it.
 
-    [domains]/[pool] enable {e intra-session parallel dispatch} on the
-    compiled backend: the threaded region dispatcher is replaced by a
-    coordinator over one {!Exec} instance that batches queued events into
-    waves and runs each wave's data-independent region groups (the plan's
-    SCC-condensed dependency DAG, {!Compile.group_deps}) concurrently on a
-    domain pool, flushing async/delay/display effects afterwards in
-    (admission epoch, group) order — change traces are bit-identical to
-    the sequential dispatcher (property-checked by [Check.Explore]'s
-    [Domains] policy and gated by bench B19). Region steps run atomically
-    in virtual time: a step that charges virtual cost ([Cml.sleep] inside
-    a lift) delays the whole wave's flush, so async programs with costly
-    branches keep their values and per-source order but may stamp
-    displays later than the threaded dispatcher would; such costs are
-    only supported inline (single-group waves or [~domains:1]) — on a
-    pool worker the scheduler is unavailable and the step fails under the
+    [domains]/[pool] place the compiled backend's rounds in {e waves}
+    instead of lanes, for intra-session parallel dispatch: the dispatcher
+    batches queued events into a wave and runs its data-independent region
+    groups concurrently on a domain pool, flushing async/delay/display
+    effects afterwards in (admission epoch, group) order — change traces
+    are bit-identical for every domain count (property-checked by
+    [Check.Explore]'s [Domains] policy and gated by bench B19). A wave
+    runs atomically in virtual time: a step that charges virtual cost
+    ([Cml.sleep] inside a lift) delays the whole wave's flush, so async
+    programs with costly branches keep their values and per-source order
+    but stamp displays later than lanes would; such costs are only
+    supported inline (single-group waves or [~domains:1]) — on a pool
+    worker the scheduler is unavailable and the step fails under the
     node's supervision policy. [~domains:k] with [k > 1] creates a private
     pool closed by {!stop}; [~domains:1] runs waves inline with no pool
     (the sequential wave baseline); [~pool] borrows a caller-owned pool
-    (never closed here) and takes precedence over [domains]. Wave mode
-    needs [backend = Compiled] and admits neither [mutate],
-    [queue_capacity] nor [memoize:false]: any such combination raises.
+    (never closed here) and takes precedence over [domains].
     @raise Invalid_argument outside a running scheduler, when [history]
     is negative, when a [Restart] budget is negative, when
     [queue_capacity < 1], when [domains < 1], when a [mutate]
-    occurrence is [< 1], or when [domains]/[pool] is combined with
-    [mutate], [queue_capacity], [backend = Pipelined] or
-    [memoize:false]. *)
+    occurrence is [< 1], when [backend = Compiled] is combined with
+    [mutate], [queue_capacity] or [memoize:false], or when
+    [domains]/[pool] is given with [backend = Pipelined]. *)
 
 val inject : _ t -> 'b Signal.t -> 'b -> unit
 (** [inject rt input v] delivers an external event: the new value [v] for
@@ -308,11 +314,12 @@ val on_stop : (int -> unit) -> unit
 val at_quiescence : _ t -> (unit -> unit) -> unit
 (** Register a one-shot callback run by the dispatcher at its next
     quiescent point: after an event wave has run and flushed with no
-    further global event queued (wave coordinator), or after a dispatched
-    event with an empty [newEvent] queue (threaded dispatcher — under
-    [Sequential] mode the displayed event has fully settled; under
-    [Pipelined] node threads may still be propagating downstream, so only
-    the event {e queue} is known empty). This is the seam where a live
+    further global event queued (compiled waves), or after a dispatched
+    event with an empty [newEvent] queue (lanes and the pipelined
+    backend — under [Sequential] mode the displayed event has fully
+    settled; under [Pipelined] lanes or node threads may still be
+    propagating downstream, so only the event {e queue} is known
+    empty). This is the seam where a live
     graph upgrade is safe to admit: no round is mid-wave, so arena slots
     and region state are not concurrently observed. Callbacks run on the
     dispatcher thread in registration order and are dropped once run; they
@@ -324,7 +331,7 @@ val domain_stats : _ t -> Stats.t array
 (** Per-worker-slot {!Stats} attribution under intra-session parallel
     dispatch ([start ~domains]/[~pool]): index [w] accumulates the deltas
     of region-group work executed by pool worker [w] (slot 0 doubles as
-    the coordinator under [~domains:1]). Empty for threaded runtimes. *)
+    the coordinator under [~domains:1]). Empty outside wave placement. *)
 
 val source_ids : _ t -> (int * string) list
 (** Identifier and name of every source node registered with the

@@ -69,6 +69,21 @@ let test_run_with_replay () =
   check_bool "timestamped displays" true
     (contains out "[   0.100] 1" && contains out "[   0.300] 3")
 
+(* A bounded queue is a pipelined-only feature: on the default (compiled)
+   backend the flag is an error naming the backend that supports it. *)
+let test_run_queue_capacity_needs_pipelined () =
+  let args =
+    [ "run"; examples_dir ^ "counter.felm"; "--replay"; examples_dir ^ "counter.trace";
+      "--queue-capacity=4" ]
+  in
+  let code, out = run_cmd args in
+  check_bool "compiled + --queue-capacity fails" true (code <> 0);
+  check_bool "the error names --backend=pipelined" true
+    (contains out "--backend=pipelined");
+  let code, out = run_cmd (args @ [ "--backend=pipelined" ]) in
+  check_int "pipelined + --queue-capacity runs" 0 code;
+  check_bool "same displays" true (contains out "[   0.300] 3")
+
 let test_run_sequential_and_stats () =
   let code, out =
     run_cmd
@@ -217,6 +232,8 @@ let () =
           tc "check type error" `Quick test_check_type_error;
           tc "check syntax error" `Quick test_check_syntax_error;
           tc "run with replay" `Quick test_run_with_replay;
+          tc "run --queue-capacity needs pipelined" `Quick
+            test_run_queue_capacity_needs_pipelined;
           tc "run sequential + stats" `Quick test_run_sequential_and_stats;
           tc "run --trace chrome export" `Quick test_run_trace_export;
           tc "compile html/js" `Quick test_compile_html_and_js;

@@ -224,21 +224,19 @@ let test_trace_reports_region_rows () =
 
 (* memoize:false is the pull-style baseline that re-runs steps on quiescent
    rounds — incompatible with the dirty-bit skip, so the compiled backend
-   silently falls back to pipelined, like fusion does. *)
-let test_memoize_false_falls_back () =
-  let rt =
+   rejects it instead of silently running the pipelined one. *)
+let test_memoize_false_rejected () =
+  let raised =
     with_world (fun () ->
         let a = Signal.input ~name:"a" 0 in
-        let root = Signal.lift succ a in
-        let rt =
-          Runtime.start ~backend:Runtime.Compiled ~memoize:false root
-        in
-        Runtime.inject rt a 1;
-        rt)
+        match
+          Runtime.start ~backend:Runtime.Compiled ~memoize:false
+            (Signal.lift succ a)
+        with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
   in
-  check_int "no compiled regions under memoize:false" 0
-    (Runtime.stats rt).Stats.compiled_regions;
-  check_ints "still runs" [ 2 ] (values rt)
+  check_bool "compiled + memoize:false raises" true raised
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache: compiling a graph shape is paid once; later runtimes over
@@ -364,7 +362,7 @@ let test_clear_plan_cache_clears_fuse_memos () =
     (Compile.plan_of fused2 != p1)
 
 (* ------------------------------------------------------------------ *)
-(* Schedule exploration: the compiled backend's region threads interleave
+(* Schedule exploration: the compiled backend's region-group lanes interleave
    under the same chaos schedules, and every invariant must hold. *)
 
 let explore_deterministic () =
@@ -424,9 +422,73 @@ let test_explore_compiled_async () =
   if not (Explore.ok report) then
     Alcotest.failf "%s" (Format.asprintf "%a" Explore.pp_report report)
 
-let test_mutations_caught_compiled () =
-  check_bool "every planted mutation caught under the compiled backend" true
-    (Mutate.all_caught ~backend:Runtime.Compiled ~schedules:2 ())
+(* The planted mutations are channel faults, which have no site in a
+   compiled instance: the explorer rejects the combination up front rather
+   than reporting a crash as a catch. *)
+let test_mutations_rejected_compiled () =
+  List.iter
+    (fun { Mutate.name; spec } ->
+      check_bool
+        (name ^ " rejected under the compiled backend")
+        true
+        (match
+           Explore.run ~backend:Runtime.Compiled ~schedules:2 ~mutate:spec
+             (Mutate.victim ())
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    Mutate.all
+
+(* ------------------------------------------------------------------ *)
+(* The paper's §5 property on the compiled backend: a long computation
+   behind [async] must not hold back the display. The B12 program: a 2 s
+   virtual-cost lift of Mouse.y behind [async], Mouse.x injected every
+   0.1 s. The pipelined runtime shows every Mouse.x at once (0.15 …
+   1.05 s); the compiled change list, virtual times included, must be the
+   same. A runtime whose region step held the other regions back would
+   show all ten at 2.05 s. *)
+
+let async_responsive ~backend ~mode =
+  with_world (fun () ->
+      let armed = ref false in
+      let mouse_x = Signal.input ~name:"Mouse.x" 0 in
+      let mouse_y = Signal.input ~name:"Mouse.y" 0 in
+      let slow =
+        Signal.lift ~name:"slowF"
+          (fun y ->
+            if !armed then Cml.sleep 2.0;
+            y)
+          mouse_y
+      in
+      let rt =
+        Runtime.start ~backend ~mode (Signal.pair mouse_x (Signal.async slow))
+      in
+      armed := true;
+      Cml.spawn (fun () ->
+          Cml.sleep 0.05;
+          Runtime.inject rt mouse_y 1;
+          for i = 1 to 10 do
+            Cml.sleep 0.1;
+            Runtime.inject rt mouse_x i
+          done);
+      rt)
+
+let test_async_responsive_compiled () =
+  List.iter
+    (fun (mname, mode) ->
+      let pipelined =
+        Runtime.changes
+          (async_responsive ~backend:(Runtime.Pipelined : Runtime.backend) ~mode)
+      in
+      let compiled =
+        Runtime.changes (async_responsive ~backend:Runtime.Compiled ~mode)
+      in
+      check_bool (mname ^ ": Mouse.x shown before the slow branch ends") true
+        (List.exists (fun (t, (x, _)) -> x = 10 && t < 2.0) pipelined);
+      check_bool
+        (mname ^ ": compiled change list = pipelined, virtual times included")
+        true (compiled = pipelined))
+    [ ("Pipelined", Runtime.Pipelined); ("Sequential", Runtime.Sequential) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -436,7 +498,12 @@ let () =
   Alcotest.run "compile"
     [
       ( "equivalence",
-        [ qc prop_compiled_equals_pipelined; qc prop_compiled_accounting ] );
+        [
+          qc prop_compiled_equals_pipelined;
+          qc prop_compiled_accounting;
+          tc "B12 program: async work never holds back the display" `Quick
+            test_async_responsive_compiled;
+        ] );
       ( "partition",
         [
           tc "pure graph is one region" `Quick test_pure_graph_single_region;
@@ -457,8 +524,7 @@ let () =
           tc "stats count regions and steps" `Quick test_stats_report_regions;
           tc "trace rows are regions, never stale members" `Quick
             test_trace_reports_region_rows;
-          tc "memoize:false falls back to pipelined" `Quick
-            test_memoize_false_falls_back;
+          tc "memoize:false rejected" `Quick test_memoize_false_rejected;
         ] );
       ( "plan-cache",
         [
@@ -477,7 +543,7 @@ let () =
             test_explore_compiled_deterministic;
           tc "async program clean under chaos" `Quick
             test_explore_compiled_async;
-          tc "planted mutations still caught" `Quick
-            test_mutations_caught_compiled;
+          tc "planted mutations rejected up front" `Quick
+            test_mutations_rejected_compiled;
         ] );
     ]
