@@ -49,14 +49,16 @@
 # to the session totals, and the events/sec speedup bar scales with
 # the runner (2x at 4 domains only where >= 4 cores exist, 1.2x at 2
 # domains on 2-3 core boxes, report-only on 1 core).
-# B19 gates intra-session parallel dispatch (Runtime.start ~domains):
+# B19 gates one runtime's waves split across domains (Runtime.start
+# ~domains, each wave's active region groups as one flat pool batch):
 # on the async fan-out/fan-in workload each event's wave must expose
-# > 2 data-independent region groups to the pool (pool tasks / events,
-# a counter ratio), change traces must be bit-identical to the
-# 1-domain run at every width, per-domain region-step attribution must
-# merge back to the runtime totals, and dispatch counts must agree
-# across widths; the wall-clock speedup bar is hardware-scaled like
-# B18's and report-only on 1 core.
+# > 2 region groups to the pool (pool tasks / events, a counter ratio),
+# change traces must be bit-identical to the 1-domain run at every
+# width, per-domain region-step attribution must merge back to the
+# runtime totals, and dispatch counts must agree across widths. Its
+# wall-clock bar is the median k-domain / 1-domain ratio over 7
+# interleaved repetitions after a warm-up round (1.1x at 2 domains on
+# 2-3 cores, 1.4x at 4 where >= 4 cores exist, report-only on 1 core).
 # B20 gates live graph upgrade (lib/core/upgrade): hot-swapping 10k
 # live sessions onto a freshly rebuilt identical plan mid-stream must
 # diff as an identity patch, drop zero events (one event per session

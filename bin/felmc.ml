@@ -245,10 +245,9 @@ let run_cmd =
       & opt (some int) None
       & info [ "domains" ] ~docv:"K"
           ~doc:
-            "Intra-session parallel region dispatch (compiled backend \
-             only): batch queued events into waves and run each wave's \
-             data-independent region groups on a pool of $(docv) OCaml \
-             domains, respecting the plan's region dependency DAG. \
+            "Parallel waves (compiled backend only): batch queued \
+             events into waves and run each wave's active region groups \
+             as one batch on a pool of $(docv) OCaml domains. \
              Displayed values and virtual times are bit-identical to the \
              sequential dispatcher for every $(docv). $(b,--domains=1) \
              runs the wave coordinator without a pool (the sequential \

@@ -102,7 +102,7 @@ type opts = {
   o_max_switches : int;
   o_mutate : Runtime.mutation option;
   o_domains : int option;
-      (* intra-session parallel dispatch (compiled backend): the Domains
+      (* wave placement on a domain pool (compiled backend): the Domains
          exploration axis — traces must not depend on the domain count *)
 }
 

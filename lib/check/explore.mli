@@ -114,8 +114,8 @@ val run :
     [mutate] plants an ordering bug ({!Elm_core.Runtime.mutation}) in every
     run including the reference — used to prove the checker catches it.
     [domains] is the Domains exploration axis: every run (reference
-    included) starts the runtime with intra-session parallel dispatch
-    ([Runtime.start ~domains], compiled backend) — the oracle that change
+    included) starts the runtime in parallel waves ([Runtime.start
+    ~domains], compiled backend) — the oracle that change
     traces are independent of the domain count is the caller comparing
     reports/traces across domain values, since each [run] holds its
     [domains] fixed. As in {!Elm_core.Runtime.start}, [~backend:Compiled]

@@ -157,17 +157,10 @@ type plan = {
   p_cones : (int, int array * int) Hashtbl.t;
       (* source id -> (regions its event wakes, ascending; cone size in
          nodes): everything admission bills, computed once per shape *)
-  p_region_deps : (int * int) list;
-      (* ordering edges between regions: (producer, consumer) for every
-         async/delay seam whose endpoints live in different regions, plus
-         shared-source constraints (two regions woken by one source must
-         run in index order). See DESIGN.md "Region dependency DAG". *)
   p_group_of : int array;  (* region index -> group index *)
   p_group_regions : int list array;
-      (* group index -> member region indices, ascending *)
-  p_group_deps : (int * int) list;
-      (* p_region_deps quotiented by the SCC condensation: a true DAG *)
-  p_group_preds : int list array;  (* group index -> predecessor groups *)
+      (* group index -> member region indices, ascending: the SCCs of the
+         seam graph (see DESIGN.md "Region groups") *)
   p_sources : (int * string) list;  (* runtime sources, topological order *)
   p_queue_slots : (int * int * bool) list;
       (* source nodes needing a pending-value queue: (id, slot, bounded).
@@ -707,52 +700,25 @@ let plan : type r. r Signal.t -> plan =
         ( Array.of_list (List.map (fun rg -> rg.rg_index) woken),
           Reach.cone_size reach src ))
     (Reach.sources reach);
-  (* ---- region dependency DAG ----
-     Edges that order region execution within one event wave. Seam edges:
-     an async/delay cut whose inner node and boundary node landed in
-     different regions makes the producer region a predecessor of the
-     consumer's (the value crosses between them). Shared-source edges: if
-     one source's cone ever spanned several regions, those regions would
-     have to run in index (= topological) order, not concurrently — under
-     the current partition a source's cone is synchronous and therefore
-     region-local, so this adds nothing, but the constraint is encoded
-     rather than assumed (see DESIGN.md). Cuts can point both ways between
-     two regions (async in both directions), so the quotient graph may be
-     cyclic; a Tarjan SCC condensation folds each cycle into one "group",
-     and groups — numbered by smallest member region, which keeps the
-     numbering topological-friendly and deterministic — form the DAG the
-     pool executes. *)
+  (* ---- region groups ----
+     Seam edges: an async/delay cut whose inner node and boundary node
+     landed in different regions links the producer region to the
+     consumer's. Cuts can point both ways between two regions (async in
+     both directions), so a Tarjan SCC condensation folds each cycle into
+     one "group", numbered by smallest member region (deterministic). A
+     group is what a lane thread or a wave's pool task runs. No edge is
+     needed inside a wave: a source's cone is region-local (one woken
+     region per event, checked by a property over the test catalogue)
+     and boundary effects are buffered until the wave ends. *)
   let nregions = !count in
-  let edge_set = Hashtbl.create 16 in
-  let raw_edges = ref [] in
-  let add_edge a b =
-    if a <> b && not (Hashtbl.mem edge_set (a, b)) then begin
-      Hashtbl.replace edge_set (a, b) ();
-      raw_edges := (a, b) :: !raw_edges
-    end
-  in
+  let succs = Array.make (max nregions 1) [] in
   List.iter
     (fun (inner, boundary) ->
-      add_edge (Hashtbl.find region_of inner) (Hashtbl.find region_of boundary))
-    (List.rev !cuts);
-  List.iter
-    (fun src ->
-      let woken = ref [] in
-      for i = nregions - 1 downto 0 do
-        if Reach.set_mem src region_sources.(i) then woken := i :: !woken
-      done;
-      let rec pairs = function
-        | a :: (b :: _ as rest) ->
-          add_edge a b;
-          pairs rest
-        | _ -> []
-      in
-      ignore (pairs !woken))
-    (Reach.sources reach);
-  let region_deps = List.rev !raw_edges in
-  let succs = Array.make (max nregions 1) [] in
-  List.iter (fun (a, b) -> succs.(a) <- b :: succs.(a)) region_deps;
-  (* Iterative Tarjan over the region quotient graph. *)
+      let a = Hashtbl.find region_of inner in
+      succs.(a) <- Hashtbl.find region_of boundary :: succs.(a))
+    !cuts;
+  (* Tarjan over the region quotient graph (self-edges and duplicate
+     edges are harmless). *)
   let sccs = ref [] in
   let index = Array.make (max nregions 1) (-1) in
   let lowlink = Array.make (max nregions 1) 0 in
@@ -797,28 +763,6 @@ let plan : type r. r Signal.t -> plan =
   Array.iteri
     (fun g members -> List.iter (fun r -> group_of.(r) <- g) members)
     group_regions;
-  let gedge_set = Hashtbl.create 16 in
-  let group_deps =
-    List.filter
-      (fun (a, b) ->
-        let ga = group_of.(a) and gb = group_of.(b) in
-        ga <> gb
-        &&
-        if Hashtbl.mem gedge_set (ga, gb) then false
-        else begin
-          Hashtbl.replace gedge_set (ga, gb) ();
-          true
-        end)
-      region_deps
-    |> List.map (fun (a, b) -> (group_of.(a), group_of.(b)))
-  in
-  let group_preds = Array.make (Array.length group_regions) [] in
-  List.iter
-    (fun (ga, gb) -> group_preds.(gb) <- ga :: group_preds.(gb))
-    group_deps;
-  Array.iteri
-    (fun g preds -> group_preds.(g) <- List.rev preds)
-    group_preds;
   let name_of = Hashtbl.create 64 in
   List.iter
     (fun (Signal.Pack s) -> Hashtbl.replace name_of (Signal.id s) (Signal.name s))
@@ -853,11 +797,8 @@ let plan : type r. r Signal.t -> plan =
     p_region_sources = region_sources;
     p_reps = Array.of_list (List.map (fun rg -> rg.rg_rep) regions);
     p_cones = cones;
-    p_region_deps = region_deps;
     p_group_of = group_of;
     p_group_regions = group_regions;
-    p_group_deps = group_deps;
-    p_group_preds = group_preds;
     p_sources = sources;
     p_queue_slots = List.rev !queue_slots;
     p_inputs = List.rev !inputs;
@@ -887,12 +828,9 @@ let defaults pl = pl.p_defaults
 let state_count pl = Array.length pl.p_state_init
 let state_node pl k = pl.p_state_node.(k)
 let state_initial pl k = pl.p_state_init.(k)
-let region_deps pl = pl.p_region_deps
 let group_count pl = Array.length pl.p_group_regions
 let group_of pl i = pl.p_group_of.(i)
 let group_regions pl g = pl.p_group_regions.(g)
-let group_deps pl = pl.p_group_deps
-let group_preds pl g = pl.p_group_preds.(g)
 
 let pp_plan ppf pl =
   Format.fprintf ppf "@[<v>";

@@ -164,34 +164,23 @@ val state_node : plan -> int -> int
 val state_initial : plan -> int -> Obj.t
 (** The initial value of a state slot, as seeded into fresh arenas. *)
 
-val region_deps : plan -> (int * int) list
-(** Ordering edges [(producer, consumer)] between region indices: one per
-    async/delay seam whose endpoints live in different regions, plus
-    shared-source constraints (two regions woken by the same source must
-    run in index order — vacuous under the current partition, where a
-    source's synchronous cone is region-local, but encoded rather than
-    assumed). Deduplicated; may be cyclic (async cuts can point both ways
-    between two regions) — the group condensation below is the DAG. *)
-
 val group_count : plan -> int
 (** Number of region {e groups}: strongly connected components of the
-    {!region_deps} quotient graph. Groups are what intra-session parallel
-    dispatch schedules — regions of one group stay sequential (in index
-    order), distinct groups of one event wave may run concurrently once
-    their {!group_preds} finished. Numbered by smallest member region. *)
+    seam graph, which links two regions when an async/delay cut has its
+    producer in one and its boundary node in the other. A group is one
+    region unless seams point both ways between regions. Groups are the
+    unit of compiled execution placement — one lane thread per group, or
+    one pool task per active group of a wave; regions of one group run
+    sequentially, in index order. Groups need no order among themselves
+    inside a wave: a source's cone is region-local and boundary effects
+    are buffered until the wave ends. Numbered by smallest member
+    region. *)
 
 val group_of : plan -> int -> int
 (** [group_of plan i] is the group of region [i]. *)
 
 val group_regions : plan -> int -> int list
 (** Member region indices of a group, ascending. *)
-
-val group_deps : plan -> (int * int) list
-(** {!region_deps} quotiented by the condensation: a true DAG over group
-    indices, deduplicated, no self-edges. *)
-
-val group_preds : plan -> int -> int list
-(** Predecessor groups of a group under {!group_deps}. *)
 
 val pp_plan : Format.formatter -> plan -> unit
 (** One line per region ([region i (rep id name): members...]) followed by

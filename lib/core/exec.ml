@@ -14,10 +14,10 @@
      shared arena with its own counters, supervisors and effect buffer.
      [step] runs the round at once on the instance's sequential lane.
      Otherwise the round is queued on the woken regions' group lanes, in
-     one of two placements. Waves ([admit]): the lanes run inline in
-     group-DAG order or as [Pool.run_dag] tasks ([run_groups], or a
-     caller's own task DAG via [run_group]). Lanes ([admit_lanes]): one
-     caller thread per group takes one round at a time ([step_lane]).
+     one of two placements. Waves ([admit]): [run_groups] runs every
+     active lane inline or as one flat [Pool.run] batch. Lanes
+     ([admit_lanes]): one caller thread per group takes one round at a
+     time ([step_lane]).
    - No lane performs a boundary effect: value pushes, async fires, delay
      schedules, displays and observer calls are buffered and applied to
      the caller's hooks — by [flush], in (admission epoch, group) order,
@@ -33,7 +33,8 @@
    produces it — async fires and delays re-enter as later events, displays
    only leave the graph. So flushing after the run, stably ordered by
    (epoch, group), reproduces exactly what a one-event-at-a-time
-   dispatcher would have done, whatever ran where. *)
+   dispatcher would have done, whatever ran where and in whatever order:
+   a wave's groups need no order among themselves. *)
 
 type error_policy =
   | Propagate
@@ -328,13 +329,6 @@ let admit x ~source = queue_round x ~stats:Stats.create ~source ~wake:ignore
 let admit_lanes x ~source ~wake =
   queue_round x ~stats:(fun () -> x.stats) ~source ~wake
 
-let active_groups x =
-  let acc = ref [] in
-  for g = Array.length x.groups - 1 downto 0 do
-    if not (Queue.is_empty x.groups.(g).l_rounds) then acc := g :: !acc
-  done;
-  !acc
-
 (* Run a lane's oldest admitted round: member regions in index order. *)
 let run_round x l =
   let r = Queue.pop l.l_rounds in
@@ -347,59 +341,25 @@ let run_round x l =
     then run_region x l i r
   done
 
-(* Run one group's admitted rounds (safe as a pool task). The counters it
-   bills are also added to [dstats], the running worker's attribution
-   slot. *)
-let run_group x g ~dstats =
-  let l = x.groups.(g) in
-  let before = Stats.copy l.l_stats in
-  while not (Queue.is_empty l.l_rounds) do
-    run_round x l
-  done;
-  Stats.add_delta dstats ~before ~after:l.l_stats
-
-(* Run every active group under the plan's group DAG: a single group
-   inline, several on [pool] via [Pool.run_dag], or — without a pool —
-   inline in smallest-index-first Kahn order. Both are topological orders
-   of the same DAG and group results are schedule-independent, so the
-   choice is unobservable. *)
+(* Run every active group's admitted rounds, each group's in epoch order:
+   as one [pool] batch when several are active, otherwise inline in group
+   index order. A group's counters are also added to [dstats] at the
+   running worker's index (0 inline). Groups share no mutable word and
+   hand each other nothing before [flush], so any order is exact. *)
 let run_groups ?pool ?(seed = 0) x ~dstats =
-  match active_groups x with
-  | [] -> ()
-  | [ g ] -> run_group x g ~dstats:dstats.(0)
-  | actives -> (
-    let arr = Array.of_list actives in
-    let pos = Hashtbl.create 8 in
-    Array.iteri (fun i g -> Hashtbl.replace pos g i) arr;
-    let preds =
-      Array.map
-        (fun g ->
-          List.filter_map (Hashtbl.find_opt pos) (Compile.group_preds x.plan g))
-        arr
-    in
-    match pool with
-    | Some p ->
-      Pool.run_dag ~seed p ~deps:preds
-        (Array.map (fun g w -> run_group x g ~dstats:dstats.(w)) arr)
-    | None ->
-      let unmet = Array.map List.length preds in
-      let succ = Array.make (Array.length arr) [] in
-      Array.iteri
-        (fun i ps -> List.iter (fun p -> succ.(p) <- i :: succ.(p)) ps)
-        preds;
-      let module IS = Set.Make (Int) in
-      let ready = ref IS.empty in
-      Array.iteri (fun i c -> if c = 0 then ready := IS.add i !ready) unmet;
-      while not (IS.is_empty !ready) do
-        let i = IS.min_elt !ready in
-        ready := IS.remove i !ready;
-        run_group x arr.(i) ~dstats:dstats.(0);
-        List.iter
-          (fun j ->
-            unmet.(j) <- unmet.(j) - 1;
-            if unmet.(j) = 0 then ready := IS.add j !ready)
-          succ.(i)
-      done)
+  let run l w =
+    let before = Stats.copy l.l_stats in
+    while not (Queue.is_empty l.l_rounds) do
+      run_round x l
+    done;
+    Stats.add_delta dstats.(w) ~before ~after:l.l_stats
+  in
+  let active =
+    List.filter (fun l -> not (Queue.is_empty l.l_rounds)) (Array.to_list x.groups)
+  in
+  match (pool, active) with
+  | Some p, _ :: _ :: _ -> Pool.run ~seed p (Array.of_list (List.map run active))
+  | _ -> List.iter (fun l -> run l 0) active
 
 (* ------------------------------------------------------------------ *)
 (* Flush *)

@@ -10,15 +10,16 @@
     assigns the epoch and bills every per-event counter the plan alone
     determines. The woken regions then run — at once on the instance's
     sequential lane ({!step}), or queued on their region groups' lanes in
-    one of two placements: {e waves} ({!admit}), run inline in group-DAG
-    order or as {!Pool.run_dag} tasks ({!run_groups}, {!run_group}), or
+    one of two placements: {e waves} ({!admit}), whose active groups
+    {!run_groups} runs inline or as one flat {!Pool.run} batch, or
     {e lanes} ({!admit_lanes}), one caller thread per group taking one
     round at a time ({!step_lane}). An instance uses one placement.
     Running never performs a boundary effect: value pushes, async fires,
     delay schedules, displays and observer calls are buffered and applied
     to the caller's {!hooks} — by {!flush} in (admission epoch, group)
     order, the order a one-event-at-a-time dispatcher would have
-    produced whatever ran where, or by {!step_lane} right after their
+    produced whatever ran where — which is why a wave's groups need no
+    order among themselves — or by {!step_lane} right after their
     round. Only displays may bypass the buffer, into a [~display] sink
     given at {!create}. *)
 
@@ -97,26 +98,20 @@ val step : t -> source:int -> unit
 
 val admit : t -> source:int -> unit
 (** Admit one wake of [source] and queue its round on the woken regions'
-    group lanes, for {!run_groups} or {!run_group}. *)
+    group lanes, for {!run_groups}. *)
 
 val admit_lanes : t -> source:int -> wake:(int -> unit) -> unit
 (** The lane placement's {!admit}: queue the round on the woken groups'
     lanes and call [wake g] for each of them, once per round. The lanes
     run on the caller's domain and bill {!stats} directly. *)
 
-val active_groups : t -> int list
-(** Groups with admitted rounds not yet run, ascending. *)
-
-val run_group : t -> int -> dstats:Stats.t -> unit
-(** Run one group's admitted rounds in epoch order (safe as a pool task:
-    groups share no mutable word). The counters it bills are also added
-    to [dstats], the running worker's attribution slot. *)
-
 val run_groups : ?pool:Pool.t -> ?seed:int -> t -> dstats:Stats.t array -> unit
-(** Run every active group under the plan's group DAG: one group inline
-    (attributed to [dstats.(0)]); several as {!Pool.run_dag} tasks on
-    [pool] (attributed per worker), or without a pool inline in
-    smallest-index-first topological order. *)
+(** Run every group's admitted rounds, each group's in epoch order: as
+    one {!Pool.run} batch on [pool] ([seed] picks its deal) when several
+    groups are active, otherwise inline. Groups share no mutable word and
+    effects wait for {!flush}, so the order is unobservable. A group's
+    counters are also added to [dstats] at the index of the worker that
+    ran it (0 inline). *)
 
 type hooks = {
   fire : int -> unit;  (** An async boundary fired: a new event for it. *)

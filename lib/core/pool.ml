@@ -1,11 +1,12 @@
 (* A small work-stealing pool of OCaml 5 domains.
 
-   Two kinds of batch run here. The original serving shape is the session
-   task: drain one session's inbox to quiescence. Tasks are independent
-   (sessions share only the immutable plan), never block, and never spawn
-   further tasks — async re-entries during a task append to the same
-   session's inbox and are drained before the task returns. That shape lets
-   the pool be much simpler than a general scheduler:
+   Every batch is a flat array of independent tasks: a serving session
+   draining its inbox, or one region group of a runtime wave. Tasks share
+   no mutable word (sessions share only the immutable plan; a wave's
+   groups own disjoint arena slots and buffer their boundary effects),
+   never block, and never spawn further tasks — async re-entries wait for
+   the task's own loop or a later batch. That shape lets the pool be much
+   simpler than a general scheduler:
 
    - Each [run] distributes the task array round-robin into per-worker
      queues. A queue is an immutable slice of the task array plus an
@@ -23,15 +24,6 @@
      condition variable between runs, released by an epoch bump. [run] is
      a barrier — it returns only after every task of this batch finished.
 
-   The second shape, [run_dag], serves intra-session parallel dispatch:
-   tasks form a dependency DAG (region groups of one event wave) and a task
-   may only start once all its predecessors finished. The slice/cursor
-   scheme cannot express "not ready yet", so a DAG batch instead keeps one
-   mutex-guarded ready queue seeded with the roots; finishing a task
-   decrements its dependents' atomic unmet-counts and enqueues the ones
-   that hit zero. Same barrier, same error capture, same persistent
-   workers — only the claim path differs.
-
    No dependency on the serving layer: tasks are [int -> unit] closures
    (the argument is the executing worker's index, used by callers to bill
    per-domain stats). *)
@@ -44,29 +36,15 @@ type worker_stats = {
           proxy for idle time (the pool never sleeps mid-run, it probes). *)
 }
 
-(* One worker's view of the current sliced batch. [queues.(w)] is the
-   slice of tasks initially assigned to worker [w]; [cursors.(w)] indexes
-   the next unclaimed task in that slice. *)
+(* One worker's view of the current batch. [queues.(w)] is the slice of
+   tasks initially assigned to worker [w]; [cursors.(w)] indexes the next
+   unclaimed task in that slice. *)
 type batch = {
   queues : (int -> unit) array array;
   cursors : int Atomic.t array;
   remaining : int Atomic.t;  (* tasks not yet finished (not just claimed) *)
   order : int array array;  (* order.(w) = seeded victim probe order for w *)
 }
-
-(* A dependency-DAG batch: tasks enter [d_ready] only once every
-   predecessor finished. [d_unmet.(i)] counts unfinished predecessors of
-   task [i]; the worker that drops a count to zero enqueues the task. *)
-type dag = {
-  d_tasks : (int -> unit) array;
-  d_ready : int Queue.t;  (* guarded by d_lock *)
-  d_lock : Mutex.t;
-  d_unmet : int Atomic.t array;
-  d_deps : int array array;  (* d_deps.(i) = tasks unblocked when i ends *)
-  d_remaining : int Atomic.t;
-}
-
-type job = Slices of batch | Dag of dag
 
 type t = {
   p_domains : int;
@@ -76,7 +54,7 @@ type t = {
   p_lock : Mutex.t;
   p_cond : Condition.t;
   mutable p_epoch : int;  (* bumped once per [run]; workers wait for it *)
-  mutable p_job : job option;
+  mutable p_batch : batch option;
   mutable p_closing : bool;
   mutable p_running : bool;
   p_error : exn option Atomic.t;  (* first task exception, re-raised by run *)
@@ -123,7 +101,7 @@ let record_error t exn =
      batch still runs to completion so [run]'s barrier stays simple). *)
   ignore (Atomic.compare_and_set t.p_error None (Some exn))
 
-(* Run sliced batch [b] as worker [w] until no queue has work. Returns when
+(* Run batch [b] as worker [w] until no queue has work. Returns when
    the worker can no longer find a task; the batch is globally done only
    when [b.remaining] hits 0 (another worker may still be finishing a
    claimed task). *)
@@ -160,46 +138,8 @@ let work t b w =
   t.p_steals.(w) <- t.p_steals.(w) + !steals;
   t.p_idle_probes.(w) <- t.p_idle_probes.(w) + !idle
 
-(* Run DAG batch [d] as worker [w]: pop a ready task, run it, release the
-   dependents whose last predecessor it was, until every task finished.
-   Unlike the sliced batch there is no "my queue is drained" exit — a
-   worker must keep probing until [d_remaining] hits zero, because a task
-   still running elsewhere may be about to unblock more work. *)
-let dag_work t d w =
-  let tasks = ref 0 and idle = ref 0 in
-  let rec loop () =
-    if Atomic.get d.d_remaining > 0 then begin
-      Mutex.lock d.d_lock;
-      let next = Queue.take_opt d.d_ready in
-      Mutex.unlock d.d_lock;
-      (match next with
-      | None ->
-        incr idle;
-        Domain.cpu_relax ()
-      | Some i ->
-        (try d.d_tasks.(i) w with exn -> record_error t exn);
-        incr tasks;
-        (* A failed task still releases its dependents: the first error is
-           already captured, and running the rest keeps the barrier (and
-           the unmet-count accounting) trivially correct. *)
-        Array.iter
-          (fun j ->
-            if Atomic.fetch_and_add d.d_unmet.(j) (-1) = 1 then begin
-              Mutex.lock d.d_lock;
-              Queue.push j d.d_ready;
-              Mutex.unlock d.d_lock
-            end)
-          d.d_deps.(i);
-        ignore (Atomic.fetch_and_add d.d_remaining (-1)));
-      loop ()
-    end
-  in
-  loop ();
-  t.p_tasks.(w) <- t.p_tasks.(w) + !tasks;
-  t.p_idle_probes.(w) <- t.p_idle_probes.(w) + !idle
-
 (* Body of a spawned worker domain: park until the epoch moves, run the
-   published job, repeat; exit when the pool closes. *)
+   published batch, repeat; exit when the pool closes. *)
 let worker_loop t w =
   let seen = ref 0 in
   let rec loop () =
@@ -208,14 +148,11 @@ let worker_loop t w =
       Condition.wait t.p_cond t.p_lock
     done;
     let epoch = t.p_epoch and closing = t.p_closing in
-    let job = t.p_job in
+    let batch = t.p_batch in
     Mutex.unlock t.p_lock;
     if epoch <> !seen then begin
       seen := epoch;
-      (match job with
-      | Some (Slices b) -> work t b w
-      | Some (Dag d) -> dag_work t d w
-      | None -> ());
+      Option.iter (fun b -> work t b w) batch;
       loop ()
     end
     else if not closing then loop ()
@@ -237,7 +174,7 @@ let create ?domains () =
       p_lock = Mutex.create ();
       p_cond = Condition.create ();
       p_epoch = 0;
-      p_job = None;
+      p_batch = None;
       p_closing = false;
       p_running = false;
       p_error = Atomic.make None;
@@ -255,29 +192,6 @@ let create ?domains () =
             worker_loop t (i + 1);
             Domain.self ()));
   t
-
-(* Publish [job], participate as worker 0, spin out the stragglers, then
-   retire the job and re-raise the first captured task exception. *)
-let run_job t job ~remaining ~self =
-  Mutex.lock t.p_lock;
-  t.p_job <- Some job;
-  t.p_epoch <- t.p_epoch + 1;
-  Condition.broadcast t.p_cond;
-  Mutex.unlock t.p_lock;
-  (* The caller participates as worker 0, then spins for stragglers — a
-     worker that claimed a task just before we drained everything may
-     still be running it. cpu_relax keeps the spin polite. *)
-  self ();
-  while Atomic.get remaining > 0 do
-    Domain.cpu_relax ()
-  done;
-  Mutex.lock t.p_lock;
-  t.p_job <- None;
-  Mutex.unlock t.p_lock;
-  t.p_running <- false;
-  match Atomic.exchange t.p_error None with
-  | Some exn -> raise exn
-  | None -> ()
 
 let run ?(seed = 0) t tasks =
   if t.p_closing then invalid_arg "Pool.run: pool is closed";
@@ -308,76 +222,27 @@ let run ?(seed = 0) t tasks =
         order = Array.init n (fun w -> victim_order ~seed ~domains:n w);
       }
     in
-    run_job t (Slices b) ~remaining:b.remaining ~self:(fun () -> work t b 0)
-  end
-
-let run_dag ?(seed = 0) t ~deps tasks =
-  if t.p_closing then invalid_arg "Pool.run_dag: pool is closed";
-  if t.p_running then invalid_arg "Pool.run_dag: already running a batch";
-  let n = Array.length tasks in
-  if Array.length deps <> n then
-    invalid_arg "Pool.run_dag: deps and tasks length mismatch";
-  if n = 0 then ()
-  else begin
-    (* Kahn pre-pass: reject cyclic dependency declarations up front, and
-       validate predecessor indices, before any worker is woken. *)
-    let unmet = Array.make n 0 in
-    Array.iteri
-      (fun i preds ->
-        List.iter
-          (fun p ->
-            if p < 0 || p >= n then
-              invalid_arg "Pool.run_dag: dependency index out of range";
-            if p <> i then unmet.(i) <- unmet.(i) + 1)
-          preds)
-      deps;
-    let succs = Array.make n [] in
-    Array.iteri
-      (fun i preds ->
-        List.iter (fun p -> if p <> i then succs.(p) <- i :: succs.(p)) deps.(i);
-        ignore preds)
-      deps;
-    let q = Queue.create () in
-    let counts = Array.copy unmet in
-    Array.iteri (fun i c -> if c = 0 then Queue.push i q) counts;
-    let processed = ref 0 in
-    while not (Queue.is_empty q) do
-      let i = Queue.pop q in
-      incr processed;
-      List.iter
-        (fun j ->
-          counts.(j) <- counts.(j) - 1;
-          if counts.(j) = 0 then Queue.push j q)
-        succs.(i)
+    (* Publish the batch and participate as worker 0, then spin for
+       stragglers — a worker that claimed a task just before we drained
+       everything may still be running it. cpu_relax keeps the spin
+       polite. Then retire the batch and re-raise the first captured task
+       exception. *)
+    Mutex.lock t.p_lock;
+    t.p_batch <- Some b;
+    t.p_epoch <- t.p_epoch + 1;
+    Condition.broadcast t.p_cond;
+    Mutex.unlock t.p_lock;
+    work t b 0;
+    while Atomic.get b.remaining > 0 do
+      Domain.cpu_relax ()
     done;
-    if !processed <> n then invalid_arg "Pool.run_dag: cyclic dependencies";
-    t.p_running <- true;
-    let ready = Queue.create () in
-    (* Seed the ready queue with the roots, rotated by [seed]: with the
-       mutex-ordered queue the claim interleaving still races, but the
-       deterministic part of the schedule (who is offered what first)
-       varies across seeds exactly like [run]'s deal rotation. *)
-    let roots =
-      Array.to_list (Array.init n Fun.id)
-      |> List.filter (fun i -> unmet.(i) = 0)
-    in
-    let nr = List.length roots in
-    let rot = if nr = 0 then 0 else lcg seed mod nr in
-    let roots = Array.of_list roots in
-    for k = 0 to nr - 1 do
-      Queue.push roots.((k + rot) mod nr) ready
-    done;
-    let d =
-      {
-        d_tasks = tasks;
-        d_ready = ready;
-        d_lock = Mutex.create ();
-        d_unmet = Array.map Atomic.make unmet;
-        d_deps = Array.map (fun l -> Array.of_list (List.rev l)) succs;
-        d_remaining = Atomic.make n;
-      }
-    in
-    run_job t (Dag d) ~remaining:d.d_remaining ~self:(fun () -> dag_work t d 0)
+    Mutex.lock t.p_lock;
+    t.p_batch <- None;
+    Mutex.unlock t.p_lock;
+    t.p_running <- false;
+    match Atomic.exchange t.p_error None with
+    | Some exn -> raise exn
+    | None -> ()
   end
 
 let worker_stats t =

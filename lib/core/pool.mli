@@ -4,15 +4,16 @@
     run concurrently without changing observable per-source ordering
     (Sections 1, 3.3). Two layers exploit that here: the serving layer runs
     batches of independent session tasks (sessions share nothing mutable,
-    so a batch is embarrassingly parallel), and the compiled runtime runs
-    the data-independent region groups of one event wave, whose ordering
-    constraints form a dependency DAG ({!run_dag}).
+    so a batch is embarrassingly parallel), and the compiled runtime's
+    wave placement runs the active region groups of one event wave as one
+    batch (groups own disjoint state and buffer every boundary effect
+    until the wave is flushed, so they need no order among themselves).
 
     The pool knows nothing about either client: tasks are [int -> unit]
     closures receiving the executing worker's index (used by callers to
     bill per-domain {!Stats}). Tasks must not block and must not call
-    {!run}/{!run_dag} reentrantly; a task's own follow-up work must be
-    folded into the task itself or deferred to the next batch. *)
+    {!run} reentrantly; a task's own follow-up work must be folded into
+    the task itself or deferred to the next batch. *)
 
 type t
 
@@ -32,31 +33,17 @@ val run : ?seed:int -> t -> (int -> unit) array -> unit
     into per-worker queues; idle workers steal from the others in a
     [seed]-determined probe order, so the schedule — which domain runs
     which task — is a deterministic function of [(seed, tasks, domains)]
-    up to claim races. If tasks raise, the first exception is re-raised
-    here after the batch completes; the rest are dropped. Raises
+    up to claim races. If tasks raise, every other task of the batch
+    still runs, the first exception is re-raised here after the barrier,
+    the rest are dropped, and the pool takes the next batch. Raises
     [Invalid_argument] on reentrant use or after {!close}. *)
-
-val run_dag : ?seed:int -> t -> deps:int list array -> (int -> unit) array -> unit
-(** [run_dag ~seed t ~deps tasks] executes a dependency DAG of tasks and
-    returns when all have finished (a barrier). [deps.(i)] lists the
-    predecessors of task [i]: task [i] starts only after every listed task
-    finished (self-edges are ignored). Ready tasks are claimed from one
-    shared queue seeded with the roots (rotated by [seed]); the worker
-    that finishes a task's last predecessor makes it claimable, so any
-    topological execution order may be observed — callers must not depend
-    on more than the declared edges. Error capture is as in {!run}; a
-    failed task still releases its dependents so the barrier completes.
-    Raises [Invalid_argument] when [deps] and [tasks] differ in length,
-    a dependency index is out of range, the declared edges are cyclic,
-    on reentrant use, or after {!close}. *)
 
 type worker_stats = {
   ws_tasks : int;  (** Tasks this worker executed (own + stolen). *)
   ws_steals : int;  (** Tasks taken from another worker's queue. *)
   ws_idle_probes : int;
-      (** Steal probes ({!run}) or empty ready-queue polls ({!run_dag})
-          that found no work — a unitless proxy for time spent looking for
-          work rather than doing it. *)
+      (** Steal probes that found the victim's queue empty — a unitless
+          proxy for time spent looking for work rather than doing it. *)
 }
 
 val worker_stats : t -> worker_stats array

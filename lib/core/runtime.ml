@@ -85,8 +85,8 @@ type 'a t = {
       (* a pool created by [start ~domains:k] (k > 1), closed by [stop];
          a caller-supplied [?pool] is never closed here *)
   d_stats : Stats.t array;
-      (* per-worker-slot attribution under intra-session parallel
-         dispatch; [[||]] otherwise *)
+      (* per-worker-slot attribution under wave placement; [[||]]
+         otherwise *)
   quiesce : (unit -> unit) Queue.t;
       (* one-shot callbacks run by the dispatcher once no further global
          events are queued — the wave-boundary seam live upgrades admit
@@ -708,12 +708,11 @@ let attach_tracer tracer gen =
      ([Cml.sleep] inside a lift) holds back only its own group — the §5
      property of [async]. [Sequential] waits for the display's ack.
    - Waves ([~domains]/[~pool]): the dispatcher sweeps every queued event
-     into a wave, runs the wave's active groups on the pool via
-     [Pool.run_dag] or inline, and flushes the buffered effects in
-     (admission epoch, group) order, so the change trace is bit-identical
-     for every domain count and seed (see [Exec]; checked by the
-     explorer's Domains mode and bench B19). [Sequential] keeps waves at
-     size one. *)
+     into a wave, runs the wave's active groups as one pool batch or
+     inline, and flushes the buffered effects in (admission epoch, group)
+     order, so the change trace is bit-identical for every domain count
+     and seed (see [Exec]; checked by the explorer's Domains mode and
+     bench B19). [Sequential] keeps waves at size one. *)
 
 let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
     ~fused ~waves ~pool ~owned_pool root =

@@ -72,8 +72,8 @@ type backend =
           (see {!Compile}), run by one {!Exec} instance: node state in a
           flat arena, [No_change] as a dirty-bit skip, order-of-magnitude
           fewer context switches and messages per event. By default each
-          region {e group} (the plan's SCC-condensed region DAG,
-          {!Compile.group_deps}) runs on its own green thread, a {e lane}
+          region {e group} ({!Compile.group_count}: regions joined by
+          two-way async seams) runs on its own green thread, a {e lane}
           that applies a round's displays, async fires and delays as soon
           as the round ran — so a costly step behind [async] holds back
           only its own group, as the paper's §5 requires. Granularity:
@@ -224,12 +224,15 @@ val start :
     benches pass it.
 
     [domains]/[pool] place the compiled backend's rounds in {e waves}
-    instead of lanes, for intra-session parallel dispatch: the dispatcher
-    batches queued events into a wave and runs its data-independent region
-    groups concurrently on a domain pool, flushing async/delay/display
-    effects afterwards in (admission epoch, group) order — change traces
-    are bit-identical for every domain count (property-checked by
-    [Check.Explore]'s [Domains] policy and gated by bench B19). A wave
+    instead of lanes, to split one runtime's work across domains: the
+    dispatcher batches queued events into a wave and runs its active
+    region groups as one flat batch on a domain pool (several groups) or
+    inline (one), flushing async/delay/display effects afterwards in
+    (admission epoch, group) order. Groups share no state and see none of
+    each other's effects before the flush, so they need no order among
+    themselves, and change traces are bit-identical for every domain
+    count (property-checked by [Check.Explore]'s [Domains] policy and
+    gated by bench B19). A wave
     runs atomically in virtual time: a step that charges virtual cost
     ([Cml.sleep] inside a lift) delays the whole wave's flush, so async
     programs with costly branches keep their values and per-source order
@@ -328,8 +331,8 @@ val at_quiescence : _ t -> (unit -> unit) -> unit
     before the final injection, or inject a dummy event to flush hooks. *)
 
 val domain_stats : _ t -> Stats.t array
-(** Per-worker-slot {!Stats} attribution under intra-session parallel
-    dispatch ([start ~domains]/[~pool]): index [w] accumulates the deltas
+(** Per-worker-slot {!Stats} attribution under wave placement
+    ([start ~domains]/[~pool]): index [w] accumulates the deltas
     of region-group work executed by pool worker [w] (slot 0 doubles as
     the coordinator under [~domains:1]). Empty outside wave placement. *)
 

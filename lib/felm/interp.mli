@@ -46,8 +46,8 @@ val run :
     defaults to [Compiled], this API to [Pipelined]). [policy] selects the
     scheduler's interleaving strategy (default {!Cml.Scheduler.Fifo});
     [Seeded_random] / [Pct] replay the schedules the exploration harness
-    prints (see [felmc run --sched-seed]). [domains] enables intra-session
-    parallel region dispatch on the compiled backend
+    prints (see [felmc run --sched-seed]). [domains] runs the compiled
+    backend in parallel waves
     ([Runtime.start ~domains]; [felmc run --domains=K]). *)
 
 val run_graph :

@@ -51,9 +51,6 @@ type 'a t = {
   d_capacity : int option;
   d_history : int option;
   d_pool : Pool.t option;  (* present: [drain] fans out over domains *)
-  d_intra : bool;
-      (* split each session's work by region group (plan group DAG) so one
-         session's independent groups also run concurrently; needs a pool *)
   mutable d_draining : bool;  (* lifecycle is frozen while [drain] runs *)
   mutable d_domain_stats : Stats.t array;
       (* per-worker-slot accumulators, grown lazily to the pool width *)
@@ -75,9 +72,7 @@ type accounting = {
 }
 
 let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
-    ?history ?(fuse = true) ?pool ?(intra = false) root =
-  if intra && pool = None then
-    invalid_arg "Serve.Dispatcher.create: intra requires a pool";
+    ?history ?(fuse = true) ?pool root =
   let root = if fuse then Fuse.fuse_cached root else root in
   let plan = Compile.plan_of root in
   let sessions = Hashtbl.create 64 in
@@ -126,7 +121,6 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     d_capacity = queue_capacity;
     d_history = history;
     d_pool = pool;
-    d_intra = intra;
     d_draining = false;
     d_domain_stats = [||];
     d_next_sid = 0;
@@ -304,17 +298,13 @@ let upgrades d = d.d_upgrades
    behind them, and a second same-due delay of one session waits for the
    round after, where a one-event-at-a-time drain would also have run
    everything the first one caused before popping it. The placement
-   follows from the dispatcher's [pool]/[intra]:
-
-   - no pool: each runnable session steps its wakes inline;
-   - a pool: one task per runnable session (pinned to one domain);
-   - a pool and [intra]: the coordinator admits every wake, then one task
-     per (session, active region group) runs under the plan's group DAG
-     via [Pool.run_dag] (edges only within a session).
+   follows from the dispatcher's [pool]: without one each runnable
+   session steps its wakes inline, with one each runnable session is one
+   task (pinned to one domain for the round).
 
    Per-session traces are therefore bit-identical for every placement,
-   seed and domain count — the serve tests and benches B18/B19 gate
-   exactly this. *)
+   seed and domain count — the serve tests and bench B18 gate exactly
+   this. *)
 
 let ensure_domain_stats d n =
   if Array.length d.d_domain_stats < n then
@@ -372,7 +362,7 @@ let rec deliver_due_delays d =
 let run_round d ~seed runnable =
   match d.d_pool with
   | None -> List.fold_left (fun n s -> n + Session.step_wakes s) 0 runnable
-  | Some pool when not d.d_intra ->
+  | Some pool ->
     let taken = Atomic.make 0 in
     Pool.run ~seed pool
       (Array.of_list
@@ -384,34 +374,6 @@ let run_round d ~seed runnable =
                 ~after:(Session.stats s))
             runnable));
     Atomic.get taken
-  | Some pool ->
-    let taken =
-      List.fold_left (fun n s -> n + Session.admit_wakes s) 0 runnable
-    in
-    let tasks =
-      Array.of_list
-        (List.concat_map
-           (fun s ->
-             List.map (fun g -> (s, g)) (Exec.active_groups (Session.exec s)))
-           runnable)
-    in
-    let pos = Hashtbl.create 32 in
-    Array.iteri (fun i (s, g) -> Hashtbl.replace pos (Session.id s, g) i) tasks;
-    let deps =
-      Array.map
-        (fun (s, g) ->
-          List.filter_map
-            (fun p -> Hashtbl.find_opt pos (Session.id s, p))
-            (Compile.group_preds d.d_plan g))
-        tasks
-    in
-    if Array.length tasks > 0 then
-      Pool.run_dag ~seed pool ~deps
-        (Array.map
-           (fun (s, g) w ->
-             Exec.run_group (Session.exec s) g ~dstats:d.d_domain_stats.(w))
-           tasks);
-    taken
 
 let drain ?(seed = 0) d =
   check_not_draining d "drain";

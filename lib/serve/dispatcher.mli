@@ -38,18 +38,15 @@ val create :
   ?history:int ->
   ?fuse:bool ->
   ?pool:Pool.t ->
-  ?intra:bool ->
   'a Signal.t ->
   'a t
 (** Build (or fetch from the plan cache) the compiled plan for the graph
     rooted here and create an empty dispatcher over it. [fuse] (default
     true) runs {!Elm_core.Fuse.fuse_cached} first; {!clone} and
     {!upgrade_all} are exact either way. The options are applied to every
-    session opened through this dispatcher. A shared [tracer] gets per-session node ids (offset by
-    [Compile.id_stride]), so rows never collide. [pool] makes {!drain}
-    run sessions concurrently; [intra] (default false; requires [pool],
-    else [Invalid_argument]) also runs one session's data-independent
-    region groups concurrently. *)
+    session opened through this dispatcher. A shared [tracer] gets
+    per-session node ids (offset by [Compile.id_stride]), so rows never
+    collide. [pool] makes {!drain} run sessions concurrently. *)
 
 val root : 'a t -> 'a Signal.t
 (** The graph all sessions run (after fusion, if enabled) — use its input
@@ -96,14 +93,12 @@ val drain : ?seed:int -> 'a t -> int
     buffered async/delay re-entries (they queue for the next round); when
     nothing is ready, deliver the earliest due delayed values — at most
     one per session, in heap order. Where the work runs follows from
-    {!create}: inline without a pool; one task per runnable session on
-    the {!Pool} (a session's wakes are pinned to one domain); with
-    [intra], one task per (session, active region group) under the plan's
-    group DAG ({!Pool.run_dag}). [seed] selects the pool's deal/steal
-    schedule. Per-session change traces and counter totals are
-    bit-identical for every placement, seed and domain count — the
-    interleaving oracles in the test suite and benches B18/B19 check
-    exactly this. Session lifecycle calls ([open_session]/[clone]/
+    {!create}: inline without a pool, else one task per runnable session
+    on the {!Pool} (a session's wakes are pinned to one domain). [seed]
+    selects the pool's deal/steal schedule. Per-session change traces and
+    counter totals are bit-identical for every placement, seed and domain
+    count — the interleaving oracles in the test suite and bench B18
+    check exactly this. Session lifecycle calls ([open_session]/[clone]/
     [close]/[upgrade_all]) are rejected while a drain is running. *)
 
 (** {1 Live upgrade} *)
@@ -146,11 +141,10 @@ val pool : 'a t -> Pool.t option
 val domain_stats : 'a t -> Stats.t array
 (** Per-worker-slot counter accumulators: slot [w] holds the work executed
     by pool worker [w] across drains (attributed via
-    {!Elm_core.Stats.add_delta} snapshots around each task). With one task
-    per session, merging all slots with {!Elm_core.Stats.merge} reproduces
-    the sessions' event, message and elision totals; with [intra] the
-    coordinator admits, so the slots hold region execution only. Empty
-    until the first drain over a pool. *)
+    {!Elm_core.Stats.add_delta} snapshots around each task). Merging all
+    slots with {!Elm_core.Stats.merge} reproduces the sessions' event,
+    message and elision totals. Empty until the first drain over a
+    pool. *)
 
 val now : 'a t -> float
 (** The virtual clock: the due time of the latest delayed value

@@ -83,9 +83,9 @@ let record_change k epoch v =
       k.k_n_changes <- k.k_n_changes + 1
     end
 
-(* The change log is written straight from the lane that runs the root's
-   region: the sink is this session's alone, and the root belongs to one
-   group, so there is a single writer whatever the placement. *)
+(* The change log is written straight from the session's lane, on
+   whichever domain runs the session's task: the sink is this session's
+   alone, so there is a single writer whatever the placement. *)
 let sink_display (type r) (sink : r sink) ~epoch ~changed v =
   if changed then record_change sink epoch (Obj.obj v : r)
 
@@ -211,20 +211,18 @@ let offer : type i. 'a t -> i Signal.t -> i -> bool =
       Queue.push (Obj.repr v) q;
       true)
 
-(* Take every dealt wake: [Exec.step] runs each at once (the sequential
-   lane), [Exec.admit] queues it on the region groups. A closed session
-   consumes its wakes without effect. Returns the number taken. *)
-let take_wakes s ~run =
+(* Take every dealt wake and run it at once on the sequential lane
+   ([Exec.step]). A closed session consumes its wakes without effect.
+   Returns the number taken. *)
+let step_wakes s =
   let n = Queue.length s.s_inbox in
   while not (Queue.is_empty s.s_inbox) do
     let source = Queue.pop s.s_inbox in
     s.s_pending <- s.s_pending - 1;
-    if not s.s_closed then run s.s_exec ~source
+    if not s.s_closed then Exec.step s.s_exec ~source
   done;
   n
 
-let step_wakes s = take_wakes s ~run:Exec.step
-let admit_wakes s = take_wakes s ~run:Exec.admit
 let flush s = Exec.flush s.s_exec s.s_hooks
 
 (* A delayed value coming back from the dispatcher's heap: park it in the
@@ -282,7 +280,6 @@ let upgrade ?(stale_map = false) ?(skip_migration = false)
 
 let wake_push s source = Queue.push source s.s_inbox
 let has_wakes s = not (Queue.is_empty s.s_inbox)
-let exec s = s.s_exec
 
 (* ------------------------------------------------------------------ *)
 (* Accessors *)

@@ -163,16 +163,9 @@ val step_wakes : 'a t -> int
     Closed sessions consume their wakes without effect. Returns the
     number of wakes taken. *)
 
-val admit_wakes : 'a t -> int
-(** Like {!step_wakes} but only admits ({!Exec.admit}): each round is
-    queued on its region groups, for the dispatcher to run as
-    [Exec.run_group] tasks. *)
-
 val flush : 'a t -> unit
 (** Apply the session's buffered boundary effects ({!Exec.flush}): async
     fires and delays go to the dispatcher through the session's {!env}.
-    (Displays are not buffered: the lane running the root writes the
-    change history directly.) *)
+    (Displays are not buffered: the session's lane writes the change
+    history directly.) *)
 
-val exec : 'a t -> Exec.t
-(** The session's current instance (replaced by {!upgrade}). *)

@@ -144,6 +144,31 @@ let test_partition_covers_every_shape () =
       (Compile.regions plan)
   done
 
+(* Cone locality: every source's event wakes at most one region, fused
+   and unfused, over the whole catalogue. A wave runs its region groups
+   in any order on the strength of this (with buffered boundary effects);
+   a repartition that splits a synchronous cone must fail here. *)
+let test_source_cone_wakes_one_region () =
+  let widest = ref 0 in
+  for shape = 0 to Gen_graph.shape_count - 1 do
+    List.iter
+      (fun fuse ->
+        let _, _, s = Gen_graph.build_shape shape in
+        let plan = Compile.plan (if fuse then Fuse.fuse s else s) in
+        List.iter
+          (fun (src, name) ->
+            let woken, _ = Compile.cone plan src in
+            widest := max !widest (Array.length woken);
+            check_bool
+              (Printf.sprintf "shape %d (fuse %b): %s wakes <= 1 region" shape
+                 fuse name)
+              true
+              (Array.length woken <= 1))
+          (Compile.sources plan))
+      [ false; true ]
+  done;
+  check_int "the widest cone wakes exactly one region" 1 !widest
+
 let test_compiled_dot_shows_regions () =
   let a = Signal.input ~name:"a" 0 in
   let b = Signal.input ~name:"b" 0 in
@@ -511,6 +536,8 @@ let () =
             test_async_graph_two_regions;
           tc "partition covers every catalogue shape" `Quick
             test_partition_covers_every_shape;
+          tc "every source's cone wakes at most one region" `Quick
+            test_source_cone_wakes_one_region;
           tc "dot renders region clusters" `Quick
             test_compiled_dot_shows_regions;
         ] );

@@ -6,10 +6,11 @@
    behaviour — change trace (virtual times included), message log and
    counter totals — must be bit-identical for every domain count and every
    pool schedule seed. The properties here check exactly that over the
-   shared gen_graph catalogue, plus the satellite fixes that ride along:
-   Pool.run_dag's scheduling contract, atomic generation minting under
-   Domain.spawn, and the Keyboard/Touch per-generation tables returning to
-   baseline after open/run/stop churn. *)
+   shared gen_graph catalogue and on a wave with several active groups,
+   plus the satellite fixes that ride along: Pool.run's error path,
+   atomic generation minting under Domain.spawn, and the Keyboard/Touch
+   per-generation tables returning to baseline after open/run/stop
+   churn. *)
 
 module Signal = Elm_core.Signal
 module Runtime = Elm_core.Runtime
@@ -193,11 +194,9 @@ let supervised_runtime ~policy ?domains ?pool () =
     st.Stats.node_failures,
     st.Stats.node_restarts )
 
-let supervised_serve ~policy ?pool ?intra () =
+let supervised_serve ~policy ?pool () =
   let a, b, root = supervised_graph () in
-  let d =
-    Dispatcher.create ~fuse:false ~on_node_error:policy ?pool ?intra root
-  in
+  let d = Dispatcher.create ~fuse:false ~on_node_error:policy ?pool root in
   let s = Dispatcher.open_session d in
   List.iter
     (fun (left, v) -> Dispatcher.inject d s (if left then a else b) v)
@@ -233,105 +232,104 @@ let test_supervision_parity () =
           ("dispatcher, no pool", fun () -> supervised_serve ~policy ());
           ( "dispatcher, pool",
             fun () -> supervised_serve ~policy ~pool:(pool_of 2) () );
-          ( "dispatcher, pool + intra",
-            fun () -> supervised_serve ~policy ~pool:(pool_of 2) ~intra:true () );
         ])
     [ ("Isolate", Runtime.Isolate); ("Restart 1", Runtime.Restart 1) ]
 
 (* ------------------------------------------------------------------ *)
-(* Pool.run_dag scheduling contract *)
+(* A wave with several active groups *)
 
-let record_order () =
-  let lock = Mutex.create () in
-  let log = ref [] in
-  let record i =
-    Mutex.lock lock;
-    log := i :: !log;
-    Mutex.unlock lock
-  in
-  (record, fun () -> List.rev !log)
+(* An async fan-out: the input feeds [fan_width] branches, each cut off by
+   async below and above so it is its own region group, and a merge shows
+   the branch values as they come back (branch [k] of event [v] shows
+   [10v + k]). All events are injected before the first yield, so the
+   second wave holds every branch round at once and goes to the pool as
+   one batch of [fan_width] tasks. *)
+let fan_width = 4
 
-let test_run_dag_chain_order () =
+let fan_out_run ~policy ?domains ?pool () =
+  Gen_graph.with_world ~policy (fun () ->
+      let src = Signal.input ~name:"src" 0 in
+      let branch k =
+        Signal.async
+          (Signal.lift ~name:(Printf.sprintf "branch%d" k)
+             (fun v -> (v * 10) + k)
+             (Signal.async src))
+      in
+      let root =
+        List.fold_left Signal.merge (branch 0)
+          (List.init (fan_width - 1) (fun k -> branch (k + 1)))
+      in
+      let rt = Runtime.start ~backend:Runtime.Compiled ?domains ?pool root in
+      for v = 1 to 6 do
+        Runtime.inject rt src v
+      done;
+      rt)
+
+let test_multi_group_wave () =
   let pool = pool_of 2 in
-  let record, order = record_order () in
-  let n = 6 in
-  let deps = Array.init n (fun i -> if i = 0 then [] else [ i - 1 ]) in
-  let tasks = Array.init n (fun i -> fun _w -> record i) in
-  Pool.run_dag pool ~deps tasks;
-  Alcotest.(check (list int))
-    "linear chain runs in dependency order"
-    [ 0; 1; 2; 3; 4; 5 ]
-    (order ())
-
-let test_run_dag_diamond () =
-  let pool = pool_of 4 in
-  let record, order = record_order () in
-  let deps = [| []; [ 0 ]; [ 0 ]; [ 1; 2 ] |] in
-  let tasks = Array.init 4 (fun i -> fun _w -> record i) in
-  (* vary the root-rotation seed: the partial order must hold under all *)
   for seed = 0 to 5 do
-    Pool.run_dag ~seed pool ~deps tasks
-  done;
-  let runs = order () in
-  check_int "every task ran every time" 24 (List.length runs);
-  (* check each batch of 4 respects the diamond *)
-  let rec batches = function
-    | a :: b :: c :: d :: rest ->
-      check_int "root first" 0 a;
-      check_int "join last" 3 d;
-      check_bool "middle is the two arms" true
-        (List.sort compare [ b; c ] = [ 1; 2 ]);
-      batches rest
-    | [] -> ()
-    | _ -> Alcotest.fail "batch not a multiple of 4"
-  in
-  batches runs
+    let policy = Cml.Scheduler.Seeded_random seed in
+    let trace rt =
+      Runtime.stop rt;
+      Runtime.changes rt
+    in
+    Pool.reset_worker_stats pool;
+    let rt = fan_out_run ~policy ~pool () in
+    let tasks =
+      Array.fold_left (fun n w -> n + w.Pool.ws_tasks) 0 (Pool.worker_stats pool)
+    in
+    check_bool (Printf.sprintf "seed %d: the branches ran as pool tasks" seed)
+      true (tasks >= fan_width);
+    let merged = Stats.create () in
+    Array.iter (Stats.merge merged) (Runtime.domain_stats rt);
+    check_int
+      (Printf.sprintf "seed %d: domain rows merge to region_steps" seed)
+      (Runtime.stats rt).Stats.region_steps merged.Stats.region_steps;
+    let pooled = trace rt in
+    check_bool (Printf.sprintf "seed %d: something displayed" seed) true
+      (pooled <> []);
+    check_bool (Printf.sprintf "seed %d: pool trace = ~domains:1" seed) true
+      (pooled = trace (fan_out_run ~policy ~domains:1 ()));
+    (* Lanes may interleave the branches' returns differently (the paper
+       keeps order within each async subgraph, not between them): compare
+       each branch's own subsequence. *)
+    let lanes = trace (fan_out_run ~policy ()) in
+    for k = 0 to fan_width - 1 do
+      let branch = List.filter (fun (_, v) -> v mod 10 = k) in
+      check_bool
+        (Printf.sprintf "seed %d: branch %d trace = lanes" seed k)
+        true
+        (branch pooled = branch lanes)
+    done;
+    check_int (Printf.sprintf "seed %d: lanes show as many changes" seed)
+      (List.length pooled) (List.length lanes)
+  done
 
-let test_run_dag_rejects_bad_input () =
-  let pool = pool_of 2 in
-  let noop = fun _w -> () in
-  check_bool "cycle rejected" true
-    (try
-       Pool.run_dag pool ~deps:[| [ 1 ]; [ 0 ] |] [| noop; noop |];
-       false
-     with Invalid_argument _ -> true);
-  check_bool "length mismatch rejected" true
-    (try
-       Pool.run_dag pool ~deps:[| [] |] [| noop; noop |];
-       false
-     with Invalid_argument _ -> true);
-  check_bool "dependency index out of range rejected" true
-    (try
-       Pool.run_dag pool ~deps:[| [ 7 ] |] [| noop |];
-       false
-     with Invalid_argument _ -> true);
-  (* self-edges are ignored, not cycles *)
-  Pool.run_dag pool ~deps:[| [ 0 ] |] [| noop |]
+(* ------------------------------------------------------------------ *)
+(* Pool.run error path: waves run under Propagate on it *)
 
-let test_run_dag_error_releases_dependents () =
+let test_run_error_keeps_batch () =
   let pool = pool_of 2 in
-  let record, order = record_order () in
-  let deps = [| []; [ 0 ]; [ 1 ] |] in
+  let ran = Array.init 6 (fun _ -> Atomic.make false) in
   let tasks =
-    [|
-      (fun _w -> record 0);
-      (fun _w ->
-        record 1;
-        failwith "task 1 boom");
-      (fun _w -> record 2);
-    |]
+    Array.init 6 (fun i _w ->
+        Atomic.set ran.(i) true;
+        if i = 2 then failwith "task 2 boom")
   in
   check_bool "task error re-raised after the barrier" true
     (try
-       Pool.run_dag pool ~deps tasks;
+       Pool.run pool tasks;
        false
-     with Failure _ -> true);
-  Alcotest.(check (list int))
-    "failed task still releases its dependents"
-    [ 0; 1; 2 ]
-    (order ());
+     with Failure msg -> msg = "task 2 boom");
+  Array.iteri
+    (fun i r ->
+      check_bool (Printf.sprintf "task %d of the failed batch ran" i) true
+        (Atomic.get r))
+    ran;
   (* the pool survives a failed batch *)
-  Pool.run_dag pool ~deps:[| [] |] [| (fun _w -> ()) |]
+  let next = Atomic.make 0 in
+  Pool.run pool (Array.make 3 (fun _w -> Atomic.incr next));
+  check_int "the next batch runs in full" 3 (Atomic.get next)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: atomic generation minting *)
@@ -440,14 +438,13 @@ let () =
             test_wave_rejects_no_memoize;
           tc "supervision parity on every placement" `Quick
             test_supervision_parity;
+          tc "multi-group wave on a pool = ~domains:1 and lanes" `Quick
+            test_multi_group_wave;
         ] );
-      ( "run_dag",
+      ( "pool",
         [
-          tc "linear chain order" `Quick test_run_dag_chain_order;
-          tc "diamond partial order, all seeds" `Quick test_run_dag_diamond;
-          tc "bad input rejected" `Quick test_run_dag_rejects_bad_input;
-          tc "task error releases dependents" `Quick
-            test_run_dag_error_releases_dependents;
+          tc "task error re-raised, batch and pool survive" `Quick
+            test_run_error_keeps_batch;
         ] );
       ( "generation",
         [

@@ -374,16 +374,11 @@ let () = at_exit (fun () -> Hashtbl.iter (fun _ p -> Pool.close p) pools)
    bit-for-bit, epochs included. The catalogue's async and delay shapes
    ride along, so boundary re-entries and virtual-clock delivery cross the
    pool path too. *)
-let run_serving ?pool ?(intra = false) ?(seed = 0) ~bursty shape events =
+let run_serving ?pool ?(seed = 0) ~bursty shape events =
   let a, b, root = Gen_graph.build_shape shape in
-  let d = Dispatcher.create ?pool ~intra root in
+  let d = Dispatcher.create ?pool root in
   let sessions = Array.init 4 (fun _ -> Dispatcher.open_session d) in
-  let drain () =
-    match pool with
-    | Some _ when intra -> ignore (Dispatcher.drain ~seed d)
-    | Some _ -> ignore (Dispatcher.drain ~seed d)
-    | None -> ignore (Dispatcher.drain d)
-  in
+  let drain () = ignore (Dispatcher.drain ~seed d) in
   let inject i e =
     let to_a, v = e in
     Dispatcher.inject d sessions.(i) (if to_a then a else b) v
@@ -425,69 +420,6 @@ let prop_pool_matches_sequential =
                 [ 0; 1; 2 ])
             [ 1; 2; 4 ])
         [ false; true ])
-
-(* Intra-session parallelism: the same oracle with the finer task grain —
-   one pool task per (session, active region group) under the plan's group
-   DAG — must still reproduce the sequential traces bit-for-bit. *)
-let prop_intra_matches_sequential =
-  QCheck.Test.make
-    ~name:"intra-session group drain = sequential drain, any width/seed"
-    ~count:8 Gen_graph.arb_shape_events
-    (fun (shape, events) ->
-      List.for_all
-        (fun bursty ->
-          let reference, _ = run_serving ~bursty shape events in
-          List.for_all
-            (fun k ->
-              let pool = pool_of k in
-              List.for_all
-                (fun seed ->
-                  let got, _ =
-                    run_serving ~pool ~intra:true ~seed ~bursty shape events
-                  in
-                  got = reference)
-                [ 0; 1; 2 ])
-            [ 1; 2; 4 ])
-        [ false; true ])
-
-(* Counter totals under the intra drain: admission billing is
-   coordinator-side and group work merges back through scratch deltas, so
-   per-session stats must equal the sequential drain's, and the elision
-   invariant must balance. ([create ~intra] also routes plain [drain]
-   through the intra path — that seam is what this exercises.) *)
-let test_intra_totals_match_sequential () =
-  let run pool =
-    let a, root = counter_graph () in
-    let d = Dispatcher.create ?pool ~intra:(pool <> None) root in
-    let sessions = Array.init 6 (fun _ -> Dispatcher.open_session d) in
-    for round = 1 to 3 do
-      Array.iter (fun s -> Dispatcher.inject d s a round) sessions;
-      ignore (Dispatcher.drain d)
-    done;
-    ( Array.map
-        (fun s ->
-          let st = Session.stats s in
-          ( st.Stats.events,
-            st.Stats.messages,
-            st.Stats.elided_messages,
-            st.Stats.region_steps ))
-        sessions,
-      d )
-  in
-  let seq, _ = run None in
-  let par, d = run (Some (pool_of 2)) in
-  check_bool "per-session counter totals identical" true (seq = par);
-  let totals = Stats.create () in
-  Dispatcher.iter_sessions d (fun s -> Stats.merge totals (Session.stats s));
-  check_int "elision invariant balances under intra drain"
-    (Compile.node_count (Dispatcher.plan d) * totals.Stats.events)
-    (totals.Stats.messages + totals.Stats.elided_messages);
-  check_bool "intra without a pool rejected" true
-    (try
-       let _, root = counter_graph () in
-       ignore (Dispatcher.create ~intra:true root);
-       false
-     with Invalid_argument _ -> true)
 
 (* Counter attribution: the per-domain accumulators, merged, must equal
    the per-session totals (the sessions did all the work; the domain rows
@@ -637,9 +569,6 @@ let () =
       ( "parallel",
         [
           qc prop_pool_matches_sequential;
-          qc prop_intra_matches_sequential;
-          tc "intra drain counter totals match sequential" `Quick
-            test_intra_totals_match_sequential;
           tc "per-domain stats merge to session totals" `Quick
             test_domain_stats_balance;
           tc "Stats.merge / add_delta arithmetic" `Quick test_stats_merge_unit;
