@@ -777,6 +777,58 @@ let bench_b16 () =
           rows));
   rows
 
+(* B16 allocation rows: minor words per event on the compiled runtime
+   (unfused, no history) over a chain of K lift2 nodes that each also read
+   a second input which never fires, so fusion cannot collapse the chain
+   and every event changes all K ops. A run of 2n events minus a run of n,
+   over n, cancels building and starting the graph. The count is
+   deterministic for a fixed input, so its gate is a counter gate: the
+   K=64 row within 8 words/event of the K=1 row means no allocation per
+   changed op. (The matrix rows above cannot carry it: their combining
+   root builds a K-element list on every event.) *)
+let b16_alloc_depths = [ 1; 4; 16; 64 ]
+
+let b16_words_per_event ~depth =
+  let run n =
+    let before = Gc.minor_words () in
+    ignore
+      (with_world (fun () ->
+           let a = Signal.input ~name:"a" 0 and z = Signal.input ~name:"z" 0 in
+           let rec chain k s =
+             if k = 0 then s else chain (k - 1) (Signal.lift2 ( + ) s z)
+           in
+           let rt =
+             Runtime.start ~backend:Runtime.Compiled ~fuse:false ~history:0
+               (chain depth a)
+           in
+           for i = 1 to n do
+             Runtime.inject rt a i
+           done));
+    Gc.minor_words () -. before
+  in
+  let n = 2000 in
+  (run (2 * n) -. run n) /. float_of_int n
+
+let bench_b16_alloc () =
+  let rows =
+    List.map (fun depth -> (depth, b16_words_per_event ~depth)) b16_alloc_depths
+  in
+  Printf.printf "compiled (unfused) K-deep lift2 chain, minor words/event:%s\n"
+    (String.concat ""
+       (List.map (fun (k, w) -> Printf.sprintf "  K=%d %.1f" k w) rows));
+  rows
+
+let b16_alloc_to_json rows =
+  Json.Array
+    (List.map
+       (fun (depth, words) ->
+         Json.Object
+           [
+             ("depth", Json.of_int depth);
+             ("minor_words_per_event", Json.of_float words);
+           ])
+       rows)
+
 let b16_cell_to_json c =
   Json.Object
     [
@@ -2204,7 +2256,8 @@ let b14_to_json rows =
        rows)
 
 let write_json ~path b11_rows (b12_sync, b12_async, b12_compiled, _) b13_rows b14_rows
-    (b15_rows, b15_mutations_caught) b16_rows b17_rows b18 b19 b20 micro =
+    (b15_rows, b15_mutations_caught) (b16_rows, b16_alloc) b17_rows b18 b19 b20
+    micro =
   let doc =
     Json.Object
       [
@@ -2220,6 +2273,7 @@ let write_json ~path b11_rows (b12_sync, b12_async, b12_compiled, _) b13_rows b1
         ("b13_fusion", b13_to_json b13_rows);
         ("b14_fault_injection", b14_to_json b14_rows);
         ("b16_compiled_backend", b16_to_json b16_rows);
+        ("b16_alloc_words_per_event", b16_alloc_to_json b16_alloc);
         ("b17_sessions", b17_to_json b17_rows);
         ("b18_domain_pool", b18_to_json b18);
         ("b19_intra_session", b19_to_json b19);
@@ -2447,6 +2501,17 @@ let () =
     prerr_endline "B16: compiled backend won < 10x messages/event!";
     exit 1
   end;
+  (* B16 allocation gate: a changed compiled op allocates nothing, so the
+     K=64 lift2 chain costs at most 8 minor words/event more than K=1. *)
+  let b16_alloc = bench_b16_alloc () in
+  let words k = List.assoc k b16_alloc in
+  if words 64 -. words 1 > 8.0 then begin
+    Printf.eprintf
+      "B16: the K=64 chain allocates %.1f minor words/event more than K=1 \
+       (bar: 8)!\n"
+      (words 64 -. words 1);
+    exit 1
+  end;
   (* B17 gates: opening a session against the warm plan cache must beat a
      cold compile by >= 10x, every one of the 10k live sessions' change
      traces must be bit-identical to a dedicated single-session compiled
@@ -2491,5 +2556,5 @@ let () =
   let micro = if smoke then [] else micro_benchmarks () in
   if emit_json then
     write_json ~path:"BENCH_core.json" b11_rows b12 b13_rows b14_rows b15
-      b16_rows b17_rows b18 b19 b20 micro;
+      (b16_rows, b16_alloc) b17_rows b18 b19 b20 micro;
   print_endline "\ndone."

@@ -35,7 +35,10 @@
 # compiled runtime's change trace must be bit-identical to the
 # pipelined one's (fusion off and on, Pipelined and Sequential modes),
 # and — both backends unfused — compiled must win at least 10x on both
-# sequential switches/event and messages/event.
+# sequential switches/event and messages/event. Its allocation gate
+# measures minor words/event on the compiled runtime (unfused) over a
+# non-fusible chain of K lift2 nodes: the K=64 row must stay within 8
+# words/event of the K=1 row, i.e. a changed op allocates nothing.
 # B17 gates the serving layer (lib/serve): opening a session against
 # the warm plan cache must be >= 10x cheaper than a cold plan compile,
 # every one of the 10k live sessions must produce a change trace

@@ -29,9 +29,18 @@
      *indices* and the node's typed functions, never over cells, so the
      same op array drives any number of concurrent arenas. The [exec]
      record carries the instance's arena and its environment hooks (value
-     queues, display, async registration, supervision, accounting); [Exec],
-     the one executor of a plan instance, binds them to plain queues and
-     buffered effects.
+     queues, display, async registration, failure handlers, an observer);
+     [Exec], the one executor of a plan instance, binds them to plain
+     queues and buffered effects. A changed op allocates nothing of its
+     own: it applies the user function inside [match ... with exception]
+     and writes the result into its slot.
+
+   - Each source gets a [schedule]: the ops of its synchronous cone, in
+     plan order. A wake runs its source's schedule and nothing else — no
+     per-op reachability test — and the cone sits in one region because
+     union-find joins every uncut edge. Flood dispatch runs each region's
+     full op list instead; it stays exact because an op outside the cone
+     finds no dirty input and leaves its slot alone.
 
    Node state lives in the arena as [Obj.t]: the graph is heterogeneous,
    and moving cells out of the nodes (where a generation-stamped slot
@@ -53,7 +62,7 @@
    inner node's op via a secondary sort key, never before it.
 
    The module deliberately does not depend on [Runtime] or [Exec]: whoever
-   runs a plan passes its accounting, supervision and event-registration
+   runs a plan passes its supervision, observation and event-registration
    hooks in the [exec] record. *)
 
 (* One dispatcher round. [Runtime.round] re-exports this type; it lives here
@@ -79,16 +88,12 @@ type region = {
 (* ------------------------------------------------------------------ *)
 (* Instance state: arena + execution context *)
 
-(* A node supervisor usable at the node's value type from inside the
-   region's generic step code; the polymorphic field lets one record carry
-   a per-node Restart budget while being applied at whatever type the
-   node's slots have. *)
-type guarded = {
-  guard :
-    'a.
-    prev:'a -> reset:(unit -> unit) -> epoch:int -> (unit -> 'a Event.t) ->
-    'a Event.t;
-}
+(* A node's failure handler, called with whatever its user function
+   raised: it re-raises (Propagate) or records the failure and answers
+   whether to re-seed the node's state now (a Restart budget left). The op
+   applies the function directly inside [match ... with exception], so a
+   round allocates nothing for supervision under any policy. *)
+type handler = epoch:int -> exn -> bool
 
 (* Everything one instance owns. [ar_values.(i)]/[ar_stamps.(i)] are node
    [i]'s last emitted body and the epoch that last changed it (the dirty
@@ -106,11 +111,10 @@ type arena = {
    per instance, not per round: ops allocate nothing on the steady path. *)
 type exec = {
   x_arena : arena;
-  x_flood : bool;  (* flood dispatch: every node active every round *)
   x_stats : Stats.t;
-  x_guards : guarded array;  (* per-slot supervisors *)
-  x_account : node:int -> epoch:int -> changed:bool -> real:bool -> unit;
-      (* one member emission: [real] on the root's display message *)
+  x_fail : handler array;  (* per slot *)
+  x_observe : (node:int -> epoch:int -> changed:bool -> unit) option;
+      (* one call per member emission, for a runtime [~observer] *)
   x_pop : int -> Obj.t;  (* consume the pending value for a source slot *)
   x_push : int -> Obj.t -> unit;  (* enqueue a value for a source slot *)
   x_fire_async : int -> unit;  (* async boundary: register a global event *)
@@ -118,6 +122,22 @@ type exec = {
       (* delay boundary: deliver the value to [slot] and register a global
          event for [node] after [seconds] *)
   x_display : epoch:int -> changed:bool -> Obj.t -> unit;
+}
+
+type op = exec -> round -> unit
+
+(* The work of one wake of a source: the ops of its synchronous cone (its
+   members, and the async/delay taps whose inner node is in it) in plan
+   order. A cone never crosses a cut edge, so it sits in one region. Each
+   region's full op list is a schedule too, the one flood dispatch runs. *)
+type schedule = {
+  sc_region : int;  (* -1: the wake runs nothing *)
+  sc_cone_size : int;  (* member nodes *)
+  sc_root : bool;  (* the root is a member: the wake reaches the display *)
+  sc_ops : op array;
+  sc_nodes : int array;
+      (* per op, the node it serves: the member's id, or for a tap its
+         async/delay node's id *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -130,8 +150,6 @@ type plan = {
       (* (inner node id, async/delay node id): dependency edges that carry
          no synchronous round and were cut by the partition *)
   p_reach : Reach.t;
-  p_root_id : int;
-  p_root_slot : int;
   p_nodes : int;  (* slot count = live node count *)
   p_slot_of : (int, int) Hashtbl.t;  (* node id -> slot *)
   p_slot_ids : int array;  (* slot -> node id *)
@@ -149,14 +167,9 @@ type plan = {
       (* state slot -> owning node id (a composite owns one slot per cell,
          contiguous); upgrades remap state through the owner's structural
          key *)
-  p_ops : (exec -> round -> unit) array array;
-      (* region index -> op templates in execution order *)
-  p_region_sources : Reach.set array;
-      (* region index -> sources reaching any member (the wake test) *)
+  p_region_ops : schedule array;  (* region index -> all its ops *)
   p_reps : int array;  (* region index -> representative node id *)
-  p_cones : (int, int array * int) Hashtbl.t;
-      (* source id -> (regions its event wakes, ascending; cone size in
-         nodes): everything admission bills, computed once per shape *)
+  p_schedules : (int, schedule) Hashtbl.t;  (* source id -> its schedule *)
   p_group_of : int array;  (* region index -> group index *)
   p_group_regions : int list array;
       (* group index -> member region indices, ascending: the SCCs of the
@@ -181,6 +194,26 @@ let obj_array n fill =
     a.(i) <- fill i
   done;
   a
+
+(* The op bodies' shared steps. A changed node: its new body and this
+   round's stamp. *)
+let set (x : exec) sl (r : round) v =
+  x.x_arena.ar_values.(sl) <- Obj.repr v;
+  x.x_arena.ar_stamps.(sl) <- r.epoch;
+  true
+
+(* A failed application: the handler re-raises or bills it, and the node
+   keeps its last good value, as a quiescent node would. *)
+let failed (x : exec) sl (r : round) e =
+  ignore (x.x_fail.(sl) ~epoch:r.epoch e);
+  false
+
+let applied (x : exec) =
+  x.x_stats.Stats.applications <- x.x_stats.Stats.applications + 1
+
+let rec any_dirty ar epoch = function
+  | [] -> false
+  | sd :: rest -> ar.ar_stamps.(sd) = epoch || any_dirty ar epoch rest
 
 let plan : type r. r Signal.t -> plan =
  fun root ->
@@ -324,56 +357,54 @@ let plan : type r. r Signal.t -> plan =
   let queue_slots = ref [] in
   let inputs = ref [] in
   (* Deterministic op order: primary key is the node's global topological
-     position, secondary key orders a node's extra op (an async or delay
-     tap) right after its member op. *)
+     position, secondary key orders a node's extra ops (async or delay
+     taps) right after its member op, in their boundary nodes' order. An
+     op is filed under the node whose dirty bit drives it (a member under
+     itself, a tap under its inner node), which decides the schedules it
+     joins, and it records the node it serves. *)
   let pos = Hashtbl.create 64 in
   List.iteri (fun i (Signal.Pack s) -> Hashtbl.replace pos (Signal.id s) i) order;
-  let acc : ((int * int) * (exec -> round -> unit)) list array =
-    Array.make !count []
-  in
-  let add_op ~node ~rank op =
+  let acc = Array.make !count [] in
+  let add_op ~node ~serves op =
     let idx = Hashtbl.find region_of node in
-    acc.(idx) <- ((Hashtbl.find pos node, rank), op) :: acc.(idx)
+    let rank = if node = serves then 0 else 1 + Hashtbl.find pos serves in
+    acc.(idx) <- ((Hashtbl.find pos node, rank), (node, serves, op)) :: acc.(idx)
   in
-  (* Account one member emission. The root's is the one real message a
-     region step still sends: the display, right after the root's op. *)
   let root_slot = slot root_id in
-  let finish (x : exec) ~id (r : round) ~changed =
-    x.x_account ~node:id ~epoch:r.epoch ~changed ~real:(id = root_id);
-    if id = root_id then begin
-      let ar = x.x_arena in
-      x.x_display ~epoch:r.epoch
-        ~changed:(ar.ar_stamps.(root_slot) = r.epoch)
-        ar.ar_values.(root_slot)
-    end
-  in
-  (* A member op: runs when the round reaches the node (always, under
-     flood), computes whether the node changed, accounts the emission. *)
+  (* A member op: computes whether the node changed and reports the
+     emission to an observer. The root's also sends the display, the one
+     real message a region step still has. *)
   let member ~id compute =
-    let rs = Reach.reaching reach id in
-    add_op ~node:id ~rank:0 (fun x r ->
-        if x.x_flood || Reach.set_mem r.source rs then
-          finish x ~id r ~changed:(compute x r))
+    let root = id = root_id in
+    add_op ~node:id ~serves:id (fun x r ->
+        let changed = compute x r in
+        (match x.x_observe with
+        | None -> ()
+        | Some f -> f ~node:id ~epoch:r.epoch ~changed);
+        if root then
+          x.x_display ~epoch:r.epoch ~changed x.x_arena.ar_values.(root_slot))
   in
   (* A source member: woken rounds carrying its own source id consume one
-     pending value; all other active rounds are quiescent. *)
+     pending value; all other rounds (flood only) are quiescent. *)
   let source_member ~id ~bounded =
     let sl = slot id in
     queue_slots := (id, sl, bounded) :: !queue_slots;
     member ~id (fun x r ->
-        if r.source = id then begin
-          let ar = x.x_arena in
-          ar.ar_values.(sl) <- x.x_pop sl;
-          ar.ar_stamps.(sl) <- r.epoch;
-          true
-        end
-        else false)
+        r.source = id
+        && begin
+             let ar = x.x_arena in
+             ar.ar_values.(sl) <- x.x_pop sl;
+             ar.ar_stamps.(sl) <- r.epoch;
+             true
+           end)
   in
   (* A computing member: recomputes when any dependency slot is dirty this
-     epoch. The emitted body a pipelined consumer would cache as [e_last]
-     is exactly [ar_values.(slot)]. Each arm reads and writes its own slot
-     inside its typed GADT scope, which is what makes the [Obj] erasure
-     safe: no other code ever touches that slot. *)
+     epoch, applying the user function directly inside [match ... with
+     exception], so a changed op allocates nothing of its own. The emitted
+     body a pipelined consumer would cache as [e_last] is exactly
+     [ar_values.(slot)]. Each arm reads and writes its own slot inside its
+     typed GADT scope, which is what makes the [Obj] erasure safe: no
+     other code ever touches that slot. *)
   let build_node : type x. x Signal.t -> unit =
    fun s ->
     let id = Signal.id s in
@@ -392,7 +423,7 @@ let plan : type r. r Signal.t -> plan =
          after the inner node's op, it sees the freshly written slot and
          registers a new global event per change — the Fig. 8(c) boundary.
          [stamp = epoch] iff the inner node changed this round. *)
-      add_op ~node:(Signal.id inner) ~rank:1 (fun x r ->
+      add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
           let ar = x.x_arena in
           if ar.ar_stamps.(si) = r.epoch then begin
             x.x_push sl ar.ar_values.(si);
@@ -401,7 +432,7 @@ let plan : type r. r Signal.t -> plan =
     | Signal.Delay (d, inner) ->
       source_member ~id ~bounded:false;
       let sl = slot id and si = slot (Signal.id inner) in
-      add_op ~node:(Signal.id inner) ~rank:1 (fun x r ->
+      add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
           let ar = x.x_arena in
           if ar.ar_stamps.(si) = r.epoch then
             x.x_delay ~node:id ~slot:sl ~seconds:d ar.ar_values.(si))
@@ -409,44 +440,22 @@ let plan : type r. r Signal.t -> plan =
       let sl = slot id and sa = slot (Signal.id a) in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if ar.ar_stamps.(sa) = r.epoch then begin
-            x.x_stats.Stats.applications <- x.x_stats.Stats.applications + 1;
-            match
-              x.x_guards.(sl).guard
-                ~prev:(Obj.obj ar.ar_values.(sl) : x)
-                ~reset:ignore ~epoch:r.epoch
-                (fun () -> Event.Change (f (Obj.obj ar.ar_values.(sa))))
-            with
-            | Event.Change v ->
-              ar.ar_values.(sl) <- Obj.repr v;
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            | Event.No_change _ -> false
-          end
-          else false)
+          ar.ar_stamps.(sa) = r.epoch
+          && (applied x;
+              match f (Obj.obj ar.ar_values.(sa)) with
+              | v -> set x sl r v
+              | exception e -> failed x sl r e))
     | Signal.Lift2 (f, a, b) ->
       let sl = slot id
       and sa = slot (Signal.id a)
       and sb = slot (Signal.id b) in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if ar.ar_stamps.(sa) = r.epoch || ar.ar_stamps.(sb) = r.epoch then begin
-            x.x_stats.Stats.applications <- x.x_stats.Stats.applications + 1;
-            match
-              x.x_guards.(sl).guard
-                ~prev:(Obj.obj ar.ar_values.(sl) : x)
-                ~reset:ignore ~epoch:r.epoch
-                (fun () ->
-                  Event.Change
-                    (f (Obj.obj ar.ar_values.(sa)) (Obj.obj ar.ar_values.(sb))))
-            with
-            | Event.Change v ->
-              ar.ar_values.(sl) <- Obj.repr v;
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            | Event.No_change _ -> false
-          end
-          else false)
+          (ar.ar_stamps.(sa) = r.epoch || ar.ar_stamps.(sb) = r.epoch)
+          && (applied x;
+              match f (Obj.obj ar.ar_values.(sa)) (Obj.obj ar.ar_values.(sb)) with
+              | v -> set x sl r v
+              | exception e -> failed x sl r e))
     | Signal.Lift3 (f, a, b, d) ->
       let sl = slot id
       and sa = slot (Signal.id a)
@@ -454,30 +463,18 @@ let plan : type r. r Signal.t -> plan =
       and sd = slot (Signal.id d) in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if
-            ar.ar_stamps.(sa) = r.epoch
-            || ar.ar_stamps.(sb) = r.epoch
-            || ar.ar_stamps.(sd) = r.epoch
-          then begin
-            x.x_stats.Stats.applications <- x.x_stats.Stats.applications + 1;
-            match
-              x.x_guards.(sl).guard
-                ~prev:(Obj.obj ar.ar_values.(sl) : x)
-                ~reset:ignore ~epoch:r.epoch
-                (fun () ->
-                  Event.Change
-                    (f
-                       (Obj.obj ar.ar_values.(sa))
-                       (Obj.obj ar.ar_values.(sb))
-                       (Obj.obj ar.ar_values.(sd))))
-            with
-            | Event.Change v ->
-              ar.ar_values.(sl) <- Obj.repr v;
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            | Event.No_change _ -> false
-          end
-          else false)
+          (ar.ar_stamps.(sa) = r.epoch
+          || ar.ar_stamps.(sb) = r.epoch
+          || ar.ar_stamps.(sd) = r.epoch)
+          && (applied x;
+              match
+                f
+                  (Obj.obj ar.ar_values.(sa))
+                  (Obj.obj ar.ar_values.(sb))
+                  (Obj.obj ar.ar_values.(sd))
+              with
+              | v -> set x sl r v
+              | exception e -> failed x sl r e))
     | Signal.Lift4 (f, a, b, d, e) ->
       let sl = slot id
       and sa = slot (Signal.id a)
@@ -486,139 +483,81 @@ let plan : type r. r Signal.t -> plan =
       and se = slot (Signal.id e) in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if
-            ar.ar_stamps.(sa) = r.epoch
-            || ar.ar_stamps.(sb) = r.epoch
-            || ar.ar_stamps.(sd) = r.epoch
-            || ar.ar_stamps.(se) = r.epoch
-          then begin
-            x.x_stats.Stats.applications <- x.x_stats.Stats.applications + 1;
-            match
-              x.x_guards.(sl).guard
-                ~prev:(Obj.obj ar.ar_values.(sl) : x)
-                ~reset:ignore ~epoch:r.epoch
-                (fun () ->
-                  Event.Change
-                    (f
-                       (Obj.obj ar.ar_values.(sa))
-                       (Obj.obj ar.ar_values.(sb))
-                       (Obj.obj ar.ar_values.(sd))
-                       (Obj.obj ar.ar_values.(se))))
-            with
-            | Event.Change v ->
-              ar.ar_values.(sl) <- Obj.repr v;
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            | Event.No_change _ -> false
-          end
-          else false)
+          (ar.ar_stamps.(sa) = r.epoch
+          || ar.ar_stamps.(sb) = r.epoch
+          || ar.ar_stamps.(sd) = r.epoch
+          || ar.ar_stamps.(se) = r.epoch)
+          && (applied x;
+              match
+                f
+                  (Obj.obj ar.ar_values.(sa))
+                  (Obj.obj ar.ar_values.(sb))
+                  (Obj.obj ar.ar_values.(sd))
+                  (Obj.obj ar.ar_values.(se))
+              with
+              | v -> set x sl r v
+              | exception e -> failed x sl r e))
     | Signal.Lift_list (f, ds) ->
       let sl = slot id in
       let sds = List.map (fun d -> slot (Signal.id d)) ds in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if List.exists (fun sd -> ar.ar_stamps.(sd) = r.epoch) sds then begin
-            x.x_stats.Stats.applications <- x.x_stats.Stats.applications + 1;
-            match
-              x.x_guards.(sl).guard
-                ~prev:(Obj.obj ar.ar_values.(sl) : x)
-                ~reset:ignore ~epoch:r.epoch
-                (fun () ->
-                  Event.Change
-                    (f (List.map (fun sd -> Obj.obj ar.ar_values.(sd)) sds)))
-            with
-            | Event.Change v ->
-              ar.ar_values.(sl) <- Obj.repr v;
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            | Event.No_change _ -> false
-          end
-          else false)
+          any_dirty ar r.epoch sds
+          && (applied x;
+              match f (List.map (fun sd -> Obj.obj ar.ar_values.(sd)) sds) with
+              | v -> set x sl r v
+              | exception e -> failed x sl r e))
     | Signal.Foldp (f, src) ->
       let sl = slot id and ss = slot (Signal.id src) in
       let init = Signal.default s in
-      (* A [Restart] re-seeds the accumulator slot at the top of the next
-         round that reaches the node — the same observable schedule as the
-         pipelined deferral: downstream reads keep the last-good value
-         until the restarted fold runs again. The flag is a plain bool
+      (* A [Restart] re-seeds the accumulator slot at the next fold step —
+         the same observable schedule as the pipelined deferral: downstream
+         reads keep the last-good value until the restarted fold runs
+         again, even in rounds that run the op without a change of its
+         source (flood, or a quiet dependency). The flag is a plain bool
          state slot, so clones inherit a pending restart faithfully. *)
       let k = state_slot ~node:id (Obj.repr false) in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if (Obj.obj ar.ar_state.(k) : bool) then begin
-            ar.ar_state.(k) <- Obj.repr false;
-            ar.ar_values.(sl) <- Obj.repr init
-          end;
-          if ar.ar_stamps.(ss) = r.epoch then begin
-            x.x_stats.Stats.fold_steps <- x.x_stats.Stats.fold_steps + 1;
-            match
-              x.x_guards.(sl).guard
-                ~prev:(Obj.obj ar.ar_values.(sl) : x)
-                ~reset:(fun () -> ar.ar_state.(k) <- Obj.repr true)
-                ~epoch:r.epoch
-                (fun () ->
-                  Event.Change
-                    (f (Obj.obj ar.ar_values.(ss)) (Obj.obj ar.ar_values.(sl))))
-            with
-            | Event.Change v ->
-              ar.ar_values.(sl) <- Obj.repr v;
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            | Event.No_change _ -> false
-          end
-          else false)
+          ar.ar_stamps.(ss) = r.epoch
+          && (if (Obj.obj ar.ar_state.(k) : bool) then begin
+                ar.ar_state.(k) <- Obj.repr false;
+                ar.ar_values.(sl) <- Obj.repr init
+              end;
+              x.x_stats.Stats.fold_steps <- x.x_stats.Stats.fold_steps + 1;
+              match f (Obj.obj ar.ar_values.(ss)) (Obj.obj ar.ar_values.(sl)) with
+              | v -> set x sl r (v : x)
+              | exception e ->
+                if x.x_fail.(sl) ~epoch:r.epoch e then
+                  ar.ar_state.(k) <- Obj.repr true;
+                false))
     | Signal.Merge (a, b) ->
       let sl = slot id
       and sa = slot (Signal.id a)
       and sb = slot (Signal.id b) in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if ar.ar_stamps.(sa) = r.epoch then begin
-            ar.ar_values.(sl) <- ar.ar_values.(sa);
-            ar.ar_stamps.(sl) <- r.epoch;
-            true
-          end
-          else if ar.ar_stamps.(sb) = r.epoch then begin
-            ar.ar_values.(sl) <- ar.ar_values.(sb);
-            ar.ar_stamps.(sl) <- r.epoch;
-            true
-          end
-          else false)
+          if ar.ar_stamps.(sa) = r.epoch then set x sl r ar.ar_values.(sa)
+          else ar.ar_stamps.(sb) = r.epoch && set x sl r ar.ar_values.(sb))
     | Signal.Drop_repeats (eq, src) ->
       let sl = slot id and ss = slot (Signal.id src) in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if ar.ar_stamps.(ss) = r.epoch then begin
-            (* The user-supplied equality can raise too. *)
-            match
-              x.x_guards.(sl).guard
-                ~prev:(Obj.obj ar.ar_values.(sl) : x)
-                ~reset:ignore ~epoch:r.epoch
-                (fun () ->
-                  let prev : x = Obj.obj ar.ar_values.(sl) in
-                  if eq (Obj.obj ar.ar_values.(ss)) prev then
-                    Event.No_change prev
-                  else Event.Change (Obj.obj ar.ar_values.(ss)))
-            with
-            | Event.Change v ->
-              ar.ar_values.(sl) <- Obj.repr v;
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            | Event.No_change _ -> false
-          end
-          else false)
+          ar.ar_stamps.(ss) = r.epoch
+          && (* The user-supplied equality can raise too. *)
+          (match
+             eq (Obj.obj ar.ar_values.(ss)) (Obj.obj ar.ar_values.(sl) : x)
+           with
+          | false -> set x sl r ar.ar_values.(ss)
+          | true -> false
+          | exception e -> failed x sl r e))
     | Signal.Sample_on (ticks, src) ->
       let sl = slot id
       and st = slot (Signal.id ticks)
       and ss = slot (Signal.id src) in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if ar.ar_stamps.(st) = r.epoch then begin
-            ar.ar_values.(sl) <- ar.ar_values.(ss);
-            ar.ar_stamps.(sl) <- r.epoch;
-            true
-          end
-          else false)
+          ar.ar_stamps.(st) = r.epoch && set x sl r ar.ar_values.(ss))
     | Signal.Keep_when (gate, src, _base) ->
       let sl = slot id
       and sg = slot (Signal.id gate)
@@ -631,74 +570,72 @@ let plan : type r. r Signal.t -> plan =
           let ar = x.x_arena in
           let gate_now : bool = Obj.obj ar.ar_values.(sg) in
           let rising = gate_now && not (Obj.obj ar.ar_state.(k) : bool) in
-          let changed =
-            if gate_now && (ar.ar_stamps.(ss) = r.epoch || rising) then begin
-              ar.ar_values.(sl) <- ar.ar_values.(ss);
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            end
-            else false
-          in
           ar.ar_state.(k) <- Obj.repr gate_now;
-          changed)
+          gate_now
+          && (ar.ar_stamps.(ss) = r.epoch || rising)
+          && set x sl r ar.ar_values.(ss))
     | Signal.Composite (comp, dep) ->
       let sl = slot id and sd = slot (Signal.id dep) in
       (* The chain's cells are ordinary state slots [k, k + n): plain data,
          copied by [clone_arena] and carried across upgrades like any other
          state. A [Restart] re-seeds them from the composite's initial
-         cells, re-seeding every fused stage. *)
+         cells, re-seeding every fused stage. A filtering stage answers
+         with the [Signal.filtered] sentinel, a value, so nothing a user
+         function raises can read as "no change". *)
       let cells = comp.Signal.comp_cells in
       let k = !n_state in
       Array.iter (fun c -> ignore (state_slot ~node:id c)) cells;
       let step = comp.Signal.comp_step in
       member ~id (fun x r ->
           let ar = x.x_arena in
-          if ar.ar_stamps.(sd) = r.epoch then begin
-            x.x_stats.Stats.applications <- x.x_stats.Stats.applications + 1;
-            match
-              x.x_guards.(sl).guard
-                ~prev:(Obj.obj ar.ar_values.(sl) : x)
-                ~reset:(fun () ->
-                  Array.blit cells 0 ar.ar_state k (Array.length cells))
-                ~epoch:r.epoch
-                (fun () ->
-                  match step ar.ar_state k (Obj.obj ar.ar_values.(sd)) with
-                  | Some w -> Event.Change w
-                  | None -> Event.No_change (Obj.obj ar.ar_values.(sl)))
-            with
-            | Event.Change v ->
-              ar.ar_values.(sl) <- Obj.repr v;
-              ar.ar_stamps.(sl) <- r.epoch;
-              true
-            | Event.No_change _ -> false
-          end
-          else false)
+          ar.ar_stamps.(sd) = r.epoch
+          && (applied x;
+              match step ar.ar_state k (Obj.obj ar.ar_values.(sd)) with
+              | w -> Obj.repr w != Signal.filtered && set x sl r (w : x)
+              | exception e ->
+                if x.x_fail.(sl) ~epoch:r.epoch e then
+                  Array.blit cells 0 ar.ar_state k (Array.length cells);
+                false))
   in
   List.iter (fun (Signal.Pack s) -> build_node s) order;
-  let ops =
+  let sorted =
     Array.map
       (fun pending ->
-        Array.of_list
-          (List.map snd
-             (List.sort (fun ((k1 : int * int), _) (k2, _) -> compare k1 k2)
-                pending)))
+        List.map snd
+          (List.sort (fun ((k1 : int * int), _) (k2, _) -> compare k1 k2) pending))
       acc
   in
-  let region_sources =
-    Array.of_list
-      (List.map (fun rg -> Reach.union_reaching reach rg.rg_member_ids) regions)
+  let schedule ~region ~root entries =
+    {
+      sc_region = region;
+      sc_cone_size =
+        List.fold_left
+          (fun n (node, serves, _) -> if node = serves then n + 1 else n)
+          0 entries;
+      sc_root = root;
+      sc_ops = Array.of_list (List.map (fun (_, _, op) -> op) entries);
+      sc_nodes = Array.of_list (List.map (fun (_, serves, _) -> serves) entries);
+    }
   in
-  let cones = Hashtbl.create 16 in
+  let region_ops =
+    Array.of_list
+      (List.map
+         (fun rg ->
+           schedule ~region:rg.rg_index
+             ~root:(List.mem root_id rg.rg_member_ids)
+             sorted.(rg.rg_index))
+         regions)
+  in
+  (* Per-source schedules, the Asynchronous Modal FRP clock of a source: a
+     wake runs exactly the ops whose driving node the source reaches. *)
+  let schedules = Hashtbl.create 16 in
   List.iter
     (fun src ->
-      let woken =
-        List.filter
-          (fun rg -> Reach.set_mem src region_sources.(rg.rg_index))
-          regions
-      in
-      Hashtbl.replace cones src
-        ( Array.of_list (List.map (fun rg -> rg.rg_index) woken),
-          Reach.cone_size reach src ))
+      let in_cone node = Reach.affects reach ~source:src ~node in
+      let region = Hashtbl.find region_of src in
+      Hashtbl.replace schedules src
+        (schedule ~region ~root:(in_cone root_id)
+           (List.filter (fun (node, _, _) -> in_cone node) sorted.(region))))
     (Reach.sources reach);
   (* ---- region groups ----
      Seam edges: an async/delay cut whose inner node and boundary node
@@ -782,8 +719,6 @@ let plan : type r. r Signal.t -> plan =
     p_region_of = region_of;
     p_cuts = List.rev !cuts;
     p_reach = reach;
-    p_root_id = root_id;
-    p_root_slot = root_slot;
     p_nodes = n;
     p_slot_of = slot_of;
     p_slot_ids = slot_ids;
@@ -793,10 +728,9 @@ let plan : type r. r Signal.t -> plan =
     p_defaults = defaults;
     p_state_init = state_init;
     p_state_node = state_node;
-    p_ops = ops;
-    p_region_sources = region_sources;
+    p_region_ops = region_ops;
     p_reps = Array.of_list (List.map (fun rg -> rg.rg_rep) regions);
-    p_cones = cones;
+    p_schedules = schedules;
     p_group_of = group_of;
     p_group_regions = group_regions;
     p_sources = sources;
@@ -808,22 +742,32 @@ let regions pl = pl.p_regions
 let region_of pl id = Hashtbl.find_opt pl.p_region_of id
 let cuts pl = pl.p_cuts
 let reach pl = pl.p_reach
-let root_id pl = pl.p_root_id
 let node_count pl = pl.p_nodes
 let id_stride pl = pl.p_id_stride
 let sources pl = pl.p_sources
 let inputs pl = pl.p_inputs
 let slot_of pl id = Hashtbl.find_opt pl.p_slot_of id
 let queue_slots pl = pl.p_queue_slots
-let region_sources pl i = pl.p_region_sources.(i)
 let region_count pl = Array.length pl.p_reps
 let region_rep pl i = pl.p_reps.(i)
-let no_cone = ([||], 0)
-let cone pl source = try Hashtbl.find pl.p_cones source with Not_found -> no_cone
+let region_ops pl i = pl.p_region_ops.(i)
+
+let no_schedule =
+  {
+    sc_region = -1;
+    sc_cone_size = 0;
+    sc_root = false;
+    sc_ops = [||];
+    sc_nodes = [||];
+  }
+
+let schedule pl source =
+  match Hashtbl.find pl.p_schedules source with
+  | sc -> sc
+  | exception Not_found -> no_schedule
 let slot_ids pl = pl.p_slot_ids
 let slot_names pl = pl.p_slot_names
 let slot_keys pl = pl.p_keys
-let root_slot pl = pl.p_root_slot
 let defaults pl = pl.p_defaults
 let state_count pl = Array.length pl.p_state_init
 let state_node pl k = pl.p_state_node.(k)
@@ -831,24 +775,6 @@ let state_initial pl k = pl.p_state_init.(k)
 let group_count pl = Array.length pl.p_group_regions
 let group_of pl i = pl.p_group_of.(i)
 let group_regions pl g = pl.p_group_regions.(g)
-
-let pp_plan ppf pl =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun rg ->
-      Format.fprintf ppf "region %d (rep %d %s): %s@," rg.rg_index rg.rg_rep
-        rg.rg_name
-        (String.concat " "
-           (List.map
-              (fun (Signal.Pack s) ->
-                Printf.sprintf "%d:%s" (Signal.id s) (Signal.name s))
-              rg.rg_members)))
-    pl.p_regions;
-  List.iter
-    (fun (inner, src) ->
-      Format.fprintf ppf "cut %d -> %d (async boundary)@," inner src)
-    pl.p_cuts;
-  Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache *)
@@ -942,13 +868,6 @@ let clone_arena ar =
     ar_stamps = Array.copy ar.ar_stamps;
     ar_state = Array.copy ar.ar_state;
   }
-
-(* Runs all of one region's ops for one round, in compiled order. *)
-let run_region pl x region_index r =
-  let ops = pl.p_ops.(region_index) in
-  for i = 0 to Array.length ops - 1 do
-    (Array.unsafe_get ops i) x r
-  done
 
 (* ------------------------------------------------------------------ *)
 (* DOT rendering with region clusters (felmc graph --compiled) *)

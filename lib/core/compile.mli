@@ -101,7 +101,6 @@ val reach : plan -> Reach.t
 (** The reachability analysis computed while planning, shared so runtimes
     and sessions need not re-analyze the graph. *)
 
-val root_id : plan -> int
 val node_count : plan -> int
 
 val id_stride : plan -> int
@@ -118,19 +117,10 @@ val inputs : plan -> Signal.packed list
 val slot_of : plan -> int -> int option
 (** The arena slot assigned to a node id, if the node is in the plan. *)
 
-val region_sources : plan -> int -> Reach.set
-(** [region_sources plan i] is the set of sources reaching any member of
-    region [i] — the dispatcher's wake test for the region. *)
-
 val region_count : plan -> int
 
 val region_rep : plan -> int -> int
 (** The representative node id of region [i] (its trace row). *)
-
-val cone : plan -> int -> int array * int
-(** [cone plan source]: the regions an event of [source] wakes (ascending
-    indices) and the source's cone size in nodes; [([||], 0)] for a node
-    that is not a source of the plan. Precomputed per plan. *)
 
 val slot_ids : plan -> int array
 (** Slot -> node id. The plan's own array — treat as read-only. *)
@@ -145,9 +135,6 @@ val slot_keys : plan -> string array
     key arrays even though their node ids differ — this is the identity
     {!Upgrade.diff} matches slots on across plans. The plan's own array —
     treat as read-only. *)
-
-val root_slot : plan -> int
-(** The arena slot of the plan's root node. *)
 
 val defaults : plan -> Obj.t array
 (** Slot -> default value, as seeded into fresh arenas. The plan's own
@@ -182,10 +169,6 @@ val group_of : plan -> int -> int
 val group_regions : plan -> int -> int list
 (** Member region indices of a group, ascending. *)
 
-val pp_plan : Format.formatter -> plan -> unit
-(** One line per region ([region i (rep id name): members...]) followed by
-    the cut async edges. *)
-
 val to_dot : ?label:string -> 'a Signal.t -> string
 (** Like {!Signal.to_dot}, with each synchronous region drawn as a dashed
     cluster ([felmc graph --compiled]). *)
@@ -217,25 +200,22 @@ val clone_arena : arena -> arena
 
 (** {1 Execution} *)
 
-type guarded = {
-  guard :
-    'a.
-    prev:'a -> reset:(unit -> unit) -> epoch:int -> (unit -> 'a Event.t) ->
-    'a Event.t;
-}
-(** A node supervisor applied at the node's value type from inside the
-    region step; the polymorphic field lets one record carry a per-node
-    [Restart] budget. *)
+type handler = epoch:int -> exn -> bool
+(** A node's failure handler, given whatever its user function raised in
+    the round of [epoch]: it re-raises the exception (Propagate), or
+    records the failure and answers whether to re-seed the node's state
+    now ([true] while a Restart budget lasts). The failed round keeps the
+    node's last good value. Ops apply user functions directly and call
+    the handler only on failure, so supervision allocates nothing. *)
 
 type exec = {
   x_arena : arena;
-  x_flood : bool;  (** Flood dispatch: every node active every round. *)
   x_stats : Stats.t;
-  x_guards : guarded array;  (** Per slot. *)
-  x_account : node:int -> epoch:int -> changed:bool -> real:bool -> unit;
-      (** One member emission, for the message counters and observers;
-          [real] marks the root's, the one that leaves the region as the
-          display. *)
+  x_fail : handler array;  (** Per slot. *)
+  x_observe : (node:int -> epoch:int -> changed:bool -> unit) option;
+      (** One call per member emission, in op order, for an observer.
+          The message counters are billed at admission instead, from the
+          {!schedule}. *)
   x_pop : int -> Obj.t;  (** Consume the pending value for a source slot. *)
   x_push : int -> Obj.t -> unit;  (** Enqueue a value for a source slot. *)
   x_fire_async : int -> unit;
@@ -250,11 +230,35 @@ type exec = {
     plus the environment hooks, which {!Exec} binds to plain queues and
     buffered effects. *)
 
-val run_region : plan -> exec -> int -> round -> unit
-(** [run_region plan x i r] runs all of region [i]'s ops for round [r], in
-    compiled (deterministic topological) order: read dependency slots,
-    recompute if any is dirty this epoch, write own slot, account the
-    emission. *)
+type op = exec -> round -> unit
+(** One compiled step: a member's (read dependency slots, recompute if any
+    is dirty this epoch, write its own slot; the root's also displays) or
+    an async/delay tap's. *)
+
+type schedule = {
+  sc_region : int;  (** The region the ops belong to; [-1] for none. *)
+  sc_cone_size : int;  (** Member nodes among the ops. *)
+  sc_root : bool;  (** The root is a member: the wake reaches the display. *)
+  sc_ops : op array;  (** Run in order. *)
+  sc_nodes : int array;
+      (** Per op, the node it serves: the member's id, or for a tap the
+          id of its async/delay node. *)
+}
+(** The work of one wake. A source's schedule holds the ops of its
+    synchronous cone — its member ops plus the async/delay taps whose
+    inner node is in the cone — in plan order. The cone never crosses a
+    cut edge, so it sits in one region. This is the {e clock} of a source
+    in Asynchronous Modal FRP: an event advances only what its source
+    reaches, with no per-op test. *)
+
+val schedule : plan -> int -> schedule
+(** [schedule plan source]: the plan's own record (no allocation); a
+    schedule of no ops and region [-1] for a node that is not a source of
+    the plan. *)
+
+val region_ops : plan -> int -> schedule
+(** All of region [i]'s ops, in plan order: what flood dispatch runs for
+    the region on every wake. *)
 
 val queue_slots : plan -> (int * int * bool) list
 (** Source nodes needing a pending-value queue: [(node id, slot, bounded)].

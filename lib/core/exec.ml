@@ -6,18 +6,20 @@
    this module — [Runtime.start ~backend:Compiled] (lanes or waves) and
    every serving session — so that algorithm exists once:
 
-   - [step]/[admit] take one wake: assign its epoch and bill the
-     deterministic per-event counters (events, notified regions, the
-     elided balance, the tracer's dispatch row), all computable from the
-     plan alone.
-   - The woken regions run on a {e lane}: an execution context over the
-     shared arena with its own counters, supervisors and effect buffer.
-     [step] runs the round at once on the instance's sequential lane.
-     Otherwise the round is queued on the woken regions' group lanes, in
-     one of two placements. Waves ([admit]): [run_groups] runs every
-     active lane inline or as one flat [Pool.run] batch. Lanes
-     ([admit_lanes]): one caller thread per group takes one round at a
-     time ([step_lane]).
+   - [step]/[admit] take one wake: assign its epoch, look up the source's
+     schedule (one table lookup, the plan's own record) and bill the
+     deterministic per-event counters (events, notified regions, messages
+     and the elided balance, the tracer's dispatch row), all computable
+     from the schedule alone.
+   - The wake's work runs on a {e lane}: an execution context over the
+     shared arena with its own counters, failure handlers and effect
+     buffer. Under cone dispatch it is the source's schedule, under flood
+     every region's full op list. [step] runs the round at once on the
+     instance's sequential lane. Otherwise the round is queued on the
+     woken groups' lanes, in one of two placements. Waves ([admit]):
+     [run_groups] runs every active lane inline or as one flat [Pool.run]
+     batch. Lanes ([admit_lanes]): one caller thread per group takes one
+     round at a time ([step_lane]).
    - No lane performs a boundary effect: value pushes, async fires, delay
      schedules, displays and observer calls are buffered and applied to
      the caller's hooks — by [flush], in (admission epoch, group) order,
@@ -42,40 +44,36 @@ type error_policy =
   | Restart of int
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: the one guard factory *)
+(* Supervision: the one failure-handler factory *)
 
-let propagate = { Compile.guard = (fun ~prev:_ ~reset:_ ~epoch:_ f -> f ()) }
+(* The user's own exception, with its backtrace, escapes to the caller. *)
+let propagate : Compile.handler =
+ fun ~epoch:_ e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
 
-(* A per-node supervisor, created once so a [Restart] budget is local to
-   the node. It wraps only the fallible part of a round — the user
+(* A per-node failure handler, created once so a [Restart] budget is local
+   to the node. Callers catch only the fallible part of a round — the user
    function application, after every input has been read — so per-event
    alignment is never at stake: a failed round yields [No_change
-   last-good], exactly what a quiescent node would have produced. [reset]
-   reinitialises node state ([foldp] accumulator, composite cells);
-   [Isolate] never calls it, [Restart n] calls it on the first [n]
-   failures and then degrades to [Isolate]. Under [Propagate] exceptions
-   escape to the caller. *)
-let guard ~policy ~stats ~tracer ~node =
+   last-good], exactly what a quiescent node would have produced. The
+   answer says whether to reinitialise node state ([foldp] accumulator,
+   composite cells): never under [Isolate], on the first [n] failures
+   under [Restart n], which then degrades to [Isolate]. *)
+let handler ~policy ~stats ~tracer ~node : Compile.handler =
   match policy with
   | Propagate -> propagate
   | Isolate | Restart _ ->
     let left = ref (match policy with Restart b -> b | Propagate | Isolate -> 0) in
-    {
-      Compile.guard =
-        (fun ~prev ~reset ~epoch f ->
-          try f ()
-          with _ ->
-            stats.Stats.node_failures <- stats.Stats.node_failures + 1;
-            (match tracer with
-            | None -> ()
-            | Some tr -> Trace.node_failure tr ~node ~epoch);
-            if !left > 0 then begin
-              decr left;
-              stats.Stats.node_restarts <- stats.Stats.node_restarts + 1;
-              reset ()
-            end;
-            Event.No_change prev);
-    }
+    fun ~epoch _ ->
+      stats.Stats.node_failures <- stats.Stats.node_failures + 1;
+      (match tracer with
+      | None -> ()
+      | Some tr -> Trace.node_failure tr ~node ~epoch);
+      !left > 0
+      && begin
+           decr left;
+           stats.Stats.node_restarts <- stats.Stats.node_restarts + 1;
+           true
+         end
 
 (* ------------------------------------------------------------------ *)
 (* Instances *)
@@ -122,9 +120,7 @@ type t = {
   tracer : Trace.t option;
   offset : int;  (* added to node ids in trace rows *)
   policy : error_policy;
-  flood : (int array * int) option;
-      (* flood dispatch: every region woken by every event; the woken set
-         and the node count, as [Compile.cone] would give them *)
+  flood : bool;  (* every wake runs every region's full op list *)
   observe : bool;  (* buffer per-node emissions for [hooks.observe] *)
   display : (epoch:int -> changed:bool -> Obj.t -> unit) option;
       (* unbuffered display sink, see [create] *)
@@ -162,10 +158,7 @@ let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
     tracer;
     offset;
     policy;
-    flood =
-      (if flood then
-         Some (Array.init (Compile.region_count plan) Fun.id, n)
-       else None);
+    flood;
     observe;
     display;
     epoch;
@@ -195,23 +188,21 @@ let trace_display x ~epoch ~changed =
 let make_lane x ~regions ~stats =
   let epoch = ref 0 and effects = Queue.create () in
   let emit e = Queue.push e effects in
-  let guards =
-    Array.map
-      (fun id ->
-        guard ~policy:x.policy ~stats ~tracer:x.tracer ~node:(x.offset + id))
-      (Compile.slot_ids x.plan)
-  in
   let exec =
     {
       Compile.x_arena = x.arena;
-      x_flood = x.flood <> None;
       x_stats = stats;
-      x_guards = guards;
-      x_account =
-        (fun ~node ~epoch:ep ~changed ~real ->
-          if real then stats.Stats.messages <- stats.Stats.messages + 1
-          else stats.Stats.elided_messages <- stats.Stats.elided_messages + 1;
-          if x.observe then emit (Observe { epoch = ep; node; changed }));
+      x_fail =
+        Array.map
+          (fun id ->
+            handler ~policy:x.policy ~stats ~tracer:x.tracer
+              ~node:(x.offset + id))
+          (Compile.slot_ids x.plan);
+      x_observe =
+        (if x.observe then
+           Some
+             (fun ~node ~epoch ~changed -> emit (Observe { epoch; node; changed }))
+         else None);
       x_pop = (fun sl -> Queue.pop (queue x sl));
       x_push = (fun slot value -> emit (Push { epoch = !epoch; slot; value }));
       x_fire_async = (fun source -> emit (Fire { epoch = !epoch; source }));
@@ -268,54 +259,72 @@ let group_lanes x ~stats =
 (* ------------------------------------------------------------------ *)
 (* Admission and execution *)
 
-(* Open the next epoch for a wake of [source]: bill everything that
-   depends on the plan alone and return the woken regions. *)
+(* Open the next epoch for a wake of [source] and return its schedule,
+   billing everything that follows from it: the root's display is the one
+   real message of a wake that reaches it, and every other node counts as
+   elided, whether it ran quiescent or lay outside the cone. *)
 let open_epoch x ~source =
   let pl = x.plan in
-  let woken, cone_size =
-    match x.flood with Some all -> all | None -> Compile.cone pl source
+  let sc = Compile.schedule pl source in
+  let real = if x.flood || sc.Compile.sc_root then 1 else 0 in
+  let woken =
+    if x.flood then Compile.region_count pl
+    else if sc.Compile.sc_region < 0 then 0
+    else 1
   in
   x.epoch <- x.epoch + 1;
   let st = x.stats in
   st.Stats.events <- st.Stats.events + 1;
-  st.Stats.notified_nodes <- st.Stats.notified_nodes + Array.length woken;
+  st.Stats.notified_nodes <- st.Stats.notified_nodes + woken;
+  st.Stats.messages <- st.Stats.messages + real;
   st.Stats.elided_messages <-
-    st.Stats.elided_messages + (Compile.node_count pl - cone_size);
+    st.Stats.elided_messages + (Compile.node_count pl - real);
   (match x.tracer with
   | None -> ()
   | Some tr ->
-    Trace.dispatch tr ~source:(x.offset + source) ~epoch:x.epoch
-      ~targets:(Array.length woken));
-  woken
+    Trace.dispatch tr ~source:(x.offset + source) ~epoch:x.epoch ~targets:woken);
+  sc
 
-let run_region x lane i (r : Compile.round) =
-  let node = x.offset + Compile.region_rep x.plan i in
+(* Run one schedule's ops for round [r], as one region step. *)
+let run_ops x lane (sc : Compile.schedule) (r : Compile.round) =
+  let node = x.offset + Compile.region_rep x.plan sc.sc_region in
   (match x.tracer with
   | None -> ()
   | Some tr -> Trace.node_start tr ~node ~epoch:r.epoch);
   lane.l_stats.Stats.region_steps <- lane.l_stats.Stats.region_steps + 1;
-  Compile.run_region x.plan lane.l_exec i r;
+  let ops = sc.sc_ops in
+  for i = 0 to Array.length ops - 1 do
+    (Array.unsafe_get ops i) lane.l_exec r
+  done;
   match x.tracer with
   | None -> ()
   | Some tr -> Trace.node_end tr ~node ~epoch:r.epoch
 
+(* A wake's work on [lane]: the schedule under cone dispatch (it wakes at
+   most one region, so it runs on the lane holding that region), the
+   lane's regions in full under flood. *)
+let run_wake x lane (sc : Compile.schedule) r =
+  lane.l_epoch := r.Compile.epoch;
+  if x.flood then
+    Array.iter
+      (fun i -> run_ops x lane (Compile.region_ops x.plan i) r)
+      lane.l_regions
+  else if sc.sc_region >= 0 then run_ops x lane sc r
+
 let step x ~source =
-  let woken = open_epoch x ~source in
-  let lane = seq_lane x in
-  let r = { Compile.epoch = x.epoch; source } in
-  lane.l_epoch := r.epoch;
-  for k = 0 to Array.length woken - 1 do
-    run_region x lane woken.(k) r
-  done
+  let sc = open_epoch x ~source in
+  run_wake x (seq_lane x) sc { Compile.epoch = x.epoch; source }
 
 (* Queue one wake's round on every woken group's lane, once per group,
    and tell [wake] which groups got it. *)
 let queue_round x ~stats ~source ~wake =
-  let woken = open_epoch x ~source in
+  let sc = open_epoch x ~source in
   let lanes = group_lanes x ~stats in
   let r = { Compile.epoch = x.epoch; source } in
-  for k = 0 to Array.length woken - 1 do
-    let g = Compile.group_of x.plan woken.(k) in
+  let first = if x.flood then 0 else sc.sc_region in
+  let last = if x.flood then Compile.region_count x.plan - 1 else sc.sc_region in
+  for i = max first 0 to last do
+    let g = Compile.group_of x.plan i in
     let l = lanes.(g) in
     if l.l_last <> r.epoch then begin
       l.l_last <- r.epoch;
@@ -329,17 +338,10 @@ let admit x ~source = queue_round x ~stats:Stats.create ~source ~wake:ignore
 let admit_lanes x ~source ~wake =
   queue_round x ~stats:(fun () -> x.stats) ~source ~wake
 
-(* Run a lane's oldest admitted round: member regions in index order. *)
+(* Run a lane's oldest admitted round. *)
 let run_round x l =
   let r = Queue.pop l.l_rounds in
-  l.l_epoch := r.Compile.epoch;
-  for k = 0 to Array.length l.l_regions - 1 do
-    let i = l.l_regions.(k) in
-    if
-      x.flood <> None
-      || Reach.set_mem r.Compile.source (Compile.region_sources x.plan i)
-    then run_region x l i r
-  done
+  run_wake x l (Compile.schedule x.plan r.Compile.source) r
 
 (* Run every active group's admitted rounds, each group's in epoch order:
    as one [pool] batch when several are active, otherwise inline in group

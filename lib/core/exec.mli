@@ -2,18 +2,19 @@
 
     An [Exec.t] is one running instance of a {!Compile.plan} over one
     arena: its pending-value queues, its epoch counter, its counters and
-    its supervisors. It implements the paper's Fig. 11 dispatch step once
+    its failure handlers. It implements the paper's Fig. 11 dispatch step once
     for every compiled execution: [Runtime.start ~backend:Compiled] and
     every serving session.
 
     A wake is taken in three phases. {!step}, {!admit} or {!admit_lanes}
-    assigns the epoch and bills every per-event counter the plan alone
-    determines. The woken regions then run — at once on the instance's
-    sequential lane ({!step}), or queued on their region groups' lanes in
-    one of two placements: {e waves} ({!admit}), whose active groups
-    {!run_groups} runs inline or as one flat {!Pool.run} batch, or
-    {e lanes} ({!admit_lanes}), one caller thread per group taking one
-    round at a time ({!step_lane}). An instance uses one placement.
+    assigns the epoch, looks up the source's {!Compile.schedule} and bills
+    every per-event counter it determines (messages included). The
+    schedule's ops (under flood, every region's) then run — at once on the
+    instance's sequential lane ({!step}), or queued on their region
+    groups' lanes in one of two placements: {e waves} ({!admit}), whose
+    active groups {!run_groups} runs inline or as one flat {!Pool.run}
+    batch, or {e lanes} ({!admit_lanes}), one caller thread per group
+    taking one round at a time ({!step_lane}). An instance uses one placement.
     Running never performs a boundary effect: value pushes, async fires,
     delay schedules, displays and observer calls are buffered and applied
     to the caller's {!hooks} — by {!flush} in (admission epoch, group)
@@ -34,15 +35,18 @@ type error_policy =
           counted in {!Stats.t.node_restarts}. *)
 (** Per-node supervision; re-exported as [Runtime.error_policy]. *)
 
-val guard :
+val handler :
   policy:error_policy ->
   stats:Stats.t ->
   tracer:Trace.t option ->
   node:int ->
-  Compile.guarded
-(** The supervisor of one node (trace id [node]), billing failures and
-    restarts into [stats]. Create one per node: a [Restart] budget lives
-    in the returned record. Every backend takes its guards from here. *)
+  Compile.handler
+(** The failure handler of one node (trace id [node]): under [Propagate]
+    it re-raises the user's exception unchanged (with its backtrace);
+    otherwise it bills the failure (and a restart) into [stats] and
+    answers whether to re-seed the node's state. Create one per node: a
+    [Restart] budget lives in the returned closure. Every backend takes
+    its handlers from here. *)
 
 type t
 
@@ -62,8 +66,9 @@ val create :
 (** An instance over [arena] with empty pending-value queues, numbering
     its next wake [epoch + 1] and billing [stats]. [offset] is added to
     node ids in trace rows and [label] prefixes the region rows' names
-    (registered with [tracer] here). [flood] wakes every region on every
-    event; [observe] buffers one {!hooks.observe} call per node emission.
+    (registered with [tracer] here). [flood] runs every region's full op
+    list on every wake instead of the source's schedule; [observe]
+    buffers one {!hooks.observe} call per node emission.
     [display], when given, receives the root's emissions directly from
     the lane that runs the root's region instead of through {!flush}: it
     must be safe to call from that lane's domain (a per-instance log,
@@ -93,8 +98,8 @@ val push : t -> int -> Obj.t -> unit
     delivery). *)
 
 val step : t -> source:int -> unit
-(** Admit one wake of [source] and run its woken regions at once, in
-    index (= topological) order, on the sequential lane. *)
+(** Admit one wake of [source] and run its schedule (under flood, every
+    region in index order) at once on the sequential lane. *)
 
 val admit : t -> source:int -> unit
 (** Admit one wake of [source] and queue its round on the woken regions'

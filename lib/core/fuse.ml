@@ -10,7 +10,7 @@
    A node is a fusable *stage* when it transforms exactly one upstream
    signal statelessly with respect to the global event order:
 
-   - [Lift1 (f, d)] — step is [fun v -> Some (f v)];
+   - [Lift1 (f, d)] — step is [fun v -> f v];
    - [Drop_repeats (eq, d)] — step compares against, and updates, its
      one explicit cell (the previous value), starting at the node's
      default;
@@ -41,7 +41,7 @@ module S = Signal
 type 'a stage =
   | Stage : {
       dep : 'b S.t;
-      step : Obj.t array -> int -> 'b -> 'a option;
+      step : Obj.t array -> int -> 'b -> 'a;  (* or [S.filtered] *)
       cells : Obj.t list;
       names : string list;  (* input side first *)
       size : int;  (* original nodes collapsed so far *)
@@ -59,7 +59,7 @@ let as_stage : type a. a S.t -> a stage option =
       (Stage
          {
            dep;
-           step = (fun _ _ v -> Some (f v));
+           step = (fun _ _ v -> f v);
            cells = [];
            names = [ S.name s ];
            size = 1;
@@ -74,10 +74,10 @@ let as_stage : type a. a S.t -> a stage option =
            dep = d;
            step =
              (fun cells k v ->
-               if eq v (Obj.obj cells.(k)) then None
+               if eq v (Obj.obj cells.(k)) then Obj.obj S.filtered
                else begin
                  cells.(k) <- Obj.repr v;
-                 Some v
+                 v
                end);
            (* Same initial comparison point as the unfused node: its
               default, which equals the upstream default. *)
@@ -222,9 +222,9 @@ let fuse root =
                  dep = lower.dep;
                  step =
                    (fun cells k v ->
-                     match lo cells k v with
-                     | None -> None
-                     | Some w -> hi cells (k + n_lo) w);
+                     let w = lo cells k v in
+                     if Obj.repr w == S.filtered then Obj.obj S.filtered
+                     else hi cells (k + n_lo) w);
                  cells = lower.cells @ st.cells;
                  names = lower.names @ st.names;
                  size = lower.size + st.size;

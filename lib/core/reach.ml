@@ -26,8 +26,6 @@ type t = {
 }
 
 let set_mem = Int_set.mem
-let set_cardinal = Int_set.cardinal
-let set_elements = Int_set.elements
 
 (* A node the runtime registers with the dispatcher as a source: it answers
    events rather than edge messages. [Signal.is_source] covers
@@ -73,9 +71,6 @@ let reaching t id =
 
 let affects t ~source ~node = set_mem source (reaching t node)
 
-let union_reaching t ids =
-  List.fold_left (fun acc id -> Int_set.union acc (reaching t id)) Int_set.empty ids
-
 let cone t source =
   List.filter
     (fun (Signal.Pack s) -> set_mem source (reaching t (Signal.id s)))
@@ -94,6 +89,6 @@ let pp ppf t =
       Format.fprintf ppf "%d %s <- {%s}@,"
         (Signal.id s) (Signal.name s)
         (String.concat ","
-           (List.map string_of_int (set_elements (reaching t (Signal.id s))))))
+           (List.map string_of_int (Int_set.elements (reaching t (Signal.id s))))))
     t.order;
   Format.fprintf ppf "@]"

@@ -37,11 +37,6 @@ val reaching : t -> int -> set
 
 val affects : t -> source:int -> node:int -> bool
 
-val union_reaching : t -> int list -> set
-(** Union of the reaching sets of the given nodes. This is a compiled
-    region's wake test (see {!Compile}): the sources whose events can
-    affect {e any} member of the region. *)
-
 val cone : t -> int -> Signal.packed list
 (** [cone t source] is the affected cone of an event fired by [source]:
     every node it can reach, in topological order. *)
@@ -49,8 +44,6 @@ val cone : t -> int -> Signal.packed list
 val cone_size : t -> int -> int
 
 val set_mem : int -> set -> bool
-val set_cardinal : set -> int
-val set_elements : set -> int list
 
 val pp : Format.formatter -> t -> unit
 (** One line per node: [id name <- {reaching source ids}]. *)

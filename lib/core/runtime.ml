@@ -198,12 +198,11 @@ let recv_wake ctx ~id wake =
   | Some tr -> Trace.node_start tr ~node:id ~epoch:r.epoch);
   r
 
-(* The node's supervisor (see [Exec.guard]): one per node, so a [Restart]
-   budget stays local to it. *)
+(* The node's failure handler (see [Exec.handler]): one per node, so a
+   [Restart] budget stays local to it. *)
 let supervisor ctx ~id =
-  (Exec.guard ~policy:ctx.c_policy ~stats:ctx.c_stats ~tracer:ctx.c_tracer
-     ~node:id)
-    .Compile.guard
+  Exec.handler ~policy:ctx.c_policy ~stats:ctx.c_stats ~tracer:ctx.c_tracer
+    ~node:id
 
 (* Register this node with the dispatcher: the returned mailbox receives one
    [round] per event whose cone contains the node. The mailbox is named so
@@ -282,7 +281,7 @@ let source_node ctx ~source_id ~name ~default ~value_mb =
 let lift_node ctx ~id ~name ~default ~round =
   let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id name) () in
   let wake = node_wakeup ctx ~id ~name in
-  let guard = supervisor ctx ~id in
+  let fail = supervisor ctx ~id in
   Cml.spawn (fun () ->
       let rec loop prev =
         let r = recv_wake ctx ~id wake in
@@ -290,15 +289,18 @@ let lift_node ctx ~id ~name ~default ~round =
         let msg =
           if changed then begin
             ctx.c_stats.applications <- ctx.c_stats.applications + 1;
-            guard ~prev ~reset:ignore ~epoch:r.epoch (fun () ->
-                Event.Change (compute ()))
+            match compute () with
+            | v -> Event.Change v
+            | exception e ->
+              ignore (fail ~epoch:r.epoch e);
+              Event.No_change prev
           end
           else begin
             if not ctx.memoize then begin
               ctx.c_stats.recomputations <- ctx.c_stats.recomputations + 1;
-              ignore
-                (guard ~prev ~reset:ignore ~epoch:r.epoch (fun () ->
-                     Event.No_change (compute ())))
+              match compute () with
+              | _ -> ()
+              | exception e -> ignore (fail ~epoch:r.epoch e)
             end;
             Event.No_change prev
           end
@@ -416,7 +418,7 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
     let id = Signal.id s in
     let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) () in
     let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    let guard = supervisor ctx ~id in
+    let fail = supervisor ctx ~id in
     Cml.spawn (fun () ->
         (* A [Restart] re-seeds the accumulator with the signal default; the
            flag defers it until after the failed round's [No_change acc] has
@@ -427,12 +429,13 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
           let r = recv_wake ctx ~id wake in
           let msg =
             match read_edge ctx e r with
-            | Event.Change v ->
+            | Event.Change v -> (
               ctx.c_stats.fold_steps <- ctx.c_stats.fold_steps + 1;
-              guard ~prev:acc
-                ~reset:(fun () -> restart := true)
-                ~epoch:r.epoch
-                (fun () -> Event.Change (f v acc))
+              match f v acc with
+              | acc' -> Event.Change acc'
+              | exception ex ->
+                restart := fail ~epoch:r.epoch ex;
+                Event.No_change acc)
             | Event.No_change _ -> Event.No_change acc
           in
           emit ctx ~id out r msg;
@@ -522,16 +525,20 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
     let id = Signal.id s in
     let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) () in
     let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    let guard = supervisor ctx ~id in
+    let fail = supervisor ctx ~id in
     Cml.spawn (fun () ->
         let rec loop prev =
           let r = recv_wake ctx ~id wake in
           let msg =
             match read_edge ctx e r with
-            | Event.Change v ->
+            | Event.Change v -> (
               (* The user-supplied equality can raise too. *)
-              guard ~prev ~reset:ignore ~epoch:r.epoch (fun () ->
-                  if eq v prev then Event.No_change prev else Event.Change v)
+              match eq v prev with
+              | false -> Event.Change v
+              | true -> Event.No_change prev
+              | exception ex ->
+                ignore (fail ~epoch:r.epoch ex);
+                Event.No_change prev)
             | Event.No_change _ -> Event.No_change prev
           in
           emit ctx ~id out r msg;
@@ -574,7 +581,7 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
       Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) ()
     in
     let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    let guard = supervisor ctx ~id in
+    let fail = supervisor ctx ~id in
     Cml.spawn (fun () ->
         (* A crash anywhere inside the fused chain isolates (or restarts)
            the composite as a unit: the stages share one step, so partial
@@ -584,16 +591,15 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
           let r = recv_wake ctx ~id wake in
           let msg =
             match read_edge ctx e r with
-            | Event.Change v ->
+            | Event.Change v -> (
               ctx.c_stats.applications <- ctx.c_stats.applications + 1;
-              guard ~prev
-                ~reset:(fun () ->
-                  Array.blit c.Signal.comp_cells 0 cells 0 (Array.length cells))
-                ~epoch:r.epoch
-                (fun () ->
-                  match c.Signal.comp_step cells 0 v with
-                  | Some w -> Event.Change w
-                  | None -> Event.No_change prev)
+              match c.Signal.comp_step cells 0 v with
+              | w when Obj.repr w == Signal.filtered -> Event.No_change prev
+              | w -> Event.Change w
+              | exception ex ->
+                if fail ~epoch:r.epoch ex then
+                  Array.blit c.Signal.comp_cells 0 cells 0 (Array.length cells);
+                Event.No_change prev)
             | Event.No_change _ -> Event.No_change prev
           in
           emit ctx ~id out r msg;
@@ -828,14 +834,13 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
           wake)
     in
     let wake g = Mailbox.send wakes.(g) () in
-    let root_reach = Reach.reaching (Compile.reach pl) (Compile.root_id pl) in
     Cml.spawn (fun () ->
         let rec serve pending =
           let eid =
             match pending with Some e -> e | None -> Mailbox.recv new_event
           in
           Exec.admit_lanes x ~source:eid ~wake;
-          if acked && (dispatch = Flood || Reach.set_mem eid root_reach) then
+          if acked && (dispatch = Flood || (Compile.schedule pl eid).sc_root) then
             Mailbox.recv ack;
           serve (settle ())
         in

@@ -37,10 +37,10 @@ and 'a kind =
   | Composite : ('b, 'a) composite * 'b t -> 'a kind
 
 and ('b, 'a) composite = {
-  comp_step : Obj.t array -> int -> 'b -> 'a option;
+  comp_step : Obj.t array -> int -> 'b -> 'a;
       (** [comp_step cells k v]: the fused chain applied to [v], reading and
-          writing its cells at [cells.(k)] onward. [None] means "no change
-          this round". *)
+          writing its cells at [cells.(k)] onward; the {!filtered} sentinel
+          means "no change this round". *)
   comp_cells : Obj.t array;
       (** Initial cell values: one per fused [Drop_repeats], input side
           first. Never mutated; instances copy it. *)
@@ -49,6 +49,11 @@ and ('b, 'a) composite = {
 }
 
 type packed = Pack : 'a t -> packed
+
+(* A private block: no user value is physically equal to it, so a fused
+   step can answer "filtered" in its own return value, allocating nothing
+   and never mistaking a user exception for a filtered round. *)
+let filtered = Obj.repr (ref ())
 
 let counter = Atomic.make 0
 

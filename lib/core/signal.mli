@@ -132,6 +132,11 @@ val delay : ?name:string -> float -> 'a t -> 'a t
 
 type packed = Pack : 'a t -> packed
 
+val filtered : Obj.t
+(** What a composite's [comp_step] returns, as [Obj.obj filtered], when a
+    fused [drop_repeats] stage dropped the value: a private block no user
+    value is physically equal to. Test with [Obj.repr v == filtered]. *)
+
 val id : 'a t -> int
 (** Unique node identifier (the paper's [guid]). *)
 
@@ -197,13 +202,13 @@ type 'a kind =
           thread and one channel in place of [comp_size] originals. *)
 
 and ('b, 'a) composite = {
-  comp_step : Obj.t array -> int -> 'b -> 'a option;
+  comp_step : Obj.t array -> int -> 'b -> 'a;
       (** [comp_step cells k v] applies the fused chain to [v]. The chain's
           state is explicit: its [j]-th cell is [cells.(k + j)], the only
           memory the step reads or writes, so the caller decides where
           cells live (arena state slots in {!Compile}, a private array per
           pipelined instantiation) and copying them copies the chain. Returns
-          [None] for "no change this round". *)
+          {!filtered} (physically) for "no change this round". *)
   comp_cells : Obj.t array;
       (** Initial cell values, one per fused [drop_repeats] (its default),
           input side first. Never mutated: instances copy it, and a

@@ -10,6 +10,11 @@
    synchronous part exactly as the single-session runtime does, while two
    different sessions never synchronise on anything at all.
 
+   The ready FIFO holds session references, not ids: a wake goes straight
+   into its session's inbox (the per-session restriction of the FIFO), and
+   the session joins the FIFO when its inbox was empty, so routing and
+   draining never look a session up by id.
+
    Delays use a virtual clock: the heap orders (due time, sequence) and
    [drain] advances [now] to each due time once the ready queue is empty —
    the same deterministic timer semantics as the Cml scheduler's wheel,
@@ -26,10 +31,82 @@ module Runtime = Elm_core.Runtime
 module Upgrade = Elm_core.Upgrade
 module Exec = Elm_core.Exec
 module Pool = Elm_core.Pool
-module Pqueue = Cml.Pqueue
 
-type delayed = {
-  dl_sid : int;
+(* The virtual delay heap: a binary min-heap over flat arrays, ordered by
+   (due time, sequence number) with monomorphic float and int
+   comparisons. Distinct sequence numbers make the order total, so equal
+   due times pop first-in first-out. *)
+module Heap = struct
+  type 'a t = {
+    mutable due : float array;
+    mutable seq : int array;
+    mutable items : 'a array;
+    mutable size : int;
+  }
+
+  let create () = { due = [||]; seq = [||]; items = [||]; size = 0 }
+  let length h = h.size
+  let min_due h = h.due.(0)
+  let top h = h.items.(0)
+
+  let before h i j =
+    h.due.(i) < h.due.(j) || (h.due.(i) = h.due.(j) && h.seq.(i) < h.seq.(j))
+
+  let swap h i j =
+    let d = h.due.(i) and q = h.seq.(i) and x = h.items.(i) in
+    h.due.(i) <- h.due.(j);
+    h.seq.(i) <- h.seq.(j);
+    h.items.(i) <- h.items.(j);
+    h.due.(j) <- d;
+    h.seq.(j) <- q;
+    h.items.(j) <- x
+
+  let push h ~due ~seq x =
+    let n = h.size in
+    if n = Array.length h.items then begin
+      let grow a fill =
+        let b = Array.make (max 16 (2 * n)) fill in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      h.due <- grow h.due 0.0;
+      h.seq <- grow h.seq 0;
+      h.items <- grow h.items x
+    end;
+    h.due.(n) <- due;
+    h.seq.(n) <- seq;
+    h.items.(n) <- x;
+    h.size <- n + 1;
+    let rec up i =
+      let p = (i - 1) / 2 in
+      if i > 0 && before h i p then begin
+        swap h i p;
+        up p
+      end
+    in
+    up n
+
+  (* Remove the minimum (see [top]). Its slot is refilled with a live
+     entry, so a popped item stays reachable only while the heap is
+     empty. *)
+  let pop h =
+    let n = h.size - 1 in
+    swap h 0 n;
+    h.items.(n) <- h.items.(0);
+    h.size <- n;
+    let rec down i =
+      let l = (2 * i) + 1 in
+      let c = if l + 1 < n && before h (l + 1) l then l + 1 else l in
+      if c < n && before h c i then begin
+        swap h i c;
+        down c
+      end
+    in
+    down 0
+end
+
+type 'a delayed = {
+  dl_session : 'a Session.t;
   dl_node : int;  (* the delay node to wake *)
   dl_slot : int;  (* its value slot *)
   dl_value : Obj.t;
@@ -41,11 +118,13 @@ type 'a t = {
          it together with the plan between event waves *)
   mutable d_plan : Compile.plan;
   d_fuse : bool;  (* replayed on the replacement graph at upgrade *)
-  d_env : Session.env;
+  d_env : 'a Session.env;
   d_sessions : (int, 'a Session.t) Hashtbl.t;
-  d_ready : (int * int) Queue.t;  (* (session id, source id), FIFO *)
-  d_delays : ((float * int), delayed) Pqueue.t ref;
-  d_now : float ref;  (* virtual clock, advanced by drain *)
+  d_ready : 'a Session.t Queue.t;
+      (* sessions with inbox wakes, in the order their first wake came *)
+  d_delays : 'a delayed Heap.t;
+  mutable d_seq : int;  (* delay tie-break: equal due times stay FIFO *)
+  mutable d_now : float;  (* virtual clock, advanced by drain *)
   d_tracer : Trace.t option;
   d_policy : Runtime.error_policy;
   d_capacity : int option;
@@ -71,68 +150,67 @@ type accounting = {
   pending_delays : int;
 }
 
+(* Route one wake: into the session's inbox, and the session onto the
+   ready FIFO if the inbox was empty. *)
+let route d s source =
+  if not (Session.has_wakes s) then Queue.push s d.d_ready;
+  Session.wake_push s source
+
+(* The sessions' boundary hooks. Both run coordinator-side, from
+   [Session.flush] after a round's tasks have finished, so they touch the
+   shared queue and heap from one domain only. *)
+let fire d s ~source =
+  if not (Session.closed s) then begin
+    Session.mark_pending s;
+    route d s source
+  end
+
+let delay d s ~node ~slot ~seconds v =
+  if not (Session.closed s) then begin
+    Session.mark_pending_delay s;
+    d.d_seq <- d.d_seq + 1;
+    Heap.push d.d_delays ~due:(d.d_now +. seconds) ~seq:d.d_seq
+      { dl_session = s; dl_node = node; dl_slot = slot; dl_value = v }
+  end
+
 let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     ?history ?(fuse = true) ?pool root =
   let root = if fuse then Fuse.fuse_cached root else root in
-  let plan = Compile.plan_of root in
-  let sessions = Hashtbl.create 64 in
-  let ready = Queue.create () in
-  let delays =
-    ref (Pqueue.empty ~compare:(fun (a : float * int) b -> compare a b))
-  in
-  let seq = ref 0 in  (* tie-break: equal due times stay FIFO *)
-  let now = ref 0.0 in
-  (* Both hooks run coordinator-side, from [Session.flush] after a round's
-     tasks have finished, so they touch the shared queue and heap from one
-     domain only. *)
-  let env =
+  let rec d =
     {
-      Session.env_fire =
-        (fun ~sid ~source ->
-          match Hashtbl.find_opt sessions sid with
-          | Some s when not (Session.closed s) ->
-            Session.mark_pending s;
-            Queue.push (sid, source) ready
-          | Some _ | None -> ());
-      env_delay =
-        (fun ~sid ~node ~slot ~seconds v ->
-          match Hashtbl.find_opt sessions sid with
-          | Some s when not (Session.closed s) ->
-            Session.mark_pending_delay s;
-            incr seq;
-            delays :=
-              Pqueue.insert !delays
-                (!now +. seconds, !seq)
-                { dl_sid = sid; dl_node = node; dl_slot = slot; dl_value = v }
-          | Some _ | None -> ());
+      d_root = root;
+      d_plan = Compile.plan_of root;
+      d_fuse = fuse;
+      d_env =
+        {
+          Session.env_fire = (fun s ~source -> fire d s ~source);
+          env_delay =
+            (fun s ~node ~slot ~seconds v -> delay d s ~node ~slot ~seconds v);
+        };
+      d_sessions = Hashtbl.create 64;
+      d_ready = Queue.create ();
+      d_delays = Heap.create ();
+      d_seq = 0;
+      d_now = 0.0;
+      d_tracer = tracer;
+      d_policy = on_node_error;
+      d_capacity = queue_capacity;
+      d_history = history;
+      d_pool = pool;
+      d_draining = false;
+      d_domain_stats = [||];
+      d_next_sid = 0;
+      d_opened = 0;
+      d_closed = 0;
+      d_routed = 0;
+      d_upgrades = 0;
     }
   in
-  {
-    d_root = root;
-    d_plan = plan;
-    d_fuse = fuse;
-    d_env = env;
-    d_sessions = sessions;
-    d_ready = ready;
-    d_delays = delays;
-    d_now = now;
-    d_tracer = tracer;
-    d_policy = on_node_error;
-    d_capacity = queue_capacity;
-    d_history = history;
-    d_pool = pool;
-    d_draining = false;
-    d_domain_stats = [||];
-    d_next_sid = 0;
-    d_opened = 0;
-    d_closed = 0;
-    d_routed = 0;
-    d_upgrades = 0;
-  }
+  d
 
 let root d = d.d_root
 let plan d = d.d_plan
-let now d = !(d.d_now)
+let now d = d.d_now
 let pool d = d.d_pool
 let domain_stats d = d.d_domain_stats
 
@@ -183,7 +261,7 @@ let find d sid = Hashtbl.find_opt d.d_sessions sid
 let try_inject d s input v =
   if Session.offer s input v then begin
     Session.mark_pending s;
-    Queue.push (Session.id s, Signal.id input) d.d_ready;
+    route d s (Signal.id input);
     d.d_routed <- d.d_routed + 1;
     true
   end
@@ -199,11 +277,11 @@ let inject d s input v =
    upgrade while pool workers are stepping, and the synchronous drains
    never call out to user code between steps, so every session's arena is
    a consistent cut when we get here. Pending work survives: queued input
-   values transfer inside [Session.upgrade], and the global ready queue
-   and delay heap are rewritten below under the patch's node map — an
-   upgrade drops no accepted event unless its source was detached with
-   the subgraph that owned it (in which case the matching pending
-   counters come down, keeping the accounting invariant exact).
+   values and inbox wakes move inside [Session.upgrade], and the delay
+   heap is rewritten below under the patch's node map — an upgrade drops
+   no accepted event unless its source was detached with the subgraph
+   that owned it (in which case the matching pending counters come down,
+   keeping the accounting invariant exact).
 
    The shared plan cache is invalidated and reseeded: the old root's plan
    entry and its fusion memo are dead the moment sessions stop serving
@@ -230,35 +308,19 @@ let upgrade_all ?migrate ?mutate d new_root =
   Hashtbl.iter
     (fun _ s -> Session.upgrade ~stale_map ~skip_migration ~leak_mailbox s patch)
     d.d_sessions;
-  (* Ready queue: matched sources keep their FIFO positions under their
-     new node ids; wakes of detached sources are dropped with their
-     pending counters. *)
-  let entries = List.of_seq (Queue.to_seq d.d_ready) in
-  Queue.clear d.d_ready;
-  List.iter
-    (fun (sid, src) ->
-      match Upgrade.node_of_old patch src with
-      | Some src' -> Queue.push (sid, src') d.d_ready
-      | None -> (
-        match find d sid with
-        | Some s -> Session.drop_pending s
-        | None -> ()))
-    entries;
   (* Delay heap: rebuilt under new node/slot ids, preserving (due, seq)
      keys so virtual-time order is unchanged. In-flight values of
      detached delay nodes are released with their pending counters.
-     (The drains run to quiescence, so the heap is empty at every legal
-     upgrade point today; the remap is kept exact anyway for any future
-     partial-drain mode.) *)
-  let rec drain_heap acc =
-    match Pqueue.pop_min !(d.d_delays) with
-    | None -> List.rev acc
-    | Some (key, dl, rest) ->
-      d.d_delays := rest;
-      drain_heap ((key, dl) :: acc)
+     (A drain runs to quiescence unless a node's exception aborts it, so
+     the heap is empty at every upgrade point but that one.) *)
+  let h = d.d_delays in
+  let entries =
+    List.init (Heap.length h) (fun i ->
+        (h.Heap.due.(i), h.Heap.seq.(i), h.Heap.items.(i)))
   in
+  h.Heap.size <- 0;
   List.iter
-    (fun (key, dl) ->
+    (fun (due, seq, dl) ->
       match Upgrade.node_of_old patch dl.dl_node with
       | Some node' ->
         let slot' =
@@ -267,14 +329,11 @@ let upgrade_all ?migrate ?mutate d new_root =
           | Some sl -> sl
           | None -> assert false
         in
-        d.d_delays :=
-          Pqueue.insert !(d.d_delays) key
-            { dl with dl_node = node'; dl_slot = slot' }
-      | None -> (
-        match find d dl.dl_sid with
-        | Some s -> Session.drop_pending_delay s
-        | None -> ()))
-    (drain_heap []);
+        Heap.push h ~due ~seq { dl with dl_node = node'; dl_slot = slot' }
+      | None ->
+        if not (Session.closed dl.dl_session) then
+          Session.drop_pending_delay dl.dl_session)
+    entries;
   d.d_root <- new_root;
   d.d_plan <- new_plan;
   patch
@@ -284,17 +343,17 @@ let upgrades d = d.d_upgrades
 (* ------------------------------------------------------------------ *)
 (* Drain.
 
-   One drain is a sequence of rounds. A round deals the ready FIFO into
-   per-session inboxes, takes every dealt wake, runs the resulting work,
+   One drain is a sequence of rounds. A round takes the sessions on the
+   ready FIFO, takes every wake in their inboxes, runs the resulting work,
    then flushes each session's buffered boundary effects coordinator-side:
-   async re-entries land at the tail of the ready FIFO (the next round),
-   delays in the heap. Once a round finds nothing ready, the earliest due
-   delays are delivered — all heap entries at the minimum due time, at
-   most one per session — and the next round starts.
+   async re-entries land in inboxes again and their sessions on the ready
+   FIFO (the next round), delays in the heap. Once a round finds nothing
+   ready, the earliest due delays are delivered — all heap entries at the
+   minimum due time, at most one per session — and the next round starts.
 
    Only the per-session restriction of the FIFO is observable (sessions
    share no mutable state), and every placement realises the same one:
-   a session's wakes are taken in dealt order, its re-entries queue
+   a session's wakes are taken in arrival order, its re-entries queue
    behind them, and a second same-due delay of one session waits for the
    round after, where a one-event-at-a-time drain would also have run
    everything the first one caused before popping it. The placement
@@ -313,66 +372,53 @@ let ensure_domain_stats d n =
           if i < Array.length d.d_domain_stats then d.d_domain_stats.(i)
           else Stats.create ())
 
-(* Deal the ready FIFO into per-session inboxes, returning the sessions
-   that became runnable in first-seen order (deterministic: depends only
-   on queue contents). *)
-let deal d =
-  let runnable = ref [] in
-  while not (Queue.is_empty d.d_ready) do
-    let sid, source = Queue.pop d.d_ready in
-    match find d sid with
-    | Some s ->
-      if not (Session.has_wakes s) then runnable := s :: !runnable;
-      Session.wake_push s source
-    | None -> ()
-  done;
-  List.rev !runnable
-
 (* Deliver the earliest batch of due delays (see above) into session
-   inboxes, advancing the virtual clock; returns the sessions made
-   runnable, in heap order. Called only when every inbox is empty, so an
-   inbox holding a wake marks a session already served this batch: its
-   next entry stays in the heap, and everything behind it with it. *)
+   inboxes, advancing the virtual clock. Called only when every inbox is
+   empty, so an inbox holding a wake marks a session already served this
+   batch: its next entry stays in the heap, and everything behind it with
+   it. A batch of closed sessions' entries delivers nothing: go on. *)
 let rec deliver_due_delays d =
-  match Pqueue.min !(d.d_delays) with
-  | None -> []
-  | Some ((due, _), _) ->
-    if due > !(d.d_now) then d.d_now := due;
-    let rec collect acc =
-      match Pqueue.pop_min !(d.d_delays) with
-      | Some ((due', _), dl, rest) when due' = due -> (
-        match find d dl.dl_sid with
-        | Some s when Session.has_wakes s -> acc
-        | found -> (
-          d.d_delays := rest;
-          match found with
-          | Some s ->
-            Session.deliver_delayed s ~slot:dl.dl_slot dl.dl_value;
-            Session.mark_pending s;
-            Session.wake_push s dl.dl_node;
-            collect (s :: acc)
-          | None -> collect acc))
-      | Some _ | None -> acc
+  let h = d.d_delays in
+  if Heap.length h > 0 then begin
+    let due = Heap.min_due h in
+    if due > d.d_now then d.d_now <- due;
+    let rec collect () =
+      if Heap.length h > 0 && Heap.min_due h = due then begin
+        let dl = Heap.top h in
+        let s = dl.dl_session in
+        if Session.closed s then begin
+          Heap.pop h;
+          collect ()
+        end
+        else if not (Session.has_wakes s) then begin
+          Heap.pop h;
+          Session.deliver_delayed s ~slot:dl.dl_slot dl.dl_value;
+          Session.mark_pending s;
+          route d s dl.dl_node;
+          collect ()
+        end
+      end
     in
-    (* a batch of closed sessions' entries delivers nothing: go on *)
-    match collect [] with [] -> deliver_due_delays d | batch -> List.rev batch
+    collect ();
+    if Queue.is_empty d.d_ready then deliver_due_delays d
+  end
 
 (* Run one round's work on the dispatcher's placement; returns the number
    of wakes taken. *)
 let run_round d ~seed runnable =
   match d.d_pool with
-  | None -> List.fold_left (fun n s -> n + Session.step_wakes s) 0 runnable
+  | None -> Queue.fold (fun n s -> n + Session.step_wakes s) 0 runnable
   | Some pool ->
     let taken = Atomic.make 0 in
     Pool.run ~seed pool
-      (Array.of_list
-         (List.map
+      (Array.of_seq
+         (Seq.map
             (fun s w ->
               let before = Stats.copy (Session.stats s) in
               ignore (Atomic.fetch_and_add taken (Session.step_wakes s));
               Stats.add_delta d.d_domain_stats.(w) ~before
                 ~after:(Session.stats s))
-            runnable));
+            (Queue.to_seq runnable)));
     Atomic.get taken
 
 let drain ?(seed = 0) d =
@@ -380,22 +426,32 @@ let drain ?(seed = 0) d =
   (match d.d_pool with
   | Some p -> ensure_domain_stats d (Pool.domains p)
   | None -> ());
-  let rec rounds i taken = function
-    | [] -> (
-      match deliver_due_delays d with
-      | [] -> taken
-      | next -> rounds (i + 1) taken next)
-    | runnable ->
+  let runnable = Queue.create () in
+  let rec rounds i taken =
+    if Queue.is_empty d.d_ready then deliver_due_delays d;
+    if Queue.is_empty d.d_ready then taken
+    else begin
+      Queue.transfer d.d_ready runnable;
       let n = run_round d ~seed:(seed + i) runnable in
-      List.iter Session.flush runnable;
-      rounds (i + 1) (taken + n) (deal d)
+      Queue.iter Session.flush runnable;
+      Queue.clear runnable;
+      rounds (i + 1) (taken + n)
+    end
   in
   d.d_draining <- true;
-  match rounds 0 0 (deal d) with
+  match rounds 0 0 with
   | taken ->
     d.d_draining <- false;
     taken
   | exception e ->
+    (* A node's exception (Propagate) aborts the round. Its sessions keep
+       the wakes they did not take, back on the ready FIFO, and hand over
+       what their finished steps buffered, so a later drain goes on where
+       this one stopped. *)
+    Queue.iter
+      (fun s -> if Session.has_wakes s then Queue.push s d.d_ready)
+      runnable;
+    Queue.iter Session.flush runnable;
     d.d_draining <- false;
     raise e
 

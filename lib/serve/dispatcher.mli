@@ -88,9 +88,11 @@ val drain : ?seed:int -> 'a t -> int
     through due delayed values once nothing is ready. Returns the number
     of events dispatched.
 
-    A drain runs in rounds: deal the ready FIFO into per-session inboxes,
-    take every dealt wake, run the work, then flush each session's
-    buffered async/delay re-entries (they queue for the next round); when
+    A drain runs in rounds: take the sessions on the ready FIFO (a wake
+    waits in its session's inbox; the FIFO holds each session with wakes
+    once, in the order of its first), run every inbox wake, then flush
+    each session's buffered async/delay re-entries (they queue for the
+    next round); when
     nothing is ready, deliver the earliest due delayed values — at most
     one per session, in heap order. Where the work runs follows from
     {!create}: inline without a pool, else one task per runnable session
@@ -164,5 +166,30 @@ type accounting = {
 
 val accounting : 'a t -> accounting
 val pp_accounting : Format.formatter -> accounting -> unit
+
+(** {1 The delay heap} *)
+
+(** The virtual delay heap's structure, exposed for its tests: a binary
+    min-heap over flat arrays ordered by [(due, seq)] — monomorphic float
+    and int comparisons, nothing allocated per push or pop but the growth
+    of the arrays. The dispatcher numbers its entries with increasing
+    [seq], so equal due times pop first-in first-out. *)
+module Heap : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val length : 'a t -> int
+  val push : 'a t -> due:float -> seq:int -> 'a -> unit
+
+  val min_due : 'a t -> float
+  (** The least due time. Undefined on an empty heap, as are [top] and
+      [pop]. *)
+
+  val top : 'a t -> 'a
+  (** The entry with the least [(due, seq)]. *)
+
+  val pop : 'a t -> unit
+  (** Remove the [top] entry. *)
+end
 
 val iter_sessions : 'a t -> ('a Session.t -> unit) -> unit

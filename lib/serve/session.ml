@@ -11,7 +11,7 @@
    Sessions are fully synchronous: no threads, no mailboxes, no Cml
    scheduler. All execution is the session's [Exec] instance; the session
    adds what serving needs around it: the display sink, the wake inbox the
-   dispatcher deals into, lifecycle counters and live upgrade. Async taps
+   dispatcher routes into, lifecycle counters and live upgrade. Async taps
    re-enter through the dispatcher's ready queue ([env_fire]) and delay
    taps through its virtual delay heap ([env_delay]), preserving the
    paper's boundary semantics: order is maintained within the synchronous
@@ -27,11 +27,6 @@ module Upgrade = Elm_core.Upgrade
 
 exception Queue_full
 
-type env = {
-  env_fire : sid:int -> source:int -> unit;
-  env_delay : sid:int -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
-}
-
 type 'a sink = {
   mutable k_current : 'a;
   mutable k_rev_changes : (int * 'a) list;  (* (epoch, value), newest first *)
@@ -39,21 +34,30 @@ type 'a sink = {
   k_history : int option;
 }
 
+(* Boundary re-entries go back to the dispatcher with the session itself,
+   so routing them needs no lookup by id. *)
+type 'a env = {
+  env_fire : 'a t -> source:int -> unit;
+  env_delay : 'a t -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
+}
+
 (* [s_exec] is mutable for exactly one writer: [upgrade], which swaps a
    session onto a new plan's instance between event waves. The sink,
    stats and epoch persist — an upgraded session keeps its history. *)
-type 'a t = {
+and 'a t = {
   s_id : int;
-  s_env : env;
+  s_env : 'a env;
   s_policy : Runtime.error_policy;
   mutable s_exec : Exec.t;
   s_capacity : int option;
   s_tracer : Trace.t option;
   s_sink : 'a sink;
-  s_hooks : Exec.hooks;
+  mutable s_hooks : Exec.hooks;
+      (* set once by [build], right after the record exists: the hooks
+         hand the session itself to [s_env] *)
   s_inbox : int Queue.t;
-      (* source-id wakes dealt to this session for the current drain
-         round: the per-session restriction of the dispatcher's FIFO *)
+      (* source-id wakes routed to this session, in arrival order: the
+         per-session restriction of the dispatcher's FIFO *)
   mutable s_pending : int;  (* routed events not yet stepped *)
   mutable s_pending_delays : int;  (* values in the dispatcher's heap *)
   mutable s_dropped : int;  (* injections refused by a full queue *)
@@ -89,6 +93,17 @@ let record_change k epoch v =
 let sink_display (type r) (sink : r sink) ~epoch ~changed v =
   if changed then record_change sink epoch (Obj.obj v : r)
 
+(* The hooks a session starts with, until [build] ties its own to it (a
+   recursive record definition would cost every open a dummy block and a
+   copy). *)
+let no_hooks =
+  {
+    Exec.fire = ignore;
+    delay = (fun ~node:_ ~slot:_ ~seconds:_ _ -> ());
+    display = (fun ~epoch:_ ~changed:_ _ -> ());
+    observe = (fun ~node:_ ~epoch:_ ~changed:_ -> ());
+  }
+
 let make_exec ~sid ~policy ~tracer ~stats ~sink ~epoch pl arena =
   Exec.create ?tracer
     ~offset:(sid * Compile.id_stride pl)
@@ -99,7 +114,7 @@ let make_exec ~sid ~policy ~tracer ~stats ~sink ~epoch pl arena =
    sink contents. *)
 let build : type r.
     sid:int ->
-    env:env ->
+    env:r env ->
     policy:Runtime.error_policy ->
     capacity:int option ->
     tracer:Trace.t option ->
@@ -110,27 +125,32 @@ let build : type r.
     plan:Compile.plan ->
     r t =
  fun ~sid ~env ~policy ~capacity ~tracer ~stats ~sink ~arena ~epoch ~plan ->
-  {
-    s_id = sid;
-    s_env = env;
-    s_policy = policy;
-    s_exec = make_exec ~sid ~policy ~tracer ~stats ~sink ~epoch plan arena;
-    s_capacity = capacity;
-    s_tracer = tracer;
-    s_sink = sink;
-    s_hooks =
-      {
-        Exec.fire = (fun source -> env.env_fire ~sid ~source);
-        delay = env.env_delay ~sid;
-        display = sink_display sink;
-        observe = (fun ~node:_ ~epoch:_ ~changed:_ -> ());
-      };
-    s_inbox = Queue.create ();
-    s_pending = 0;
-    s_pending_delays = 0;
-    s_dropped = 0;
-    s_closed = false;
-  }
+  let s =
+    {
+      s_id = sid;
+      s_env = env;
+      s_policy = policy;
+      s_exec = make_exec ~sid ~policy ~tracer ~stats ~sink ~epoch plan arena;
+      s_capacity = capacity;
+      s_tracer = tracer;
+      s_sink = sink;
+      s_hooks = no_hooks;
+      s_inbox = Queue.create ();
+      s_pending = 0;
+      s_pending_delays = 0;
+      s_dropped = 0;
+      s_closed = false;
+    }
+  in
+  s.s_hooks <-
+    {
+      no_hooks with
+      Exec.fire = (fun source -> env.env_fire s ~source);
+      delay =
+        (fun ~node ~slot ~seconds v -> env.env_delay s ~node ~slot ~seconds v);
+      display = sink_display sink;
+    };
+  s
 
 let open_session ~sid ~env ?tracer ?(on_node_error = Runtime.Propagate)
     ?queue_capacity ?history root =
@@ -211,7 +231,7 @@ let offer : type i. 'a t -> i Signal.t -> i -> bool =
       Queue.push (Obj.repr v) q;
       true)
 
-(* Take every dealt wake and run it at once on the sequential lane
+(* Take every inbox wake and run it at once on the sequential lane
    ([Exec.step]). A closed session consumes its wakes without effect.
    Returns the number taken. *)
 let step_wakes s =
@@ -235,7 +255,7 @@ let deliver_delayed s ~slot v =
 let mark_pending s = s.s_pending <- s.s_pending + 1
 let mark_pending_delay s = s.s_pending_delays <- s.s_pending_delays + 1
 
-(* A routed event / heap entry discarded across an upgrade (its source was
+(* An inbox wake / heap entry discarded across an upgrade (its source was
    detached): the matching future step/delivery will never happen, so the
    counter comes down here instead. *)
 let drop_pending s = s.s_pending <- s.s_pending - 1
@@ -247,8 +267,10 @@ let drop_pending_delay s = s.s_pending_delays <- s.s_pending_delays - 1
    patch's migrations), attached slots seed from defaults, and pending
    values queued on matched source slots transfer to the new instance's
    queues (a transfer may transiently overfill a bounded queue; upgrades
-   never drop accepted events). The sink, stats and epoch persist — an
-   upgraded session keeps its change history and its epoch numbering. *)
+   never drop accepted events). Inbox wakes keep their order under their
+   new source ids; wakes of detached sources go with their pending
+   counters. The sink, stats and epoch persist — an upgraded session keeps
+   its change history and its epoch numbering. *)
 let upgrade ?(stale_map = false) ?(skip_migration = false)
     ?(leak_mailbox = false) s patch =
   if not s.s_closed then begin
@@ -275,7 +297,15 @@ let upgrade ?(stale_map = false) ?(skip_migration = false)
             Queue.transfer q (Exec.queue x nsl)
           | _ -> ())
         (Exec.queues old);
-    s.s_exec <- x
+    s.s_exec <- x;
+    let wakes = Queue.copy s.s_inbox in
+    Queue.clear s.s_inbox;
+    Queue.iter
+      (fun src ->
+        match Upgrade.node_of_old patch src with
+        | Some src' -> Queue.push src' s.s_inbox
+        | None -> drop_pending s)
+      wakes
   end
 
 let wake_push s source = Queue.push source s.s_inbox

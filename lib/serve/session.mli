@@ -26,25 +26,25 @@ exception Queue_full
 (** Raised by [Dispatcher.inject] when the target input's bounded queue is
     full (see [queue_capacity]). *)
 
-type env = {
-  env_fire : sid:int -> source:int -> unit;
-      (** An async boundary fired inside session [sid]: register a fresh
+type 'a t
+
+type 'a env = {
+  env_fire : 'a t -> source:int -> unit;
+      (** An async boundary fired inside the session: register a fresh
           event for [source] on the dispatcher's ready queue. *)
-  env_delay : sid:int -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
-      (** A delay boundary fired: schedule the value for [slot] of session
-          [sid] on the dispatcher's virtual delay heap, waking [node]
+  env_delay : 'a t -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
+      (** A delay boundary fired: schedule the value for [slot] of the
+          session on the dispatcher's virtual delay heap, waking [node]
           [seconds] later. *)
 }
 (** The session's view of its dispatcher: how boundary re-entries get back
-    into the event stream. *)
-
-type 'a t
+    into the event stream, carrying the session itself. *)
 
 (** {1 Lifecycle} *)
 
 val open_session :
   sid:int ->
-  env:env ->
+  env:'a env ->
   ?tracer:Trace.t ->
   ?on_node_error:Runtime.error_policy ->
   ?queue_capacity:int ->
@@ -125,13 +125,10 @@ val deliver_delayed : 'a t -> slot:int -> Obj.t -> unit
 val mark_pending : 'a t -> unit
 val mark_pending_delay : 'a t -> unit
 
-val drop_pending : 'a t -> unit
-(** A routed event discarded across an upgrade (its source node was
-    detached): the matching future [step] will never run, so the pending
-    counter comes down here. *)
-
 val drop_pending_delay : 'a t -> unit
-(** Likewise for a discarded delay-heap entry. *)
+(** A delay-heap entry discarded across an upgrade (its delay node was
+    detached): the matching future delivery will never happen, so the
+    pending counter comes down here. *)
 
 val upgrade :
   ?stale_map:bool ->
@@ -143,23 +140,25 @@ val upgrade :
 (** Swap the session onto the patch's new plan: remap the arena
     ({!Upgrade.remap}), rebuild queues and the execution context against
     the new slot layout, transfer pending values queued on matched source
-    slots, re-register trace rows under the new id stride. The change
+    slots, move inbox wakes to their matched sources' new ids (wakes of
+    detached sources are released with their pending counters),
+    re-register trace rows under the new id stride. The change
     history, stats and epoch numbering persist. Called by
     [Dispatcher.upgrade_all] between event waves; the flags plant the
     mutation-catalogue upgrade bugs and are not for applications. *)
 
 val wake_push : 'a t -> int -> unit
 (** Append a source-id wake to the session's inbox — the per-session
-    restriction of the dispatcher's FIFO for the current drain round.
-    Touched by the coordinator between rounds, or by the one task that
-    takes the session's wakes; never concurrently. *)
+    restriction of the dispatcher's FIFO. Touched by the coordinator
+    between rounds, or by the one task that takes the session's wakes;
+    never concurrently. *)
 
 val has_wakes : 'a t -> bool
 
 val step_wakes : 'a t -> int
 (** Take every inbox wake and run each to completion on the session's
-    {!Exec} instance ({!Exec.step}: epoch, counters, woken regions in
-    topological order), buffering its boundary effects for {!flush}.
+    {!Exec} instance ({!Exec.step}: epoch, counters, the source's
+    schedule), buffering its boundary effects for {!flush}.
     Closed sessions consume their wakes without effect. Returns the
     number of wakes taken. *)
 

@@ -12,6 +12,7 @@ module Runtime = Elm_core.Runtime
 module Event = Elm_core.Event
 module Stats = Elm_core.Stats
 module Compile = Elm_core.Compile
+module Reach = Elm_core.Reach
 module Fuse = Elm_core.Fuse
 module Trace = Elm_core.Trace
 module Explore = Elm_check.Explore
@@ -144,30 +145,96 @@ let test_partition_covers_every_shape () =
       (Compile.regions plan)
   done
 
-(* Cone locality: every source's event wakes at most one region, fused
-   and unfused, over the whole catalogue. A wave runs its region groups
-   in any order on the strength of this (with buffered boundary effects);
-   a repartition that splits a synchronous cone must fail here. *)
+(* Cone locality: every node of a source's synchronous cone lies in the
+   one region its schedule names, fused and unfused, over the whole
+   catalogue. A wave runs its region groups in any order on the strength
+   of this (with buffered boundary effects), and a schedule is one region's
+   op subsequence; a repartition that splits a synchronous cone must fail
+   here. *)
 let test_source_cone_wakes_one_region () =
-  let widest = ref 0 in
   for shape = 0 to Gen_graph.shape_count - 1 do
     List.iter
       (fun fuse ->
         let _, _, s = Gen_graph.build_shape shape in
-        let plan = Compile.plan (if fuse then Fuse.fuse s else s) in
+        let root = if fuse then Fuse.fuse s else s in
+        let plan = Compile.plan root in
         List.iter
           (fun (src, name) ->
-            let woken, _ = Compile.cone plan src in
-            widest := max !widest (Array.length woken);
-            check_bool
-              (Printf.sprintf "shape %d (fuse %b): %s wakes <= 1 region" shape
-                 fuse name)
-              true
-              (Array.length woken <= 1))
+            let sc = Compile.schedule plan src in
+            List.iter
+              (fun (Signal.Pack n) ->
+                check_bool
+                  (Printf.sprintf "shape %d (fuse %b): %s's cone in one region"
+                     shape fuse name)
+                  true
+                  (Compile.region_of plan (Signal.id n) = Some sc.sc_region))
+              (Reach.cone (Compile.reach plan) src))
           (Compile.sources plan))
       [ false; true ]
-  done;
-  check_int "the widest cone wakes exactly one region" 1 !widest
+  done
+
+(* Per-source schedules, the compiled clock of each source: over the
+   catalogue, fused and unfused, a source's schedule holds exactly its
+   cone's member ops plus the async/delay taps whose inner node is in the
+   cone, in plan order (deps first, each tap right after its inner node,
+   taps in plan order of their boundary node). Under flood, a region's op
+   list is the same construction over all of its members. The compiled
+   Flood-vs-Cone trace tests stay the behavioural oracle. *)
+let test_source_schedule_is_its_cone () =
+  for shape = 0 to Gen_graph.shape_count - 1 do
+    List.iter
+      (fun fuse ->
+        let _, _, s = Gen_graph.build_shape shape in
+        let root = if fuse then Fuse.fuse s else s in
+        let plan = Compile.plan root in
+        let reach = Compile.reach plan in
+        let order = Signal.reachable root in
+        let taps_of id =
+          List.filter_map
+            (fun (Signal.Pack t) ->
+              match Signal.kind t with
+              | (Signal.Async inner | Signal.Delay (_, inner))
+                when Signal.id inner = id ->
+                Some (Signal.id t)
+              | _ -> None)
+            order
+        in
+        let expected keep =
+          List.concat_map
+            (fun (Signal.Pack n) ->
+              let id = Signal.id n in
+              if keep id then id :: taps_of id else [])
+            order
+        in
+        let label = Printf.sprintf "shape %d (fuse %b)" shape fuse in
+        List.iter
+          (fun (src, name) ->
+            let sc = Compile.schedule plan src in
+            let in_cone node = Reach.affects reach ~source:src ~node in
+            check_ints
+              (Printf.sprintf "%s: %s's schedule = its cone + taps" label name)
+              (expected in_cone)
+              (Array.to_list sc.sc_nodes);
+            check_int (label ^ ": one op per entry") (Array.length sc.sc_nodes)
+              (Array.length sc.sc_ops);
+            check_int (label ^ ": cone size") (Reach.cone_size reach src)
+              sc.sc_cone_size;
+            check_bool (label ^ ": reaches the display iff the root is in it")
+              (in_cone (Signal.id root)) sc.sc_root)
+          (Compile.sources plan);
+        List.iter
+          (fun rg ->
+            check_ints
+              (Printf.sprintf "%s: region %d's flood op list" label
+                 rg.Compile.rg_index)
+              (expected (fun id -> List.mem id rg.Compile.rg_member_ids))
+              (Array.to_list
+                 (Compile.region_ops plan rg.Compile.rg_index).sc_nodes))
+          (Compile.regions plan);
+        check_int (label ^ ": a non-source wakes nothing") (-1)
+          (Compile.schedule plan (Signal.id root + 1_000_000)).sc_region)
+      [ false; true ]
+  done
 
 let test_compiled_dot_shows_regions () =
   let a = Signal.input ~name:"a" 0 in
@@ -538,6 +605,8 @@ let () =
             test_partition_covers_every_shape;
           tc "every source's cone wakes at most one region" `Quick
             test_source_cone_wakes_one_region;
+          tc "every source's schedule is its cone" `Quick
+            test_source_schedule_is_its_cone;
           tc "dot renders region clusters" `Quick
             test_compiled_dot_shows_regions;
         ] );

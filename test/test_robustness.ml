@@ -9,6 +9,8 @@ module Event = Elm_core.Event
 module Stats = Elm_core.Stats
 module Mailbox = Cml.Mailbox
 module Http = Elm_std.Http
+module Dispatcher = Elm_serve.Dispatcher
+module Session = Elm_serve.Session
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -97,52 +99,89 @@ let test_listener_crash () =
 (* ------------------------------------------------------------------ *)
 (* Node supervision: Isolate / Restart *)
 
+exception Crash of int
+
 (* Two independent branches: a crashing one fed by [a] (the crash kind —
-   plain lift, foldp step or fused composite chain — is the parameter) and a
-   clean one fed by [b] whose applications are recorded. [a] values that are
-   multiples of 3 crash when [faulty]; both branches join at the root so the
-   session exercises partial-failure dispatch. Returns the clean branch's
-   application log (newest first) and the runtime. *)
-let supervised_session ~kind ~policy ~mode ~dispatch ~faulty =
+   plain lift, foldp step, fused composite chain, or a fused drop_repeats
+   whose equality raises — is the parameter) and a clean one fed by [b]
+   whose applications are recorded in [clean_log]. [a] values that are
+   multiples of 3 raise [Crash v] when [faulty]; both branches join at the
+   root so the session exercises partial-failure dispatch. *)
+let supervised_graph ~kind ~faulty clean_log =
+  let a = Signal.input ~name:"a" 0 in
+  let b = Signal.input ~name:"b" 0 in
+  (* [x > 0]: the construction-time default (0) must not crash. *)
+  let boom x =
+    if faulty && x > 0 && x mod 3 = 0 then raise (Crash x) else x * 10
+  in
+  let crashing =
+    match kind with
+    | `Lift -> Signal.lift ~name:"boom" boom a
+    | `Foldp -> Signal.foldp ~name:"boom" (fun x acc -> boom x + acc) 0 a
+    | `Fused ->
+      (* A two-stage stateless chain: the fusion pass collapses it into one
+         composite node, so the crash happens inside a fused step and must
+         isolate the composite as a unit. *)
+      Signal.lift ~name:"post" (fun x -> x + 1) (Signal.lift ~name:"boom" boom a)
+    | `Fused_eq ->
+      (* lift + drop_repeats fuse into one composite whose filtering stage
+         raises from the user's equality: whatever the chain uses to mean
+         "filtered" must not swallow it. *)
+      Signal.drop_repeats ~name:"dedup"
+        ~eq:(fun x y -> ignore (boom (x / 10)); x = y)
+        (Signal.lift ~name:"scale" (fun x -> x * 10) a)
+  in
+  let clean =
+    Signal.lift ~name:"clean"
+      (fun y ->
+        clean_log := y :: !clean_log;
+        y + 100)
+      b
+  in
+  (a, b, Signal.lift2 ~name:"root" ( + ) crashing clean)
+
+let feed inject a b =
+  for i = 1 to 9 do
+    inject a i;
+    inject b i
+  done
+
+let kind_name = function
+  | `Lift -> "lift"
+  | `Foldp -> "foldp"
+  | `Fused -> "fused"
+  | `Fused_eq -> "fused drop_repeats eq"
+
+let policy_name = function
+  | Runtime.Isolate -> "isolate"
+  | Runtime.Restart n -> Printf.sprintf "restart:%d" n
+  | Runtime.Propagate -> "propagate"
+
+(* Returns the clean branch's application log (newest first) and the
+   runtime. *)
+let supervised_session ?(backend : Runtime.backend = Pipelined) ~kind ~policy ~mode
+    ~dispatch ~faulty () =
   let clean_log = ref [] in
   let rt =
     with_world (fun () ->
-        let a = Signal.input ~name:"a" 0 in
-        let b = Signal.input ~name:"b" 0 in
-        (* [x > 0]: the construction-time default (0) must not crash. *)
-        let boom x =
-          if faulty && x > 0 && x mod 3 = 0 then raise Node_crashed else x * 10
+        let a, b, root = supervised_graph ~kind ~faulty clean_log in
+        let rt =
+          Runtime.start ~backend ~mode ~dispatch ~on_node_error:policy root
         in
-        let crashing =
-          match kind with
-          | `Lift -> Signal.lift ~name:"boom" boom a
-          | `Foldp ->
-            Signal.foldp ~name:"boom"
-              (fun x acc -> boom x + acc)
-              0 a
-          | `Fused ->
-            (* A two-stage stateless chain: the fusion pass collapses it
-               into one composite node, so the crash happens inside a fused
-               step and must isolate the composite as a unit. *)
-            Signal.lift ~name:"post" (fun x -> x + 1)
-              (Signal.lift ~name:"boom" boom a)
-        in
-        let clean =
-          Signal.lift ~name:"clean"
-            (fun y ->
-              clean_log := y :: !clean_log;
-              y + 100)
-            b
-        in
-        let root = Signal.lift2 ~name:"root" ( + ) crashing clean in
-        let rt = Runtime.start ~mode ~dispatch ~on_node_error:policy root in
-        for i = 1 to 9 do
-          Runtime.inject rt a i;
-          Runtime.inject rt b i
-        done;
+        feed (Runtime.inject rt) a b;
         rt)
   in
   (!clean_log, rt)
+
+(* The same graph on one serving session. *)
+let supervised_serve ~kind ~policy ~faulty =
+  let clean_log = ref [] in
+  let a, b, root = supervised_graph ~kind ~faulty clean_log in
+  let d = Dispatcher.create ~on_node_error:policy root in
+  let s = Dispatcher.open_session d in
+  feed (Dispatcher.inject d s) a b;
+  ignore (Dispatcher.drain d);
+  (!clean_log, s)
 
 let test_supervision_matrix () =
   List.iter
@@ -154,15 +193,8 @@ let test_supervision_matrix () =
               List.iter
                 (fun dispatch ->
                   let label =
-                    Printf.sprintf "%s/%s/%s/%s"
-                      (match kind with
-                      | `Lift -> "lift"
-                      | `Foldp -> "foldp"
-                      | `Fused -> "fused")
-                      (match policy with
-                      | Runtime.Isolate -> "isolate"
-                      | Runtime.Restart n -> Printf.sprintf "restart:%d" n
-                      | Runtime.Propagate -> "propagate")
+                    Printf.sprintf "%s/%s/%s/%s" (kind_name kind)
+                      (policy_name policy)
                       (match mode with
                       | Runtime.Pipelined -> "pipelined"
                       | Runtime.Sequential -> "sequential")
@@ -172,11 +204,11 @@ let test_supervision_matrix () =
                   in
                   let clean_ok, _ =
                     supervised_session ~kind ~policy ~mode ~dispatch
-                      ~faulty:false
+                      ~faulty:false ()
                   in
                   let clean_faulty, rt =
                     supervised_session ~kind ~policy ~mode ~dispatch
-                      ~faulty:true
+                      ~faulty:true ()
                   in
                   (* The session completed (we got here), every injected
                      crash was counted, and the unaffected branch's
@@ -188,7 +220,91 @@ let test_supervision_matrix () =
                 [ Runtime.Flood; Runtime.Cone ])
             [ Runtime.Pipelined; Runtime.Sequential ])
         [ Runtime.Isolate; Runtime.Restart 1; Runtime.Restart 10 ])
-    [ `Lift; `Foldp; `Fused ]
+    [ `Lift; `Foldp; `Fused; `Fused_eq ]
+
+(* The matrix on the compiled paths, where every op catches its user
+   function's exception and hands it to one failure handler: compiled
+   lanes (both modes, both dispatches) and a serving session must count
+   the same failures and restarts as the pipelined reference, display the
+   same values, and leave the clean branch untouched. *)
+let test_supervision_matrix_compiled () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun policy ->
+          let label = kind_name kind ^ "/" ^ policy_name policy in
+          let clean_ok, _ =
+            supervised_session ~kind ~policy ~mode:Runtime.Sequential
+              ~dispatch:Runtime.Cone ~faulty:false ()
+          in
+          let _, reference =
+            supervised_session ~kind ~policy ~mode:Runtime.Sequential
+              ~dispatch:Runtime.Cone ~faulty:true ()
+          in
+          let expected =
+            let st = Runtime.stats reference in
+            ( List.map snd (Runtime.changes reference),
+              st.Stats.node_failures,
+              st.Stats.node_restarts )
+          in
+          let check path (clean, values, (st : Stats.t)) =
+            check_bool
+              (Printf.sprintf "%s on %s: same values and counts" label path)
+              true
+              ((values, st.node_failures, st.node_restarts) = expected);
+            check_int (Printf.sprintf "%s on %s: failures counted" label path) 3
+              st.node_failures;
+            check_bool
+              (Printf.sprintf "%s on %s: clean branch unaffected" label path)
+              true (clean = clean_ok)
+          in
+          List.iter
+            (fun (mode, dispatch, path) ->
+              let clean, rt =
+                supervised_session ~backend:Runtime.Compiled ~kind ~policy ~mode
+                  ~dispatch ~faulty:true ()
+              in
+              check path
+                (clean, List.map snd (Runtime.changes rt), Runtime.stats rt))
+            [
+              (Runtime.Pipelined, Runtime.Cone, "lanes");
+              (Runtime.Sequential, Runtime.Cone, "sequential lanes");
+              (Runtime.Pipelined, Runtime.Flood, "flooded lanes");
+            ];
+          let clean, s = supervised_serve ~kind ~policy ~faulty:true in
+          check "a session"
+            (clean, List.map snd (Session.changes s), Session.stats s))
+        [ Runtime.Isolate; Runtime.Restart 1 ])
+    [ `Lift; `Foldp; `Fused; `Fused_eq ]
+
+(* Under Propagate the user's own exception — the same constructor and
+   payload — escapes [Runtime.inject] (out of [Cml.run]) on both backends
+   and [Dispatcher.drain] on the serving path, for every crash kind. *)
+let test_propagate_escapes_unchanged () =
+  let escapes label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception escaped" label
+    | exception Crash 3 -> ()
+    | exception e ->
+      Alcotest.failf "%s: %s escaped instead of Crash 3" label
+        (Printexc.to_string e)
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun backend ->
+          escapes
+            (Printf.sprintf "%s on %s" (kind_name kind)
+               (match backend with
+               | Runtime.Compiled -> "compiled lanes"
+               | Runtime.Pipelined -> "pipelined"))
+            (fun () ->
+              supervised_session ~backend ~kind ~policy:Runtime.Propagate
+                ~mode:Runtime.Pipelined ~dispatch:Runtime.Cone ~faulty:true ()))
+        [ Runtime.Pipelined; Runtime.Compiled ];
+      escapes (kind_name kind ^ " on a session") (fun () ->
+          supervised_serve ~kind ~policy:Runtime.Propagate ~faulty:true))
+    [ `Lift; `Foldp; `Fused; `Fused_eq ]
 
 let test_isolate_emits_last_good () =
   let rt =
@@ -658,6 +774,10 @@ let () =
       ( "supervision",
         [
           tc "policy matrix" `Quick test_supervision_matrix;
+          tc "policy matrix on the compiled paths" `Quick
+            test_supervision_matrix_compiled;
+          tc "propagate: the user's exception escapes" `Quick
+            test_propagate_escapes_unchanged;
           tc "isolate emits last-good" `Quick test_isolate_emits_last_good;
           tc "restart resets foldp" `Quick test_restart_resets_foldp;
           tc "restart budget degrades" `Quick

@@ -276,6 +276,120 @@ let test_async_per_source_order () =
   check_ints "synchronous side in order" [ 2; 4; 6; 8 ] evens;
   check_ints "async side in order" [ 3; 5; 7; 9 ] odds
 
+(* The delay heap pops in exactly [List.sort] order of its (due, seq)
+   keys: 2,000 seeded entries with many equal due times and shuffled
+   sequence numbers, pushed at once and then interleaved with pops
+   against a sorted-list model. *)
+let test_delay_heap_order () =
+  let rng = Random.State.make [| 21 |] in
+  let n = 2000 in
+  let seqs = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = seqs.(i) in
+    seqs.(i) <- seqs.(j);
+    seqs.(j) <- t
+  done;
+  let keys =
+    Array.to_list
+      (Array.map (fun q -> (float_of_int (Random.State.int rng 64) /. 4.0, q)) seqs)
+  in
+  let h = Dispatcher.Heap.create () in
+  let pop () =
+    let k = Dispatcher.Heap.top h in
+    check_bool "min_due is the top's due" true
+      (Dispatcher.Heap.min_due h = fst k);
+    Dispatcher.Heap.pop h;
+    k
+  in
+  List.iter (fun ((due, seq) as k) -> Dispatcher.Heap.push h ~due ~seq k) keys;
+  let popped = List.init n (fun _ -> pop ()) in
+  check_bool "pushed at once: pops in List.sort order" true
+    (popped = List.sort compare keys);
+  check_int "empty after popping everything" 0 (Dispatcher.Heap.length h);
+  let model = ref [] and out = ref [] and expected = ref [] in
+  List.iteri
+    (fun i ((due, seq) as k) ->
+      Dispatcher.Heap.push h ~due ~seq k;
+      model := List.sort compare (k :: !model);
+      if i mod 3 = 2 then begin
+        out := pop () :: !out;
+        expected := List.hd !model :: !expected;
+        model := List.tl !model
+      end)
+    keys;
+  check_bool "interleaved pushes and pops match the sorted model" true
+    (!out = !expected);
+  check_int "what is left" (List.length !model) (Dispatcher.Heap.length h)
+
+exception Crash
+
+(* Equal-due delays of several sessions keep each session's FIFO order,
+   also across the heap rebuild in [upgrade_all]. Three sessions each
+   delay three values by the same 1.0 s; a crash behind an async seam
+   (Propagate) aborts the drain after the delays reached the heap, so
+   the upgrade finds all nine entries queued and must rebuild the heap
+   without reordering them. *)
+let test_equal_due_delays_fifo_across_upgrade () =
+  let build () =
+    let a = Signal.input ~name:"a" 0 in
+    let b = Signal.input ~name:"b" 0 in
+    let boom x = if x = 99 then raise Crash else x in
+    let root =
+      Signal.merge
+        (Signal.delay 1.0 (Signal.lift ~name:"tag" succ a))
+        (Signal.lift ~name:"boom" boom (Signal.async (Signal.lift pred b)))
+    in
+    (a, b, root)
+  in
+  let a, b, root = build () in
+  let d = Dispatcher.create root in
+  let ss = Array.init 3 (fun _ -> Dispatcher.open_session d) in
+  List.iter
+    (fun v -> Array.iteri (fun k s -> Dispatcher.inject d s a ((10 * k) + v)) ss)
+    [ 1; 2; 3 ];
+  Dispatcher.inject d ss.(2) b 100;
+  Alcotest.check_raises "the async crash aborts the drain" Crash (fun () ->
+      ignore (Dispatcher.drain d));
+  check_int "all nine delays wait in the heap" 9
+    (Dispatcher.accounting d).Dispatcher.pending_delays;
+  let _, _, root' = build () in
+  ignore (Dispatcher.upgrade_all d root');
+  ignore (Dispatcher.drain d);
+  Array.iteri
+    (fun k s ->
+      check_ints
+        (Printf.sprintf "session %d: delayed values in injection order" k)
+        (List.map (fun v -> (10 * k) + v + 1) [ 1; 2; 3 ])
+        (session_values s))
+    ss;
+  check_bool "the clock stopped at the one due time" true (Dispatcher.now d = 1.0);
+  check_int "nothing left in the heap" 0
+    (Dispatcher.accounting d).Dispatcher.pending_delays
+
+(* A Propagate exception aborts a drain mid-round. The round's sessions
+   that had not run yet keep their wakes and run on the next drain, and
+   one that ran before the crash hands over its async re-entry. *)
+let test_aborted_drain_resumes () =
+  let a = Signal.input ~name:"a" 0 in
+  let boom x = if x = 99 then raise Crash else x in
+  let root =
+    Signal.merge
+      (Signal.lift ~name:"boom" boom a)
+      (Signal.async (Signal.lift succ a))
+  in
+  let d = Dispatcher.create root in
+  let ss = Array.init 3 (fun _ -> Dispatcher.open_session d) in
+  Array.iteri (fun k s -> Dispatcher.inject d s a (if k = 1 then 99 else 1)) ss;
+  Alcotest.check_raises "the crash escapes the drain" Crash (fun () ->
+      ignore (Dispatcher.drain d));
+  ignore (Dispatcher.drain d);
+  check_ints "the session before the crash got its async value" [ 1; 2 ]
+    (session_values ss.(0));
+  check_ints "the session behind the crash ran on the next drain" [ 1; 2 ]
+    (session_values ss.(2));
+  check_bool "nothing left pending" true (Array.for_all Session.is_idle ss)
+
 (* ------------------------------------------------------------------ *)
 (* Accounting and reporting *)
 
@@ -557,6 +671,12 @@ let () =
             test_delay_virtual_clock;
           tc "async preserves per-source order" `Quick
             test_async_per_source_order;
+          tc "delay heap pops in sorted (due, seq) order" `Quick
+            test_delay_heap_order;
+          tc "equal-due delays stay FIFO across an upgrade" `Quick
+            test_equal_due_delays_fifo_across_upgrade;
+          tc "an aborted drain resumes where it stopped" `Quick
+            test_aborted_drain_resumes;
         ] );
       ( "accounting",
         [
