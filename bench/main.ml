@@ -871,8 +871,9 @@ let b16_to_json rows =
    against a cached plan must be >= 10x cheaper than a cold compile, 10k
    live sessions must sustain dispatch with bit-identical per-session
    change traces vs a dedicated single-session compiled runtime, and an
-   idle session's marginal memory is a few hundred words of arena — all
-   measured on the B11/B16 K-chain topology. *)
+   idle session's reported footprint must match what it really costs —
+   the live heap words the N live sessions add, per session — within 10%,
+   all measured on the B11/B16 K-chain topology. *)
 
 module Serve_session = Elm_serve.Session
 module Serve_dispatcher = Elm_serve.Dispatcher
@@ -887,7 +888,9 @@ type b17_row = {
   b17_churn_per_sec : float;  (* open+close pairs per second *)
   b17_live_sessions : int;
   b17_events_per_sec : float;  (* dispatches/sec with all sessions live *)
-  b17_bytes_per_idle_session : int;
+  b17_bytes_per_idle_session : int;  (* Session.footprint_words, in bytes *)
+  b17_live_words_per_session : float;
+      (* major-heap words the live sessions add, after Gc.compact *)
   b17_identical : bool;  (* every session's trace = single-session runtime *)
   b17_clone_identical : bool;  (* clone continues exactly as its parent *)
   b17_cache_hits : int;
@@ -953,6 +956,8 @@ let b17_measure ~chains ~depth ~live ~events_per_session =
     in
     List.map snd (Runtime.changes rt)
   in
+  Gc.compact ();
+  let words_before = (Gc.stat ()).Gc.live_words in
   let sessions = Array.init live (fun _ -> Serve_dispatcher.open_session d) in
   let t0 = Sys.time () in
   let dispatched = ref 0 in
@@ -962,6 +967,11 @@ let b17_measure ~chains ~depth ~live ~events_per_session =
       dispatched := !dispatched + Serve_dispatcher.drain d)
     events;
   let live_dt = Sys.time () -. t0 in
+  Gc.compact ();
+  let live_words =
+    float_of_int ((Gc.stat ()).Gc.live_words - words_before)
+    /. float_of_int live
+  in
   let events_per_sec = float_of_int !dispatched /. Float.max 1e-9 live_dt in
   let identical =
     Array.for_all
@@ -997,6 +1007,7 @@ let b17_measure ~chains ~depth ~live ~events_per_session =
     b17_live_sessions = live;
     b17_events_per_sec = events_per_sec;
     b17_bytes_per_idle_session = bytes_per_idle;
+    b17_live_words_per_session = live_words;
     b17_identical = identical;
     b17_clone_identical = clone_identical;
     b17_cache_hits = cache.Elm_core.Compile.hits;
@@ -1008,9 +1019,9 @@ let bench_b17 () =
   Printf.printf
     "K depth-32 chains; open vs cold compile, churn, dispatch at N live \
      sessions\n";
-  Printf.printf "%3s | %10s %9s %8s | %9s | %6s %10s %8s | %5s %5s\n" "K"
-    "compile us" "open us" "speedup" "churn/s" "live" "events/s" "B/sess"
-    "same" "clone";
+  Printf.printf "%3s | %10s %9s %8s | %9s | %6s %10s %8s %8s | %5s %5s\n"
+    "K" "compile us" "open us" "speedup" "churn/s" "live" "events/s" "B/sess"
+    "live w/s" "same" "clone";
   let rows =
     List.map
       (fun (chains, live) ->
@@ -1020,10 +1031,11 @@ let bench_b17 () =
   List.iter
     (fun r ->
       Printf.printf
-        "%3d | %10.1f %9.2f %7.1fx | %9.0f | %6d %10.0f %8d | %5b %5b\n"
+        "%3d | %10.1f %9.2f %7.1fx | %9.0f | %6d %10.0f %8d %8.1f | %5b %5b\n"
         r.b17_chains r.b17_cold_compile_us r.b17_open_us r.b17_open_speedup
         r.b17_churn_per_sec r.b17_live_sessions r.b17_events_per_sec
-        r.b17_bytes_per_idle_session r.b17_identical r.b17_clone_identical)
+        r.b17_bytes_per_idle_session r.b17_live_words_per_session
+        r.b17_identical r.b17_clone_identical)
     rows;
   let c = List.hd rows in
   Printf.printf "plan cache: hits=%d misses=%d\n" c.b17_cache_hits
@@ -1046,6 +1058,8 @@ let b17_to_json rows =
              ("events_per_sec", Json.of_float r.b17_events_per_sec);
              ( "bytes_per_idle_session",
                Json.of_int r.b17_bytes_per_idle_session );
+             ( "live_words_per_session",
+               Json.of_float r.b17_live_words_per_session );
              ("changes_identical", Json.of_bool r.b17_identical);
              ("clone_identical", Json.of_bool r.b17_clone_identical);
              ("cache_hits", Json.of_int r.b17_cache_hits);
@@ -1071,16 +1085,27 @@ let b17_to_json rows =
    process CPU time, which sums across domains and would hide any speedup.
    Speedup is hardware-dependent — the row table records it always, but
    the hard gate scales with [Domain.recommended_domain_count ()] (a
-   1-core CI box cannot be asked for 2x). *)
+   1-core CI box cannot be asked for 2x). As in B19, it is the median,
+   over [b18_reps] interleaved repetitions (after one warm-up round), of
+   the k-domain / 1-domain uniform events/s ratio within each
+   repetition; every repetition is printed. *)
 
 let now_wall () = Unix.gettimeofday ()
+
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 type b18_row = {
   b18_domains : int;
   b18_live : int;
-  b18_uniform_eps : float;  (* events/sec, every session fed each round *)
-  b18_bursty_eps : float;  (* events/sec, 500 hot sessions x 10 queued events *)
-  b18_speedup : float;  (* uniform events/sec vs this table's 1-domain row *)
+  b18_uniform_eps : float;
+      (* events/sec, every session fed each round; median *)
+  b18_bursty_eps : float;
+      (* events/sec, 500 hot sessions x 10 queued events; median *)
+  b18_speedup : float;  (* median per-repetition ratio vs the 1-domain row *)
   b18_identical : bool;  (* all traces = sequential Dispatcher reference *)
   b18_stats_balanced : bool;  (* merged domain rows = session totals + elision *)
   b18_dispatched : int;
@@ -1090,6 +1115,7 @@ type b18_row = {
 
 let b18_hot = 500
 let b18_hot_events = 10
+let b18_reps = 7
 
 (* One full serving run over the B17 graph (8 depth-32 chains): a uniform
    phase (every session gets the same [events] rounds, one drain each) and
@@ -1156,28 +1182,6 @@ let b18_run ?pool ~live ~events () =
     !dispatched,
     stats_balanced )
 
-let b18_measure ~domains ~live ~events ~reference =
-  let pool = Serve_pool.create ~domains () in
-  let changes, uniform_eps, bursty_eps, dispatched, stats_balanced =
-    b18_run ~pool ~live ~events ()
-  in
-  let ws = Serve_pool.worker_stats pool in
-  let steals = Serve_pool.total_steals pool in
-  let tasks = Array.fold_left (fun acc w -> acc + w.Serve_pool.ws_tasks) 0 ws in
-  Serve_pool.close pool;
-  {
-    b18_domains = domains;
-    b18_live = live;
-    b18_uniform_eps = uniform_eps;
-    b18_bursty_eps = bursty_eps;
-    b18_speedup = 1.0;  (* filled in once the 1-domain row exists *)
-    b18_identical = changes = reference;
-    b18_stats_balanced = stats_balanced;
-    b18_dispatched = dispatched;
-    b18_steals = steals;
-    b18_tasks = tasks;
-  }
-
 let bench_b18 ?(extra_domains = []) () =
   section "B18 Serving: domain-pool parallel drain with work stealing";
   let live = 10_000 and events = 10 in
@@ -1189,24 +1193,70 @@ let bench_b18 ?(extra_domains = []) () =
   let reference, seq_eps, _, seq_dispatched, _ = b18_run ~live ~events () in
   Printf.printf "sequential reference: %.0f events/s, %d dispatched\n" seq_eps
     seq_dispatched;
-  let widths =
-    List.sort_uniq compare ([ 1; 2; 4 ] @ extra_domains)
+  let widths = List.sort_uniq compare ([ 1; 2; 4 ] @ extra_domains) in
+  let pools = List.map (fun k -> (k, Serve_pool.create ~domains:k ())) widths in
+  (* Every width once per repetition, so each k-domain sample has a
+     1-domain partner taken moments apart; repetition 0 only warms up. A
+     run's change traces are checked against the reference at once (ten
+     thousand of them are too big to keep). Pool counters cover the last
+     repetition. *)
+  let reps =
+    List.tl
+      (List.init (b18_reps + 1) (fun _ ->
+           List.map
+             (fun (k, pool) ->
+               Serve_pool.reset_worker_stats pool;
+               let changes, uniform, bursty, dispatched, balanced =
+                 b18_run ~pool ~live ~events ()
+               in
+               (k, (uniform, bursty, dispatched, balanced, changes = reference)))
+             pools))
   in
-  let rows =
-    List.map (fun domains -> b18_measure ~domains ~live ~events ~reference) widths
-  in
-  let base =
-    match List.find_opt (fun r -> r.b18_domains = 1) rows with
-    | Some r -> r.b18_uniform_eps
-    | None -> seq_eps
-  in
+  let uniform (u, _, _, _, _) = u in
+  List.iteri
+    (fun i rep ->
+      Printf.printf "run %d: uniform events/s" (i + 1);
+      List.iter
+        (fun (k, r) ->
+          Printf.printf "  %d: %.0f (%.2fx)" k (uniform r)
+            (uniform r /. Float.max 1e-9 (uniform (List.assoc 1 rep))))
+        rep;
+      print_newline ())
+    reps;
   let rows =
     List.map
-      (fun r -> { r with b18_speedup = r.b18_uniform_eps /. Float.max 1e-9 base })
-      rows
+      (fun (k, pool) ->
+        let runs = List.map (List.assoc k) reps in
+        let _, _, d, _, _ = List.hd runs in
+        {
+          b18_domains = k;
+          b18_live = live;
+          b18_uniform_eps = median (List.map uniform runs);
+          b18_bursty_eps = median (List.map (fun (_, b, _, _, _) -> b) runs);
+          b18_speedup =
+            median
+              (List.map
+                 (fun rep ->
+                   uniform (List.assoc k rep)
+                   /. Float.max 1e-9 (uniform (List.assoc 1 rep)))
+                 reps);
+          b18_identical = List.for_all (fun (_, _, _, _, same) -> same) runs;
+          b18_stats_balanced = List.for_all (fun (_, _, _, ok, _) -> ok) runs;
+          (* -1 flags a count that moved between repetitions *)
+          b18_dispatched =
+            (if List.for_all (fun (_, _, n, _, _) -> n = d) runs then d else -1);
+          b18_steals = Serve_pool.total_steals pool;
+          b18_tasks =
+            Array.fold_left
+              (fun acc w -> acc + w.Serve_pool.ws_tasks)
+              0 (Serve_pool.worker_stats pool);
+        })
+      pools
   in
-  Printf.printf "%7s | %12s %12s %8s | %5s %5s | %9s %7s\n" "domains"
-    "uniform ev/s" "bursty ev/s" "speedup" "same" "stats" "tasks" "steals";
+  List.iter (fun (_, p) -> Serve_pool.close p) pools;
+  Printf.printf "%7s | %12s %12s %8s | %5s %5s | %9s %7s   (median of %d)\n"
+    "domains" "uniform ev/s" "bursty ev/s" "speedup" "same" "stats" "tasks"
+    "steals" b18_reps;
   List.iter
     (fun r ->
       Printf.printf "%7d | %12.0f %12.0f %7.2fx | %5b %5b | %9d %7d\n"
@@ -1241,9 +1291,9 @@ let b18_to_json (rows, hw) =
 
 (* Hard gates: the oracles (traces, counters, exact dispatch counts) never
    depend on the machine; the speedup bar scales with the hardware the
-   bench actually has — demand 2x at 4 domains only where 4 cores exist,
-   1.2x at 2 domains on 2-3 core boxes, and on a 1-core box record the
-   rows without a wall-clock bar (the oracles still gate). *)
+   bench actually has — demand a median 2x at 4 domains only where 4
+   cores exist, 1.2x at 2 domains on 2-3 core boxes, and on a 1-core box
+   record the rows without a wall-clock bar (the oracles still gate). *)
 let b18_gates (rows, hw) =
   let expected = ref None in
   List.iter
@@ -1276,16 +1326,17 @@ let b18_gates (rows, hw) =
   if hw >= 4 then begin
     match speedup_at 4 with
     | Some s when s < 2.0 ->
-      Printf.eprintf "B18: %.2fx at 4 domains on %d-core hardware (need 2x)!\n"
-        s hw;
+      Printf.eprintf
+        "B18: median %.2fx at 4 domains on %d-core hardware (need 2x)!\n" s hw;
       exit 1
     | _ -> ()
   end
   else if hw >= 2 then begin
     match speedup_at 2 with
     | Some s when s < 1.2 ->
-      Printf.eprintf "B18: %.2fx at 2 domains on %d-core hardware (need 1.2x)!\n"
-        s hw;
+      Printf.eprintf
+        "B18: median %.2fx at 2 domains on %d-core hardware (need 1.2x)!\n" s
+        hw;
       exit 1
     | _ -> ()
   end
@@ -1397,12 +1448,6 @@ let b19_run ?pool ~events () =
     s_dispatched = st.Stats.events;
     s_balanced = merged.Stats.region_steps = st.Stats.region_steps;
   }
-
-let median l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 let bench_b19 ?(extra_domains = []) () =
   section "B19 Runtime: one runtime's waves split across domains";
@@ -2515,8 +2560,10 @@ let () =
   (* B17 gates: opening a session against the warm plan cache must beat a
      cold compile by >= 10x, every one of the 10k live sessions' change
      traces must be bit-identical to a dedicated single-session compiled
-     runtime, clones must continue exactly as their parents, and serving
-     must actually have hit the plan cache. *)
+     runtime, clones must continue exactly as their parents, serving
+     must actually have hit the plan cache, and a session's
+     [footprint_words] must lie within 10% of the live heap words a live
+     session really adds. *)
   let b17_rows = bench_b17 () in
   if not (List.for_all (fun r -> r.b17_identical) b17_rows) then begin
     prerr_endline
@@ -2537,6 +2584,18 @@ let () =
     prerr_endline "B17: serving never hit the plan cache!";
     exit 1
   end;
+  List.iter
+    (fun r ->
+      let fp = float_of_int (r.b17_bytes_per_idle_session * 8 / Sys.word_size) in
+      let live = r.b17_live_words_per_session in
+      if Float.abs (fp -. live) > 0.1 *. live then begin
+        Printf.eprintf
+          "B17: footprint_words %.0f vs %.1f live words per session (K=%d; \
+           bar: 10%%)!\n"
+          fp live r.b17_chains;
+        exit 1
+      end)
+    b17_rows;
   (* B18 gates: parallel drain must be bit-identical to the sequential
      dispatcher at every width, per-domain counters must merge back to the
      session totals, dispatch counts must agree across widths, and the

@@ -44,14 +44,17 @@
 # every one of the 10k live sessions must produce a change trace
 # bit-identical to a dedicated single-session compiled runtime (the
 # isolation oracle), clones must continue exactly as their parents,
-# and serving must actually hit the plan cache.
+# serving must actually hit the plan cache, and Session.footprint_words
+# must lie within 10% of the live heap words a session really adds
+# (Gc.compact delta over the live sessions).
 # B18 gates domain-parallel serving (lib/serve/pool.ml): draining the
 # 10k-session B17 workload over a work-stealing domain pool must keep
 # every per-session change trace bit-identical to the sequential
 # dispatcher at 1/2/4 domains, per-domain Stats rows must merge back
 # to the session totals, and the events/sec speedup bar scales with
 # the runner (2x at 4 domains only where >= 4 cores exist, 1.2x at 2
-# domains on 2-3 core boxes, report-only on 1 core).
+# domains on 2-3 core boxes, report-only on 1 core); like B19's, it is
+# the median ratio over 7 interleaved repetitions after a warm-up round.
 # B19 gates one runtime's waves split across domains (Runtime.start
 # ~domains, each wave's active region groups as one flat pool batch):
 # on the async fan-out/fan-in workload each event's wave must expose

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Count code lines of the engine: lib/core/*.ml and lib/serve/*.ml.
+"""Count code lines and exported values of the engine: lib/core/*.ml and
+lib/serve/*.ml.
 
     python3 bin/loc.py
 
 Prints one row per file with its line count after stripping comments
-(OCaml comments nest) and blank lines, then a total. A report for
-tracking code size alongside the benchmark numbers, not a gate.
+(OCaml comments nest) and blank lines, and the number of `val`
+declarations in its interface (the .mli next to it; "-" for a module
+without one), then the totals. A report for tracking code size and API
+surface alongside the benchmark numbers, not a gate.
 """
 
 import glob
@@ -57,15 +60,29 @@ def code_lines(path):
     return sum(1 for line in text.splitlines() if line.strip())
 
 
+def exported_vals(path):
+    """The `val` declarations of the interface next to path, or None."""
+    mli = path + "i"
+    if not os.path.exists(mli):
+        return None
+    with open(mli, encoding="utf-8") as f:
+        text = strip_comments(f.read())
+    return sum(1 for line in text.splitlines() if line.lstrip().startswith("val "))
+
+
 def main():
     files = sorted(glob.glob(os.path.join(ROOT, "lib", "core", "*.ml"))
                    + glob.glob(os.path.join(ROOT, "lib", "serve", "*.ml")))
-    total = 0
+    total = total_vals = 0
+    print("%6s %5s  %s" % ("lines", "vals", "file"))
     for path in files:
         n = code_lines(path)
+        v = exported_vals(path)
         total += n
-        print("%6d  %s" % (n, os.path.relpath(path, ROOT)))
-    print("%6d  total" % total)
+        total_vals += v or 0
+        print("%6d %5s  %s" % (n, "-" if v is None else v,
+                                os.path.relpath(path, ROOT)))
+    print("%6d %5d  total" % (total, total_vals))
     return 0
 
 

@@ -95,6 +95,12 @@ type region = {
    round allocates nothing for supervision under any policy. *)
 type handler = epoch:int -> exn -> bool
 
+(* The Propagate policy's handler: the user's own exception, with its
+   backtrace, escapes to the caller. *)
+let propagate : handler =
+ fun ~epoch:_ e ->
+  Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
+
 (* Everything one instance owns. [ar_values.(i)]/[ar_stamps.(i)] are node
    [i]'s last emitted body and the epoch that last changed it (the dirty
    bit is [stamp = epoch]). [ar_state] holds the few per-node extras that
@@ -175,11 +181,9 @@ type plan = {
       (* group index -> member region indices, ascending: the SCCs of the
          seam graph (see DESIGN.md "Region groups") *)
   p_sources : (int * string) list;  (* runtime sources, topological order *)
-  p_queue_slots : (int * int * bool) list;
-      (* source nodes needing a pending-value queue: (id, slot, bounded).
-         Async/delay queues are unbounded (bounded=false): their tap runs
-         on the instance's own step path, so blocking it on a full queue
-         could deadlock the instance (see DESIGN.md). *)
+  p_queue_slots : int list;  (* source slots: each has a pending-value queue *)
+  p_propagate : handler array;
+      (* per slot, [propagate]: every Propagate instance's [x_fail] *)
   p_inputs : Signal.packed list;  (* Input nodes, for external injection *)
 }
 
@@ -386,9 +390,9 @@ let plan : type r. r Signal.t -> plan =
   in
   (* A source member: woken rounds carrying its own source id consume one
      pending value; all other rounds (flood only) are quiescent. *)
-  let source_member ~id ~bounded =
+  let source_member ~id =
     let sl = slot id in
-    queue_slots := (id, sl, bounded) :: !queue_slots;
+    queue_slots := sl :: !queue_slots;
     member ~id (fun x r ->
         r.source = id
         && begin
@@ -409,15 +413,15 @@ let plan : type r. r Signal.t -> plan =
    fun s ->
     let id = Signal.id s in
     match Signal.kind s with
-    | Signal.Constant -> source_member ~id ~bounded:true
+    | Signal.Constant -> source_member ~id
     | Signal.Lift_list (_, []) ->
       (* No incoming edges: behaves as a never-firing constant. *)
-      source_member ~id ~bounded:true
+      source_member ~id
     | Signal.Input ->
-      source_member ~id ~bounded:true;
+      source_member ~id;
       inputs := Signal.Pack s :: !inputs
     | Signal.Async inner ->
-      source_member ~id ~bounded:false;
+      source_member ~id;
       let sl = slot id and si = slot (Signal.id inner) in
       (* The tap replaces the pipelined forwarder thread: ordered right
          after the inner node's op, it sees the freshly written slot and
@@ -430,7 +434,7 @@ let plan : type r. r Signal.t -> plan =
             x.x_fire_async id
           end)
     | Signal.Delay (d, inner) ->
-      source_member ~id ~bounded:false;
+      source_member ~id;
       let sl = slot id and si = slot (Signal.id inner) in
       add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
           let ar = x.x_arena in
@@ -735,6 +739,7 @@ let plan : type r. r Signal.t -> plan =
     p_group_regions = group_regions;
     p_sources = sources;
     p_queue_slots = List.rev !queue_slots;
+    p_propagate = Array.make n propagate;
     p_inputs = List.rev !inputs;
   }
 
@@ -746,8 +751,9 @@ let node_count pl = pl.p_nodes
 let id_stride pl = pl.p_id_stride
 let sources pl = pl.p_sources
 let inputs pl = pl.p_inputs
-let slot_of pl id = Hashtbl.find_opt pl.p_slot_of id
+let slot pl id = try Hashtbl.find pl.p_slot_of id with Not_found -> -1
 let queue_slots pl = pl.p_queue_slots
+let propagate_handlers pl = pl.p_propagate
 let region_count pl = Array.length pl.p_reps
 let region_rep pl i = pl.p_reps.(i)
 let region_ops pl i = pl.p_region_ops.(i)

@@ -114,8 +114,9 @@ val sources : plan -> (int * string) list
 val inputs : plan -> Signal.packed list
 (** The graph's [Input] nodes, for wiring external injection. *)
 
-val slot_of : plan -> int -> int option
-(** The arena slot assigned to a node id, if the node is in the plan. *)
+val slot : plan -> int -> int
+(** The arena slot assigned to a node id; [-1] when the node is not in the
+    plan. Allocates nothing (an injection resolves its input with it). *)
 
 val region_count : plan -> int
 
@@ -260,8 +261,13 @@ val region_ops : plan -> int -> schedule
 (** All of region [i]'s ops, in plan order: what flood dispatch runs for
     the region on every wake. *)
 
-val queue_slots : plan -> (int * int * bool) list
-(** Source nodes needing a pending-value queue: [(node id, slot, bounded)].
-    Async/delay queues are unbounded ([bounded = false]): their tap runs on
-    the instance's own step path, so blocking it on a full queue could
-    deadlock the instance. *)
+val queue_slots : plan -> int list
+(** The slots of source nodes, which need a pending-value queue. *)
+
+val propagate : handler
+(** The [Propagate] policy's handler: re-raises the user's exception
+    unchanged, with its backtrace. *)
+
+val propagate_handlers : plan -> handler array
+(** One {!propagate} per slot: the plan's own array, shared as [x_fail] by
+    every instance that runs under [Propagate] — treat as read-only. *)

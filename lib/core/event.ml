@@ -23,6 +23,3 @@ type 'a stamped = {
 }
 
 let stamp epoch event = { epoch; event }
-
-let pp_stamped pp_v ppf s =
-  Format.fprintf ppf "@[%d:%a@]" s.epoch (pp pp_v) s.event

@@ -38,6 +38,3 @@ type 'a stamped = {
 }
 
 val stamp : int -> 'a t -> 'a stamped
-
-val pp_stamped :
-  (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a stamped -> unit

@@ -28,6 +28,11 @@
      whichever domain runs the root's region (a serving session's change
      log): displays then go straight to it, sparing the coordinator the
      one effect nearly every event has.
+   - The hooks take a context: the caller's value handed to every hook
+     call ([flush x hooks c]). A serving dispatcher builds one hooks
+     record and flushes each session with the session as context; a
+     runtime builds one for itself over [()]. So no instance carries
+     hook closures of its own.
 
    Why buffering is exact: under cone dispatch one event wakes one region
    (a source's synchronous cone is region-local), groups share no slot,
@@ -46,10 +51,6 @@ type error_policy =
 (* ------------------------------------------------------------------ *)
 (* Supervision: the one failure-handler factory *)
 
-(* The user's own exception, with its backtrace, escapes to the caller. *)
-let propagate : Compile.handler =
- fun ~epoch:_ e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
-
 (* A per-node failure handler, created once so a [Restart] budget is local
    to the node. Callers catch only the fallible part of a round — the user
    function application, after every input has been read — so per-event
@@ -60,7 +61,7 @@ let propagate : Compile.handler =
    under [Restart n], which then degrades to [Isolate]. *)
 let handler ~policy ~stats ~tracer ~node : Compile.handler =
   match policy with
-  | Propagate -> propagate
+  | Propagate -> Compile.propagate
   | Isolate | Restart _ ->
     let left = ref (match policy with Restart b -> b | Propagate | Isolate -> 0) in
     fun ~epoch _ ->
@@ -93,29 +94,33 @@ let epoch_of = function
   | Display { epoch; _ } ->
     epoch
 
-type hooks = {
-  fire : int -> unit;
-  delay : node:int -> slot:int -> seconds:float -> Obj.t -> unit;
-  display : epoch:int -> changed:bool -> Obj.t -> unit;
-  observe : node:int -> epoch:int -> changed:bool -> unit;
+type 'c hooks = {
+  fire : 'c -> int -> unit;
+  delay : 'c -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
+  display : 'c -> epoch:int -> changed:bool -> Obj.t -> unit;
+  observe : 'c -> node:int -> epoch:int -> changed:bool -> unit;
 }
 
 type lane = {
   l_regions : int array;  (* region indices this lane runs, ascending *)
   l_exec : Compile.exec;
   l_stats : Stats.t;  (* the instance's own counters, or group scratch *)
-  mutable l_snap : Stats.t;  (* group lanes: last state merged *)
   l_epoch : int ref;  (* epoch of the running round: tags effects *)
   l_effects : effect Queue.t;
-  l_rounds : Compile.round Queue.t;  (* group lanes: admitted work *)
-  mutable l_last : int;  (* epoch last queued, so a round queues once *)
+}
+
+(* A region group's lane with the work admitted to it. *)
+type group = {
+  g_lane : lane;
+  mutable g_snap : Stats.t;  (* waves: the lane's counters last merged *)
+  g_rounds : Compile.round Queue.t;
+  mutable g_last : int;  (* epoch last queued, so a round queues once *)
 }
 
 type t = {
   plan : Compile.plan;
   arena : Compile.arena;
   queues : Obj.t Queue.t option array;  (* per slot; [Some] on sources *)
-  bounded : bool array;  (* per slot; false on async/delay queues *)
   stats : Stats.t;
   tracer : Trace.t option;
   offset : int;  (* added to node ids in trace rows *)
@@ -126,17 +131,14 @@ type t = {
       (* unbuffered display sink, see [create] *)
   mutable epoch : int;
   mutable seq : lane option;  (* built on first [step] *)
-  mutable groups : lane array;  (* [||] until first [admit] *)
+  mutable groups : group array;  (* [||] until first [admit] *)
 }
 
 let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
     ?(observe = false) ?display ~policy ~stats ~epoch plan arena =
-  let n = Compile.node_count plan in
-  let queues = Array.make n None and bounded = Array.make n false in
+  let queues = Array.make (Compile.node_count plan) None in
   List.iter
-    (fun (_id, sl, b) ->
-      queues.(sl) <- Some (Queue.create ());
-      bounded.(sl) <- b)
+    (fun sl -> queues.(sl) <- Some (Queue.create ()))
     (Compile.queue_slots plan);
   (match tracer with
   | None -> ()
@@ -153,7 +155,6 @@ let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
     plan;
     arena;
     queues;
-    bounded;
     stats;
     tracer;
     offset;
@@ -171,7 +172,6 @@ let arena x = x.arena
 let stats x = x.stats
 let epoch x = x.epoch
 let queues x = x.queues
-let bounded x sl = x.bounded.(sl)
 
 let queue x sl =
   match x.queues.(sl) with
@@ -193,11 +193,14 @@ let make_lane x ~regions ~stats =
       Compile.x_arena = x.arena;
       x_stats = stats;
       x_fail =
-        Array.map
-          (fun id ->
-            handler ~policy:x.policy ~stats ~tracer:x.tracer
-              ~node:(x.offset + id))
-          (Compile.slot_ids x.plan);
+        (match x.policy with
+        | Propagate -> Compile.propagate_handlers x.plan
+        | Isolate | Restart _ ->
+          Array.map
+            (fun id ->
+              handler ~policy:x.policy ~stats ~tracer:x.tracer
+                ~node:(x.offset + id))
+            (Compile.slot_ids x.plan));
       x_observe =
         (if x.observe then
            Some
@@ -223,11 +226,8 @@ let make_lane x ~regions ~stats =
     l_regions = regions;
     l_exec = exec;
     l_stats = stats;
-    l_snap = Stats.copy stats;
     l_epoch = epoch;
     l_effects = effects;
-    l_rounds = Queue.create ();
-    l_last = 0;
   }
 
 let seq_lane x =
@@ -251,9 +251,16 @@ let group_lanes x ~stats =
   if Array.length x.groups = 0 then
     x.groups <-
       Array.init (Compile.group_count x.plan) (fun g ->
-          make_lane x
-            ~regions:(Array.of_list (Compile.group_regions x.plan g))
-            ~stats:(stats ()));
+          let stats = stats () in
+          {
+            g_lane =
+              make_lane x
+                ~regions:(Array.of_list (Compile.group_regions x.plan g))
+                ~stats;
+            g_snap = Stats.copy stats;
+            g_rounds = Queue.create ();
+            g_last = 0;
+          });
   x.groups
 
 (* ------------------------------------------------------------------ *)
@@ -325,10 +332,10 @@ let queue_round x ~stats ~source ~wake =
   let last = if x.flood then Compile.region_count x.plan - 1 else sc.sc_region in
   for i = max first 0 to last do
     let g = Compile.group_of x.plan i in
-    let l = lanes.(g) in
-    if l.l_last <> r.epoch then begin
-      l.l_last <- r.epoch;
-      Queue.push r l.l_rounds;
+    let gr = lanes.(g) in
+    if gr.g_last <> r.epoch then begin
+      gr.g_last <- r.epoch;
+      Queue.push r gr.g_rounds;
       wake g
     end
   done
@@ -338,10 +345,10 @@ let admit x ~source = queue_round x ~stats:Stats.create ~source ~wake:ignore
 let admit_lanes x ~source ~wake =
   queue_round x ~stats:(fun () -> x.stats) ~source ~wake
 
-(* Run a lane's oldest admitted round. *)
-let run_round x l =
-  let r = Queue.pop l.l_rounds in
-  run_wake x l (Compile.schedule x.plan r.Compile.source) r
+(* Run a group's oldest admitted round. *)
+let run_round x gr =
+  let r = Queue.pop gr.g_rounds in
+  run_wake x gr.g_lane (Compile.schedule x.plan r.Compile.source) r
 
 (* Run every active group's admitted rounds, each group's in epoch order:
    as one [pool] batch when several are active, otherwise inline in group
@@ -349,44 +356,50 @@ let run_round x l =
    running worker's index (0 inline). Groups share no mutable word and
    hand each other nothing before [flush], so any order is exact. *)
 let run_groups ?pool ?(seed = 0) x ~dstats =
-  let run l w =
-    let before = Stats.copy l.l_stats in
-    while not (Queue.is_empty l.l_rounds) do
-      run_round x l
+  let run gr w =
+    let before = Stats.copy gr.g_lane.l_stats in
+    while not (Queue.is_empty gr.g_rounds) do
+      run_round x gr
     done;
-    Stats.add_delta dstats.(w) ~before ~after:l.l_stats
+    Stats.add_delta dstats.(w) ~before ~after:gr.g_lane.l_stats
   in
   let active =
-    List.filter (fun l -> not (Queue.is_empty l.l_rounds)) (Array.to_list x.groups)
+    List.filter
+      (fun gr -> not (Queue.is_empty gr.g_rounds))
+      (Array.to_list x.groups)
   in
   match (pool, active) with
   | Some p, _ :: _ :: _ -> Pool.run ~seed p (Array.of_list (List.map run active))
-  | _ -> List.iter (fun l -> run l 0) active
+  | _ -> List.iter (fun gr -> run gr 0) active
 
 (* ------------------------------------------------------------------ *)
 (* Flush *)
 
-let apply x hooks = function
+let apply x hooks c = function
   | Push { slot; value; _ } -> push x slot value
   | Fire { source; _ } ->
     x.stats.Stats.async_events <- x.stats.Stats.async_events + 1;
-    hooks.fire source
+    hooks.fire c source
   | Delay { node; slot; seconds; value; _ } ->
-    hooks.delay ~node ~slot ~seconds value
-  | Observe { node; epoch; changed } -> hooks.observe ~node ~epoch ~changed
+    hooks.delay c ~node ~slot ~seconds value
+  | Observe { node; epoch; changed } -> hooks.observe c ~node ~epoch ~changed
   | Display { epoch; changed; value } ->
     trace_display x ~epoch ~changed;
-    hooks.display ~epoch ~changed value
+    hooks.display c ~epoch ~changed value
+
+(* Apply and drop a lane's buffered effects, in order. *)
+let apply_all x hooks c l =
+  while not (Queue.is_empty l.l_effects) do
+    apply x hooks c (Queue.pop l.l_effects)
+  done
 
 (* Lane placement: run group [g]'s oldest admitted round, then apply that
    round's effects at once, so a display or an async fire leaves as soon
    as its region ran rather than at the end of a wave. *)
-let step_lane x g hooks =
-  let l = x.groups.(g) in
-  run_round x l;
-  while not (Queue.is_empty l.l_effects) do
-    apply x hooks (Queue.pop l.l_effects)
-  done
+let step_lane x g hooks c =
+  let gr = x.groups.(g) in
+  run_round x gr;
+  apply_all x hooks c gr.g_lane
 
 (* Apply every buffered effect to [hooks]: the sequential lane's in
    execution order, the group lanes' merged stably by admission epoch over
@@ -394,24 +407,29 @@ let step_lane x g hooks =
    so a value push precedes its paired fire and member observations
    precede their round's display. Group scratch counters are merged into
    the instance's. *)
-let flush x hooks =
-  (match x.seq with
-  | None -> ()
-  | Some l when not (Queue.is_empty l.l_effects) ->
-    Queue.iter (apply x hooks) l.l_effects;
-    Queue.clear l.l_effects
-  | Some _ -> ());
+let flush x hooks c =
+  (match x.seq with None -> () | Some l -> apply_all x hooks c l);
   if Array.length x.groups > 0 then begin
     let tagged =
       Array.fold_right
-        (fun l acc ->
+        (fun gr acc ->
+          let l = gr.g_lane in
           let effs = List.of_seq (Queue.to_seq l.l_effects) in
           Queue.clear l.l_effects;
-          Stats.add_delta x.stats ~before:l.l_snap ~after:l.l_stats;
-          l.l_snap <- Stats.copy l.l_stats;
+          Stats.add_delta x.stats ~before:gr.g_snap ~after:l.l_stats;
+          gr.g_snap <- Stats.copy l.l_stats;
           effs @ acc)
         x.groups []
     in
-    List.iter (apply x hooks)
+    List.iter
+      (fun e -> apply x hooks c e)
       (List.stable_sort (fun a b -> compare (epoch_of a) (epoch_of b)) tagged)
   end
+
+(* An instance's own memory under [v] (which may reach the instance): its
+   plan — ops, defaults, the shared Propagate handlers — its tracer and its
+   policy are shared with every other instance its creator opens, so
+   whatever they reach is left out. The pair around [v] costs 3 words. *)
+let private_words x v =
+  let shared = Obj.repr (x.plan, x.tracer, x.policy) in
+  Obj.reachable_words (Obj.repr (v, shared)) - Obj.reachable_words shared - 3

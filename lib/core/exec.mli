@@ -17,7 +17,8 @@
     taking one round at a time ({!step_lane}). An instance uses one placement.
     Running never performs a boundary effect: value pushes, async fires,
     delay schedules, displays and observer calls are buffered and applied
-    to the caller's {!hooks} — by {!flush} in (admission epoch, group)
+    to the caller's {!hooks}, with the caller's context — by {!flush} in
+    (admission epoch, group)
     order, the order a one-event-at-a-time dispatcher would have
     produced whatever ran where — which is why a wave's groups need no
     order among themselves — or by {!step_lane} right after their
@@ -46,7 +47,8 @@ val handler :
     otherwise it bills the failure (and a restart) into [stats] and
     answers whether to re-seed the node's state. Create one per node: a
     [Restart] budget lives in the returned closure. Every backend takes
-    its handlers from here. *)
+    its handlers from here; under [Propagate] an instance's lanes share
+    the plan's {!Compile.propagate_handlers}. *)
 
 type t
 
@@ -89,10 +91,6 @@ val queues : t -> Obj.t Queue.t option array
 val queue : t -> int -> Obj.t Queue.t
 (** The pending-value queue of a source slot. *)
 
-val bounded : t -> int -> bool
-(** Whether a slot's queue may be capacity-bounded (inputs and constants;
-    async/delay queues never are). *)
-
 val push : t -> int -> Obj.t -> unit
 (** Queue a value for a source slot (external injection, delay
     delivery). *)
@@ -118,28 +116,37 @@ val run_groups : ?pool:Pool.t -> ?seed:int -> t -> dstats:Stats.t array -> unit
     counters are also added to [dstats] at the index of the worker that
     ran it (0 inline). *)
 
-type hooks = {
-  fire : int -> unit;  (** An async boundary fired: a new event for it. *)
-  delay : node:int -> slot:int -> seconds:float -> Obj.t -> unit;
+type 'c hooks = {
+  fire : 'c -> int -> unit;  (** An async boundary fired: a new event for it. *)
+  delay : 'c -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
       (** A delay boundary fired: deliver the value to [slot] ({!push})
           and register an event for [node] [seconds] later. *)
-  display : epoch:int -> changed:bool -> Obj.t -> unit;
+  display : 'c -> epoch:int -> changed:bool -> Obj.t -> unit;
       (** The root's emission for one round that reached it (unless the
           instance has a [~display] sink). *)
-  observe : node:int -> epoch:int -> changed:bool -> unit;
+  observe : 'c -> node:int -> epoch:int -> changed:bool -> unit;
       (** One node emission (only with [~observe:true]). *)
 }
-(** Where {!flush} sends the boundary effects. *)
+(** Where {!flush} sends the boundary effects. Every call gets the context
+    the caller passed to {!flush} or {!step_lane}, so one hooks record
+    serves any number of instances: a serving dispatcher builds one and
+    passes each session as the context. *)
 
-val step_lane : t -> int -> hooks -> unit
-(** [step_lane x g hooks] runs the oldest round {!admit_lanes} queued on
+val step_lane : t -> int -> 'c hooks -> 'c -> unit
+(** [step_lane x g hooks c] runs the oldest round {!admit_lanes} queued on
     group [g], then applies that round's effects to [hooks] as {!flush}
     would, so a display or an async fire leaves as soon as its region ran.
     Lanes need no {!flush}.
     @raise Queue.Empty if [g] has no admitted round. *)
 
-val flush : t -> hooks -> unit
-(** Apply every buffered effect: value pushes to the queues, the rest to
-    [hooks] (async fires also bill {!Stats.t.async_events}, displays the
-    tracer's display row), in (admission epoch, group) order; merge the
-    group lanes' counters into {!stats}. *)
+val flush : t -> 'c hooks -> 'c -> unit
+(** [flush x hooks c] applies every buffered effect: value pushes to the
+    queues, the rest to [hooks] with context [c] (async fires also bill
+    {!Stats.t.async_events}, displays the tracer's display row), in
+    (admission epoch, group) order; merge the group lanes' counters into
+    {!stats}. *)
+
+val private_words : t -> Obj.t -> int
+(** [private_words x v]: the heap words reachable from [v] (which may
+    reach [x]) that the instance does not share — everything but what its
+    plan, tracer and error policy reach. A serving session's footprint. *)

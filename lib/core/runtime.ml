@@ -748,7 +748,7 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
   List.iter
     (fun (Signal.Pack s) ->
       let id = Signal.id s in
-      let sl = Option.get (Compile.slot_of pl id) in
+      let sl = Compile.slot pl id in
       Signal.set_inst s
         {
           Signal.gen;
@@ -767,23 +767,23 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
   let acked = mode = Sequential && not waves in
   let hooks =
     {
-      Exec.fire = (fun id -> Mailbox.send new_event id);
+      Exec.fire = (fun () id -> Mailbox.send new_event id);
       delay =
-        (fun ~node ~slot ~seconds v ->
+        (fun () ~node ~slot ~seconds v ->
           Cml.spawn (fun () ->
               Cml.sleep seconds;
               Exec.push x slot v;
               stats.Stats.async_events <- stats.Stats.async_events + 1;
               Mailbox.send new_event node));
       display =
-        (fun ~epoch:_ ~changed v ->
+        (fun () ~epoch:_ ~changed v ->
           let v = Obj.obj v in
           show rt (if changed then Event.Change v else Event.No_change v);
           if acked then Mailbox.send ack ());
       observe =
         (match observer with
-        | Some f -> f
-        | None -> fun ~node:_ ~epoch:_ ~changed:_ -> ());
+        | Some f -> fun () -> f
+        | None -> fun () ~node:_ ~epoch:_ ~changed:_ -> ());
     }
   in
   (* After each admission (lanes) or flushed wave: if no further event is
@@ -816,7 +816,7 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
           Exec.run_groups
             ?pool:(if rt.stopped then None else pool)
             ~seed:stats.Stats.events x ~dstats:rt.d_stats;
-          Exec.flush x hooks;
+          Exec.flush x hooks ();
           serve (settle ())
         in
         serve None)
@@ -827,7 +827,7 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
           Cml.spawn (fun () ->
               let rec lane () =
                 Mailbox.recv wake;
-                Exec.step_lane x g hooks;
+                Exec.step_lane x g hooks ();
                 lane ()
               in
               lane ());

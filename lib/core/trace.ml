@@ -40,8 +40,6 @@ let samples_sorted s =
   Array.sort Float.compare a;
   a
 
-let samples_list s = Array.to_list (Array.sub s.data 0 s.len)
-
 (* Nearest-rank percentile over a sorted array; 0 on no samples. *)
 let percentile sorted q =
   let n = Array.length sorted in
@@ -327,8 +325,6 @@ type summary = {
   switches : int;
   records_dropped : int;
 }
-
-let latencies t = List.concat_map (fun sh -> samples_list sh.disp_lat) (shards t)
 
 (* Export-time merge across shards. Counters sum; latency samples
    concatenate (percentiles are over the union); per-node accumulators

@@ -140,9 +140,6 @@ val summary_to_json : summary -> Json.t
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val latencies : t -> float list
-(** Raw event-to-display latency samples, in display order. *)
-
 val to_chrome_json : t -> Json.t
 (** The ring as Chrome trace-event JSON (the [chrome://tracing] /
     {{:https://ui.perfetto.dev}Perfetto} format): one [pid] per runtime

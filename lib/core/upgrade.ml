@@ -25,33 +25,26 @@ type migration = {
 }
 
 let migrate ~name f = { m_name = name; m_fn = (fun o -> Obj.repr (f (Obj.obj o))) }
-let migration_name m = m.m_name
 
 type patch = {
-  up_old : Compile.plan;
   up_new : Compile.plan;
   up_slot_map : int array;  (* new slot -> old slot, -1 = attached *)
   up_old_to_new : int array;  (* old slot -> new slot, -1 = detached *)
   up_state_map : int array;  (* new state slot -> old state slot, -1 *)
   up_node_map : (int, int) Hashtbl.t;  (* old node id -> new node id *)
-  up_node_map_rev : (int, int) Hashtbl.t;  (* new node id -> old node id *)
   up_added : int list;  (* new slots with no old counterpart, ascending *)
   up_dropped : int list;  (* old slots with no new counterpart, ascending *)
-  up_attached_regions : int list;  (* new regions made only of added slots *)
   up_detached_regions : int list;  (* old regions made only of dropped slots *)
   up_migrations : (Obj.t -> Obj.t) option array;  (* per new slot *)
   up_migration_names : string list;
 }
 
-let old_plan p = p.up_old
 let new_plan p = p.up_new
 let slot_map p = p.up_slot_map
 let added_slots p = p.up_added
 let dropped_slots p = p.up_dropped
-let attached_regions p = p.up_attached_regions
 let detached_regions p = p.up_detached_regions
 let node_of_old p id = Hashtbl.find_opt p.up_node_map id
-let node_of_new p id = Hashtbl.find_opt p.up_node_map_rev id
 
 let new_slot_of_old p sl =
   let v = p.up_old_to_new.(sl) in
@@ -119,25 +112,20 @@ let diff ?(migrate = []) old_pl new_pl =
             then j
             else -1))
   in
-  (* Region granularity: a region every one of whose members is unmatched
-     is a whole attached (new plan) or detached (old plan) subgraph — the
-     units the serve layer reports and the detach oracle inspects. *)
-  let whole_region pl mapped keep =
+  (* Region granularity: an old region every one of whose members is
+     unmatched is a whole detached subgraph — the unit the detach oracle
+     inspects. *)
+  let detached =
     List.filter_map
       (fun rg ->
-        let all_unmatched =
+        if
           List.for_all
-            (fun id ->
-              match Compile.slot_of pl id with
-              | Some sl -> mapped.(sl) < 0
-              | None -> false)
+            (fun id -> old_to_new.(Compile.slot old_pl id) < 0)
             rg.Compile.rg_member_ids
-        in
-        if all_unmatched && keep rg then Some rg.Compile.rg_index else None)
-      (Compile.regions pl)
+        then Some rg.Compile.rg_index
+        else None)
+      (Compile.regions old_pl)
   in
-  let attached = whole_region new_pl slot_map (fun _ -> true) in
-  let detached = whole_region old_pl old_to_new (fun _ -> true) in
   (* User migrations, keyed by node name against the *new* plan: the slot
      must exist there and must be matched (there is no old value to
      migrate into an attached slot — seed those via the program's own
@@ -167,16 +155,13 @@ let diff ?(migrate = []) old_pl new_pl =
              m.m_name))
     migrate;
   {
-    up_old = old_pl;
     up_new = new_pl;
     up_slot_map = slot_map;
     up_old_to_new = old_to_new;
     up_state_map = state_map;
     up_node_map = node_map;
-    up_node_map_rev = node_map_rev;
     up_added = List.rev !added;
     up_dropped = List.rev !dropped;
-    up_attached_regions = attached;
     up_detached_regions = detached;
     up_migrations = migrations;
     up_migration_names = List.map (fun m -> m.m_name) migrate;
@@ -248,12 +233,11 @@ let pp ppf p =
   Format.fprintf ppf
     "@[<v>upgrade: %d slots -> %d slots@,\
      matched=%d added=%d dropped=%d migrations=%d@,\
-     attached regions: %s@,detached regions: %s@]"
-    (Compile.node_count p.up_old)
+     detached regions: %s@]"
+    (Array.length p.up_old_to_new)
     (Compile.node_count p.up_new)
     (Array.fold_left (fun a j -> if j >= 0 then a + 1 else a) 0 p.up_slot_map)
     (List.length p.up_added)
     (List.length p.up_dropped)
     (List.length p.up_migration_names)
-    (String.concat "," (List.map string_of_int p.up_attached_regions))
     (String.concat "," (List.map string_of_int p.up_detached_regions))

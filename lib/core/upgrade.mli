@@ -12,7 +12,7 @@
       changed is hot-swapped for free: the next event simply runs the new
       op against the carried value.
     - {e attached}: no old counterpart; seeded from the new plan's
-      defaults. Reported at region granularity ({!attached_regions}).
+      defaults.
     - (symmetrically, old slots with no new counterpart are {e dropped},
       and whole regions of them {e detached} — their values, queues and
       in-flight delays are released by the serve layer.)
@@ -35,11 +35,9 @@ val migrate : name:string -> ('old -> 'new_) -> migration
     ['old] is the node's value type under the old plan, ['new_] under the
     new one. *)
 
-val migration_name : migration -> string
-
 type patch
 (** The computed diff between two plans: slot and state mappings, node-id
-    maps for the dispatcher's queue remapping, attach/detach region lists,
+    maps for the dispatcher's queue remapping, the detached regions,
     migrations. Pure data; apply with {!remap}. *)
 
 val diff : ?migrate:migration list -> Compile.plan -> Compile.plan -> patch
@@ -66,7 +64,6 @@ val remap :
 
 (** {1 Inspection} *)
 
-val old_plan : patch -> Compile.plan
 val new_plan : patch -> Compile.plan
 
 val slot_map : patch -> int array
@@ -80,16 +77,11 @@ val node_of_old : patch -> int -> int option
 (** New node id matching an old node id — how the dispatcher remaps
     ready-queue entries and delay-heap wakes across an upgrade. *)
 
-val node_of_new : patch -> int -> int option
-
 val added_slots : patch -> int list
 (** New-plan slots with no old counterpart, ascending. *)
 
 val dropped_slots : patch -> int list
 (** Old-plan slots with no new counterpart, ascending. *)
-
-val attached_regions : patch -> int list
-(** New-plan region indices consisting entirely of added slots. *)
 
 val detached_regions : patch -> int list
 (** Old-plan region indices consisting entirely of dropped slots. *)

@@ -5,10 +5,18 @@
    routed [(session, source)] and dispatched strictly in arrival order, so
    per-source ordering within a session is the global FIFO order restricted
    to that session — the paper's ordering guarantee, per session. Async and
-   delay boundaries re-enter through the same queue (via [Session.env]),
-   which relaxes ordering between a session's async subgraph and its
-   synchronous part exactly as the single-session runtime does, while two
-   different sessions never synchronise on anything at all.
+   delay boundaries re-enter through the same queue, which relaxes ordering
+   between a session's async subgraph and its synchronous part exactly as
+   the single-session runtime does, while two different sessions never
+   synchronise on anything at all.
+
+   Fig. 11's dispatcher is one algorithm over many instances, and so is
+   this one: the plan, the configuration (policy, capacity, tracer,
+   history cap) and the boundary wiring — one [Exec] hooks record, called
+   with the session as its context — exist once here, and a session is a
+   row (see Row): its instance, change log, inbox and counters. The
+   session protocol (open, clone, close, offer, step, flush, upgrade) is
+   this module's own; Session only reads rows.
 
    The ready FIFO holds session references, not ids: a wake goes straight
    into its session's inbox (the per-session restriction of the FIFO), and
@@ -106,10 +114,18 @@ module Heap = struct
 end
 
 type 'a delayed = {
-  dl_session : 'a Session.t;
+  dl_session : 'a Row.t;
   dl_node : int;  (* the delay node to wake *)
   dl_slot : int;  (* its value slot *)
   dl_value : Obj.t;
+}
+
+(* The virtual clock: the due time of the latest delay delivered, and the
+   sequence number of the latest one scheduled (equal due times stay
+   FIFO). *)
+type clock = {
+  mutable now : float;
+  mutable seq : int;
 }
 
 type 'a t = {
@@ -118,16 +134,15 @@ type 'a t = {
          it together with the plan between event waves *)
   mutable d_plan : Compile.plan;
   d_fuse : bool;  (* replayed on the replacement graph at upgrade *)
-  d_env : 'a Session.env;
-  d_sessions : (int, 'a Session.t) Hashtbl.t;
-  d_ready : 'a Session.t Queue.t;
+  d_hooks : 'a Row.t Exec.hooks;  (* every session's boundary wiring *)
+  d_sessions : (int, 'a Row.t) Hashtbl.t;
+  d_ready : 'a Row.t Queue.t;
       (* sessions with inbox wakes, in the order their first wake came *)
   d_delays : 'a delayed Heap.t;
-  mutable d_seq : int;  (* delay tie-break: equal due times stay FIFO *)
-  mutable d_now : float;  (* virtual clock, advanced by drain *)
+  d_clock : clock;  (* advanced by drain *)
   d_tracer : Trace.t option;
   d_policy : Runtime.error_policy;
-  d_capacity : int option;
+  d_capacity : int option;  (* bounds each input's pending-value queue *)
   d_history : int option;
   d_pool : Pool.t option;  (* present: [drain] fans out over domains *)
   mutable d_draining : bool;  (* lifecycle is frozen while [drain] runs *)
@@ -152,72 +167,77 @@ type accounting = {
 
 (* Route one wake: into the session's inbox, and the session onto the
    ready FIFO if the inbox was empty. *)
-let route d s source =
-  if not (Session.has_wakes s) then Queue.push s d.d_ready;
-  Session.wake_push s source
+let route ready (s : _ Row.t) source =
+  if Queue.is_empty s.r_inbox then Queue.push s ready;
+  Queue.push source s.r_inbox
 
-(* The sessions' boundary hooks. Both run coordinator-side, from
-   [Session.flush] after a round's tasks have finished, so they touch the
-   shared queue and heap from one domain only. *)
-let fire d s ~source =
-  if not (Session.closed s) then begin
-    Session.mark_pending s;
-    route d s source
-  end
-
-let delay d s ~node ~slot ~seconds v =
-  if not (Session.closed s) then begin
-    Session.mark_pending_delay s;
-    d.d_seq <- d.d_seq + 1;
-    Heap.push d.d_delays ~due:(d.d_now +. seconds) ~seq:d.d_seq
-      { dl_session = s; dl_node = node; dl_slot = slot; dl_value = v }
-  end
+(* The sessions' boundary hooks, one record per dispatcher: a session's
+   flush hands itself to them as the context. Both run coordinator-side,
+   after a round's tasks have finished, so they touch the ready FIFO and
+   the heap from one domain only. Displays never reach them — a session's
+   lane writes its change log directly (see Row) — and sessions have no
+   observer. *)
+let hooks ready delays clock =
+  {
+    Exec.fire =
+      (fun (s : _ Row.t) source ->
+        if not s.r_closed then begin
+          s.r_pending <- s.r_pending + 1;
+          route ready s source
+        end);
+    delay =
+      (fun s ~node ~slot ~seconds v ->
+        if not s.r_closed then begin
+          s.r_pending_delays <- s.r_pending_delays + 1;
+          clock.seq <- clock.seq + 1;
+          Heap.push delays ~due:(clock.now +. seconds) ~seq:clock.seq
+            { dl_session = s; dl_node = node; dl_slot = slot; dl_value = v }
+        end);
+    display = (fun _ ~epoch:_ ~changed:_ _ -> ());
+    observe = (fun _ ~node:_ ~epoch:_ ~changed:_ -> ());
+  }
 
 let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     ?history ?(fuse = true) ?pool root =
+  (match queue_capacity with
+  | Some n when n < 1 ->
+    invalid_arg "Serve.Dispatcher.create: queue_capacity must be >= 1"
+  | _ -> ());
+  (match history with
+  | Some n when n < 0 -> invalid_arg "Serve.Dispatcher.create: negative history"
+  | _ -> ());
   let root = if fuse then Fuse.fuse_cached root else root in
-  let rec d =
-    {
-      d_root = root;
-      d_plan = Compile.plan_of root;
-      d_fuse = fuse;
-      d_env =
-        {
-          Session.env_fire = (fun s ~source -> fire d s ~source);
-          env_delay =
-            (fun s ~node ~slot ~seconds v -> delay d s ~node ~slot ~seconds v);
-        };
-      d_sessions = Hashtbl.create 64;
-      d_ready = Queue.create ();
-      d_delays = Heap.create ();
-      d_seq = 0;
-      d_now = 0.0;
-      d_tracer = tracer;
-      d_policy = on_node_error;
-      d_capacity = queue_capacity;
-      d_history = history;
-      d_pool = pool;
-      d_draining = false;
-      d_domain_stats = [||];
-      d_next_sid = 0;
-      d_opened = 0;
-      d_closed = 0;
-      d_routed = 0;
-      d_upgrades = 0;
-    }
-  in
-  d
+  let ready = Queue.create ()
+  and delays = Heap.create ()
+  and clock = { now = 0.0; seq = 0 } in
+  {
+    d_root = root;
+    d_plan = Compile.plan_of root;
+    d_fuse = fuse;
+    d_hooks = hooks ready delays clock;
+    d_sessions = Hashtbl.create 64;
+    d_ready = ready;
+    d_delays = delays;
+    d_clock = clock;
+    d_tracer = tracer;
+    d_policy = on_node_error;
+    d_capacity = queue_capacity;
+    d_history = history;
+    d_pool = pool;
+    d_draining = false;
+    d_domain_stats = [||];
+    d_next_sid = 0;
+    d_opened = 0;
+    d_closed = 0;
+    d_routed = 0;
+    d_upgrades = 0;
+  }
 
 let root d = d.d_root
 let plan d = d.d_plan
-let now d = d.d_now
+let now d = d.d_clock.now
 let pool d = d.d_pool
 let domain_stats d = d.d_domain_stats
-
-let fresh_sid d =
-  let sid = d.d_next_sid in
-  d.d_next_sid <- sid + 1;
-  sid
 
 (* Lifecycle mutates the sessions table, which a drain reads throughout;
    nothing in a drain can legitimately call these (it runs no user code),
@@ -226,46 +246,114 @@ let check_not_draining d what =
   if d.d_draining then
     invalid_arg (Printf.sprintf "Serve.Dispatcher.%s: drain running" what)
 
-let open_session d =
-  check_not_draining d "open_session";
-  let sid = fresh_sid d in
+(* A session's instance of [pl]: trace rows offset by its id, displays
+   written straight to its sink, everything else the dispatcher's. (The
+   display closure is written out rather than a partial application of
+   [Row.display], which would also reach that function's static closure
+   and so count it in the session's footprint.) *)
+let make_exec d ~sid ~stats ~sink ~epoch pl arena =
+  Exec.create ?tracer:d.d_tracer
+    ~offset:(sid * Compile.id_stride pl)
+    ?label:(Option.map (fun _ -> Printf.sprintf "s%d:" sid) d.d_tracer)
+    ~display:(fun ~epoch ~changed v -> Row.display sink ~epoch ~changed v)
+    ~policy:d.d_policy ~stats ~epoch pl arena
+
+(* Shared by [open_session] and [clone]: a new row, registered. *)
+let add_row d ~stats ~sink ~arena ~epoch pl =
+  let sid = d.d_next_sid in
+  d.d_next_sid <- sid + 1;
   let s =
-    Session.open_session ~sid ~env:d.d_env ?tracer:d.d_tracer
-      ~on_node_error:d.d_policy ?queue_capacity:d.d_capacity
-      ?history:d.d_history d.d_root
+    {
+      Row.r_id = sid;
+      r_exec = make_exec d ~sid ~stats ~sink ~epoch pl arena;
+      r_sink = sink;
+      r_inbox = Queue.create ();
+      r_pending = 0;
+      r_pending_delays = 0;
+      r_dropped = 0;
+      r_closed = false;
+    }
   in
   Hashtbl.replace d.d_sessions sid s;
   d.d_opened <- d.d_opened + 1;
   s
 
-let clone d src =
-  check_not_draining d "clone";
-  let sid = fresh_sid d in
-  let s = Session.clone ~sid src in
-  Hashtbl.replace d.d_sessions sid s;
-  d.d_opened <- d.d_opened + 1;
-  s
+let open_session d =
+  check_not_draining d "open_session";
+  let sink =
+    {
+      Row.k_current = Signal.default d.d_root;
+      k_rev_changes = [];
+      k_n_changes = 0;
+      k_history = d.d_history;
+    }
+  in
+  add_row d ~stats:(Stats.create ()) ~sink
+    ~arena:(Compile.new_arena d.d_plan) ~epoch:0 d.d_plan
 
-let close d s =
+(* Cloning snapshots a quiescent session: with nothing pending, every
+   value/stamp/state word of the instance lives in the arena (the queues
+   are empty and the dispatcher holds nothing for it), so [clone_arena]
+   captures the whole observable state. In-flight events would live half in
+   the dispatcher's queues and half in the arena — there is no consistent
+   cut — hence the idleness requirement. *)
+let clone d (src : _ Row.t) =
+  check_not_draining d "clone";
+  if src.r_closed then invalid_arg "Serve.Dispatcher.clone: session is closed";
+  if src.r_pending > 0 || src.r_pending_delays > 0 then
+    invalid_arg "Serve.Dispatcher.clone: session has in-flight events";
+  let x = src.r_exec in
+  add_row d
+    ~stats:(Stats.copy (Exec.stats x))
+    ~sink:{ src.r_sink with k_current = src.r_sink.k_current }
+    ~arena:(Compile.clone_arena (Exec.arena x))
+    ~epoch:(Exec.epoch x) (Exec.plan x)
+
+let close d (s : _ Row.t) =
   check_not_draining d "close";
-  if not (Session.closed s) then begin
-    Session.close s;
-    Hashtbl.remove d.d_sessions (Session.id s);
+  if not s.r_closed then begin
+    s.r_closed <- true;
+    (* Drop queued values so a closed session pins no event payloads. *)
+    Array.iter
+      (function Some q -> Queue.clear q | None -> ())
+      (Exec.queues s.r_exec);
+    Hashtbl.remove d.d_sessions s.r_id;
     d.d_closed <- d.d_closed + 1
   end
 
 let find d sid = Hashtbl.find_opt d.d_sessions sid
 
 (* Value first, routing second: the step pops the value its ready-queue
-   entry promised. One accepted injection = exactly one future [step]. *)
-let try_inject d s input v =
-  if Session.offer s input v then begin
-    Session.mark_pending s;
-    route d s (Signal.id input);
+   entry promised. One accepted injection = exactly one future step. Only
+   inputs take external values, and only their queues are bounded: async
+   and delay queues are fed by the session's own step path, where
+   refusing a value could deadlock the session. *)
+let try_inject : type i. 'a t -> 'a Row.t -> i Signal.t -> i -> bool =
+ fun d s input v ->
+  if s.r_closed then invalid_arg "Serve.Dispatcher: session is closed";
+  let id = Signal.id input in
+  let sl = Compile.slot (Exec.plan s.r_exec) id in
+  (match Signal.kind input with
+  | Signal.Input when sl >= 0 -> ()
+  | Signal.Input ->
+    invalid_arg
+      (Printf.sprintf "Serve.Dispatcher: %s (node %d) is not part of this plan"
+         (Signal.name input) id)
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Serve.Dispatcher: %s (node %d) is not an input"
+         (Signal.name input) id));
+  let q = Exec.queue s.r_exec sl in
+  match d.d_capacity with
+  | Some cap when Queue.length q >= cap ->
+    s.r_dropped <- s.r_dropped + 1;
+    false
+  | _ ->
+    Queue.push (Obj.repr v) q;
+    s.r_pending <- s.r_pending + 1;
+    route d.d_ready s id;
     d.d_routed <- d.d_routed + 1;
     true
-  end
-  else false
 
 let inject d s input v =
   if not (try_inject d s input v) then raise Session.Queue_full
@@ -277,8 +365,8 @@ let inject d s input v =
    upgrade while pool workers are stepping, and the synchronous drains
    never call out to user code between steps, so every session's arena is
    a consistent cut when we get here. Pending work survives: queued input
-   values and inbox wakes move inside [Session.upgrade], and the delay
-   heap is rewritten below under the patch's node map — an upgrade drops
+   values and inbox wakes move in [upgrade_row], and the delay heap is
+   rewritten below under the patch's node map — an upgrade drops
    no accepted event unless its source was detached with the subgraph
    that owned it (in which case the matching pending counters come down,
    keeping the accounting invariant exact).
@@ -288,6 +376,44 @@ let inject d s input v =
    it, and a stale fusion memo would keep resolving future [fuse_cached]
    calls on that graph to the pre-upgrade composite (both memos share the
    cache generation that [Compile.clear_plan_cache] bumps). *)
+
+(* Swap one live session onto the patch's plan, between event waves.
+   Matched slots carry value/stamp (via the patch's migrations), attached
+   slots seed from defaults, and pending values queued on matched source
+   slots transfer to the new instance's queues (a transfer may transiently
+   overfill a bounded queue; upgrades never drop accepted events). Inbox
+   wakes keep their order under their new source ids; wakes of detached
+   sources go with their pending counters. *)
+let upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch
+    (s : _ Row.t) =
+  let old = s.r_exec in
+  let x =
+    make_exec d ~sid:s.r_id ~stats:(Exec.stats old) ~sink:s.r_sink
+      ~epoch:(Exec.epoch old) (Upgrade.new_plan patch)
+      (Upgrade.remap ~stale_map ~skip_migration patch (Exec.arena old))
+  in
+  (* [leak_mailbox] is the planted Leak_seam_mailbox bug: the old seam
+     mailboxes (pending-value queues) are forgotten instead of
+     transferred, so the ready-queue entries the dispatcher remaps
+     promise values that are no longer there — the next drain pops an
+     empty queue and the no-deadlock oracle trips. *)
+  if not leak_mailbox then
+    Array.iteri
+      (fun old_sl q ->
+        match (q, Upgrade.new_slot_of_old patch old_sl) with
+        | Some q, Some nsl when (Exec.queues x).(nsl) <> None ->
+          Queue.transfer q (Exec.queue x nsl)
+        | _ -> ())
+      (Exec.queues old);
+  s.r_exec <- x;
+  let wakes = Queue.copy s.r_inbox in
+  Queue.clear s.r_inbox;
+  Queue.iter
+    (fun src ->
+      match Upgrade.node_of_old patch src with
+      | Some src' -> Queue.push src' s.r_inbox
+      | None -> s.r_pending <- s.r_pending - 1)
+    wakes
 
 let upgrade_all ?migrate ?mutate d new_root =
   check_not_draining d "upgrade_all";
@@ -306,7 +432,7 @@ let upgrade_all ?migrate ?mutate d new_root =
   let new_plan = Compile.plan_of new_root in
   let patch = Upgrade.diff ?migrate d.d_plan new_plan in
   Hashtbl.iter
-    (fun _ s -> Session.upgrade ~stale_map ~skip_migration ~leak_mailbox s patch)
+    (fun _ s -> upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch s)
     d.d_sessions;
   (* Delay heap: rebuilt under new node/slot ids, preserving (due, seq)
      keys so virtual-time order is unchanged. In-flight values of
@@ -331,8 +457,8 @@ let upgrade_all ?migrate ?mutate d new_root =
         in
         Heap.push h ~due ~seq { dl with dl_node = node'; dl_slot = slot' }
       | None ->
-        if not (Session.closed dl.dl_session) then
-          Session.drop_pending_delay dl.dl_session)
+        let s = dl.dl_session in
+        if not s.r_closed then s.r_pending_delays <- s.r_pending_delays - 1)
     entries;
   d.d_root <- new_root;
   d.d_plan <- new_plan;
@@ -381,20 +507,23 @@ let rec deliver_due_delays d =
   let h = d.d_delays in
   if Heap.length h > 0 then begin
     let due = Heap.min_due h in
-    if due > d.d_now then d.d_now <- due;
+    if due > d.d_clock.now then d.d_clock.now <- due;
     let rec collect () =
       if Heap.length h > 0 && Heap.min_due h = due then begin
         let dl = Heap.top h in
         let s = dl.dl_session in
-        if Session.closed s then begin
+        if s.r_closed then begin
           Heap.pop h;
           collect ()
         end
-        else if not (Session.has_wakes s) then begin
+        else if Queue.is_empty s.r_inbox then begin
+          (* park the value in the delay node's (unbounded) queue; the
+             wake routed with it pops it *)
           Heap.pop h;
-          Session.deliver_delayed s ~slot:dl.dl_slot dl.dl_value;
-          Session.mark_pending s;
-          route d s dl.dl_node;
+          s.r_pending_delays <- s.r_pending_delays - 1;
+          Exec.push s.r_exec dl.dl_slot dl.dl_value;
+          s.r_pending <- s.r_pending + 1;
+          route d.d_ready s dl.dl_node;
           collect ()
         end
       end
@@ -403,21 +532,43 @@ let rec deliver_due_delays d =
     if Queue.is_empty d.d_ready then deliver_due_delays d
   end
 
+(* Take every inbox wake of a session and run it at once on its instance's
+   sequential lane ([Exec.step]), buffering boundary effects for [flush].
+   A closed session consumes its wakes without effect. Returns the number
+   taken. *)
+let step_wakes (s : _ Row.t) =
+  let n = Queue.length s.r_inbox in
+  while not (Queue.is_empty s.r_inbox) do
+    let source = Queue.pop s.r_inbox in
+    s.r_pending <- s.r_pending - 1;
+    if not s.r_closed then Exec.step s.r_exec ~source
+  done;
+  n
+
+(* Apply a session's buffered async/delay re-entries, with the session as
+   the hooks' context. *)
+let flush d (s : _ Row.t) = Exec.flush s.r_exec d.d_hooks s
+
+(* Never written: [add_delta ~after:no_counters] subtracts. *)
+let no_counters = Stats.create ()
+
 (* Run one round's work on the dispatcher's placement; returns the number
-   of wakes taken. *)
+   of wakes taken. A pool task bills its session's step to the worker's
+   slot as (after - before) without a snapshot: the slot gives up the
+   session's counters before the step and takes them back after. *)
 let run_round d ~seed runnable =
   match d.d_pool with
-  | None -> Queue.fold (fun n s -> n + Session.step_wakes s) 0 runnable
+  | None -> Queue.fold (fun n s -> n + step_wakes s) 0 runnable
   | Some pool ->
     let taken = Atomic.make 0 in
     Pool.run ~seed pool
       (Array.of_seq
          (Seq.map
-            (fun s w ->
-              let before = Stats.copy (Session.stats s) in
-              ignore (Atomic.fetch_and_add taken (Session.step_wakes s));
-              Stats.add_delta d.d_domain_stats.(w) ~before
-                ~after:(Session.stats s))
+            (fun (s : _ Row.t) w ->
+              let ds = d.d_domain_stats.(w) and st = Exec.stats s.r_exec in
+              Stats.add_delta ds ~before:st ~after:no_counters;
+              ignore (Atomic.fetch_and_add taken (step_wakes s));
+              Stats.merge ds st)
             (Queue.to_seq runnable)));
     Atomic.get taken
 
@@ -433,7 +584,7 @@ let drain ?(seed = 0) d =
     else begin
       Queue.transfer d.d_ready runnable;
       let n = run_round d ~seed:(seed + i) runnable in
-      Queue.iter Session.flush runnable;
+      Queue.iter (flush d) runnable;
       Queue.clear runnable;
       rounds (i + 1) (taken + n)
     end
@@ -449,9 +600,10 @@ let drain ?(seed = 0) d =
        what their finished steps buffered, so a later drain goes on where
        this one stopped. *)
     Queue.iter
-      (fun s -> if Session.has_wakes s then Queue.push s d.d_ready)
+      (fun (s : _ Row.t) ->
+        if not (Queue.is_empty s.r_inbox) then Queue.push s d.d_ready)
       runnable;
-    Queue.iter Session.flush runnable;
+    Queue.iter (flush d) runnable;
     d.d_draining <- false;
     raise e
 
@@ -460,8 +612,8 @@ let accounting d =
   Hashtbl.iter
     (fun _ s ->
       if Session.is_idle s then incr idle;
-      pend := !pend + Session.pending s;
-      pendd := !pendd + Session.pending_delays s)
+      pend := !pend + s.Row.r_pending;
+      pendd := !pendd + s.Row.r_pending_delays)
     d.d_sessions;
   {
     live = Hashtbl.length d.d_sessions;
@@ -472,8 +624,6 @@ let accounting d =
     pending_events = !pend;
     pending_delays = !pendd;
   }
-
-let iter_sessions d f = Hashtbl.iter (fun _ s -> f s) d.d_sessions
 
 let pp_accounting ppf a =
   Format.fprintf ppf

@@ -9,6 +9,13 @@
     subgraph and its synchronous part exactly as the single-session
     runtime does.
 
+    It is one algorithm over many instances: the compiled plan, the
+    options given to {!create} and the boundary wiring exist once per
+    dispatcher, and each session is a row of it — its arena, counters,
+    wake inbox, pending-value queues and change log ({!Session} reads
+    them). Opening, cloning, feeding, draining, upgrading and closing a
+    session all go through this module.
+
     Everything is synchronous and single-threaded on a virtual clock —
     no [Cml.run] required:
 
@@ -43,10 +50,17 @@ val create :
 (** Build (or fetch from the plan cache) the compiled plan for the graph
     rooted here and create an empty dispatcher over it. [fuse] (default
     true) runs {!Elm_core.Fuse.fuse_cached} first; {!clone} and
-    {!upgrade_all} are exact either way. The options are applied to every
-    session opened through this dispatcher. A shared [tracer] gets
-    per-session node ids (offset by [Compile.id_stride]), so rows never
-    collide. [pool] makes {!drain} run sessions concurrently. *)
+    {!upgrade_all} are exact either way. The options hold for every
+    session of this dispatcher and are stored once, here:
+    [on_node_error] supervises each session's nodes (a [Restart] budget
+    is per session and node); [queue_capacity] bounds each session's
+    {e input} queues (async and delay queues stay unbounded — their
+    producers run on the session's own step path); [history] caps each
+    session's retained change log as in [Runtime.start]. A shared
+    [tracer] gets per-session node ids (offset by [Compile.id_stride]),
+    so rows never collide. [pool] makes {!drain} run sessions
+    concurrently. Raises [Invalid_argument] on a [queue_capacity] below 1
+    or a negative [history]. *)
 
 val root : 'a t -> 'a Signal.t
 (** The graph all sessions run (after fusion, if enabled) — use its input
@@ -61,8 +75,13 @@ val open_session : 'a t -> 'a Session.t
     the shared plan; no threads or channels. *)
 
 val clone : 'a t -> 'a Session.t -> 'a Session.t
-(** Snapshot a quiescent session under a fresh id (see
-    {!Session.clone}). *)
+(** Snapshot a {e quiescent} session ({!Session.is_idle}) under a fresh
+    id: arena, current value, change history and counters are copied;
+    fresh empty queues. Every arena slot is plain data
+    ({!Compile.clone_arena}), so the clone continues exactly as its
+    parent would, fused plan or not. Raises [Invalid_argument] if the
+    session is closed or has in-flight events (there is no consistent cut
+    through a half-dispatched event). *)
 
 val close : 'a t -> 'a Session.t -> unit
 (** Close and unregister: queued values are dropped, later events for the
@@ -116,8 +135,12 @@ val upgrade_all :
     dispatcher was created with [~fuse:true], the shared plan cache (and
     the fusion memos with it) is invalidated and reseeded with the new
     plan, and the patch ({!Upgrade.diff} against the current plan, with
-    the caller's [migrate] list) is applied to each session
-    ({!Session.upgrade}) — then the dispatcher's own seams are rewritten:
+    the caller's [migrate] list) is applied to each session — its arena
+    remapped ({!Upgrade.remap}), its instance rebuilt against the new slot
+    layout, pending values on matched source slots transferred, inbox
+    wakes moved to their matched sources' new ids, trace rows
+    re-registered; its change history, counters and epoch numbering
+    persist — then the dispatcher's own seams are rewritten:
     ready-queue entries and delay-heap wakes move to their matched new
     node ids, and wakes of detached sources are released together with
     their pending counters, so the accounting invariant stays exact and
@@ -191,5 +214,3 @@ module Heap : sig
   val pop : 'a t -> unit
   (** Remove the [top] entry. *)
 end
-
-val iter_sessions : 'a t -> ('a Session.t -> unit) -> unit

@@ -238,6 +238,61 @@ let test_idle_footprint_stable () =
   let w2 = Session.footprint_words s in
   check_int "idle footprint does not grow with traffic" w1 w2
 
+(* [footprint_words] is what one more session really costs: over 2,000
+   sessions of a two-input program (a foldp chain and a drop_repeats
+   chain, joined), each fed one event per input and drained, the marginal
+   live heap per session lies within 10% of it. *)
+let test_footprint_matches_live_heap () =
+  let x = Signal.input ~name:"x" 0 and y = Signal.input ~name:"y" 0 in
+  let root =
+    Signal.lift2 ( + )
+      (Signal.foldp ( + ) 0 (Signal.lift succ x))
+      (Signal.drop_repeats (Signal.lift (fun v -> v / 2) y))
+  in
+  let d = Dispatcher.create ~history:0 root in
+  ignore (Dispatcher.open_session d);
+  let n = 2_000 in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let ss = Array.init n (fun _ -> Dispatcher.open_session d) in
+  Array.iter
+    (fun s ->
+      Dispatcher.inject d s x 1;
+      Dispatcher.inject d s y 4)
+    ss;
+  ignore (Dispatcher.drain d);
+  Gc.compact ();
+  let live =
+    float_of_int ((Gc.stat ()).Gc.live_words - before) /. float_of_int n
+  in
+  let fp = float_of_int (Session.footprint_words ss.(0)) in
+  ignore (Sys.opaque_identity ss);
+  if Float.abs (live -. fp) > 0.1 *. live then
+    Alcotest.failf "footprint_words %.0f vs %.1f live words per session" fp live
+
+(* Under [Restart 1] every session has its own budget per node: a failure
+   in one session never spends another's (each restart re-seeds the fold,
+   so a spent budget shows in the values). *)
+let test_restart_budget_per_session () =
+  let a = Signal.input ~name:"a" 0 in
+  let root =
+    Signal.foldp (fun v acc -> if v < 0 then failwith "boom" else acc + v) 0 a
+  in
+  let d = Dispatcher.create ~on_node_error:(Runtime.Restart 1) root in
+  let sa = Dispatcher.open_session d and sb = Dispatcher.open_session d in
+  List.iter (fun v -> Dispatcher.inject d sa a v) [ 5; -1; -1; 2 ];
+  ignore (Dispatcher.drain d);
+  List.iter (fun v -> Dispatcher.inject d sb a v) [ 7; -1; 3 ];
+  ignore (Dispatcher.drain d);
+  let failures s = (Session.stats s).Stats.node_failures
+  and restarts s = (Session.stats s).Stats.node_restarts in
+  check_int "A failed twice" 2 (failures sa);
+  check_int "A restarted once: budget 1" 1 (restarts sa);
+  check_ints "A: restarted, then isolated" [ 5; 2 ] (session_values sa);
+  check_int "B failed once" 1 (failures sb);
+  check_int "B restarted on its own budget" 1 (restarts sb);
+  check_ints "B: folds from its default again" [ 7; 3 ] (session_values sb)
+
 (* ------------------------------------------------------------------ *)
 (* Async/delay boundaries inside sessions *)
 
@@ -664,6 +719,8 @@ let () =
             test_bounded_input_queue;
           tc "idle footprint stable under traffic" `Quick
             test_idle_footprint_stable;
+          tc "footprint matches the marginal live heap" `Quick
+            test_footprint_matches_live_heap;
         ] );
       ( "boundaries",
         [
@@ -683,6 +740,8 @@ let () =
           tc "dispatcher accounting tracks lifecycle" `Quick
             test_dispatcher_accounting;
           tc "closed sessions ignore events" `Quick test_closed_session_ignored;
+          tc "Restart budgets are per session" `Quick
+            test_restart_budget_per_session;
           tc "shared tracer reports per-session rows" `Quick
             test_shared_tracer_per_session_rows;
         ] );
