@@ -6,8 +6,9 @@
    3.3.2 and 5) are about event-processing behaviour, which we measure in
    VIRTUAL time on the discrete-event scheduler: latency numbers below are
    the virtual seconds an update waits before reaching the display.
-   Engine costs themselves (graph throughput, layout, compilation) are real
-   wall-clock microbenchmarks via bechamel at the end.
+   Engine costs themselves (graph throughput, layout, compilation, a
+   session's open and one-event step) are real wall-clock microbenchmarks
+   via bechamel at the end, on a short budget under [--smoke].
 
    Run with:  dune exec bench/main.exe *)
 
@@ -2111,15 +2112,42 @@ let compiler_source n =
   Buffer.add_string buf ") Window.width)\nmain = combined\n";
   Buffer.contents buf
 
-let micro_benchmarks () =
+(* The footprint probe program (test_serve's, and EXPERIMENTS.md's B17
+   footprint table): two inputs, a foldp chain and a drop_repeats chain,
+   joined. *)
+let serve_probe () =
+  let x = Signal.input ~name:"x" 0 and y = Signal.input ~name:"y" 0 in
+  let root =
+    Signal.lift2 ( + )
+      (Signal.foldp ( + ) 0 (Signal.lift succ x))
+      (Signal.drop_repeats (Signal.lift (fun v -> v / 2) y))
+  in
+  (x, Serve_dispatcher.create ~history:0 root)
+
+let micro_benchmarks ~quota () =
   section "Wall-clock microbenchmarks (bechamel)";
   let open Bechamel in
   let open Toolkit in
   let felm_src = compiler_source 20 in
   let felm_loc = List.length (String.split_on_char '\n' felm_src) in
   let element = big_element 30 in
+  let _, opener = serve_probe () in
+  let probe_x, stepper = serve_probe () in
+  let session = Serve_dispatcher.open_session stepper in
+  let next = ref 0 in
   let tests =
     [
+      (* Each run closes the session it opened, so the dispatcher's table
+         stays at one entry however many runs bechamel takes. *)
+      Test.make ~name:"serve: open_session (probe)"
+        (Staged.stage (fun () ->
+             Serve_dispatcher.close opener
+               (Serve_dispatcher.open_session opener)));
+      Test.make ~name:"serve: inject+drain 1 event (probe, 1 session)"
+        (Staged.stage (fun () ->
+             incr next;
+             Serve_dispatcher.inject stepper session probe_x !next;
+             ignore (Serve_dispatcher.drain stepper)));
       Test.make ~name:"scheduler: spawn+run 100 threads"
         (Staged.stage (fun () ->
              Cml.run (fun () ->
@@ -2176,7 +2204,7 @@ let micro_benchmarks () =
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 100) ()
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second quota) ~kde:(Some 100) ()
   in
   let raw =
     Benchmark.all cfg instances (Test.make_grouped ~name:"micro" tests)
@@ -2584,6 +2612,18 @@ let () =
     prerr_endline "B17: serving never hit the plan cache!";
     exit 1
   end;
+  (* The K=1 row's live words per session are deterministic for a fixed
+     program and compiler, so they get an absolute ceiling: 271.0 measured
+     when a lane became a plain [Compile.exec] record, plus 5%. *)
+  List.iter
+    (fun r ->
+      if r.b17_chains = 1 && r.b17_live_words_per_session > 285.0 then begin
+        Printf.eprintf
+          "B17: %.1f live words per session at K=1 (ceiling: 285)!\n"
+          r.b17_live_words_per_session;
+        exit 1
+      end)
+    b17_rows;
   List.iter
     (fun r ->
       let fp = float_of_int (r.b17_bytes_per_idle_session * 8 / Sys.word_size) in
@@ -2612,7 +2652,9 @@ let () =
      dropped events, per-session traces equal to the never-upgraded run. *)
   let b20 = bench_b20 ~extra_domains () in
   b20_gates b20;
-  let micro = if smoke then [] else micro_benchmarks () in
+  (* Smoke mode measures the same rows on a short budget: report-only,
+     but it keeps [micro_ns_per_run] filled. *)
+  let micro = micro_benchmarks ~quota:(if smoke then 0.02 else 0.25) () in
   if emit_json then
     write_json ~path:"BENCH_core.json" b11_rows b12 b13_rows b14_rows b15
       (b16_rows, b16_alloc) b17_rows b18 b19 b20 micro;

@@ -46,7 +46,8 @@
 # isolation oracle), clones must continue exactly as their parents,
 # serving must actually hit the plan cache, and Session.footprint_words
 # must lie within 10% of the live heap words a session really adds
-# (Gc.compact delta over the live sessions).
+# (Gc.compact delta over the live sessions), which at K=1 must also stay
+# under an absolute ceiling of 285 words.
 # B18 gates domain-parallel serving (lib/serve/pool.ml): draining the
 # 10k-session B17 workload over a work-stealing domain pool must keep
 # every per-session change trace bit-identical to the sequential

@@ -277,18 +277,19 @@ let reset () =
   Hashtbl.reset st.blocked;
   st.anon_blocked <- 0
 
+(* The scheduler's state is process-global, so [run] claims it first with
+   one compare-and-set: a second [run], nested or on another domain, is
+   refused before it touches [st]. [st.live] mirrors the claim for the hot
+   [running] checks. *)
+let claimed = Atomic.make false
+
 let run ?(policy = Fifo) ?(max_switches = max_int) main =
-  if st.live then raise Already_running;
-  reset ();
-  set_policy policy;
-  st.live <- true;
-  st.spawned <- 1;
-  (* the main thread *)
-  push_thunk (fun () -> exec main);
+  if not (Atomic.compare_and_set claimed false true) then raise Already_running;
   let finish () =
     st.live <- false;
     Probe.clear ();
-    Pool.clear st.pool
+    Pool.clear st.pool;
+    Atomic.set claimed false
   in
   let rec loop () =
     if Pool.length st.pool > 0 then begin
@@ -313,7 +314,14 @@ let run ?(policy = Fifo) ?(max_switches = max_int) main =
         loop ()
       | None -> ()
   in
-  Fun.protect ~finally:finish loop
+  Fun.protect ~finally:finish (fun () ->
+      reset ();
+      set_policy policy;
+      st.live <- true;
+      st.spawned <- 1;
+      (* the main thread *)
+      push_thunk (fun () -> exec main);
+      loop ())
 
 let run_value ?policy ?max_switches main =
   let result = ref None in

@@ -28,7 +28,9 @@ type 'a cont
 (** A suspended thread waiting for a value of type ['a]. One-shot. *)
 
 exception Already_running
-(** Raised by {!run} when invoked from inside a running scheduler. *)
+(** Raised by {!run} when a scheduler is already running: from inside
+    it, or on another domain. The scheduler is process-global; {!run}
+    claims it atomically. *)
 
 exception Not_running
 (** Raised by operations that require a running scheduler ({!sleep},

@@ -28,12 +28,14 @@
    - An op template is [exec -> round -> unit]: it closes over slot
      *indices* and the node's typed functions, never over cells, so the
      same op array drives any number of concurrent arenas. The [exec]
-     record carries the instance's arena and its environment hooks (value
-     queues, display, async registration, failure handlers, an observer);
-     [Exec], the one executor of a plan instance, binds them to plain
-     queues and buffered effects. A changed op allocates nothing of its
-     own: it applies the user function inside [match ... with exception]
-     and writes the result into its slot.
+     record is plain data: the instance's arena, counters, failure
+     handlers and pending-value queues, plus one effect queue. A region
+     touches the world outside it only by popping a source's pending value
+     and by appending an [effect] (an async or delay re-entry, an observed
+     emission, the display) for [Exec], the one executor of a plan
+     instance, to apply. A changed op allocates nothing of its own: it
+     applies the user function inside [match ... with exception] and
+     writes the result into its slot.
 
    - Each source gets a [schedule]: the ops of its synchronous cone, in
      plan order. A wake runs its source's schedule and nothing else — no
@@ -62,8 +64,7 @@
    inner node's op via a secondary sort key, never before it.
 
    The module deliberately does not depend on [Runtime] or [Exec]: whoever
-   runs a plan passes its supervision, observation and event-registration
-   hooks in the [exec] record. *)
+   runs a plan hands it an [exec] record and reads the effects back. *)
 
 (* One dispatcher round. [Runtime.round] re-exports this type; it lives here
    so compiled rounds and the pipelined runtime's node wakeups share it. *)
@@ -113,21 +114,36 @@ type arena = {
   ar_state : Obj.t array;
 }
 
-(* The per-instance execution context threaded through every op. One record
-   per instance, not per round: ops allocate nothing on the steady path. *)
+(* What an op hands to the world outside its region, in op order: a value
+   for a source slot and the async event that consumes it, a delay, an
+   observer's emission, the root's display. Each carries the epoch of the
+   round that produced it. *)
+type effect =
+  | Push of { epoch : int; slot : int; value : Obj.t }
+  | Fire of { epoch : int; source : int }
+  | Delay of {
+      epoch : int;
+      node : int;
+      slot : int;
+      seconds : float;
+      value : Obj.t;
+    }
+  | Observe of { epoch : int; node : int; changed : bool }
+  | Display of { epoch : int; changed : bool; value : Obj.t }
+
+(* The per-instance execution context threaded through every op: plain
+   data, one record per lane, not per round. Ops pop source values from
+   [x_queues] and append their boundary effects to [x_effects]; the display
+   sink is the one function, for a caller that takes displays straight
+   from the lane. *)
 type exec = {
   x_arena : arena;
   x_stats : Stats.t;
   x_fail : handler array;  (* per slot *)
-  x_observe : (node:int -> epoch:int -> changed:bool -> unit) option;
-      (* one call per member emission, for a runtime [~observer] *)
-  x_pop : int -> Obj.t;  (* consume the pending value for a source slot *)
-  x_push : int -> Obj.t -> unit;  (* enqueue a value for a source slot *)
-  x_fire_async : int -> unit;  (* async boundary: register a global event *)
-  x_delay : node:int -> slot:int -> seconds:float -> Obj.t -> unit;
-      (* delay boundary: deliver the value to [slot] and register a global
-         event for [node] after [seconds] *)
-  x_display : epoch:int -> changed:bool -> Obj.t -> unit;
+  x_queues : Obj.t Queue.t option array;  (* per slot; [Some] on sources *)
+  x_effects : effect Queue.t;
+  x_observing : bool;  (* append an [Observe] per member emission *)
+  x_display : (epoch:int -> changed:bool -> Obj.t -> unit) option;
 }
 
 type op = exec -> round -> unit
@@ -183,7 +199,7 @@ type plan = {
   p_sources : (int * string) list;  (* runtime sources, topological order *)
   p_queue_slots : int list;  (* source slots: each has a pending-value queue *)
   p_propagate : handler array;
-      (* per slot, [propagate]: every Propagate instance's [x_fail] *)
+      (* per slot, [propagate]: every Propagate lane's [x_fail] *)
   p_inputs : Signal.packed list;  (* Input nodes, for external injection *)
 }
 
@@ -375,18 +391,23 @@ let plan : type r. r Signal.t -> plan =
     acc.(idx) <- ((Hashtbl.find pos node, rank), (node, serves, op)) :: acc.(idx)
   in
   let root_slot = slot root_id in
-  (* A member op: computes whether the node changed and reports the
-     emission to an observer. The root's also sends the display, the one
-     real message a region step still has. *)
+  (* A member op: computes whether the node changed and, for an observer,
+     appends the emission. The root's also sends the display, the one
+     real message a region step still has: to the lane's sink if it has
+     one, otherwise as an effect. *)
   let member ~id compute =
     let root = id = root_id in
     add_op ~node:id ~serves:id (fun x r ->
         let changed = compute x r in
-        (match x.x_observe with
-        | None -> ()
-        | Some f -> f ~node:id ~epoch:r.epoch ~changed);
-        if root then
-          x.x_display ~epoch:r.epoch ~changed x.x_arena.ar_values.(root_slot))
+        let epoch = r.epoch in
+        if x.x_observing then
+          Queue.push (Observe { epoch; node = id; changed }) x.x_effects;
+        if root then begin
+          let value = x.x_arena.ar_values.(root_slot) in
+          match x.x_display with
+          | None -> Queue.push (Display { epoch; changed; value }) x.x_effects
+          | Some f -> f ~epoch ~changed value
+        end)
   in
   (* A source member: woken rounds carrying its own source id consume one
      pending value; all other rounds (flood only) are quiescent. *)
@@ -397,7 +418,9 @@ let plan : type r. r Signal.t -> plan =
         r.source = id
         && begin
              let ar = x.x_arena in
-             ar.ar_values.(sl) <- x.x_pop sl;
+             (match x.x_queues.(sl) with
+             | Some q -> ar.ar_values.(sl) <- Queue.pop q
+             | None -> invalid_arg "Compile.exec: a source slot has no queue");
              ar.ar_stamps.(sl) <- r.epoch;
              true
            end)
@@ -430,8 +453,10 @@ let plan : type r. r Signal.t -> plan =
       add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
           let ar = x.x_arena in
           if ar.ar_stamps.(si) = r.epoch then begin
-            x.x_push sl ar.ar_values.(si);
-            x.x_fire_async id
+            Queue.push
+              (Push { epoch = r.epoch; slot = sl; value = ar.ar_values.(si) })
+              x.x_effects;
+            Queue.push (Fire { epoch = r.epoch; source = id }) x.x_effects
           end)
     | Signal.Delay (d, inner) ->
       source_member ~id;
@@ -439,7 +464,16 @@ let plan : type r. r Signal.t -> plan =
       add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
           let ar = x.x_arena in
           if ar.ar_stamps.(si) = r.epoch then
-            x.x_delay ~node:id ~slot:sl ~seconds:d ar.ar_values.(si))
+            Queue.push
+              (Delay
+                 {
+                   epoch = r.epoch;
+                   node = id;
+                   slot = sl;
+                   seconds = d;
+                   value = ar.ar_values.(si);
+                 })
+              x.x_effects)
     | Signal.Lift1 (f, a) ->
       let sl = slot id and sa = slot (Signal.id a) in
       member ~id (fun x r ->

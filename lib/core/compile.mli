@@ -26,8 +26,12 @@
     Ops close over slot {e indices}, never over cells, and receive the
     instance's {!exec} context on every run, so one plan drives any number
     of {!Exec} instances: [Runtime.start ~backend:Compiled] and every
-    serving session. This module holds the partitioning and the op
-    compiler; {!Exec} owns dispatch, accounting and supervision. *)
+    serving session. The context is plain data: a region takes a source's
+    pending value from its queue and reports everything else it does to
+    the outside — async and delay re-entries, observed emissions, the
+    display — as {!effect}s appended to one queue. This module holds the
+    partitioning and the op compiler; {!Exec} owns dispatch, accounting,
+    supervision and the effects' application. *)
 
 type round = {
   epoch : int;
@@ -209,27 +213,51 @@ type handler = epoch:int -> exn -> bool
     node's last good value. Ops apply user functions directly and call
     the handler only on failure, so supervision allocates nothing. *)
 
+type effect =
+  | Push of { epoch : int; slot : int; value : Obj.t }
+      (** A value for source slot [slot]'s pending queue (an async
+          boundary's, always followed by its [Fire]). *)
+  | Fire of { epoch : int; source : int }
+      (** Async boundary: a new event for [source]. *)
+  | Delay of {
+      epoch : int;
+      node : int;
+      slot : int;
+      seconds : float;
+      value : Obj.t;
+    }
+      (** Delay boundary: deliver [value] to [slot] and a new event for
+          [node] [seconds] later. *)
+  | Observe of { epoch : int; node : int; changed : bool }
+      (** One member emission, in op order (only with [x_observing]). *)
+  | Display of { epoch : int; changed : bool; value : Obj.t }
+      (** The root's emission, one per round reaching the root (unless the
+          lane has a display sink). *)
+(** What a region hands to the world outside it. Each effect carries the
+    epoch of the round whose op produced it; none is consumed in that
+    round, which is why a caller may apply them after the run. *)
+
 type exec = {
   x_arena : arena;
   x_stats : Stats.t;
   x_fail : handler array;  (** Per slot. *)
-  x_observe : (node:int -> epoch:int -> changed:bool -> unit) option;
-      (** One call per member emission, in op order, for an observer.
-          The message counters are billed at admission instead, from the
+  x_queues : Obj.t Queue.t option array;
+      (** Per slot pending-value queues ([Some] on every {!queue_slots}
+          slot): a woken source member pops its value here. *)
+  x_effects : effect Queue.t;  (** Appended in op order. *)
+  x_observing : bool;
+      (** Append an [Observe] per member emission, for an observer. The
+          message counters are billed at admission instead, from the
           {!schedule}. *)
-  x_pop : int -> Obj.t;  (** Consume the pending value for a source slot. *)
-  x_push : int -> Obj.t -> unit;  (** Enqueue a value for a source slot. *)
-  x_fire_async : int -> unit;
-      (** Async boundary: register a global event for this source. *)
-  x_delay : node:int -> slot:int -> seconds:float -> Obj.t -> unit;
-      (** Delay boundary: deliver the value to [slot] and register a global
-          event for [node] after [seconds]. *)
-  x_display : epoch:int -> changed:bool -> Obj.t -> unit;
-      (** The root's display emission, one per round reaching the root. *)
+  x_display : (epoch:int -> changed:bool -> Obj.t -> unit) option;
+      (** When present, the root's emissions go straight here instead of
+          as [Display] effects. The only function in the record. *)
 }
-(** The per-instance execution context threaded through every op: the arena
-    plus the environment hooks, which {!Exec} binds to plain queues and
-    buffered effects. *)
+(** The execution context threaded through every op: plain data, one
+    record per lane. Ops read and write the arena, bill [x_stats], call
+    [x_fail] on a failure, pop source values from [x_queues] and append
+    every boundary effect to [x_effects] — whoever builds the record
+    ({!Exec}, or a test) applies them. *)
 
 type op = exec -> round -> unit
 (** One compiled step: a member's (read dependency slots, recompute if any
@@ -270,4 +298,4 @@ val propagate : handler
 
 val propagate_handlers : plan -> handler array
 (** One {!propagate} per slot: the plan's own array, shared as [x_fail] by
-    every instance that runs under [Propagate] — treat as read-only. *)
+    every lane that runs under [Propagate] — treat as read-only. *)

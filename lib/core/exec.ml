@@ -11,19 +11,20 @@
      deterministic per-event counters (events, notified regions, messages
      and the elided balance, the tracer's dispatch row), all computable
      from the schedule alone.
-   - The wake's work runs on a {e lane}: an execution context over the
-     shared arena with its own counters, failure handlers and effect
-     buffer. Under cone dispatch it is the source's schedule, under flood
-     every region's full op list. [step] runs the round at once on the
-     instance's sequential lane. Otherwise the round is queued on the
-     woken groups' lanes, in one of two placements. Waves ([admit]):
-     [run_groups] runs every active lane inline or as one flat [Pool.run]
-     batch. Lanes ([admit_lanes]): one caller thread per group takes one
-     round at a time ([step_lane]).
-   - No lane performs a boundary effect: value pushes, async fires, delay
-     schedules, displays and observer calls are buffered and applied to
-     the caller's hooks — by [flush], in (admission epoch, group) order,
-     or by [step_lane] right after the round that produced them. The one
+   - The wake's work runs on a {e lane}: a [Compile.exec] record, plain
+     data over the shared arena and queues with its own counters, failure
+     handlers and effect queue. Under cone dispatch it is the source's
+     schedule, under flood every region's full op list. [step] runs the
+     round at once on the instance's sequential lane. Otherwise the round
+     is queued on the woken groups' lanes, in one of two placements. Waves
+     ([admit]): [run_groups] runs every active lane inline or as one flat
+     [Pool.run] batch. Lanes ([admit_lanes]): one caller thread per group
+     takes one round at a time ([step_lane]).
+   - No lane performs a boundary effect: the ops append value pushes,
+     async fires, delay schedules, displays and observed emissions to the
+     lane's effect queue, and they are applied to the caller's hooks — by
+     [flush], in (admission epoch, group) order, or by [step_lane] right
+     after the round that produced them. The one
      exception is a caller's [~display] sink that is safe to call from
      whichever domain runs the root's region (a serving session's change
      log): displays then go straight to it, sparing the coordinator the
@@ -79,14 +80,7 @@ let handler ~policy ~stats ~tracer ~node : Compile.handler =
 (* ------------------------------------------------------------------ *)
 (* Instances *)
 
-type effect =
-  | Push of { epoch : int; slot : int; value : Obj.t }
-  | Fire of { epoch : int; source : int }
-  | Delay of { epoch : int; node : int; slot : int; seconds : float; value : Obj.t }
-  | Observe of { epoch : int; node : int; changed : bool }
-  | Display of { epoch : int; changed : bool; value : Obj.t }
-
-let epoch_of = function
+let epoch_of : Compile.effect -> int = function
   | Push { epoch; _ }
   | Fire { epoch; _ }
   | Delay { epoch; _ }
@@ -101,38 +95,39 @@ type 'c hooks = {
   observe : 'c -> node:int -> epoch:int -> changed:bool -> unit;
 }
 
-type lane = {
-  l_regions : int array;  (* region indices this lane runs, ascending *)
-  l_exec : Compile.exec;
-  l_stats : Stats.t;  (* the instance's own counters, or group scratch *)
-  l_epoch : int ref;  (* epoch of the running round: tags effects *)
-  l_effects : effect Queue.t;
-}
-
 (* A region group's lane with the work admitted to it. *)
 type group = {
-  g_lane : lane;
+  g_exec : Compile.exec;
+  g_regions : int array;  (* region indices this lane runs, ascending *)
   mutable g_snap : Stats.t;  (* waves: the lane's counters last merged *)
   g_rounds : Compile.round Queue.t;
   mutable g_last : int;  (* epoch last queued, so a round queues once *)
 }
 
+(* [seq] is the sequential lane and holds the instance's own data: its
+   arena, pending-value queues, counters and display sink. Group lanes
+   share its arena and queues. *)
 type t = {
   plan : Compile.plan;
-  arena : Compile.arena;
-  queues : Obj.t Queue.t option array;  (* per slot; [Some] on sources *)
-  stats : Stats.t;
+  seq : Compile.exec;
   tracer : Trace.t option;
   offset : int;  (* added to node ids in trace rows *)
   policy : error_policy;
   flood : bool;  (* every wake runs every region's full op list *)
-  observe : bool;  (* buffer per-node emissions for [hooks.observe] *)
-  display : (epoch:int -> changed:bool -> Obj.t -> unit) option;
-      (* unbuffered display sink, see [create] *)
   mutable epoch : int;
-  mutable seq : lane option;  (* built on first [step] *)
   mutable groups : group array;  (* [||] until first [admit] *)
 }
+
+(* A lane's failure handlers, billing [stats]: the plan's shared array
+   under Propagate, one closure per node otherwise (a Restart budget is
+   per lane). *)
+let handlers ~policy ~tracer ~offset plan stats =
+  match policy with
+  | Propagate -> Compile.propagate_handlers plan
+  | Isolate | Restart _ ->
+    Array.map
+      (fun id -> handler ~policy ~stats ~tracer ~node:(offset + id))
+      (Compile.slot_ids plan)
 
 let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
     ?(observe = false) ?display ~policy ~stats ~epoch plan arena =
@@ -151,99 +146,52 @@ let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
             (Printf.sprintf "%sregion:%s(%d)" label rg.Compile.rg_name
                (List.length rg.Compile.rg_member_ids)))
       (Compile.regions plan));
+  (* A traced display row precedes the sink's call, as [flush] puts it
+     before [hooks.display]. *)
+  let display =
+    match (display, tracer) with
+    | Some f, Some tr ->
+      Some
+        (fun ~epoch ~changed v ->
+          Trace.display tr ~epoch ~changed;
+          f ~epoch ~changed v)
+    | d, _ -> d
+  in
   {
     plan;
-    arena;
-    queues;
-    stats;
+    seq =
+      {
+        Compile.x_arena = arena;
+        x_stats = stats;
+        x_fail = handlers ~policy ~tracer ~offset plan stats;
+        x_queues = queues;
+        x_effects = Queue.create ();
+        x_observing = observe;
+        x_display = display;
+      };
     tracer;
     offset;
     policy;
     flood;
-    observe;
-    display;
     epoch;
-    seq = None;
     groups = [||];
   }
 
 let plan x = x.plan
-let arena x = x.arena
-let stats x = x.stats
+let arena x = x.seq.x_arena
+let stats x = x.seq.x_stats
 let epoch x = x.epoch
-let queues x = x.queues
+let queues x = x.seq.x_queues
 
 let queue x sl =
-  match x.queues.(sl) with
+  match x.seq.x_queues.(sl) with
   | Some q -> q
   | None -> invalid_arg "Exec: not a source slot"
 
 let push x sl v = Queue.push v (queue x sl)
 
-let trace_display x ~epoch ~changed =
-  match x.tracer with
-  | None -> ()
-  | Some tr -> Trace.display tr ~epoch ~changed
-
-let make_lane x ~regions ~stats =
-  let epoch = ref 0 and effects = Queue.create () in
-  let emit e = Queue.push e effects in
-  let exec =
-    {
-      Compile.x_arena = x.arena;
-      x_stats = stats;
-      x_fail =
-        (match x.policy with
-        | Propagate -> Compile.propagate_handlers x.plan
-        | Isolate | Restart _ ->
-          Array.map
-            (fun id ->
-              handler ~policy:x.policy ~stats ~tracer:x.tracer
-                ~node:(x.offset + id))
-            (Compile.slot_ids x.plan));
-      x_observe =
-        (if x.observe then
-           Some
-             (fun ~node ~epoch ~changed -> emit (Observe { epoch; node; changed }))
-         else None);
-      x_pop = (fun sl -> Queue.pop (queue x sl));
-      x_push = (fun slot value -> emit (Push { epoch = !epoch; slot; value }));
-      x_fire_async = (fun source -> emit (Fire { epoch = !epoch; source }));
-      x_delay =
-        (fun ~node ~slot ~seconds value ->
-          emit (Delay { epoch = !epoch; node; slot; seconds; value }));
-      x_display =
-        (match x.display with
-        | None ->
-          fun ~epoch ~changed value -> emit (Display { epoch; changed; value })
-        | Some f ->
-          fun ~epoch ~changed value ->
-            trace_display x ~epoch ~changed;
-            f ~epoch ~changed value);
-    }
-  in
-  {
-    l_regions = regions;
-    l_exec = exec;
-    l_stats = stats;
-    l_epoch = epoch;
-    l_effects = effects;
-  }
-
-let seq_lane x =
-  match x.seq with
-  | Some l -> l
-  | None ->
-    let l =
-      make_lane x
-        ~regions:(Array.init (Compile.region_count x.plan) Fun.id)
-        ~stats:x.stats
-    in
-    x.seq <- Some l;
-    l
-
 (* Group lanes, built lazily by the first admission (opening an instance
-   must stay ~an array copy), whose placement picks their counters. Waves
+   builds only the sequential lane), whose placement picks their counters. Waves
    give each lane scratch counters, so concurrently running groups never
    share a mutable word ([flush] merges their deltas); lanes all run on
    the caller's domain and bill the instance's counters directly. *)
@@ -253,10 +201,16 @@ let group_lanes x ~stats =
       Array.init (Compile.group_count x.plan) (fun g ->
           let stats = stats () in
           {
-            g_lane =
-              make_lane x
-                ~regions:(Array.of_list (Compile.group_regions x.plan g))
-                ~stats;
+            g_exec =
+              {
+                x.seq with
+                x_stats = stats;
+                x_fail =
+                  handlers ~policy:x.policy ~tracer:x.tracer ~offset:x.offset
+                    x.plan stats;
+                x_effects = Queue.create ();
+              };
+            g_regions = Array.of_list (Compile.group_regions x.plan g);
             g_snap = Stats.copy stats;
             g_rounds = Queue.create ();
             g_last = 0;
@@ -280,7 +234,7 @@ let open_epoch x ~source =
     else 1
   in
   x.epoch <- x.epoch + 1;
-  let st = x.stats in
+  let st = stats x in
   st.Stats.events <- st.Stats.events + 1;
   st.Stats.notified_nodes <- st.Stats.notified_nodes + woken;
   st.Stats.messages <- st.Stats.messages + real;
@@ -292,35 +246,34 @@ let open_epoch x ~source =
     Trace.dispatch tr ~source:(x.offset + source) ~epoch:x.epoch ~targets:woken);
   sc
 
-(* Run one schedule's ops for round [r], as one region step. *)
-let run_ops x lane (sc : Compile.schedule) (r : Compile.round) =
+(* Run one schedule's ops for round [r] on lane [ex], as one region
+   step. *)
+let run_ops x (ex : Compile.exec) (sc : Compile.schedule) (r : Compile.round)
+    =
   let node = x.offset + Compile.region_rep x.plan sc.sc_region in
   (match x.tracer with
   | None -> ()
   | Some tr -> Trace.node_start tr ~node ~epoch:r.epoch);
-  lane.l_stats.Stats.region_steps <- lane.l_stats.Stats.region_steps + 1;
+  ex.x_stats.Stats.region_steps <- ex.x_stats.Stats.region_steps + 1;
   let ops = sc.sc_ops in
   for i = 0 to Array.length ops - 1 do
-    (Array.unsafe_get ops i) lane.l_exec r
+    (Array.unsafe_get ops i) ex r
   done;
   match x.tracer with
   | None -> ()
   | Some tr -> Trace.node_end tr ~node ~epoch:r.epoch
 
-(* A wake's work on [lane]: the schedule under cone dispatch (it wakes at
-   most one region, so it runs on the lane holding that region), the
-   lane's regions in full under flood. *)
-let run_wake x lane (sc : Compile.schedule) r =
-  lane.l_epoch := r.Compile.epoch;
-  if x.flood then
-    Array.iter
-      (fun i -> run_ops x lane (Compile.region_ops x.plan i) r)
-      lane.l_regions
-  else if sc.sc_region >= 0 then run_ops x lane sc r
-
+(* A wake's work on the sequential lane: the schedule under cone dispatch
+   (it wakes at most one region), every region in index order under
+   flood. *)
 let step x ~source =
   let sc = open_epoch x ~source in
-  run_wake x (seq_lane x) sc { Compile.epoch = x.epoch; source }
+  let r = { Compile.epoch = x.epoch; source } in
+  if x.flood then
+    for i = 0 to Compile.region_count x.plan - 1 do
+      run_ops x x.seq (Compile.region_ops x.plan i) r
+    done
+  else if sc.sc_region >= 0 then run_ops x x.seq sc r
 
 (* Queue one wake's round on every woken group's lane, once per group,
    and tell [wake] which groups got it. *)
@@ -343,12 +296,18 @@ let queue_round x ~stats ~source ~wake =
 let admit x ~source = queue_round x ~stats:Stats.create ~source ~wake:ignore
 
 let admit_lanes x ~source ~wake =
-  queue_round x ~stats:(fun () -> x.stats) ~source ~wake
+  queue_round x ~stats:(fun () -> stats x) ~source ~wake
 
-(* Run a group's oldest admitted round. *)
+(* Run a group's oldest admitted round: the source's schedule, whose
+   region is the group's (it was queued only here), or under flood the
+   group's regions in full. *)
 let run_round x gr =
   let r = Queue.pop gr.g_rounds in
-  run_wake x gr.g_lane (Compile.schedule x.plan r.Compile.source) r
+  if x.flood then
+    Array.iter
+      (fun i -> run_ops x gr.g_exec (Compile.region_ops x.plan i) r)
+      gr.g_regions
+  else run_ops x gr.g_exec (Compile.schedule x.plan r.Compile.source) r
 
 (* Run every active group's admitted rounds, each group's in epoch order:
    as one [pool] batch when several are active, otherwise inline in group
@@ -357,11 +316,12 @@ let run_round x gr =
    hand each other nothing before [flush], so any order is exact. *)
 let run_groups ?pool ?(seed = 0) x ~dstats =
   let run gr w =
-    let before = Stats.copy gr.g_lane.l_stats in
+    let st = gr.g_exec.x_stats in
+    let before = Stats.copy st in
     while not (Queue.is_empty gr.g_rounds) do
       run_round x gr
     done;
-    Stats.add_delta dstats.(w) ~before ~after:gr.g_lane.l_stats
+    Stats.add_delta dstats.(w) ~before ~after:st
   in
   let active =
     List.filter
@@ -375,22 +335,25 @@ let run_groups ?pool ?(seed = 0) x ~dstats =
 (* ------------------------------------------------------------------ *)
 (* Flush *)
 
-let apply x hooks c = function
+let apply x hooks c : Compile.effect -> unit = function
   | Push { slot; value; _ } -> push x slot value
   | Fire { source; _ } ->
-    x.stats.Stats.async_events <- x.stats.Stats.async_events + 1;
+    let st = stats x in
+    st.Stats.async_events <- st.Stats.async_events + 1;
     hooks.fire c source
   | Delay { node; slot; seconds; value; _ } ->
     hooks.delay c ~node ~slot ~seconds value
   | Observe { node; epoch; changed } -> hooks.observe c ~node ~epoch ~changed
   | Display { epoch; changed; value } ->
-    trace_display x ~epoch ~changed;
+    (match x.tracer with
+    | None -> ()
+    | Some tr -> Trace.display tr ~epoch ~changed);
     hooks.display c ~epoch ~changed value
 
 (* Apply and drop a lane's buffered effects, in order. *)
-let apply_all x hooks c l =
-  while not (Queue.is_empty l.l_effects) do
-    apply x hooks c (Queue.pop l.l_effects)
+let apply_all x hooks c (ex : Compile.exec) =
+  while not (Queue.is_empty ex.x_effects) do
+    apply x hooks c (Queue.pop ex.x_effects)
   done
 
 (* Lane placement: run group [g]'s oldest admitted round, then apply that
@@ -399,7 +362,7 @@ let apply_all x hooks c l =
 let step_lane x g hooks c =
   let gr = x.groups.(g) in
   run_round x gr;
-  apply_all x hooks c gr.g_lane
+  apply_all x hooks c gr.g_exec
 
 (* Apply every buffered effect to [hooks]: the sequential lane's in
    execution order, the group lanes' merged stably by admission epoch over
@@ -408,16 +371,16 @@ let step_lane x g hooks c =
    precede their round's display. Group scratch counters are merged into
    the instance's. *)
 let flush x hooks c =
-  (match x.seq with None -> () | Some l -> apply_all x hooks c l);
+  apply_all x hooks c x.seq;
   if Array.length x.groups > 0 then begin
     let tagged =
       Array.fold_right
         (fun gr acc ->
-          let l = gr.g_lane in
-          let effs = List.of_seq (Queue.to_seq l.l_effects) in
-          Queue.clear l.l_effects;
-          Stats.add_delta x.stats ~before:gr.g_snap ~after:l.l_stats;
-          gr.g_snap <- Stats.copy l.l_stats;
+          let ex = gr.g_exec in
+          let effs = List.of_seq (Queue.to_seq ex.x_effects) in
+          Queue.clear ex.x_effects;
+          Stats.add_delta (stats x) ~before:gr.g_snap ~after:ex.x_stats;
+          gr.g_snap <- Stats.copy ex.x_stats;
           effs @ acc)
         x.groups []
     in

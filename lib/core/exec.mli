@@ -9,20 +9,24 @@
     A wake is taken in three phases. {!step}, {!admit} or {!admit_lanes}
     assigns the epoch, looks up the source's {!Compile.schedule} and bills
     every per-event counter it determines (messages included). The
-    schedule's ops (under flood, every region's) then run — at once on the
-    instance's sequential lane ({!step}), or queued on their region
-    groups' lanes in one of two placements: {e waves} ({!admit}), whose
-    active groups {!run_groups} runs inline or as one flat {!Pool.run}
-    batch, or {e lanes} ({!admit_lanes}), one caller thread per group
-    taking one round at a time ({!step_lane}). An instance uses one placement.
-    Running never performs a boundary effect: value pushes, async fires,
-    delay schedules, displays and observer calls are buffered and applied
-    to the caller's {!hooks}, with the caller's context — by {!flush} in
+    schedule's ops (under flood, every region's) then run on a {e lane}:
+    a {!Compile.exec} record, plain data over the instance's arena and
+    queues with its own counters, failure handlers and effect queue. They
+    run at once on the instance's sequential lane ({!step}), or queued on
+    their region groups' lanes in one of two placements: {e waves}
+    ({!admit}), whose active groups {!run_groups} runs inline or as one
+    flat {!Pool.run} batch, or {e lanes} ({!admit_lanes}), one caller
+    thread per group taking one round at a time ({!step_lane}). An
+    instance uses one placement.
+    Running never performs a boundary effect: ops append value pushes,
+    async fires, delay schedules, displays and observed emissions to their
+    lane's effect queue as {!Compile.effect}s, and they are applied to the
+    caller's {!hooks}, with the caller's context — by {!flush} in
     (admission epoch, group)
     order, the order a one-event-at-a-time dispatcher would have
     produced whatever ran where — which is why a wave's groups need no
     order among themselves — or by {!step_lane} right after their
-    round. Only displays may bypass the buffer, into a [~display] sink
+    round. Only displays may bypass the queue, into a [~display] sink
     given at {!create}. *)
 
 type error_policy =
@@ -72,10 +76,11 @@ val create :
     list on every wake instead of the source's schedule; [observe]
     buffers one {!hooks.observe} call per node emission.
     [display], when given, receives the root's emissions directly from
-    the lane that runs the root's region instead of through {!flush}: it
-    must be safe to call from that lane's domain (a per-instance log,
-    say). No lane is built yet: opening an instance is the queue
-    array. *)
+    the lane that runs the root's region instead of through {!flush}
+    (after the tracer's display row, when traced): it must be safe to
+    call from that lane's domain (a per-instance log, say). Opening an
+    instance builds the queue array and the sequential lane's record;
+    group lanes are built by the first {!admit} or {!admit_lanes}. *)
 
 val plan : t -> Compile.plan
 val arena : t -> Compile.arena

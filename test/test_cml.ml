@@ -506,6 +506,59 @@ let test_pipeline_determinism () =
   check_bool "two runs identical" true (first = second);
   check_ints "values in order" [ 10; 20; 30; 40; 50 ] (List.map snd first)
 
+(* [run] claims the process-wide scheduler atomically: two domains
+   running a small pipelined FElm program over and over each get either
+   [Already_running] or exactly the program's solo result, never a run
+   the other domain's reset corrupted, and both finish their runs. *)
+let counter_program () =
+  Sched.run_value ~max_switches:100_000 (fun () ->
+      let x = Elm_core.Signal.input ~name:"x" 0 in
+      let root =
+        Elm_core.Signal.foldp ( + ) 0 (Elm_core.Signal.lift (fun v -> v * 10) x)
+      in
+      let rt = Elm_core.Runtime.start root in
+      for v = 1 to 5 do
+        Elm_core.Runtime.inject rt x v;
+        Sched.sleep 0.1
+      done;
+      Elm_core.Runtime.changes rt)
+
+let test_run_claim_across_domains () =
+  let solo = counter_program () in
+  let rounds = 300 in
+  let arrived = Atomic.make 0 and failed = Atomic.make false in
+  let attempt () =
+    match counter_program () with
+    | changes -> changes = solo || failwith "a run differs from its solo run"
+    | exception Sched.Already_running -> false
+  in
+  (* Both domains start each round together, so their attempts overlap;
+     then each retries until it has completed at least one run. A failing
+     domain releases the other from the round barrier. *)
+  let domain () =
+    let completed = ref 0 in
+    try
+      for round = 1 to rounds do
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 * round && not (Atomic.get failed) do
+          Domain.cpu_relax ()
+        done;
+        if attempt () then incr completed
+      done;
+      while !completed = 0 do
+        if attempt () then incr completed else Domain.cpu_relax ()
+      done;
+      !completed
+    with e ->
+      Atomic.set failed true;
+      raise e
+  in
+  let d1 = Domain.spawn domain in
+  let d2 = Domain.spawn domain in
+  let c1 = Domain.join d1 and c2 = Domain.join d2 in
+  check_bool "each domain completed a run" true (c1 > 0 && c2 > 0);
+  check_bool "solo run saw every event" true (List.length solo = 5)
+
 let prop_scheduler_deterministic =
   QCheck.Test.make ~name:"scheduler deterministic under random sleeps"
     ~count:50
@@ -554,6 +607,8 @@ let () =
           tc "stuck main" `Quick test_run_value_stuck;
           tc "stuck main names sites" `Quick test_run_value_stuck_names_sites;
           tc "anonymous waiters counted" `Quick test_anonymous_blocked_counted;
+          tc "run claimed atomically across domains" `Quick
+            test_run_claim_across_domains;
           qt prop_scheduler_deterministic;
         ] );
       ( "policy",

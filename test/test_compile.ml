@@ -583,6 +583,73 @@ let test_async_responsive_compiled () =
     [ ("Pipelined", Runtime.Pipelined); ("Sequential", Runtime.Sequential) ]
 
 (* ------------------------------------------------------------------ *)
+(* The op context is plain data: a source's schedule runs against a
+   hand-built [Compile.exec], with no executor, and everything the region
+   hands outward lands in the effect queue, in op order, stamped with the
+   round's epoch. *)
+
+let show_effect : Compile.effect -> string = function
+  | Push { epoch; slot; value } ->
+    Printf.sprintf "push e%d s%d %d" epoch slot (Obj.obj value)
+  | Fire { epoch; source } -> Printf.sprintf "fire e%d n%d" epoch source
+  | Delay { epoch; node; slot; seconds; value } ->
+    Printf.sprintf "delay e%d n%d s%d %gs %d" epoch node slot seconds
+      (Obj.obj value)
+  | Observe { epoch; node; changed } ->
+    Printf.sprintf "observe e%d n%d %b" epoch node changed
+  | Display { epoch; changed; value } ->
+    Printf.sprintf "display e%d %b %d" epoch changed (Obj.obj value)
+
+let test_ops_append_effects () =
+  let x = Signal.input ~name:"x" 0 in
+  let a = Signal.lift ~name:"a" succ x in
+  let fired = Signal.async ~name:"fired" a in
+  let later = Signal.delay ~name:"later" 0.5 a in
+  let root =
+    Signal.lift3 ~name:"root"
+      (fun a f l -> (100 * a) + (10 * f) + l)
+      a fired later
+  in
+  let pl = Compile.plan root in
+  let id = Signal.id and slot s = Compile.slot pl (Signal.id s) in
+  let run ~observe =
+    let queues = Array.make (Compile.node_count pl) None in
+    List.iter
+      (fun sl -> queues.(sl) <- Some (Queue.create ()))
+      (Compile.queue_slots pl);
+    let ex =
+      {
+        Compile.x_arena = Compile.new_arena pl;
+        x_stats = Stats.create ();
+        x_fail = Compile.propagate_handlers pl;
+        x_queues = queues;
+        x_effects = Queue.create ();
+        x_observing = observe;
+        x_display = None;
+      }
+    in
+    (match queues.(slot x) with
+    | Some q -> Queue.push (Obj.repr 41) q
+    | None -> Alcotest.fail "the input has no pending-value queue");
+    let sc = Compile.schedule pl (id x) in
+    Array.iter (fun op -> op ex { Compile.epoch = 7; source = id x }) sc.sc_ops;
+    List.map show_effect (List.of_seq (Queue.to_seq ex.x_effects))
+  in
+  let push = Printf.sprintf "push e7 s%d 42" (slot fired)
+  and fire = Printf.sprintf "fire e7 n%d" (id fired)
+  and delay = Printf.sprintf "delay e7 n%d s%d 0.5s 42" (id later) (slot later)
+  and display = "display e7 true 4211"
+  and observe s = Printf.sprintf "observe e7 n%d true" (id s) in
+  Alcotest.(check (list string))
+    "async tap pushes then fires, delay tap schedules, root displays"
+    [ push; fire; delay; display ]
+    (run ~observe:false);
+  Alcotest.(check (list string))
+    "observed emissions interleave in op order"
+    [ observe x; observe a; push; fire; delay; observe root; display ]
+    (run ~observe:true)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let tc = Alcotest.test_case in
@@ -607,6 +674,8 @@ let () =
             test_source_cone_wakes_one_region;
           tc "every source's schedule is its cone" `Quick
             test_source_schedule_is_its_cone;
+          tc "schedule ops append exact effects" `Quick
+            test_ops_append_effects;
           tc "dot renders region clusters" `Quick
             test_compiled_dot_shows_regions;
         ] );
