@@ -399,7 +399,8 @@ let pp_report ppf r =
    whether it has drained — when [Dispatcher.upgrade_all] runs.
    [run_upgrade] sweeps every split point in both styles (quiescent: the
    prefix fully drained; pending: the prefix still queued, exercising the
-   ready-queue and seam-mailbox remap), runs the suffix, and compares
+   remap of the sessions' inbox wakes, each with its value), runs the
+   suffix, and compares
    each session's change trace against a never-upgraded run of the old
    program — the replay-differential oracle. The programs this axis
    accepts are those whose replacement is observationally equivalent

@@ -197,8 +197,9 @@ val run_upgrade :
   report
 (** Sweep upgrades across every event-split point [k = 0..n], each in both
     styles — {e quiescent} (prefix drained before upgrading) and
-    {e pending} (prefix still queued, exercising the ready-queue and
-    seam-mailbox remap) — over two sessions per run, then drain and check:
+    {e pending} (prefix still queued, exercising the remap of the
+    sessions' inbox wakes, each with its value) — over two sessions per
+    run, then drain and check:
     {!Trace_equal} and (with [classify]) {!Per_source_order} against the
     never-upgraded reference, {!No_deadlock} (run completes, same events
     stepped), {!Accounting} (nothing pending, every session idle, zero

@@ -79,7 +79,7 @@ let upgrade_all =
    across matched slots, and an all-int arena keeps that a value bug (a
    diverged trace) rather than a memory bug. Alternating odd injections
    keep the foldp sum strictly increasing, so every event changes the
-   root — any rotation or lost mailbox value shows in the trace. *)
+   root — any rotation or lost inbox wake shows in the trace. *)
 let upgrade_graph () =
   let a = Signal.input ~name:"a" 0 in
   let b = Signal.input ~name:"b" 0 in
@@ -97,8 +97,9 @@ let upgrade_events =
 (* Identity upgrade: the replacement is the same program text, so every
    slot matches and the never-upgraded trace is the exact answer at every
    upgrade point. Catches [Stale_slot_map] (rotated values diverge the
-   trace) and [Leak_seam_mailbox] (pending injections vanish with the old
-   queues: the promised pop crashes the drain). *)
+   trace) and [Leak_seam_mailbox] (injections still in the inboxes at the
+   seam vanish, wakes and values together: the pending-style sweep's
+   trace comes up short). *)
 let upgrade_victim () =
   Explore.upgrade_program ~name:"upgrade-identity-victim"
     ~classify:(fun v -> Some (v mod 2))

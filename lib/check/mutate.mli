@@ -36,7 +36,7 @@ val all_caught : ?schedules:int -> ?seed:int -> unit -> bool
 
     The same story for the live-upgrade path: each
     {!Elm_core.Runtime.mutation} upgrade bug — a rotated slot map, a
-    skipped state migration, a leaked seam mailbox — is planted into
+    skipped state migration, forgotten session inboxes — is planted into
     {!Explore.run_upgrade}'s upgrade-point sweep over a known-equivalent
     replacement, and the replay-differential oracle must flag it. *)
 

@@ -28,14 +28,14 @@
    - An op template is [exec -> round -> unit]: it closes over slot
      *indices* and the node's typed functions, never over cells, so the
      same op array drives any number of concurrent arenas. The [exec]
-     record is plain data: the instance's arena, counters, failure
-     handlers and pending-value queues, plus one effect queue. A region
-     touches the world outside it only by popping a source's pending value
-     and by appending an [effect] (an async or delay re-entry, an observed
-     emission, the display) for [Exec], the one executor of a plan
-     instance, to apply. A changed op allocates nothing of its own: it
-     applies the user function inside [match ... with exception] and
-     writes the result into its slot.
+     record is plain data: the instance's arena, counters and failure
+     handlers, plus one effect queue. A wake's round carries its source's
+     value, which the woken source member writes into its slot; a region
+     touches the world outside it only by appending an [effect] (an async
+     or delay re-entry with its value, an observed emission, the display)
+     for [Exec], the one executor of a plan instance, to apply. A changed
+     op allocates nothing of its own: it applies the user function inside
+     [match ... with exception] and writes the result into its slot.
 
    - Each source gets a [schedule]: the ops of its synchronous cone, in
      plan order. A wake runs its source's schedule and nothing else — no
@@ -66,11 +66,12 @@
    The module deliberately does not depend on [Runtime] or [Exec]: whoever
    runs a plan hands it an [exec] record and reads the effects back. *)
 
-(* One dispatcher round. [Runtime.round] re-exports this type; it lives here
-   so compiled rounds and the pipelined runtime's node wakeups share it. *)
+(* One compiled wake: its epoch, the source it woke and that source's new
+   value, travelling together from admission to the op that reads it. *)
 type round = {
   epoch : int;
   source : int;
+  value : Obj.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -114,33 +115,23 @@ type arena = {
   ar_state : Obj.t array;
 }
 
-(* What an op hands to the world outside its region, in op order: a value
-   for a source slot and the async event that consumes it, a delay, an
-   observer's emission, the root's display. Each carries the epoch of the
-   round that produced it. *)
+(* What an op hands to the world outside its region, in op order: an
+   async event with its value, a delay, an observer's emission, the root's
+   display. Each carries the epoch of the round that produced it. *)
 type effect =
-  | Push of { epoch : int; slot : int; value : Obj.t }
-  | Fire of { epoch : int; source : int }
-  | Delay of {
-      epoch : int;
-      node : int;
-      slot : int;
-      seconds : float;
-      value : Obj.t;
-    }
+  | Fire of { epoch : int; source : int; value : Obj.t }
+  | Delay of { epoch : int; node : int; seconds : float; value : Obj.t }
   | Observe of { epoch : int; node : int; changed : bool }
   | Display of { epoch : int; changed : bool; value : Obj.t }
 
 (* The per-instance execution context threaded through every op: plain
-   data, one record per lane, not per round. Ops pop source values from
-   [x_queues] and append their boundary effects to [x_effects]; the display
-   sink is the one function, for a caller that takes displays straight
-   from the lane. *)
+   data, one record per lane, not per round. Ops append their boundary
+   effects to [x_effects]; the display sink is the one function, for a
+   caller that takes displays straight from the lane. *)
 type exec = {
   x_arena : arena;
   x_stats : Stats.t;
   x_fail : handler array;  (* per slot *)
-  x_queues : Obj.t Queue.t option array;  (* per slot; [Some] on sources *)
   x_effects : effect Queue.t;
   x_observing : bool;  (* append an [Observe] per member emission *)
   x_display : (epoch:int -> changed:bool -> Obj.t -> unit) option;
@@ -197,7 +188,6 @@ type plan = {
       (* group index -> member region indices, ascending: the SCCs of the
          seam graph (see DESIGN.md "Region groups") *)
   p_sources : (int * string) list;  (* runtime sources, topological order *)
-  p_queue_slots : int list;  (* source slots: each has a pending-value queue *)
   p_propagate : handler array;
       (* per slot, [propagate]: every Propagate lane's [x_fail] *)
   p_inputs : Signal.packed list;  (* Input nodes, for external injection *)
@@ -374,7 +364,6 @@ let plan : type r. r Signal.t -> plan =
     state_nodes := node :: !state_nodes;
     k
   in
-  let queue_slots = ref [] in
   let inputs = ref [] in
   (* Deterministic op order: primary key is the node's global topological
      position, secondary key orders a node's extra ops (async or delay
@@ -409,21 +398,11 @@ let plan : type r. r Signal.t -> plan =
           | Some f -> f ~epoch ~changed value
         end)
   in
-  (* A source member: woken rounds carrying its own source id consume one
-     pending value; all other rounds (flood only) are quiescent. *)
+  (* A source member: a round carrying its own source id writes the
+     round's value; all other rounds (flood only) are quiescent. *)
   let source_member ~id =
     let sl = slot id in
-    queue_slots := sl :: !queue_slots;
-    member ~id (fun x r ->
-        r.source = id
-        && begin
-             let ar = x.x_arena in
-             (match x.x_queues.(sl) with
-             | Some q -> ar.ar_values.(sl) <- Queue.pop q
-             | None -> invalid_arg "Compile.exec: a source slot has no queue");
-             ar.ar_stamps.(sl) <- r.epoch;
-             true
-           end)
+    member ~id (fun x r -> r.source = id && set x sl r r.value)
   in
   (* A computing member: recomputes when any dependency slot is dirty this
      epoch, applying the user function directly inside [match ... with
@@ -445,22 +424,20 @@ let plan : type r. r Signal.t -> plan =
       inputs := Signal.Pack s :: !inputs
     | Signal.Async inner ->
       source_member ~id;
-      let sl = slot id and si = slot (Signal.id inner) in
+      let si = slot (Signal.id inner) in
       (* The tap replaces the pipelined forwarder thread: ordered right
          after the inner node's op, it sees the freshly written slot and
          registers a new global event per change — the Fig. 8(c) boundary.
          [stamp = epoch] iff the inner node changed this round. *)
       add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
           let ar = x.x_arena in
-          if ar.ar_stamps.(si) = r.epoch then begin
+          if ar.ar_stamps.(si) = r.epoch then
             Queue.push
-              (Push { epoch = r.epoch; slot = sl; value = ar.ar_values.(si) })
-              x.x_effects;
-            Queue.push (Fire { epoch = r.epoch; source = id }) x.x_effects
-          end)
+              (Fire { epoch = r.epoch; source = id; value = ar.ar_values.(si) })
+              x.x_effects)
     | Signal.Delay (d, inner) ->
       source_member ~id;
-      let sl = slot id and si = slot (Signal.id inner) in
+      let si = slot (Signal.id inner) in
       add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
           let ar = x.x_arena in
           if ar.ar_stamps.(si) = r.epoch then
@@ -469,7 +446,6 @@ let plan : type r. r Signal.t -> plan =
                  {
                    epoch = r.epoch;
                    node = id;
-                   slot = sl;
                    seconds = d;
                    value = ar.ar_values.(si);
                  })
@@ -772,7 +748,6 @@ let plan : type r. r Signal.t -> plan =
     p_group_of = group_of;
     p_group_regions = group_regions;
     p_sources = sources;
-    p_queue_slots = List.rev !queue_slots;
     p_propagate = Array.make n propagate;
     p_inputs = List.rev !inputs;
   }
@@ -786,7 +761,6 @@ let id_stride pl = pl.p_id_stride
 let sources pl = pl.p_sources
 let inputs pl = pl.p_inputs
 let slot pl id = try Hashtbl.find pl.p_slot_of id with Not_found -> -1
-let queue_slots pl = pl.p_queue_slots
 let propagate_handlers pl = pl.p_propagate
 let region_count pl = Array.length pl.p_reps
 let region_rep pl i = pl.p_reps.(i)

@@ -26,20 +26,24 @@
     Ops close over slot {e indices}, never over cells, and receive the
     instance's {!exec} context on every run, so one plan drives any number
     of {!Exec} instances: [Runtime.start ~backend:Compiled] and every
-    serving session. The context is plain data: a region takes a source's
-    pending value from its queue and reports everything else it does to
-    the outside — async and delay re-entries, observed emissions, the
-    display — as {!effect}s appended to one queue. This module holds the
-    partitioning and the op compiler; {!Exec} owns dispatch, accounting,
-    supervision and the effects' application. *)
+    serving session. The context is plain data. A wake is one {!round}
+    that carries its source's value from admission to the source member
+    that writes it; everything a region does to the outside — async and
+    delay re-entries (each with its value), observed emissions, the
+    display — it reports as {!effect}s appended to one queue. This module
+    holds the partitioning and the op compiler; {!Exec} owns dispatch,
+    accounting, supervision and the effects' application. *)
 
 type round = {
   epoch : int;
   source : int;
+  value : Obj.t;
+      (** The source's new value: the woken source member writes it into
+          its slot. Ignored by every other op. *)
 }
-(** One dispatcher round; re-exported as [Runtime.round]. Compiled
-    rounds and the pipelined runtime's node wakeups carry the same
-    record. *)
+(** One compiled wake: the epoch it was admitted as, the source it woke
+    and that source's value, one item from admission to the op that reads
+    it. *)
 
 (** {1 Region partitioning} *)
 
@@ -214,20 +218,11 @@ type handler = epoch:int -> exn -> bool
     the handler only on failure, so supervision allocates nothing. *)
 
 type effect =
-  | Push of { epoch : int; slot : int; value : Obj.t }
-      (** A value for source slot [slot]'s pending queue (an async
-          boundary's, always followed by its [Fire]). *)
-  | Fire of { epoch : int; source : int }
-      (** Async boundary: a new event for [source]. *)
-  | Delay of {
-      epoch : int;
-      node : int;
-      slot : int;
-      seconds : float;
-      value : Obj.t;
-    }
-      (** Delay boundary: deliver [value] to [slot] and a new event for
-          [node] [seconds] later. *)
+  | Fire of { epoch : int; source : int; value : Obj.t }
+      (** Async boundary: a new event for [source], carrying [value]. *)
+  | Delay of { epoch : int; node : int; seconds : float; value : Obj.t }
+      (** Delay boundary: a new event for [node], carrying [value],
+          [seconds] later. *)
   | Observe of { epoch : int; node : int; changed : bool }
       (** One member emission, in op order (only with [x_observing]). *)
   | Display of { epoch : int; changed : bool; value : Obj.t }
@@ -241,9 +236,6 @@ type exec = {
   x_arena : arena;
   x_stats : Stats.t;
   x_fail : handler array;  (** Per slot. *)
-  x_queues : Obj.t Queue.t option array;
-      (** Per slot pending-value queues ([Some] on every {!queue_slots}
-          slot): a woken source member pops its value here. *)
   x_effects : effect Queue.t;  (** Appended in op order. *)
   x_observing : bool;
       (** Append an [Observe] per member emission, for an observer. The
@@ -255,9 +247,9 @@ type exec = {
 }
 (** The execution context threaded through every op: plain data, one
     record per lane. Ops read and write the arena, bill [x_stats], call
-    [x_fail] on a failure, pop source values from [x_queues] and append
-    every boundary effect to [x_effects] — whoever builds the record
-    ({!Exec}, or a test) applies them. *)
+    [x_fail] on a failure and append every boundary effect to
+    [x_effects] — whoever builds the record ({!Exec}, or a test) applies
+    them. *)
 
 type op = exec -> round -> unit
 (** One compiled step: a member's (read dependency slots, recompute if any
@@ -288,9 +280,6 @@ val schedule : plan -> int -> schedule
 val region_ops : plan -> int -> schedule
 (** All of region [i]'s ops, in plan order: what flood dispatch runs for
     the region on every wake. *)
-
-val queue_slots : plan -> int list
-(** The slots of source nodes, which need a pending-value queue. *)
 
 val propagate : handler
 (** The [Propagate] policy's handler: re-raises the user's exception

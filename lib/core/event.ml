@@ -21,5 +21,3 @@ type 'a stamped = {
   epoch : int;
   event : 'a t;
 }
-
-let stamp epoch event = { epoch; event }

@@ -36,5 +36,3 @@ type 'a stamped = {
   epoch : int;  (** Global event number this message answers. *)
   event : 'a t;
 }
-
-val stamp : int -> 'a t -> 'a stamped

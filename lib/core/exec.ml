@@ -6,25 +6,27 @@
    this module — [Runtime.start ~backend:Compiled] (lanes or waves) and
    every serving session — so that algorithm exists once:
 
-   - [step]/[admit] take one wake: assign its epoch, look up the source's
-     schedule (one table lookup, the plan's own record) and bill the
-     deterministic per-event counters (events, notified regions, messages
-     and the elided balance, the tracer's dispatch row), all computable
-     from the schedule alone.
+   - [step]/[admit] take one wake, a source and its value: assign its
+     epoch, look up the source's schedule (one table lookup, the plan's
+     own record) and bill the deterministic per-event counters (events,
+     notified regions, messages and the elided balance, the tracer's
+     dispatch row), all computable from the schedule alone. The wake
+     becomes one [Compile.round] that carries the value to the source
+     member, which writes it.
    - The wake's work runs on a {e lane}: a [Compile.exec] record, plain
-     data over the shared arena and queues with its own counters, failure
-     handlers and effect queue. Under cone dispatch it is the source's
-     schedule, under flood every region's full op list. [step] runs the
+     data over the shared arena with its own counters, failure handlers
+     and effect queue. Under cone dispatch it is the source's schedule,
+     under flood every region's full op list. [step] runs the
      round at once on the instance's sequential lane. Otherwise the round
      is queued on the woken groups' lanes, in one of two placements. Waves
      ([admit]): [run_groups] runs every active lane inline or as one flat
      [Pool.run] batch. Lanes ([admit_lanes]): one caller thread per group
      takes one round at a time ([step_lane]).
-   - No lane performs a boundary effect: the ops append value pushes,
-     async fires, delay schedules, displays and observed emissions to the
-     lane's effect queue, and they are applied to the caller's hooks — by
-     [flush], in (admission epoch, group) order, or by [step_lane] right
-     after the round that produced them. The one
+   - No lane performs a boundary effect: the ops append async fires and
+     delay schedules (each with its value), displays and observed
+     emissions to the lane's effect queue, and they are applied to the
+     caller's hooks — by [flush], in (admission epoch, group) order, or by
+     [step_lane] right after the round that produced them. The one
      exception is a caller's [~display] sink that is safe to call from
      whichever domain runs the root's region (a serving session's change
      log): displays then go straight to it, sparing the coordinator the
@@ -36,8 +38,8 @@
      hook closures of its own.
 
    Why buffering is exact: under cone dispatch one event wakes one region
-   (a source's synchronous cone is region-local), groups share no slot,
-   queue or counter, and no boundary effect is consumed in the epoch that
+   (a source's synchronous cone is region-local), groups share no slot or
+   counter, and no boundary effect is consumed in the epoch that
    produces it — async fires and delays re-enter as later events, displays
    only leave the graph. So flushing after the run, stably ordered by
    (epoch, group), reproduces exactly what a one-event-at-a-time
@@ -81,7 +83,6 @@ let handler ~policy ~stats ~tracer ~node : Compile.handler =
 (* Instances *)
 
 let epoch_of : Compile.effect -> int = function
-  | Push { epoch; _ }
   | Fire { epoch; _ }
   | Delay { epoch; _ }
   | Observe { epoch; _ }
@@ -89,8 +90,8 @@ let epoch_of : Compile.effect -> int = function
     epoch
 
 type 'c hooks = {
-  fire : 'c -> int -> unit;
-  delay : 'c -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
+  fire : 'c -> int -> Obj.t -> unit;
+  delay : 'c -> node:int -> seconds:float -> Obj.t -> unit;
   display : 'c -> epoch:int -> changed:bool -> Obj.t -> unit;
   observe : 'c -> node:int -> epoch:int -> changed:bool -> unit;
 }
@@ -105,8 +106,7 @@ type group = {
 }
 
 (* [seq] is the sequential lane and holds the instance's own data: its
-   arena, pending-value queues, counters and display sink. Group lanes
-   share its arena and queues. *)
+   arena, counters and display sink. Group lanes share its arena. *)
 type t = {
   plan : Compile.plan;
   seq : Compile.exec;
@@ -131,10 +131,6 @@ let handlers ~policy ~tracer ~offset plan stats =
 
 let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
     ?(observe = false) ?display ~policy ~stats ~epoch plan arena =
-  let queues = Array.make (Compile.node_count plan) None in
-  List.iter
-    (fun sl -> queues.(sl) <- Some (Queue.create ()))
-    (Compile.queue_slots plan);
   (match tracer with
   | None -> ()
   | Some tr ->
@@ -164,7 +160,6 @@ let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
         Compile.x_arena = arena;
         x_stats = stats;
         x_fail = handlers ~policy ~tracer ~offset plan stats;
-        x_queues = queues;
         x_effects = Queue.create ();
         x_observing = observe;
         x_display = display;
@@ -181,14 +176,6 @@ let plan x = x.plan
 let arena x = x.seq.x_arena
 let stats x = x.seq.x_stats
 let epoch x = x.epoch
-let queues x = x.seq.x_queues
-
-let queue x sl =
-  match x.seq.x_queues.(sl) with
-  | Some q -> q
-  | None -> invalid_arg "Exec: not a source slot"
-
-let push x sl v = Queue.push v (queue x sl)
 
 (* Group lanes, built lazily by the first admission (opening an instance
    builds only the sequential lane), whose placement picks their counters. Waves
@@ -266,9 +253,9 @@ let run_ops x (ex : Compile.exec) (sc : Compile.schedule) (r : Compile.round)
 (* A wake's work on the sequential lane: the schedule under cone dispatch
    (it wakes at most one region), every region in index order under
    flood. *)
-let step x ~source =
+let step x ~source ~value =
   let sc = open_epoch x ~source in
-  let r = { Compile.epoch = x.epoch; source } in
+  let r = { Compile.epoch = x.epoch; source; value } in
   if x.flood then
     for i = 0 to Compile.region_count x.plan - 1 do
       run_ops x x.seq (Compile.region_ops x.plan i) r
@@ -277,10 +264,10 @@ let step x ~source =
 
 (* Queue one wake's round on every woken group's lane, once per group,
    and tell [wake] which groups got it. *)
-let queue_round x ~stats ~source ~wake =
+let queue_round x ~stats ~source ~value ~wake =
   let sc = open_epoch x ~source in
   let lanes = group_lanes x ~stats in
-  let r = { Compile.epoch = x.epoch; source } in
+  let r = { Compile.epoch = x.epoch; source; value } in
   let first = if x.flood then 0 else sc.sc_region in
   let last = if x.flood then Compile.region_count x.plan - 1 else sc.sc_region in
   for i = max first 0 to last do
@@ -293,10 +280,11 @@ let queue_round x ~stats ~source ~wake =
     end
   done
 
-let admit x ~source = queue_round x ~stats:Stats.create ~source ~wake:ignore
+let admit x ~source ~value =
+  queue_round x ~stats:Stats.create ~source ~value ~wake:ignore
 
-let admit_lanes x ~source ~wake =
-  queue_round x ~stats:(fun () -> stats x) ~source ~wake
+let admit_lanes x ~source ~value ~wake =
+  queue_round x ~stats:(fun () -> stats x) ~source ~value ~wake
 
 (* Run a group's oldest admitted round: the source's schedule, whose
    region is the group's (it was queued only here), or under flood the
@@ -336,13 +324,11 @@ let run_groups ?pool ?(seed = 0) x ~dstats =
 (* Flush *)
 
 let apply x hooks c : Compile.effect -> unit = function
-  | Push { slot; value; _ } -> push x slot value
-  | Fire { source; _ } ->
+  | Fire { source; value; _ } ->
     let st = stats x in
     st.Stats.async_events <- st.Stats.async_events + 1;
-    hooks.fire c source
-  | Delay { node; slot; seconds; value; _ } ->
-    hooks.delay c ~node ~slot ~seconds value
+    hooks.fire c source value
+  | Delay { node; seconds; value; _ } -> hooks.delay c ~node ~seconds value
   | Observe { node; epoch; changed } -> hooks.observe c ~node ~epoch ~changed
   | Display { epoch; changed; value } ->
     (match x.tracer with
@@ -367,9 +353,8 @@ let step_lane x g hooks c =
 (* Apply every buffered effect to [hooks]: the sequential lane's in
    execution order, the group lanes' merged stably by admission epoch over
    ascending group index — each lane's own order is kept within a round,
-   so a value push precedes its paired fire and member observations
-   precede their round's display. Group scratch counters are merged into
-   the instance's. *)
+   so member observations precede their round's display. Group scratch
+   counters are merged into the instance's. *)
 let flush x hooks c =
   apply_all x hooks c x.seq;
   if Array.length x.groups > 0 then begin

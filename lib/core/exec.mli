@@ -1,33 +1,35 @@
 (** The one executor for a compiled plan instance.
 
     An [Exec.t] is one running instance of a {!Compile.plan} over one
-    arena: its pending-value queues, its epoch counter, its counters and
-    its failure handlers. It implements the paper's Fig. 11 dispatch step once
-    for every compiled execution: [Runtime.start ~backend:Compiled] and
-    every serving session.
+    arena: its epoch counter, its counters and its failure handlers. It
+    implements the paper's Fig. 11 dispatch step once for every compiled
+    execution: [Runtime.start ~backend:Compiled] and every serving
+    session.
 
-    A wake is taken in three phases. {!step}, {!admit} or {!admit_lanes}
-    assigns the epoch, looks up the source's {!Compile.schedule} and bills
-    every per-event counter it determines (messages included). The
-    schedule's ops (under flood, every region's) then run on a {e lane}:
-    a {!Compile.exec} record, plain data over the instance's arena and
-    queues with its own counters, failure handlers and effect queue. They
-    run at once on the instance's sequential lane ({!step}), or queued on
-    their region groups' lanes in one of two placements: {e waves}
-    ({!admit}), whose active groups {!run_groups} runs inline or as one
-    flat {!Pool.run} batch, or {e lanes} ({!admit_lanes}), one caller
-    thread per group taking one round at a time ({!step_lane}). An
-    instance uses one placement.
-    Running never performs a boundary effect: ops append value pushes,
-    async fires, delay schedules, displays and observed emissions to their
-    lane's effect queue as {!Compile.effect}s, and they are applied to the
-    caller's {!hooks}, with the caller's context — by {!flush} in
-    (admission epoch, group)
-    order, the order a one-event-at-a-time dispatcher would have
-    produced whatever ran where — which is why a wave's groups need no
-    order among themselves — or by {!step_lane} right after their
-    round. Only displays may bypass the queue, into a [~display] sink
-    given at {!create}. *)
+    A wake is a source and its value, and it stays one item: the
+    {!Compile.round} it becomes carries the value to the source member
+    that writes it. A wake is taken in three phases. {!step}, {!admit} or
+    {!admit_lanes} assigns the epoch, looks up the source's
+    {!Compile.schedule} and bills every per-event counter it determines
+    (messages included). The schedule's ops (under flood, every region's)
+    then run on a {e lane}: a {!Compile.exec} record, plain data over the
+    instance's arena with its own counters, failure handlers and effect
+    queue. They run at once on the instance's sequential lane ({!step}),
+    or queued on their region groups' lanes in one of two placements:
+    {e waves} ({!admit}), whose active groups {!run_groups} runs inline
+    or as one flat {!Pool.run} batch, or {e lanes} ({!admit_lanes}), one
+    caller thread per group taking one round at a time ({!step_lane}).
+    An instance uses one placement.
+
+    Running never performs a boundary effect: ops append async fires and
+    delay schedules (each with its value), displays and observed
+    emissions to their lane's effect queue as {!Compile.effect}s. They
+    are applied to the caller's {!hooks}, with the caller's context: by
+    {!flush} in (admission epoch, group) order, the order a
+    one-event-at-a-time dispatcher would have produced whatever ran
+    where (which is why a wave's groups need no order among themselves),
+    or by {!step_lane} right after their round. Only displays may bypass
+    the queue, into a [~display] sink given at {!create}. *)
 
 type error_policy =
   | Propagate  (** A raising node function aborts the run (the default). *)
@@ -69,8 +71,8 @@ val create :
   Compile.plan ->
   Compile.arena ->
   t
-(** An instance over [arena] with empty pending-value queues, numbering
-    its next wake [epoch + 1] and billing [stats]. [offset] is added to
+(** An instance over [arena], numbering its next wake [epoch + 1] and
+    billing [stats]. [offset] is added to
     node ids in trace rows and [label] prefixes the region rows' names
     (registered with [tracer] here). [flood] runs every region's full op
     list on every wake instead of the source's schedule; [observe]
@@ -79,8 +81,8 @@ val create :
     the lane that runs the root's region instead of through {!flush}
     (after the tracer's display row, when traced): it must be safe to
     call from that lane's domain (a per-instance log, say). Opening an
-    instance builds the queue array and the sequential lane's record;
-    group lanes are built by the first {!admit} or {!admit_lanes}. *)
+    instance builds the sequential lane's record; group lanes are built
+    by the first {!admit} or {!admit_lanes}. *)
 
 val plan : t -> Compile.plan
 val arena : t -> Compile.arena
@@ -89,26 +91,16 @@ val stats : t -> Stats.t
 val epoch : t -> int
 (** The epoch of the last admitted wake. *)
 
-val queues : t -> Obj.t Queue.t option array
-(** Per slot pending-value queues ([Some] on sources); the array itself
-    is the instance's — treat as read-only. *)
+val step : t -> source:int -> value:Obj.t -> unit
+(** Admit one wake of [source] carrying its new [value] and run its
+    schedule (under flood, every region in index order) at once on the
+    sequential lane. *)
 
-val queue : t -> int -> Obj.t Queue.t
-(** The pending-value queue of a source slot. *)
+val admit : t -> source:int -> value:Obj.t -> unit
+(** Admit one wake of [source] carrying [value] and queue its round on
+    the woken regions' group lanes, for {!run_groups}. *)
 
-val push : t -> int -> Obj.t -> unit
-(** Queue a value for a source slot (external injection, delay
-    delivery). *)
-
-val step : t -> source:int -> unit
-(** Admit one wake of [source] and run its schedule (under flood, every
-    region in index order) at once on the sequential lane. *)
-
-val admit : t -> source:int -> unit
-(** Admit one wake of [source] and queue its round on the woken regions'
-    group lanes, for {!run_groups}. *)
-
-val admit_lanes : t -> source:int -> wake:(int -> unit) -> unit
+val admit_lanes : t -> source:int -> value:Obj.t -> wake:(int -> unit) -> unit
 (** The lane placement's {!admit}: queue the round on the woken groups'
     lanes and call [wake g] for each of them, once per round. The lanes
     run on the caller's domain and bill {!stats} directly. *)
@@ -122,10 +114,11 @@ val run_groups : ?pool:Pool.t -> ?seed:int -> t -> dstats:Stats.t array -> unit
     ran it (0 inline). *)
 
 type 'c hooks = {
-  fire : 'c -> int -> unit;  (** An async boundary fired: a new event for it. *)
-  delay : 'c -> node:int -> slot:int -> seconds:float -> Obj.t -> unit;
-      (** A delay boundary fired: deliver the value to [slot] ({!push})
-          and register an event for [node] [seconds] later. *)
+  fire : 'c -> int -> Obj.t -> unit;
+      (** An async boundary fired: a new event for it, with its value. *)
+  delay : 'c -> node:int -> seconds:float -> Obj.t -> unit;
+      (** A delay boundary fired: register an event for [node], with the
+          value, [seconds] later. *)
   display : 'c -> epoch:int -> changed:bool -> Obj.t -> unit;
       (** The root's emission for one round that reached it (unless the
           instance has a [~display] sink). *)
@@ -145,8 +138,8 @@ val step_lane : t -> int -> 'c hooks -> 'c -> unit
     @raise Queue.Empty if [g] has no admitted round. *)
 
 val flush : t -> 'c hooks -> 'c -> unit
-(** [flush x hooks c] applies every buffered effect: value pushes to the
-    queues, the rest to [hooks] with context [c] (async fires also bill
+(** [flush x hooks c] applies every buffered effect to [hooks] with
+    context [c] (async fires also bill
     {!Stats.t.async_events}, displays the tracer's display row), in
     (admission epoch, group) order; merge the group lanes' counters into
     {!stats}. *)

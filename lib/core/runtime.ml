@@ -22,11 +22,11 @@ type error_policy = Exec.error_policy =
   | Isolate
   | Restart of int
 
-(* One dispatcher round: the global event number and the source that fired
-   it. Under flood dispatch every node receives every round; under cone
-   dispatch only the nodes the source can reach do. Defined in [Compile] so
-   compiled rounds and node wakeups share the record. *)
-type round = Compile.round = {
+(* One pipelined dispatcher round: the global event number and the source
+   that fired it. Under flood dispatch every node receives every round;
+   under cone dispatch only the nodes the source can reach do. The value
+   travels apart, in the source node's value mailbox (Fig. 10). *)
+type round = {
   epoch : int;
   source : int;
 }
@@ -54,9 +54,9 @@ type mutation =
       (* apply the nth upgrade without running user migrations: migrated
          state keeps its old representation *)
   | Leak_seam_mailbox of int
-      (* the nth upgrade forgets the sessions' pending-value queues instead
-         of transferring them onto the new slot layout: a leaked seam
-         mailbox whose promised values are gone *)
+      (* the nth upgrade forgets each session's inbox, wakes and values
+         together, instead of moving it onto the new node ids: accepted
+         events lost at the seam *)
 
 type mut_state = {
   m_spec : mutation;
@@ -65,19 +65,21 @@ type mut_state = {
   m_last_stamp : (int, int) Hashtbl.t;  (* node -> last stamped epoch *)
 }
 
+(* A bounded newest-first history and the latest value logged. *)
+type ('k, 'a) log = {
+  mutable latest : 'a;
+  mutable rev : ('k * 'a) list;
+  mutable count : int;
+  cap : int option;
+}
+
 type 'a t = {
   gen : int;
-  mode : mode;
   dispatch : dispatch;
   stats : Stats.t;
-  new_event : int Mailbox.t;
   nodes : int;
-  history : int option;
-  mutable current : 'a;
-  mutable rev_changes : (float * 'a) list;
-  mutable n_changes : int;
-  mutable rev_messages : (float * 'a Event.t) list;
-  mutable n_messages : int;
+  changes : (float, 'a) log;
+  messages : (float, 'a Event.t) log;
   listeners : (float -> 'a -> unit) Queue.t;
   mutable sources : (int * string) list;
   mutable stopped : bool;
@@ -633,54 +635,50 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
         loop (Signal.default gate) default);
     plain out
 
-(* Bounded history: newest-first lists capped at [2*cap] transiently and
+(* Bounded history: a newest-first list capped at [2*cap] transiently and
    truncated back to [cap] (amortized O(1) per append). [Some 0] disables
    logging entirely; [None] keeps everything (the seed behaviour). *)
 let rec take n = function
   | x :: rest when n > 0 -> x :: take (n - 1) rest
   | _ -> []
 
-let push_bounded history lst count x =
-  match history with
-  | None -> (x :: lst, count + 1)
-  | Some 0 -> (lst, count)
-  | Some cap ->
-    if count + 1 > 2 * cap then (take cap (x :: lst), cap)
-    else (x :: lst, count + 1)
+let log l k v =
+  l.latest <- v;
+  match l.cap with
+  | Some 0 -> ()
+  | Some cap when l.count + 1 > 2 * cap ->
+    l.rev <- take cap ((k, v) :: l.rev);
+    l.count <- cap
+  | Some _ | None ->
+    l.rev <- (k, v) :: l.rev;
+    l.count <- l.count + 1
+
+let logged l =
+  List.rev (match l.cap with None -> l.rev | Some cap -> take cap l.rev)
+
+let new_log cap latest = { latest; rev = []; count = 0; cap }
 
 (* The display side of Fig. 11: record one root emission on the "screen"
    (the runtime record and its listeners). *)
 let show rt msg =
   let time = Cml.now () in
-  let msgs, nm =
-    push_bounded rt.history rt.rev_messages rt.n_messages (time, msg)
-  in
-  rt.rev_messages <- msgs;
-  rt.n_messages <- nm;
+  log rt.messages time msg;
   match msg with
   | Event.Change v ->
-    rt.current <- v;
-    let chs, nc = push_bounded rt.history rt.rev_changes rt.n_changes (time, v) in
-    rt.rev_changes <- chs;
-    rt.n_changes <- nc;
+    log rt.changes time v;
     Queue.iter (fun f -> f time v) rt.listeners
   | Event.No_change _ -> ()
 
-let make_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes ~history ~sources
-    ~owned_pool ~d_stats root =
+let make_rt ~gen ~dispatch ~stats ~nodes ~history ~sources ~owned_pool
+    ~d_stats root =
+  let default = Signal.default root in
   {
     gen;
-    mode;
     dispatch;
     stats;
-    new_event;
     nodes;
-    history;
-    current = Signal.default root;
-    rev_changes = [];
-    n_changes = 0;
-    rev_messages = [];
-    n_messages = 0;
+    changes = new_log history default;
+    messages = new_log history (Event.No_change default);
     listeners = Queue.create ();
     sources;
     stopped = false;
@@ -725,7 +723,8 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
   let pl = Compile.plan_of root in
   let gen = fresh_generation () in
   let stats = Stats.create () in
-  let new_event = Mailbox.create ~name:"newEvent" () in
+  (* A wake and its value travel as one item. *)
+  let new_event : (int * Obj.t) Mailbox.t = Mailbox.create ~name:"newEvent" () in
   attach_tracer tracer gen;
   stats.Stats.fused_nodes <- fused;
   stats.Stats.compiled_regions <- Compile.region_count pl;
@@ -740,15 +739,12 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
       Array.init nworkers (fun _ -> Stats.create ())
   in
   let rt =
-    make_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:(Compile.node_count pl)
-      ~history ~sources:(Compile.sources pl) ~owned_pool ~d_stats root
+    make_rt ~gen ~dispatch ~stats ~nodes:(Compile.node_count pl) ~history
+      ~sources:(Compile.sources pl) ~owned_pool ~d_stats root
   in
-  (* Input pushes: value first, notification second, so the round finds
-     the value waiting. *)
   List.iter
     (fun (Signal.Pack s) ->
       let id = Signal.id s in
-      let sl = Compile.slot pl id in
       Signal.set_inst s
         {
           Signal.gen;
@@ -756,25 +752,20 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
             Multicast.create
               ~name:(Printf.sprintf "in:%d:%s" id (Signal.name s))
               ();
-          push =
-            Some
-              (fun v ->
-                Exec.push x sl (Obj.repr v);
-                Mailbox.send new_event id);
+          push = Some (fun v -> Mailbox.send new_event (id, Obj.repr v));
         })
     (Compile.inputs pl);
   let ack = Mailbox.create ~name:"displayAck" () in
   let acked = mode = Sequential && not waves in
   let hooks =
     {
-      Exec.fire = (fun () id -> Mailbox.send new_event id);
+      Exec.fire = (fun () id v -> Mailbox.send new_event (id, v));
       delay =
-        (fun () ~node ~slot ~seconds v ->
+        (fun () ~node ~seconds v ->
           Cml.spawn (fun () ->
               Cml.sleep seconds;
-              Exec.push x slot v;
               stats.Stats.async_events <- stats.Stats.async_events + 1;
-              Mailbox.send new_event node));
+              Mailbox.send new_event (node, v)));
       display =
         (fun () ~epoch:_ ~changed v ->
           let v = Obj.obj v in
@@ -792,23 +783,23 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
   let settle () =
     stats.Stats.switches <- Cml.Scheduler.switch_count ();
     let next = Mailbox.recv_opt new_event in
-    if next = None then drain_quiesce rt;
+    if Option.is_none next then drain_quiesce rt;
     next
   in
   if waves then
     Cml.spawn (fun () ->
         let rec serve pending =
-          let eid =
+          let source, value =
             match pending with Some e -> e | None -> Mailbox.recv new_event
           in
-          Exec.admit x ~source:eid;
+          Exec.admit x ~source ~value;
           (match mode with
           | Sequential -> ()
           | Pipelined ->
             let rec admit_queued () =
               match Mailbox.recv_opt new_event with
-              | Some eid ->
-                Exec.admit x ~source:eid;
+              | Some (source, value) ->
+                Exec.admit x ~source ~value;
                 admit_queued ()
               | None -> ()
             in
@@ -836,11 +827,12 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
     let wake g = Mailbox.send wakes.(g) () in
     Cml.spawn (fun () ->
         let rec serve pending =
-          let eid =
+          let source, value =
             match pending with Some e -> e | None -> Mailbox.recv new_event
           in
-          Exec.admit_lanes x ~source:eid ~wake;
-          if acked && (dispatch = Flood || (Compile.schedule pl eid).sc_root) then
+          Exec.admit_lanes x ~source ~value ~wake;
+          if acked && (dispatch = Flood || (Compile.schedule pl source).sc_root)
+          then
             Mailbox.recv ack;
           serve (settle ())
         in
@@ -976,7 +968,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
     match Hashtbl.find_opt cones eid with Some c -> c | None -> [||]
   in
   let rt =
-    make_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:node_count ~history
+    make_rt ~gen ~dispatch ~stats ~nodes:node_count ~history
       ~sources:(List.rev ctx.c_sources) ~owned_pool:None ~d_stats:[||] root
   in
   let root_reach = Reach.reaching reach (Signal.id root) in
@@ -1066,10 +1058,8 @@ let inject rt input v =
       (Printf.sprintf "Runtime.inject: %s (node %d) is not an input of this runtime"
          (Signal.name input) (Signal.id input))
 
-let capped rt l = match rt.history with None -> l | Some cap -> take cap l
-
 let generation rt = rt.gen
-let current rt = rt.current
+let current rt = rt.changes.latest
 
 (* Idempotent teardown: run the registered per-generation cleanup hooks
    (std-lib driver tables) and close a pool this runtime created. The Cml
@@ -1086,8 +1076,8 @@ let stop rt =
 
 let domain_stats rt = rt.d_stats
 let at_quiescence rt f = Queue.add f rt.quiesce
-let changes rt = List.rev (capped rt rt.rev_changes)
-let message_log rt = List.rev (capped rt rt.rev_messages)
+let changes rt = logged rt.changes
+let message_log rt = logged rt.messages
 let on_change rt f = Queue.add f rt.listeners
 let stats rt = rt.stats
 let source_ids rt = rt.sources

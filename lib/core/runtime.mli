@@ -143,11 +143,10 @@ type mutation =
           user-supplied [?migrate] functions, so migrated state keeps its
           old representation under the new program's code. *)
   | Leak_seam_mailbox of int
-      (** {e Upgrade mutation}: the nth upgrade forgets the old seam
-          mailboxes (the sessions' pending-value queues) instead of
-          transferring their contents onto the new slot layout, so the
-          remapped ready-queue entries promise values that are gone — the
-          next drain pops an empty queue. *)
+      (** {e Upgrade mutation}: the nth upgrade forgets each session's
+          inbox — its queued wakes and their values together — instead of
+          moving it onto the new node ids, so events accepted before the
+          upgrade are never dispatched. *)
 
 type 'a t
 (** A running instantiation of a signal graph with output type ['a]. *)
@@ -280,6 +279,27 @@ val message_log : 'a t -> (float * 'a Event.t) list
     (the "exactly one message per node per event" invariant); under [Cone]
     dispatch, events whose source cannot reach the root are elided, so the
     log is the flood log minus those synthesizable [No_change] rows. *)
+
+(** {2 Bounded logs} *)
+
+type ('k, 'a) log = {
+  mutable latest : 'a;  (** The last value logged, or the initial one. *)
+  mutable rev : ('k * 'a) list;  (** Newest first. *)
+  mutable count : int;  (** [List.length rev]. *)
+  cap : int option;
+      (** Entries to keep, as [start]'s [history]: [None] keeps
+          everything, [Some 0] nothing. *)
+}
+(** The bounded history behind {!changes} and {!message_log}, also a
+    serving session's change log. *)
+
+val log : ('k, 'a) log -> 'k -> 'a -> unit
+(** [log l k v] makes [v] the latest value and records [(k, v)]. A capped
+    log grows to [2 * cap] entries and is then truncated back to [cap]
+    (amortized O(1) per entry). *)
+
+val logged : ('k, 'a) log -> ('k * 'a) list
+(** The entries, oldest first: at most [cap] of them. *)
 
 val on_change : 'a t -> (float -> 'a -> unit) -> unit
 (** Register a callback run by the display loop on each change. Callbacks

@@ -14,10 +14,12 @@
    live arena by [remap]. Function hot-swap needs no bookkeeping at all:
    ops live in the plan, not the arena, so a matched slot whose lift
    function changed simply runs the new plan's op against the carried
-   value from the next event on. The serve layer (Session.upgrade /
-   Dispatcher.upgrade_all) owns the other half of the seam: queue and
-   delay-heap remapping, which is where the planted upgrade mutations
-   ([Runtime.Stale_slot_map] etc.) hook in via [remap]'s flags. *)
+   value from the next event on. The serve layer (Dispatcher.upgrade_all)
+   owns the other half of the seam: moving each session's inbox wakes and
+   the delay heap's entries onto the new node ids. The planted upgrade
+   mutations hook in via [remap]'s flags ([Runtime.Stale_slot_map],
+   [Runtime.Skip_migration]) and in the dispatcher
+   ([Runtime.Leak_seam_mailbox]). *)
 
 type migration = {
   m_name : string;
@@ -29,7 +31,6 @@ let migrate ~name f = { m_name = name; m_fn = (fun o -> Obj.repr (f (Obj.obj o))
 type patch = {
   up_new : Compile.plan;
   up_slot_map : int array;  (* new slot -> old slot, -1 = attached *)
-  up_old_to_new : int array;  (* old slot -> new slot, -1 = detached *)
   up_state_map : int array;  (* new state slot -> old state slot, -1 *)
   up_node_map : (int, int) Hashtbl.t;  (* old node id -> new node id *)
   up_added : int list;  (* new slots with no old counterpart, ascending *)
@@ -45,10 +46,6 @@ let added_slots p = p.up_added
 let dropped_slots p = p.up_dropped
 let detached_regions p = p.up_detached_regions
 let node_of_old p id = Hashtbl.find_opt p.up_node_map id
-
-let new_slot_of_old p sl =
-  let v = p.up_old_to_new.(sl) in
-  if v < 0 then None else Some v
 
 let is_identity p =
   p.up_added = [] && p.up_dropped = [] && p.up_migration_names = []
@@ -157,7 +154,6 @@ let diff ?(migrate = []) old_pl new_pl =
   {
     up_new = new_pl;
     up_slot_map = slot_map;
-    up_old_to_new = old_to_new;
     up_state_map = state_map;
     up_node_map = node_map;
     up_added = List.rev !added;
@@ -181,9 +177,9 @@ let obj_array n fill =
    [stale_map] rotates the matched-slot assignment by one — not an
    identity permutation, so any program with >= 2 matched stateful or
    observable slots detects it; [skip_migration] drops the user migration
-   and copies raw. The third ([Runtime.Leak_seam_mailbox]) is a
-   dispatcher-side bookkeeping bug and hooks into Dispatcher.upgrade_all
-   instead. *)
+   and copies raw. The third ([Runtime.Leak_seam_mailbox]) forgets the
+   sessions' inboxes, a dispatcher-side bug, and hooks into
+   Dispatcher.upgrade_all instead. *)
 let remap ?(stale_map = false) ?(skip_migration = false) p
     (ar : Compile.arena) =
   let np = p.up_new in
@@ -230,13 +226,16 @@ let remap ?(stale_map = false) ?(skip_migration = false) p
   { Compile.ar_values = values; ar_stamps = stamps; ar_state = state }
 
 let pp ppf p =
+  let matched =
+    Array.fold_left (fun a j -> if j >= 0 then a + 1 else a) 0 p.up_slot_map
+  in
   Format.fprintf ppf
     "@[<v>upgrade: %d slots -> %d slots@,\
      matched=%d added=%d dropped=%d migrations=%d@,\
      detached regions: %s@]"
-    (Array.length p.up_old_to_new)
+    (matched + List.length p.up_dropped)
     (Compile.node_count p.up_new)
-    (Array.fold_left (fun a j -> if j >= 0 then a + 1 else a) 0 p.up_slot_map)
+    matched
     (List.length p.up_added)
     (List.length p.up_dropped)
     (List.length p.up_migration_names)

@@ -14,8 +14,8 @@
     - {e attached}: no old counterpart; seeded from the new plan's
       defaults.
     - (symmetrically, old slots with no new counterpart are {e dropped},
-      and whole regions of them {e detached} — their values, queues and
-      in-flight delays are released by the serve layer.)
+      and whole regions of them {e detached} — their values, queued wakes
+      and in-flight delays are released by the serve layer.)
 
     The patch is pure data, computed once per upgrade and applied to every
     live arena by {!remap} — sessions never observe a half-upgraded graph
@@ -37,7 +37,7 @@ val migrate : name:string -> ('old -> 'new_) -> migration
 
 type patch
 (** The computed diff between two plans: slot and state mappings, node-id
-    maps for the dispatcher's queue remapping, the detached regions,
+    maps for the dispatcher's inbox and delay-heap remapping, the detached regions,
     migrations. Pure data; apply with {!remap}. *)
 
 val diff : ?migrate:migration list -> Compile.plan -> Compile.plan -> patch
@@ -70,12 +70,9 @@ val slot_map : patch -> int array
 (** New slot -> old slot, [-1] for attached slots. The patch's own array —
     treat as read-only. *)
 
-val new_slot_of_old : patch -> int -> int option
-(** Where an old slot went, if it survived. *)
-
 val node_of_old : patch -> int -> int option
-(** New node id matching an old node id — how the dispatcher remaps
-    ready-queue entries and delay-heap wakes across an upgrade. *)
+(** New node id matching an old node id — how the dispatcher moves inbox
+    wakes and delay-heap entries across an upgrade. *)
 
 val added_slots : patch -> int list
 (** New-plan slots with no old counterpart, ascending. *)

@@ -15,13 +15,16 @@
    history cap) and the boundary wiring — one [Exec] hooks record, called
    with the session as its context — exist once here, and a session is a
    row (see Row): its instance, change log, inbox and counters. The
-   session protocol (open, clone, close, offer, step, flush, upgrade) is
+   session protocol (open, clone, close, route, step, flush, upgrade) is
    this module's own; Session only reads rows.
 
-   The ready FIFO holds session references, not ids: a wake goes straight
-   into its session's inbox (the per-session restriction of the FIFO), and
-   the session joins the FIFO when its inbox was empty, so routing and
-   draining never look a session up by id.
+   A wake is one item, its source and its value, from the moment it is
+   admitted — an injection, an async re-entry, a due delay — to the op
+   that writes the value: it waits in its session's inbox (the
+   per-session restriction of the FIFO) and becomes one [Exec.step].
+   The ready FIFO holds session references, not ids: a session joins it
+   when its inbox was empty, so routing and draining never look a
+   session up by id.
 
    Delays use a virtual clock: the heap orders (due time, sequence) and
    [drain] advances [now] to each due time once the ready queue is empty —
@@ -116,7 +119,6 @@ end
 type 'a delayed = {
   dl_session : 'a Row.t;
   dl_node : int;  (* the delay node to wake *)
-  dl_slot : int;  (* its value slot *)
   dl_value : Obj.t;
 }
 
@@ -142,7 +144,7 @@ type 'a t = {
   d_clock : clock;  (* advanced by drain *)
   d_tracer : Trace.t option;
   d_policy : Runtime.error_policy;
-  d_capacity : int option;  (* bounds each input's pending-value queue *)
+  d_capacity : int option;  (* bounds each session's inbox, for injections *)
   d_history : int option;
   d_pool : Pool.t option;  (* present: [drain] fans out over domains *)
   mutable d_draining : bool;  (* lifecycle is frozen while [drain] runs *)
@@ -165,11 +167,11 @@ type accounting = {
   pending_delays : int;
 }
 
-(* Route one wake: into the session's inbox, and the session onto the
-   ready FIFO if the inbox was empty. *)
-let route ready (s : _ Row.t) source =
+(* Route one wake with its value: into the session's inbox, and the
+   session onto the ready FIFO if the inbox was empty. *)
+let route ready (s : _ Row.t) source value =
   if Queue.is_empty s.r_inbox then Queue.push s ready;
-  Queue.push source s.r_inbox
+  Queue.push (source, value) s.r_inbox
 
 (* The sessions' boundary hooks, one record per dispatcher: a session's
    flush hands itself to them as the context. Both run coordinator-side,
@@ -180,18 +182,14 @@ let route ready (s : _ Row.t) source =
 let hooks ready delays clock =
   {
     Exec.fire =
-      (fun (s : _ Row.t) source ->
-        if not s.r_closed then begin
-          s.r_pending <- s.r_pending + 1;
-          route ready s source
-        end);
+      (fun (s : _ Row.t) source v -> if not s.r_closed then route ready s source v);
     delay =
-      (fun s ~node ~slot ~seconds v ->
+      (fun s ~node ~seconds v ->
         if not s.r_closed then begin
           s.r_pending_delays <- s.r_pending_delays + 1;
           clock.seq <- clock.seq + 1;
           Heap.push delays ~due:(clock.now +. seconds) ~seq:clock.seq
-            { dl_session = s; dl_node = node; dl_slot = slot; dl_value = v }
+            { dl_session = s; dl_node = node; dl_value = v }
         end);
     display = (fun _ ~epoch:_ ~changed:_ _ -> ());
     observe = (fun _ ~node:_ ~epoch:_ ~changed:_ -> ());
@@ -268,7 +266,6 @@ let add_row d ~stats ~sink ~arena ~epoch pl =
       r_exec = make_exec d ~sid ~stats ~sink ~epoch pl arena;
       r_sink = sink;
       r_inbox = Queue.create ();
-      r_pending = 0;
       r_pending_delays = 0;
       r_dropped = 0;
       r_closed = false;
@@ -282,30 +279,30 @@ let open_session d =
   check_not_draining d "open_session";
   let sink =
     {
-      Row.k_current = Signal.default d.d_root;
-      k_rev_changes = [];
-      k_n_changes = 0;
-      k_history = d.d_history;
+      Runtime.latest = Signal.default d.d_root;
+      rev = [];
+      count = 0;
+      cap = d.d_history;
     }
   in
   add_row d ~stats:(Stats.create ()) ~sink
     ~arena:(Compile.new_arena d.d_plan) ~epoch:0 d.d_plan
 
 (* Cloning snapshots a quiescent session: with nothing pending, every
-   value/stamp/state word of the instance lives in the arena (the queues
-   are empty and the dispatcher holds nothing for it), so [clone_arena]
+   value/stamp/state word of the instance lives in the arena (the inbox
+   is empty and the dispatcher holds nothing for it), so [clone_arena]
    captures the whole observable state. In-flight events would live half in
    the dispatcher's queues and half in the arena — there is no consistent
    cut — hence the idleness requirement. *)
 let clone d (src : _ Row.t) =
   check_not_draining d "clone";
   if src.r_closed then invalid_arg "Serve.Dispatcher.clone: session is closed";
-  if src.r_pending > 0 || src.r_pending_delays > 0 then
+  if not (Session.is_idle src) then
     invalid_arg "Serve.Dispatcher.clone: session has in-flight events";
   let x = src.r_exec in
   add_row d
     ~stats:(Stats.copy (Exec.stats x))
-    ~sink:{ src.r_sink with k_current = src.r_sink.k_current }
+    ~sink:{ src.r_sink with latest = src.r_sink.latest }
     ~arena:(Compile.clone_arena (Exec.arena x))
     ~epoch:(Exec.epoch x) (Exec.plan x)
 
@@ -313,26 +310,24 @@ let close d (s : _ Row.t) =
   check_not_draining d "close";
   if not s.r_closed then begin
     s.r_closed <- true;
-    (* Drop queued values so a closed session pins no event payloads. *)
-    Array.iter
-      (function Some q -> Queue.clear q | None -> ())
-      (Exec.queues s.r_exec);
+    (* Drop queued wakes, so a closed session pins no event payloads. *)
+    Queue.clear s.r_inbox;
     Hashtbl.remove d.d_sessions s.r_id;
     d.d_closed <- d.d_closed + 1
   end
 
 let find d sid = Hashtbl.find_opt d.d_sessions sid
 
-(* Value first, routing second: the step pops the value its ready-queue
-   entry promised. One accepted injection = exactly one future step. Only
-   inputs take external values, and only their queues are bounded: async
-   and delay queues are fed by the session's own step path, where
-   refusing a value could deadlock the session. *)
+(* One accepted injection = one inbox wake = exactly one future step. The
+   capacity bounds the inbox (every wake waiting, whatever its source),
+   but only external injections are refused: async and delay re-entries
+   come from the session's own step path, where refusing one could
+   deadlock a drain. *)
 let try_inject : type i. 'a t -> 'a Row.t -> i Signal.t -> i -> bool =
  fun d s input v ->
   if s.r_closed then invalid_arg "Serve.Dispatcher: session is closed";
   let id = Signal.id input in
-  let sl = Compile.slot (Exec.plan s.r_exec) id in
+  let sl = Compile.slot d.d_plan id in
   (match Signal.kind input with
   | Signal.Input when sl >= 0 -> ()
   | Signal.Input ->
@@ -343,15 +338,12 @@ let try_inject : type i. 'a t -> 'a Row.t -> i Signal.t -> i -> bool =
     invalid_arg
       (Printf.sprintf "Serve.Dispatcher: %s (node %d) is not an input"
          (Signal.name input) id));
-  let q = Exec.queue s.r_exec sl in
   match d.d_capacity with
-  | Some cap when Queue.length q >= cap ->
+  | Some cap when Queue.length s.r_inbox >= cap ->
     s.r_dropped <- s.r_dropped + 1;
     false
   | _ ->
-    Queue.push (Obj.repr v) q;
-    s.r_pending <- s.r_pending + 1;
-    route d.d_ready s id;
+    route d.d_ready s id (Obj.repr v);
     d.d_routed <- d.d_routed + 1;
     true
 
@@ -364,12 +356,11 @@ let inject d s input v =
    Admission is wave-boundary only: [check_not_draining] rejects an
    upgrade while pool workers are stepping, and the synchronous drains
    never call out to user code between steps, so every session's arena is
-   a consistent cut when we get here. Pending work survives: queued input
-   values and inbox wakes move in [upgrade_row], and the delay heap is
-   rewritten below under the patch's node map — an upgrade drops
-   no accepted event unless its source was detached with the subgraph
-   that owned it (in which case the matching pending counters come down,
-   keeping the accounting invariant exact).
+   a consistent cut when we get here. Pending work survives: inbox wakes,
+   each with its value, move in [upgrade_row], and the delay heap is
+   rewritten below under the patch's node map — an upgrade drops no
+   accepted event unless its source was detached with the subgraph that
+   owned it (the wake goes, and with it the session's pending count).
 
    The shared plan cache is invalidated and reseeded: the old root's plan
    entry and its fusion memo are dead the moment sessions stop serving
@@ -379,11 +370,8 @@ let inject d s input v =
 
 (* Swap one live session onto the patch's plan, between event waves.
    Matched slots carry value/stamp (via the patch's migrations), attached
-   slots seed from defaults, and pending values queued on matched source
-   slots transfer to the new instance's queues (a transfer may transiently
-   overfill a bounded queue; upgrades never drop accepted events). Inbox
-   wakes keep their order under their new source ids; wakes of detached
-   sources go with their pending counters. *)
+   slots seed from defaults. Inbox wakes keep their order and their values
+   under their new source ids; wakes of detached sources are dropped. *)
 let upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch
     (s : _ Row.t) =
   let old = s.r_exec in
@@ -392,28 +380,19 @@ let upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch
       ~epoch:(Exec.epoch old) (Upgrade.new_plan patch)
       (Upgrade.remap ~stale_map ~skip_migration patch (Exec.arena old))
   in
-  (* [leak_mailbox] is the planted Leak_seam_mailbox bug: the old seam
-     mailboxes (pending-value queues) are forgotten instead of
-     transferred, so the ready-queue entries the dispatcher remaps
-     promise values that are no longer there — the next drain pops an
-     empty queue and the no-deadlock oracle trips. *)
-  if not leak_mailbox then
-    Array.iteri
-      (fun old_sl q ->
-        match (q, Upgrade.new_slot_of_old patch old_sl) with
-        | Some q, Some nsl when (Exec.queues x).(nsl) <> None ->
-          Queue.transfer q (Exec.queue x nsl)
-        | _ -> ())
-      (Exec.queues old);
   s.r_exec <- x;
   let wakes = Queue.copy s.r_inbox in
   Queue.clear s.r_inbox;
-  Queue.iter
-    (fun src ->
-      match Upgrade.node_of_old patch src with
-      | Some src' -> Queue.push src' s.r_inbox
-      | None -> s.r_pending <- s.r_pending - 1)
-    wakes
+  (* [leak_mailbox] is the planted Leak_seam_mailbox bug: the inbox is
+     forgotten, wakes and values together, so events accepted before the
+     upgrade are never dispatched and the replayed trace diverges. *)
+  if not leak_mailbox then
+    Queue.iter
+      (fun (src, v) ->
+        match Upgrade.node_of_old patch src with
+        | Some src' -> Queue.push (src', v) s.r_inbox
+        | None -> ())
+      wakes
 
 let upgrade_all ?migrate ?mutate d new_root =
   check_not_draining d "upgrade_all";
@@ -434,8 +413,17 @@ let upgrade_all ?migrate ?mutate d new_root =
   Hashtbl.iter
     (fun _ s -> upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch s)
     d.d_sessions;
-  (* Delay heap: rebuilt under new node/slot ids, preserving (due, seq)
-     keys so virtual-time order is unchanged. In-flight values of
+  (* An inbox the upgrade emptied (every wake's source detached) leaves
+     the ready FIFO, so the session's next wake queues it once again
+     rather than twice. *)
+  let ready = Queue.copy d.d_ready in
+  Queue.clear d.d_ready;
+  Queue.iter
+    (fun (s : _ Row.t) ->
+      if not (Queue.is_empty s.r_inbox) then Queue.push s d.d_ready)
+    ready;
+  (* Delay heap: rebuilt under new node ids, preserving (due, seq) keys so
+     virtual-time order is unchanged. In-flight values of
      detached delay nodes are released with their pending counters.
      (A drain runs to quiescence unless a node's exception aborts it, so
      the heap is empty at every upgrade point but that one.) *)
@@ -448,14 +436,7 @@ let upgrade_all ?migrate ?mutate d new_root =
   List.iter
     (fun (due, seq, dl) ->
       match Upgrade.node_of_old patch dl.dl_node with
-      | Some node' ->
-        let slot' =
-          (* a matched node's slot is matched with it *)
-          match Upgrade.new_slot_of_old patch dl.dl_slot with
-          | Some sl -> sl
-          | None -> assert false
-        in
-        Heap.push h ~due ~seq { dl with dl_node = node'; dl_slot = slot' }
+      | Some node' -> Heap.push h ~due ~seq { dl with dl_node = node' }
       | None ->
         let s = dl.dl_session in
         if not s.r_closed then s.r_pending_delays <- s.r_pending_delays - 1)
@@ -517,13 +498,9 @@ let rec deliver_due_delays d =
           collect ()
         end
         else if Queue.is_empty s.r_inbox then begin
-          (* park the value in the delay node's (unbounded) queue; the
-             wake routed with it pops it *)
           Heap.pop h;
           s.r_pending_delays <- s.r_pending_delays - 1;
-          Exec.push s.r_exec dl.dl_slot dl.dl_value;
-          s.r_pending <- s.r_pending + 1;
-          route d.d_ready s dl.dl_node;
+          route d.d_ready s dl.dl_node dl.dl_value;
           collect ()
         end
       end
@@ -534,14 +511,13 @@ let rec deliver_due_delays d =
 
 (* Take every inbox wake of a session and run it at once on its instance's
    sequential lane ([Exec.step]), buffering boundary effects for [flush].
-   A closed session consumes its wakes without effect. Returns the number
-   taken. *)
+   A closed session still on the ready FIFO has an empty inbox ([close]
+   cleared it). Returns the number taken. *)
 let step_wakes (s : _ Row.t) =
   let n = Queue.length s.r_inbox in
   while not (Queue.is_empty s.r_inbox) do
-    let source = Queue.pop s.r_inbox in
-    s.r_pending <- s.r_pending - 1;
-    if not s.r_closed then Exec.step s.r_exec ~source
+    let source, value = Queue.pop s.r_inbox in
+    Exec.step s.r_exec ~source ~value
   done;
   n
 
@@ -612,7 +588,7 @@ let accounting d =
   Hashtbl.iter
     (fun _ s ->
       if Session.is_idle s then incr idle;
-      pend := !pend + s.Row.r_pending;
+      pend := !pend + Queue.length s.Row.r_inbox;
       pendd := !pendd + s.Row.r_pending_delays)
     d.d_sessions;
   {

@@ -12,9 +12,15 @@
     It is one algorithm over many instances: the compiled plan, the
     options given to {!create} and the boundary wiring exist once per
     dispatcher, and each session is a row of it — its arena, counters,
-    wake inbox, pending-value queues and change log ({!Session} reads
-    them). Opening, cloning, feeding, draining, upgrading and closing a
-    session all go through this module.
+    inbox and change log ({!Session} reads them). Opening, cloning,
+    feeding, draining, upgrading and closing a session all go through
+    this module.
+
+    A wake is one item, a source and its value, from the moment it is
+    admitted (an injection, an async re-entry, a due delay) until the
+    step that writes the value into the source's slot: it waits in its
+    session's inbox, the per-session restriction of the FIFO. Nothing
+    else holds a pending value.
 
     Everything is synchronous and single-threaded on a virtual clock —
     no [Cml.run] required:
@@ -54,8 +60,10 @@ val create :
     session of this dispatcher and are stored once, here:
     [on_node_error] supervises each session's nodes (a [Restart] budget
     is per session and node); [queue_capacity] bounds each session's
-    {e input} queues (async and delay queues stay unbounded — their
-    producers run on the session's own step path); [history] caps each
+    inbox — every wake waiting there, whatever its source — against
+    external injections only (an async or delay re-entry comes from the
+    session's own step path and is never refused, since refusing it
+    could deadlock a drain); [history] caps each
     session's retained change log as in [Runtime.start]. A shared
     [tracer] gets per-session node ids (offset by [Compile.id_stride]),
     so rows never collide. [pool] makes {!drain} run sessions
@@ -77,15 +85,16 @@ val open_session : 'a t -> 'a Session.t
 val clone : 'a t -> 'a Session.t -> 'a Session.t
 (** Snapshot a {e quiescent} session ({!Session.is_idle}) under a fresh
     id: arena, current value, change history and counters are copied;
-    fresh empty queues. Every arena slot is plain data
+    a fresh empty inbox. Every arena slot is plain data
     ({!Compile.clone_arena}), so the clone continues exactly as its
     parent would, fused plan or not. Raises [Invalid_argument] if the
     session is closed or has in-flight events (there is no consistent cut
     through a half-dispatched event). *)
 
 val close : 'a t -> 'a Session.t -> unit
-(** Close and unregister: queued values are dropped, later events for the
-    session are ignored. *)
+(** Close and unregister: the inbox is dropped, its wakes and their values
+    together, so a closed session pins no event payload; later events for
+    the session are ignored. *)
 
 val find : 'a t -> int -> 'a Session.t option
 
@@ -94,13 +103,13 @@ val find : 'a t -> int -> 'a Session.t option
 val inject : 'a t -> 'a Session.t -> 'i Signal.t -> 'i -> unit
 (** Queue one external event for the given session and input node; it is
     dispatched by the next {!drain}, after everything already queued.
-    Raises {!Session.Queue_full} when the input's bounded queue is full,
+    Raises {!Session.Queue_full} when the session's bounded inbox is full,
     [Invalid_argument] if the node is not an input of the plan or the
     session is closed. *)
 
 val try_inject : 'a t -> 'a Session.t -> 'i Signal.t -> 'i -> bool
 (** Like {!inject} but returns [false] (counting a drop against the
-    session) instead of raising on a full queue. *)
+    session) instead of raising on a full inbox. *)
 
 val drain : ?seed:int -> 'a t -> int
 (** Dispatch queued events until quiescence, advancing the virtual clock
@@ -137,14 +146,13 @@ val upgrade_all :
     plan, and the patch ({!Upgrade.diff} against the current plan, with
     the caller's [migrate] list) is applied to each session — its arena
     remapped ({!Upgrade.remap}), its instance rebuilt against the new slot
-    layout, pending values on matched source slots transferred, inbox
-    wakes moved to their matched sources' new ids, trace rows
-    re-registered; its change history, counters and epoch numbering
-    persist — then the dispatcher's own seams are rewritten:
-    ready-queue entries and delay-heap wakes move to their matched new
-    node ids, and wakes of detached sources are released together with
-    their pending counters, so the accounting invariant stays exact and
-    no accepted event of a surviving subgraph is dropped. An identity
+    layout, its inbox wakes moved with their values to their matched
+    sources' new ids, trace rows re-registered; its change history,
+    counters and epoch numbering persist — then the delay heap's entries
+    move to their matched new node ids. Wakes and delays of detached
+    sources are released (and leave the pending counts with them), so
+    the accounting stays exact and no accepted event of a surviving
+    subgraph is dropped. An identity
     upgrade (structurally equal replacement, no migrations) is observably
     a no-op at any drain point.
 

@@ -4,8 +4,9 @@
     A session is the serving layer's unit of isolation: the
     {!Elm_core.Compile.plan} (op arrays, slot layout, reachability) is
     shared read-only across every session of one graph shape, while
-    everything a session mutates — its arena, pending-value queues,
-    counters, change history, wake inbox — is its own row. Opening a
+    everything a session mutates — its arena, counters, change history
+    and its inbox of wakes, each waiting with its value — is its own
+    row. Opening a
     session is ~an array copy; no threads, mailboxes or channels are
     created, and two sessions can never observe each other's [foldp]
     state because no mutable word is reachable from both. Configuration
@@ -21,8 +22,8 @@ type 'a t = 'a Row.t
 (** The row itself is private to the library. *)
 
 exception Queue_full
-(** Raised by [Dispatcher.inject] when the target input's bounded queue is
-    full (see [queue_capacity]). *)
+(** Raised by [Dispatcher.inject] when the session's bounded inbox is full
+    (see [queue_capacity]). *)
 
 val id : 'a t -> int
 val current : 'a t -> 'a
@@ -36,15 +37,14 @@ val stats : 'a t -> Stats.t
 val epoch : 'a t -> int
 
 val pending : 'a t -> int
-(** Events routed to this session and not yet stepped. *)
+(** Wakes in this session's inbox: events routed to it and not yet
+    stepped. *)
 
 val pending_delays : 'a t -> int
 (** Values waiting in the dispatcher's delay heap for this session. *)
 
 val dropped : 'a t -> int
-(** Injections refused because a bounded input queue was full. *)
-
-val closed : 'a t -> bool
+(** Injections refused because the bounded inbox was full. *)
 
 val is_idle : 'a t -> bool
 (** No pending events and no pending delays: the session is exactly the
@@ -52,8 +52,8 @@ val is_idle : 'a t -> bool
 
 val footprint_words : 'a t -> int
 (** The heap words one more session costs: everything the row reaches —
-    its record, change log, wake inbox, {!Elm_core.Exec} instance, arena,
-    pending-value queues, counters, lane and closures — except what it
+    its record, change log, wake inbox (with the values waiting in it),
+    {!Elm_core.Exec} instance, arena, counters, lane and closures — except what it
     shares with every other session of its dispatcher (the plan, the
     tracer, the error policy). The dispatcher's own per-session entry in
     its session table (a few words) is not included. *)

@@ -584,17 +584,16 @@ let test_async_responsive_compiled () =
 
 (* ------------------------------------------------------------------ *)
 (* The op context is plain data: a source's schedule runs against a
-   hand-built [Compile.exec], with no executor, and everything the region
-   hands outward lands in the effect queue, in op order, stamped with the
-   round's epoch. *)
+   hand-built [Compile.exec], with no executor, on a round that carries
+   the source's value, and everything the region hands outward lands in
+   the effect queue, in op order, stamped with the round's epoch and
+   carrying the values it re-enters with. *)
 
 let show_effect : Compile.effect -> string = function
-  | Push { epoch; slot; value } ->
-    Printf.sprintf "push e%d s%d %d" epoch slot (Obj.obj value)
-  | Fire { epoch; source } -> Printf.sprintf "fire e%d n%d" epoch source
-  | Delay { epoch; node; slot; seconds; value } ->
-    Printf.sprintf "delay e%d n%d s%d %gs %d" epoch node slot seconds
-      (Obj.obj value)
+  | Fire { epoch; source; value } ->
+    Printf.sprintf "fire e%d n%d %d" epoch source (Obj.obj value)
+  | Delay { epoch; node; seconds; value } ->
+    Printf.sprintf "delay e%d n%d %gs %d" epoch node seconds (Obj.obj value)
   | Observe { epoch; node; changed } ->
     Printf.sprintf "observe e%d n%d %b" epoch node changed
   | Display { epoch; changed; value } ->
@@ -613,40 +612,34 @@ let test_ops_append_effects () =
   let pl = Compile.plan root in
   let id = Signal.id and slot s = Compile.slot pl (Signal.id s) in
   let run ~observe =
-    let queues = Array.make (Compile.node_count pl) None in
-    List.iter
-      (fun sl -> queues.(sl) <- Some (Queue.create ()))
-      (Compile.queue_slots pl);
     let ex =
       {
         Compile.x_arena = Compile.new_arena pl;
         x_stats = Stats.create ();
         x_fail = Compile.propagate_handlers pl;
-        x_queues = queues;
         x_effects = Queue.create ();
         x_observing = observe;
         x_display = None;
       }
     in
-    (match queues.(slot x) with
-    | Some q -> Queue.push (Obj.repr 41) q
-    | None -> Alcotest.fail "the input has no pending-value queue");
     let sc = Compile.schedule pl (id x) in
-    Array.iter (fun op -> op ex { Compile.epoch = 7; source = id x }) sc.sc_ops;
+    let r = { Compile.epoch = 7; source = id x; value = Obj.repr 41 } in
+    Array.iter (fun op -> op ex r) sc.sc_ops;
+    check_int "the source member wrote the round's value" 41
+      (Obj.obj ex.x_arena.ar_values.(slot x));
     List.map show_effect (List.of_seq (Queue.to_seq ex.x_effects))
   in
-  let push = Printf.sprintf "push e7 s%d 42" (slot fired)
-  and fire = Printf.sprintf "fire e7 n%d" (id fired)
-  and delay = Printf.sprintf "delay e7 n%d s%d 0.5s 42" (id later) (slot later)
+  let fire = Printf.sprintf "fire e7 n%d 42" (id fired)
+  and delay = Printf.sprintf "delay e7 n%d 0.5s 42" (id later)
   and display = "display e7 true 4211"
   and observe s = Printf.sprintf "observe e7 n%d true" (id s) in
   Alcotest.(check (list string))
-    "async tap pushes then fires, delay tap schedules, root displays"
-    [ push; fire; delay; display ]
+    "async tap fires, delay tap schedules, each with its value; root displays"
+    [ fire; delay; display ]
     (run ~observe:false);
   Alcotest.(check (list string))
     "observed emissions interleave in op order"
-    [ observe x; observe a; push; fire; delay; observe root; display ]
+    [ observe x; observe a; fire; delay; observe root; display ]
     (run ~observe:true)
 
 (* ------------------------------------------------------------------ *)

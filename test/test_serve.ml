@@ -224,6 +224,47 @@ let test_bounded_input_queue () =
   check_ints "accepted events all dispatched" [ 2; 5 ] (session_values s);
   check_bool "queue drained: accepts again" true (Dispatcher.try_inject d s a 9)
 
+(* The capacity bounds a session's inbox, every wake waiting there
+   whatever its input, and each session's inbox is its own. *)
+let test_bounded_inbox_counts_every_input () =
+  let x = Signal.input ~name:"x" 0 and y = Signal.input ~name:"y" 0 in
+  let d = Dispatcher.create ~queue_capacity:2 (Signal.lift2 ( + ) x y) in
+  let s = Dispatcher.open_session d and t = Dispatcher.open_session d in
+  check_bool "one wake per input accepted" true
+    (Dispatcher.try_inject d s x 1 && Dispatcher.try_inject d s y 10);
+  check_int "both wait in the session's inbox" 2 (Session.pending s);
+  check_bool "a third refused on the first input" false
+    (Dispatcher.try_inject d s x 2);
+  check_bool "and on the second" false (Dispatcher.try_inject d s y 20);
+  check_int "both drops counted" 2 (Session.dropped s);
+  check_bool "another session's inbox is its own" true
+    (Dispatcher.try_inject d t y 5 && Dispatcher.try_inject d t y 6);
+  check_int "no drop counted against it" 0 (Session.dropped t);
+  ignore (Dispatcher.drain d);
+  check_ints "accepted events all dispatched" [ 1; 11 ] (session_values s);
+  check_ints "the other session's too" [ 5; 6 ] (session_values t)
+
+(* Closing a session drops the wakes still in its inbox together with
+   their values: a closed session (which stays on the ready FIFO until
+   the next drain) pins none of the payloads injected into it. *)
+let test_closed_session_pins_no_payload () =
+  let p = Signal.input ~name:"p" [||] in
+  let d = Dispatcher.create (Signal.lift Array.length p) in
+  let s = Dispatcher.open_session d in
+  let w = Weak.create 2 in
+  for i = 0 to 1 do
+    let payload = Array.make 1_000 i in
+    Weak.set w i (Some payload);
+    Dispatcher.inject d s p payload
+  done;
+  Dispatcher.close d s;
+  check_int "nothing pending after close" 0 (Session.pending s);
+  Gc.full_major ();
+  check_bool "the queued payloads were collected" true
+    (Weak.get w 0 = None && Weak.get w 1 = None);
+  check_int "the next drain dispatches nothing" 0 (Dispatcher.drain d);
+  ignore (Sys.opaque_identity (d, s))
+
 let test_idle_footprint_stable () =
   let a, root = counter_graph () in
   let d = Dispatcher.create ~history:0 root in
@@ -243,8 +284,8 @@ let test_idle_footprint_stable () =
    chain, joined), each fed one event per input and drained, the marginal
    live heap per session lies within 10% of it. That heap figure is
    deterministic for a fixed program and compiler, so it also has a
-   ceiling: 106.5 words, measured once a session's lane became a plain
-   [Compile.exec] record, plus 5%. *)
+   ceiling: 80.9 words, measured once a wake carried its value and the
+   per-source pending-value queues went, plus 5%. *)
 let test_footprint_matches_live_heap () =
   let x = Signal.input ~name:"x" 0 and y = Signal.input ~name:"y" 0 in
   let root =
@@ -272,8 +313,8 @@ let test_footprint_matches_live_heap () =
   ignore (Sys.opaque_identity ss);
   if Float.abs (live -. fp) > 0.1 *. live then
     Alcotest.failf "footprint_words %.0f vs %.1f live words per session" fp live;
-  if live > 112.0 then
-    Alcotest.failf "%.1f live words per session (ceiling: 112)" live
+  if live > 85.0 then
+    Alcotest.failf "%.1f live words per session (ceiling: 85)" live
 
 (* Under [Restart 1] every session has its own budget per node: a failure
    in one session never spends another's (each restart re-seeds the fold,
@@ -722,6 +763,10 @@ let () =
         [
           tc "bounded input queue refuses overflow" `Quick
             test_bounded_input_queue;
+          tc "bounded inbox counts every input" `Quick
+            test_bounded_inbox_counts_every_input;
+          tc "closed session pins no queued payload" `Quick
+            test_closed_session_pins_no_payload;
           tc "idle footprint stable under traffic" `Quick
             test_idle_footprint_stable;
           tc "footprint matches the marginal live heap" `Quick

@@ -5,8 +5,9 @@
    split point, both admission styles and domains 1/2/4; state-migrating
    upgrades must splice the foldp accumulator; detaching a subgraph must
    shrink the session footprint and leave no orphan waiters; and the three
-   planted upgrade mutations (stale slot map, skipped migration, leaked
-   seam mailbox) must each be caught by the explorer's upgrade sweep. *)
+   planted upgrade mutations (stale slot map, skipped migration,
+   forgotten session inboxes) must each be caught by the explorer's
+   upgrade sweep. *)
 
 module Signal = Elm_core.Signal
 module Runtime = Elm_core.Runtime
@@ -279,6 +280,36 @@ let test_detach_shrinks_footprint () =
      accounted to the old plan *)
   check_bool "no orphan waiters" true (Cml.Scheduler.blocked_sites () = [])
 
+(* A session whose inbox held only wakes of a detached source leaves the
+   upgrade with an empty inbox. It must leave the ready FIFO with them:
+   otherwise its next wake queues it a second time, and a pooled drain
+   runs it as two tasks at once. *)
+let test_detach_empties_ready_fifo () =
+  with_pool 2 (fun pool ->
+      let pool = Option.get pool in
+      let a_old = Signal.input ~name:"a" 0 in
+      let b_old = Signal.input ~name:"b" 0 in
+      let d =
+        Dispatcher.create ~pool
+          (Signal.lift2 ~name:"join" ( + )
+             (Signal.lift ~name:"l" succ a_old)
+             (Signal.async (Gen_graph.chain 2 8 b_old)))
+      in
+      let s = Dispatcher.open_session d in
+      Dispatcher.inject d s b_old 9;
+      let a = Signal.input ~name:"a" 0 in
+      ignore
+        (Dispatcher.upgrade_all d
+           (Signal.lift ~name:"solo" succ (Signal.lift ~name:"l" succ a)));
+      Dispatcher.inject d s a 1;
+      Pool.reset_worker_stats pool;
+      check_int "one event dispatched" 1 (Dispatcher.drain d);
+      check_int "the session ran as one task" 1
+        (Array.fold_left
+           (fun n w -> n + w.Pool.ws_tasks)
+           0 (Pool.worker_stats pool));
+      check_int "its trace" 3 (Session.current s))
+
 (* ------------------------------------------------------------------ *)
 (* The runtime-side upgrade seam: at_quiescence runs once, settled. *)
 
@@ -377,6 +408,8 @@ let () =
         [
           tc "detached subgraph releases footprint and waiters" `Quick
             test_detach_shrinks_footprint;
+          tc "an inbox emptied by a detach leaves the ready FIFO" `Quick
+            test_detach_empties_ready_fifo;
         ] );
       ( "seam",
         [ tc "at_quiescence runs once, settled" `Quick test_at_quiescence_hook ] );
