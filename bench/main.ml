@@ -1351,17 +1351,17 @@ let b18_gates (rows, hw) =
 (* B19: one runtime's waves split across domains (Runtime.start ~domains).
 
    B18 parallelises across sessions; B19 parallelises inside one runtime:
-   the active region groups of one event wave (regions cut at async/delay
-   seams) run as one flat [Pool.run] batch. Groups buffer every boundary
-   effect until the wave is flushed, so they need no order among
+   the active regions of one event wave (cut at async/delay seams) run as
+   one flat [Pool.run] batch, one task per region lane. Lanes buffer every
+   boundary effect until the wave is flushed, so they need no order among
    themselves. The workload is an async fan-out/fan-in: one
    input fires [b19_width] async boundaries, each feeding a heavy
    depth-[b19_depth] lift chain, re-joined behind a second async layer —
    so every external event yields one wave with [b19_width]
-   data-independent heavy groups.
+   data-independent heavy regions.
 
    Headline metric: regions runnable in parallel per event = pool tasks /
-   external events (counter-based, machine-independent — single-group
+   external events (counter-based, machine-independent — single-region
    waves run inline and never reach the pool). Hard gates: change traces
    bit-identical to the 1-domain run at every width, per-domain
    region-step attribution merging back to the runtime totals, dispatch
@@ -1408,7 +1408,7 @@ let b19_build () =
     in
     (* async below and above the chain: the chain is its own region,
        data-independent of its 7 siblings, and the shared join lives in a
-       separate downstream group *)
+       separate downstream region *)
     Signal.async (go b19_depth (Signal.async first))
   in
   let branches = List.init b19_width branch in
@@ -2654,7 +2654,7 @@ let () =
   (* B19 gates: parallel waves must be trace-identical to the
      1-domain run at every width, per-domain region-step attribution must
      merge back, and each event's wave must actually expose parallel
-     region groups (see b19_gates). *)
+     regions (see b19_gates). *)
   let b19 = bench_b19 ~extra_domains () in
   b19_gates b19;
   (* B20 gates: the hot-swap must be invisible — identity patch, zero

@@ -59,9 +59,9 @@
 # domains on 2-3 core boxes, report-only on 1 core); like B19's, it is
 # the median ratio over 7 interleaved repetitions after a warm-up round.
 # B19 gates one runtime's waves split across domains (Runtime.start
-# ~domains, each wave's active region groups as one flat pool batch):
+# ~domains, each wave's active regions as one flat pool batch):
 # on the async fan-out/fan-in workload each event's wave must expose
-# > 2 region groups to the pool (pool tasks / events, a counter ratio),
+# > 2 regions to the pool (pool tasks / events, a counter ratio),
 # change traces must be bit-identical to the 1-domain run at every
 # width, per-domain region-step attribution must merge back to the
 # runtime totals, and dispatch counts must agree across widths. Its

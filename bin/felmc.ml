@@ -136,7 +136,7 @@ let run_cmd =
             "Runtime execution strategy: $(b,compiled) (default — \
              synchronous regions between async/delay boundaries are \
              compiled to straight-line step functions, one thread per \
-             region group) or $(b,pipelined) (the paper's Fig. 10 translation \
+             region) or $(b,pipelined) (the paper's Fig. 10 translation \
              verbatim, one thread per node and one channel per edge). Both \
              display the same values at the same virtual times; compiled \
              pays an order of magnitude fewer context switches and \
@@ -246,7 +246,7 @@ let run_cmd =
       & info [ "domains" ] ~docv:"K"
           ~doc:
             "Parallel waves (compiled backend only): batch queued \
-             events into waves and run each wave's active region groups \
+             events into waves and run each wave's active regions \
              as one batch on a pool of $(docv) OCaml domains. \
              Displayed values and virtual times are bit-identical to the \
              sequential dispatcher for every $(docv). $(b,--domains=1) \
@@ -375,8 +375,8 @@ let graph_cmd =
             "Render the compiled backend's region partition: the fused \
              graph with each maximal synchronous region (delimited by \
              async/delay boundaries) drawn as a dashed cluster — what \
-             $(b,run --backend=compiled) executes, one thread per region \
-             group. Implies $(b,--fused).")
+             $(b,run --backend=compiled) executes, one thread per \
+             region. Implies $(b,--fused).")
   in
   let run file out fused compiled =
     or_die (fun () ->

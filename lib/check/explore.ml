@@ -310,11 +310,14 @@ let run ?(schedules = 50) ?(seed = 0) ?invariants
   if Sched.running () then
     invalid_arg "Explore.run: must be called outside Cml.run";
   (* Checked here rather than surfacing as a crash in every run. *)
-  if backend = Runtime.Compiled && (mutate <> None || queue_capacity <> None)
+  if
+    backend = Runtime.Compiled
+    && (mutate <> None || queue_capacity <> None
+       || dispatch = Some Runtime.Flood)
   then
     invalid_arg
-      "Explore.run: the compiled backend takes neither mutate nor \
-       queue_capacity";
+      "Explore.run: the compiled backend takes neither mutate, \
+       queue_capacity nor dispatch:Flood";
   if domains <> None && backend = Runtime.Pipelined then
     invalid_arg "Explore.run: domains needs the compiled backend";
   let opts =

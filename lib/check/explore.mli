@@ -108,7 +108,7 @@ val run :
     [backend]/[mode]/[dispatch]/[fuse]/[on_node_error]/[queue_capacity] are
     passed to {!Elm_core.Runtime.start} unchanged, so the same program can
     be explored across the whole runtime matrix — including the compiled
-    backend, whose region-group lanes interleave under the same chaos
+    backend, whose region lanes interleave under the same chaos
     schedules. [max_switches] (default [5_000_000])
     bounds each run, turning livelocks into {!No_deadlock} violations.
     [mutate] plants an ordering bug ({!Elm_core.Runtime.mutation}) in every
@@ -119,7 +119,8 @@ val run :
     traces are independent of the domain count is the caller comparing
     reports/traces across domain values, since each [run] holds its
     [domains] fixed. As in {!Elm_core.Runtime.start}, [~backend:Compiled]
-    excludes [mutate] and [queue_capacity], and [domains] requires
+    excludes [mutate], [queue_capacity] and [~dispatch:Flood], and
+    [domains] requires
     [~backend:Compiled]: any other combination raises [Invalid_argument]
     before the first run.
 

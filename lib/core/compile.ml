@@ -40,9 +40,8 @@
    - Each source gets a [schedule]: the ops of its synchronous cone, in
      plan order. A wake runs its source's schedule and nothing else — no
      per-op reachability test — and the cone sits in one region because
-     union-find joins every uncut edge. Flood dispatch runs each region's
-     full op list instead; it stays exact because an op outside the cone
-     finds no dirty input and leaves its slot alone.
+     union-find joins every uncut edge. A region is also the unit of
+     placement: one lane per region.
 
    Node state lives in the arena as [Obj.t]: the graph is heterogeneous,
    and moving cells out of the nodes (where a generation-stamped slot
@@ -141,11 +140,9 @@ type op = exec -> round -> unit
 
 (* The work of one wake of a source: the ops of its synchronous cone (its
    members, and the async/delay taps whose inner node is in it) in plan
-   order. A cone never crosses a cut edge, so it sits in one region. Each
-   region's full op list is a schedule too, the one flood dispatch runs. *)
+   order. A cone never crosses a cut edge, so it sits in one region. *)
 type schedule = {
   sc_region : int;  (* -1: the wake runs nothing *)
-  sc_cone_size : int;  (* member nodes *)
   sc_root : bool;  (* the root is a member: the wake reaches the display *)
   sc_ops : op array;
   sc_nodes : int array;
@@ -180,13 +177,8 @@ type plan = {
       (* state slot -> owning node id (a composite owns one slot per cell,
          contiguous); upgrades remap state through the owner's structural
          key *)
-  p_region_ops : schedule array;  (* region index -> all its ops *)
   p_reps : int array;  (* region index -> representative node id *)
   p_schedules : (int, schedule) Hashtbl.t;  (* source id -> its schedule *)
-  p_group_of : int array;  (* region index -> group index *)
-  p_group_regions : int list array;
-      (* group index -> member region indices, ascending: the SCCs of the
-         seam graph (see DESIGN.md "Region groups") *)
   p_sources : (int * string) list;  (* runtime sources, topological order *)
   p_propagate : handler array;
       (* per slot, [propagate]: every Propagate lane's [x_fail] *)
@@ -398,11 +390,11 @@ let plan : type r. r Signal.t -> plan =
           | Some f -> f ~epoch ~changed value
         end)
   in
-  (* A source member: a round carrying its own source id writes the
-     round's value; all other rounds (flood only) are quiescent. *)
+  (* A source member writes the round's value: it runs only in its own
+     source's schedule, since no other source reaches it. *)
   let source_member ~id =
     let sl = slot id in
-    member ~id (fun x r -> r.source = id && set x sl r r.value)
+    member ~id (fun x r -> set x sl r r.value)
   in
   (* A computing member: recomputes when any dependency slot is dirty this
      epoch, applying the user function directly inside [match ... with
@@ -528,7 +520,7 @@ let plan : type r. r Signal.t -> plan =
          the same observable schedule as the pipelined deferral: downstream
          reads keep the last-good value until the restarted fold runs
          again, even in rounds that run the op without a change of its
-         source (flood, or a quiet dependency). The flag is a plain bool
+         source (a quiet dependency). The flag is a plain bool
          state slot, so clones inherit a pending restart faithfully. *)
       let k = state_slot ~node:id (Obj.repr false) in
       member ~id (fun x r ->
@@ -622,23 +614,10 @@ let plan : type r. r Signal.t -> plan =
   let schedule ~region ~root entries =
     {
       sc_region = region;
-      sc_cone_size =
-        List.fold_left
-          (fun n (node, serves, _) -> if node = serves then n + 1 else n)
-          0 entries;
       sc_root = root;
       sc_ops = Array.of_list (List.map (fun (_, _, op) -> op) entries);
       sc_nodes = Array.of_list (List.map (fun (_, serves, _) -> serves) entries);
     }
-  in
-  let region_ops =
-    Array.of_list
-      (List.map
-         (fun rg ->
-           schedule ~region:rg.rg_index
-             ~root:(List.mem root_id rg.rg_member_ids)
-             sorted.(rg.rg_index))
-         regions)
   in
   (* Per-source schedules, the Asynchronous Modal FRP clock of a source: a
      wake runs exactly the ops whose driving node the source reaches. *)
@@ -651,69 +630,6 @@ let plan : type r. r Signal.t -> plan =
         (schedule ~region ~root:(in_cone root_id)
            (List.filter (fun (node, _, _) -> in_cone node) sorted.(region))))
     (Reach.sources reach);
-  (* ---- region groups ----
-     Seam edges: an async/delay cut whose inner node and boundary node
-     landed in different regions links the producer region to the
-     consumer's. Cuts can point both ways between two regions (async in
-     both directions), so a Tarjan SCC condensation folds each cycle into
-     one "group", numbered by smallest member region (deterministic). A
-     group is what a lane thread or a wave's pool task runs. No edge is
-     needed inside a wave: a source's cone is region-local (one woken
-     region per event, checked by a property over the test catalogue)
-     and boundary effects are buffered until the wave ends. *)
-  let nregions = !count in
-  let succs = Array.make (max nregions 1) [] in
-  List.iter
-    (fun (inner, boundary) ->
-      let a = Hashtbl.find region_of inner in
-      succs.(a) <- Hashtbl.find region_of boundary :: succs.(a))
-    !cuts;
-  (* Tarjan over the region quotient graph (self-edges and duplicate
-     edges are harmless). *)
-  let sccs = ref [] in
-  let index = Array.make (max nregions 1) (-1) in
-  let lowlink = Array.make (max nregions 1) 0 in
-  let on_stack = Array.make (max nregions 1) false in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let rec strongconnect v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) = -1 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      succs.(v);
-    if lowlink.(v) = index.(v) then begin
-      let rec popped acc =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          if w = v then w :: acc else popped (w :: acc)
-        | [] -> acc
-      in
-      sccs := popped [] :: !sccs
-    end
-  in
-  for v = 0 to nregions - 1 do
-    if index.(v) = -1 then strongconnect v
-  done;
-  let sccs =
-    List.map (fun c -> List.sort compare c) !sccs
-    |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
-  in
-  let group_regions = Array.of_list sccs in
-  let group_of = Array.make (max nregions 1) 0 in
-  Array.iteri
-    (fun g members -> List.iter (fun r -> group_of.(r) <- g) members)
-    group_regions;
   let name_of = Hashtbl.create 64 in
   List.iter
     (fun (Signal.Pack s) -> Hashtbl.replace name_of (Signal.id s) (Signal.name s))
@@ -742,11 +658,8 @@ let plan : type r. r Signal.t -> plan =
     p_defaults = defaults;
     p_state_init = state_init;
     p_state_node = state_node;
-    p_region_ops = region_ops;
     p_reps = Array.of_list (List.map (fun rg -> rg.rg_rep) regions);
     p_schedules = schedules;
-    p_group_of = group_of;
-    p_group_regions = group_regions;
     p_sources = sources;
     p_propagate = Array.make n propagate;
     p_inputs = List.rev !inputs;
@@ -764,12 +677,10 @@ let slot pl id = try Hashtbl.find pl.p_slot_of id with Not_found -> -1
 let propagate_handlers pl = pl.p_propagate
 let region_count pl = Array.length pl.p_reps
 let region_rep pl i = pl.p_reps.(i)
-let region_ops pl i = pl.p_region_ops.(i)
 
 let no_schedule =
   {
     sc_region = -1;
-    sc_cone_size = 0;
     sc_root = false;
     sc_ops = [||];
     sc_nodes = [||];
@@ -786,9 +697,7 @@ let defaults pl = pl.p_defaults
 let state_count pl = Array.length pl.p_state_init
 let state_node pl k = pl.p_state_node.(k)
 let state_initial pl k = pl.p_state_init.(k)
-let group_count pl = Array.length pl.p_group_regions
-let group_of pl i = pl.p_group_of.(i)
-let group_regions pl g = pl.p_group_regions.(g)
+let group_count = region_count
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache *)

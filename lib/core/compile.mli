@@ -32,7 +32,11 @@
     delay re-entries (each with its value), observed emissions, the
     display — it reports as {!effect}s appended to one queue. This module
     holds the partitioning and the op compiler; {!Exec} owns dispatch,
-    accounting, supervision and the effects' application. *)
+    accounting, supervision and the effects' application.
+
+    A region is also the unit of placement: a source's {!schedule} lies in
+    one region, so a wake runs one region, and {!Exec} runs each region on
+    its own lane. *)
 
 type round = {
   epoch : int;
@@ -161,22 +165,10 @@ val state_initial : plan -> int -> Obj.t
 (** The initial value of a state slot, as seeded into fresh arenas. *)
 
 val group_count : plan -> int
-(** Number of region {e groups}: strongly connected components of the
-    seam graph, which links two regions when an async/delay cut has its
-    producer in one and its boundary node in the other. A group is one
-    region unless seams point both ways between regions. Groups are the
-    unit of compiled execution placement — one lane thread per group, or
-    one pool task per active group of a wave; regions of one group run
-    sequentially, in index order. Groups need no order among themselves
-    inside a wave: a source's cone is region-local and boundary effects
-    are buffered until the wave ends. Numbered by smallest member
-    region. *)
-
-val group_of : plan -> int -> int
-(** [group_of plan i] is the group of region [i]. *)
-
-val group_regions : plan -> int -> int list
-(** Member region indices of a group, ascending. *)
+(** Lanes: one per region, so this is {!region_count}. A region is the
+    compiled executor's unit of placement — one lane thread per region,
+    or one pool task per active region of a wave. Kept as an alias for
+    readers of the [compile.groups] metric. *)
 
 val to_dot : ?label:string -> 'a Signal.t -> string
 (** Like {!Signal.to_dot}, with each synchronous region drawn as a dashed
@@ -258,7 +250,6 @@ type op = exec -> round -> unit
 
 type schedule = {
   sc_region : int;  (** The region the ops belong to; [-1] for none. *)
-  sc_cone_size : int;  (** Member nodes among the ops. *)
   sc_root : bool;  (** The root is a member: the wake reaches the display. *)
   sc_ops : op array;  (** Run in order. *)
   sc_nodes : int array;
@@ -276,10 +267,6 @@ val schedule : plan -> int -> schedule
 (** [schedule plan source]: the plan's own record (no allocation); a
     schedule of no ops and region [-1] for a node that is not a source of
     the plan. *)
-
-val region_ops : plan -> int -> schedule
-(** All of region [i]'s ops, in plan order: what flood dispatch runs for
-    the region on every wake. *)
 
 val propagate : handler
 (** The [Propagate] policy's handler: re-raises the user's exception

@@ -13,19 +13,19 @@
      dispatch row), all computable from the schedule alone. The wake
      becomes one [Compile.round] that carries the value to the source
      member, which writes it.
-   - The wake's work runs on a {e lane}: a [Compile.exec] record, plain
-     data over the shared arena with its own counters, failure handlers
-     and effect queue. Under cone dispatch it is the source's schedule,
-     under flood every region's full op list. [step] runs the
-     round at once on the instance's sequential lane. Otherwise the round
-     is queued on the woken groups' lanes, in one of two placements. Waves
-     ([admit]): [run_groups] runs every active lane inline or as one flat
-     [Pool.run] batch. Lanes ([admit_lanes]): one caller thread per group
-     takes one round at a time ([step_lane]).
+   - The wake's work is its source's schedule, which lies in one region,
+     and it runs on a {e lane}: a [Compile.exec] record, plain data over
+     the shared arena with its own counters, failure handlers and effect
+     queue. [step] runs the round at once on the instance's sequential
+     lane. Otherwise the round is queued on its region's lane, one lane
+     per region, in one of two placements. Waves ([admit]): [run_lanes]
+     runs every active lane inline or as one flat [Pool.run] batch. Lanes
+     ([admit_lanes]): one caller thread per region takes one round at a
+     time ([step_lane]).
    - No lane performs a boundary effect: the ops append async fires and
      delay schedules (each with its value), displays and observed
      emissions to the lane's effect queue, and they are applied to the
-     caller's hooks — by [flush], in (admission epoch, group) order, or by
+     caller's hooks — by [flush], in admission epoch order, or by
      [step_lane] right after the round that produced them. The one
      exception is a caller's [~display] sink that is safe to call from
      whichever domain runs the root's region (a serving session's change
@@ -37,14 +37,14 @@
      runtime builds one for itself over [()]. So no instance carries
      hook closures of its own.
 
-   Why buffering is exact: under cone dispatch one event wakes one region
-   (a source's synchronous cone is region-local), groups share no slot or
-   counter, and no boundary effect is consumed in the epoch that
-   produces it — async fires and delays re-enter as later events, displays
-   only leave the graph. So flushing after the run, stably ordered by
-   (epoch, group), reproduces exactly what a one-event-at-a-time
-   dispatcher would have done, whatever ran where and in whatever order:
-   a wave's groups need no order among themselves. *)
+   Why buffering is exact: one event wakes one region (a source's
+   synchronous cone is region-local), lanes share no slot or counter, and
+   no boundary effect is consumed in the epoch that produces it — async
+   fires and delays re-enter as later events, displays only leave the
+   graph. So flushing after the run, stably ordered by epoch, reproduces
+   exactly what a one-event-at-a-time dispatcher would have done,
+   whatever ran where and in whatever order: a wave's lanes need no order
+   among themselves. *)
 
 type error_policy =
   | Propagate
@@ -96,26 +96,23 @@ type 'c hooks = {
   observe : 'c -> node:int -> epoch:int -> changed:bool -> unit;
 }
 
-(* A region group's lane with the work admitted to it. *)
-type group = {
-  g_exec : Compile.exec;
-  g_regions : int array;  (* region indices this lane runs, ascending *)
-  mutable g_snap : Stats.t;  (* waves: the lane's counters last merged *)
-  g_rounds : Compile.round Queue.t;
-  mutable g_last : int;  (* epoch last queued, so a round queues once *)
+(* A region's lane with the rounds admitted to it. *)
+type lane = {
+  l_exec : Compile.exec;
+  mutable l_snap : Stats.t;  (* waves: the lane's counters last merged *)
+  l_rounds : Compile.round Queue.t;
 }
 
 (* [seq] is the sequential lane and holds the instance's own data: its
-   arena, counters and display sink. Group lanes share its arena. *)
+   arena, counters and display sink. Region lanes share its arena. *)
 type t = {
   plan : Compile.plan;
   seq : Compile.exec;
   tracer : Trace.t option;
   offset : int;  (* added to node ids in trace rows *)
   policy : error_policy;
-  flood : bool;  (* every wake runs every region's full op list *)
   mutable epoch : int;
-  mutable groups : group array;  (* [||] until first [admit] *)
+  mutable lanes : lane array;  (* [||] until first [admit] *)
 }
 
 (* A lane's failure handlers, billing [stats]: the plan's shared array
@@ -129,8 +126,8 @@ let handlers ~policy ~tracer ~offset plan stats =
       (fun id -> handler ~policy ~stats ~tracer ~node:(offset + id))
       (Compile.slot_ids plan)
 
-let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
-    ?(observe = false) ?display ~policy ~stats ~epoch plan arena =
+let create ?tracer ?(offset = 0) ?(label = "") ?(observe = false) ?display
+    ~policy ~stats ~epoch plan arena =
   (match tracer with
   | None -> ()
   | Some tr ->
@@ -167,9 +164,8 @@ let create ?tracer ?(offset = 0) ?(label = "") ?(flood = false)
     tracer;
     offset;
     policy;
-    flood;
     epoch;
-    groups = [||];
+    lanes = [||];
   }
 
 let plan x = x.plan
@@ -177,18 +173,19 @@ let arena x = x.seq.x_arena
 let stats x = x.seq.x_stats
 let epoch x = x.epoch
 
-(* Group lanes, built lazily by the first admission (opening an instance
-   builds only the sequential lane), whose placement picks their counters. Waves
-   give each lane scratch counters, so concurrently running groups never
-   share a mutable word ([flush] merges their deltas); lanes all run on
-   the caller's domain and bill the instance's counters directly. *)
-let group_lanes x ~stats =
-  if Array.length x.groups = 0 then
-    x.groups <-
-      Array.init (Compile.group_count x.plan) (fun g ->
+(* Region lanes, built lazily by the first admission (opening an
+   instance builds only the sequential lane), whose placement picks their
+   counters. Waves give each lane scratch counters, so concurrently
+   running lanes never share a mutable word ([flush] merges their
+   deltas); lanes all run on the caller's domain and bill the instance's
+   counters directly. *)
+let region_lanes x ~stats =
+  if Array.length x.lanes = 0 then
+    x.lanes <-
+      Array.init (Compile.region_count x.plan) (fun _ ->
           let stats = stats () in
           {
-            g_exec =
+            l_exec =
               {
                 x.seq with
                 x_stats = stats;
@@ -197,12 +194,10 @@ let group_lanes x ~stats =
                     x.plan stats;
                 x_effects = Queue.create ();
               };
-            g_regions = Array.of_list (Compile.group_regions x.plan g);
-            g_snap = Stats.copy stats;
-            g_rounds = Queue.create ();
-            g_last = 0;
+            l_snap = Stats.copy stats;
+            l_rounds = Queue.create ();
           });
-  x.groups
+  x.lanes
 
 (* ------------------------------------------------------------------ *)
 (* Admission and execution *)
@@ -214,12 +209,8 @@ let group_lanes x ~stats =
 let open_epoch x ~source =
   let pl = x.plan in
   let sc = Compile.schedule pl source in
-  let real = if x.flood || sc.Compile.sc_root then 1 else 0 in
-  let woken =
-    if x.flood then Compile.region_count pl
-    else if sc.Compile.sc_region < 0 then 0
-    else 1
-  in
+  let real = if sc.Compile.sc_root then 1 else 0 in
+  let woken = if sc.Compile.sc_region < 0 then 0 else 1 in
   x.epoch <- x.epoch + 1;
   let st = stats x in
   st.Stats.events <- st.Stats.events + 1;
@@ -250,35 +241,23 @@ let run_ops x (ex : Compile.exec) (sc : Compile.schedule) (r : Compile.round)
   | None -> ()
   | Some tr -> Trace.node_end tr ~node ~epoch:r.epoch
 
-(* A wake's work on the sequential lane: the schedule under cone dispatch
-   (it wakes at most one region), every region in index order under
-   flood. *)
+(* A wake's work on the sequential lane: its schedule, at most one
+   region. *)
 let step x ~source ~value =
   let sc = open_epoch x ~source in
-  let r = { Compile.epoch = x.epoch; source; value } in
-  if x.flood then
-    for i = 0 to Compile.region_count x.plan - 1 do
-      run_ops x x.seq (Compile.region_ops x.plan i) r
-    done
-  else if sc.sc_region >= 0 then run_ops x x.seq sc r
+  if sc.sc_region >= 0 then
+    run_ops x x.seq sc { Compile.epoch = x.epoch; source; value }
 
-(* Queue one wake's round on every woken group's lane, once per group,
-   and tell [wake] which groups got it. *)
+(* Queue one wake's round on its region's lane and tell [wake] which. *)
 let queue_round x ~stats ~source ~value ~wake =
   let sc = open_epoch x ~source in
-  let lanes = group_lanes x ~stats in
-  let r = { Compile.epoch = x.epoch; source; value } in
-  let first = if x.flood then 0 else sc.sc_region in
-  let last = if x.flood then Compile.region_count x.plan - 1 else sc.sc_region in
-  for i = max first 0 to last do
-    let g = Compile.group_of x.plan i in
-    let gr = lanes.(g) in
-    if gr.g_last <> r.epoch then begin
-      gr.g_last <- r.epoch;
-      Queue.push r gr.g_rounds;
-      wake g
-    end
-  done
+  let i = sc.sc_region in
+  if i >= 0 then begin
+    Queue.push
+      { Compile.epoch = x.epoch; source; value }
+      (region_lanes x ~stats).(i).l_rounds;
+    wake i
+  end
 
 let admit x ~source ~value =
   queue_round x ~stats:Stats.create ~source ~value ~wake:ignore
@@ -286,39 +265,33 @@ let admit x ~source ~value =
 let admit_lanes x ~source ~value ~wake =
   queue_round x ~stats:(fun () -> stats x) ~source ~value ~wake
 
-(* Run a group's oldest admitted round: the source's schedule, whose
-   region is the group's (it was queued only here), or under flood the
-   group's regions in full. *)
-let run_round x gr =
-  let r = Queue.pop gr.g_rounds in
-  if x.flood then
-    Array.iter
-      (fun i -> run_ops x gr.g_exec (Compile.region_ops x.plan i) r)
-      gr.g_regions
-  else run_ops x gr.g_exec (Compile.schedule x.plan r.Compile.source) r
+(* Run a lane's oldest admitted round: its source's schedule. *)
+let run_round x ln =
+  let r = Queue.pop ln.l_rounds in
+  run_ops x ln.l_exec (Compile.schedule x.plan r.Compile.source) r
 
-(* Run every active group's admitted rounds, each group's in epoch order:
-   as one [pool] batch when several are active, otherwise inline in group
-   index order. A group's counters are also added to [dstats] at the
-   running worker's index (0 inline). Groups share no mutable word and
+(* Run every active lane's admitted rounds, each lane's in epoch order:
+   as one [pool] batch when several are active, otherwise inline in
+   region index order. A lane's counters are also added to [dstats] at
+   the running worker's index (0 inline). Lanes share no mutable word and
    hand each other nothing before [flush], so any order is exact. *)
-let run_groups ?pool ?(seed = 0) x ~dstats =
-  let run gr w =
-    let st = gr.g_exec.x_stats in
+let run_lanes ?pool ?(seed = 0) x ~dstats =
+  let run ln w =
+    let st = ln.l_exec.x_stats in
     let before = Stats.copy st in
-    while not (Queue.is_empty gr.g_rounds) do
-      run_round x gr
+    while not (Queue.is_empty ln.l_rounds) do
+      run_round x ln
     done;
     Stats.add_delta dstats.(w) ~before ~after:st
   in
   let active =
     List.filter
-      (fun gr -> not (Queue.is_empty gr.g_rounds))
-      (Array.to_list x.groups)
+      (fun ln -> not (Queue.is_empty ln.l_rounds))
+      (Array.to_list x.lanes)
   in
   match (pool, active) with
   | Some p, _ :: _ :: _ -> Pool.run ~seed p (Array.of_list (List.map run active))
-  | _ -> List.iter (fun gr -> run gr 0) active
+  | _ -> List.iter (fun ln -> run ln 0) active
 
 (* ------------------------------------------------------------------ *)
 (* Flush *)
@@ -342,32 +315,32 @@ let apply_all x hooks c (ex : Compile.exec) =
     apply x hooks c (Queue.pop ex.x_effects)
   done
 
-(* Lane placement: run group [g]'s oldest admitted round, then apply that
-   round's effects at once, so a display or an async fire leaves as soon
-   as its region ran rather than at the end of a wave. *)
-let step_lane x g hooks c =
-  let gr = x.groups.(g) in
-  run_round x gr;
-  apply_all x hooks c gr.g_exec
+(* Lane placement: run region [i]'s oldest admitted round, then apply
+   that round's effects at once, so a display or an async fire leaves as
+   soon as its region ran rather than at the end of a wave. *)
+let step_lane x i hooks c =
+  let ln = x.lanes.(i) in
+  run_round x ln;
+  apply_all x hooks c ln.l_exec
 
 (* Apply every buffered effect to [hooks]: the sequential lane's in
-   execution order, the group lanes' merged stably by admission epoch over
-   ascending group index — each lane's own order is kept within a round,
-   so member observations precede their round's display. Group scratch
-   counters are merged into the instance's. *)
+   execution order, the region lanes' merged stably by admission epoch — a
+   round ran on one lane, whose own order is kept, so member observations
+   precede their round's display. Lane scratch counters are merged into
+   the instance's. *)
 let flush x hooks c =
   apply_all x hooks c x.seq;
-  if Array.length x.groups > 0 then begin
+  if Array.length x.lanes > 0 then begin
     let tagged =
       Array.fold_right
-        (fun gr acc ->
-          let ex = gr.g_exec in
+        (fun ln acc ->
+          let ex = ln.l_exec in
           let effs = List.of_seq (Queue.to_seq ex.x_effects) in
           Queue.clear ex.x_effects;
-          Stats.add_delta (stats x) ~before:gr.g_snap ~after:ex.x_stats;
-          gr.g_snap <- Stats.copy ex.x_stats;
+          Stats.add_delta (stats x) ~before:ln.l_snap ~after:ex.x_stats;
+          ln.l_snap <- Stats.copy ex.x_stats;
           effs @ acc)
-        x.groups []
+        x.lanes []
     in
     List.iter
       (fun e -> apply x hooks c e)

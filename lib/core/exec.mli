@@ -11,23 +11,23 @@
     that writes it. A wake is taken in three phases. {!step}, {!admit} or
     {!admit_lanes} assigns the epoch, looks up the source's
     {!Compile.schedule} and bills every per-event counter it determines
-    (messages included). The schedule's ops (under flood, every region's)
+    (messages included). The schedule lies in one region, and its ops
     then run on a {e lane}: a {!Compile.exec} record, plain data over the
     instance's arena with its own counters, failure handlers and effect
     queue. They run at once on the instance's sequential lane ({!step}),
-    or queued on their region groups' lanes in one of two placements:
-    {e waves} ({!admit}), whose active groups {!run_groups} runs inline
-    or as one flat {!Pool.run} batch, or {e lanes} ({!admit_lanes}), one
-    caller thread per group taking one round at a time ({!step_lane}).
-    An instance uses one placement.
+    or queued on their region's lane — one lane per region — in one of
+    two placements: {e waves} ({!admit}), whose active lanes
+    {!run_lanes} runs inline or as one flat {!Pool.run} batch, or
+    {e lanes} ({!admit_lanes}), one caller thread per region taking one
+    round at a time ({!step_lane}). An instance uses one placement.
 
     Running never performs a boundary effect: ops append async fires and
     delay schedules (each with its value), displays and observed
     emissions to their lane's effect queue as {!Compile.effect}s. They
     are applied to the caller's {!hooks}, with the caller's context: by
-    {!flush} in (admission epoch, group) order, the order a
-    one-event-at-a-time dispatcher would have produced whatever ran
-    where (which is why a wave's groups need no order among themselves),
+    {!flush} in admission epoch order, the order a one-event-at-a-time
+    dispatcher would have produced whatever ran where (which is why a
+    wave's lanes need no order among themselves),
     or by {!step_lane} right after their round. Only displays may bypass
     the queue, into a [~display] sink given at {!create}. *)
 
@@ -62,7 +62,6 @@ val create :
   ?tracer:Trace.t ->
   ?offset:int ->
   ?label:string ->
-  ?flood:bool ->
   ?observe:bool ->
   ?display:(epoch:int -> changed:bool -> Obj.t -> unit) ->
   policy:error_policy ->
@@ -74,14 +73,13 @@ val create :
 (** An instance over [arena], numbering its next wake [epoch + 1] and
     billing [stats]. [offset] is added to
     node ids in trace rows and [label] prefixes the region rows' names
-    (registered with [tracer] here). [flood] runs every region's full op
-    list on every wake instead of the source's schedule; [observe]
-    buffers one {!hooks.observe} call per node emission.
+    (registered with [tracer] here). [observe] buffers one
+    {!hooks.observe} call per node emission.
     [display], when given, receives the root's emissions directly from
     the lane that runs the root's region instead of through {!flush}
     (after the tracer's display row, when traced): it must be safe to
     call from that lane's domain (a per-instance log, say). Opening an
-    instance builds the sequential lane's record; group lanes are built
+    instance builds the sequential lane's record; region lanes are built
     by the first {!admit} or {!admit_lanes}. *)
 
 val plan : t -> Compile.plan
@@ -93,23 +91,23 @@ val epoch : t -> int
 
 val step : t -> source:int -> value:Obj.t -> unit
 (** Admit one wake of [source] carrying its new [value] and run its
-    schedule (under flood, every region in index order) at once on the
-    sequential lane. *)
+    schedule at once on the sequential lane. *)
 
 val admit : t -> source:int -> value:Obj.t -> unit
 (** Admit one wake of [source] carrying [value] and queue its round on
-    the woken regions' group lanes, for {!run_groups}. *)
+    its region's lane, for {!run_lanes}. *)
 
 val admit_lanes : t -> source:int -> value:Obj.t -> wake:(int -> unit) -> unit
-(** The lane placement's {!admit}: queue the round on the woken groups'
-    lanes and call [wake g] for each of them, once per round. The lanes
-    run on the caller's domain and bill {!stats} directly. *)
+(** The lane placement's {!admit}: queue the round on its region's lane
+    and call [wake i] with the region's index (not at all for a source
+    that wakes no region). The lanes run on the caller's domain and bill
+    {!stats} directly. *)
 
-val run_groups : ?pool:Pool.t -> ?seed:int -> t -> dstats:Stats.t array -> unit
-(** Run every group's admitted rounds, each group's in epoch order: as
-    one {!Pool.run} batch on [pool] ([seed] picks its deal) when several
-    groups are active, otherwise inline. Groups share no mutable word and
-    effects wait for {!flush}, so the order is unobservable. A group's
+val run_lanes : ?pool:Pool.t -> ?seed:int -> t -> dstats:Stats.t array -> unit
+(** Run every lane's admitted rounds, each lane's in epoch order: as one
+    {!Pool.run} batch on [pool] ([seed] picks its deal) when several
+    lanes are active, otherwise inline. Lanes share no mutable word and
+    effects wait for {!flush}, so the order is unobservable. A lane's
     counters are also added to [dstats] at the index of the worker that
     ran it (0 inline). *)
 
@@ -131,17 +129,17 @@ type 'c hooks = {
     passes each session as the context. *)
 
 val step_lane : t -> int -> 'c hooks -> 'c -> unit
-(** [step_lane x g hooks c] runs the oldest round {!admit_lanes} queued on
-    group [g], then applies that round's effects to [hooks] as {!flush}
+(** [step_lane x i hooks c] runs the oldest round {!admit_lanes} queued on
+    region [i]'s lane, then applies that round's effects to [hooks] as {!flush}
     would, so a display or an async fire leaves as soon as its region ran.
     Lanes need no {!flush}.
-    @raise Queue.Empty if [g] has no admitted round. *)
+    @raise Queue.Empty if region [i] has no admitted round. *)
 
 val flush : t -> 'c hooks -> 'c -> unit
 (** [flush x hooks c] applies every buffered effect to [hooks] with
     context [c] (async fires also bill
     {!Stats.t.async_events}, displays the tracer's display row), in
-    (admission epoch, group) order; merge the group lanes' counters into
+    admission epoch order; merge the region lanes' counters into
     {!stats}. *)
 
 val private_words : t -> Obj.t -> int

@@ -1,9 +1,9 @@
 (* A small work-stealing pool of OCaml 5 domains.
 
    Every batch is a flat array of independent tasks: a serving session
-   draining its inbox, or one region group of a runtime wave. Tasks share
+   draining its inbox, or one region lane of a runtime wave. Tasks share
    no mutable word (sessions share only the immutable plan; a wave's
-   groups own disjoint arena slots and buffer their boundary effects),
+   lanes own disjoint arena slots and buffer their boundary effects),
    never block, and never spawn further tasks — async re-entries wait for
    the task's own loop or a later batch. That shape lets the pool be much
    simpler than a general scheduler:

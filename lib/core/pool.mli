@@ -5,8 +5,8 @@
     (Sections 1, 3.3). Two layers exploit that here: the serving layer runs
     batches of independent session tasks (sessions share nothing mutable,
     so a batch is embarrassingly parallel), and the compiled runtime's
-    wave placement runs the active region groups of one event wave as one
-    batch (groups own disjoint state and buffer every boundary effect
+    wave placement runs the active region lanes of one event wave as one
+    batch (lanes own disjoint state and buffer every boundary effect
     until the wave is flushed, so they need no order among themselves).
 
     The pool knows nothing about either client: tasks are [int -> unit]

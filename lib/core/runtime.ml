@@ -705,21 +705,21 @@ let attach_tracer tracer gen =
    instance's hooks act as the display loop, the async boundary threads
    and the delay spawner. Two placements run the admitted rounds:
 
-   - Lanes (the default): one thread per region group, woken once per
-     round queued on it. A lane runs one round and applies its effects
-     before it takes the next, so a display or async fire leaves as soon
-     as its region ran, and a region that charges virtual time
-     ([Cml.sleep] inside a lift) holds back only its own group — the §5
-     property of [async]. [Sequential] waits for the display's ack.
+   - Lanes (the default): one thread per region, woken once per round
+     queued on it. A lane runs one round and applies its effects before
+     it takes the next, so a display or async fire leaves as soon as its
+     region ran, and a region that charges virtual time ([Cml.sleep]
+     inside a lift) holds back only itself — the §5 property of [async].
+     [Sequential] waits for the display's ack.
    - Waves ([~domains]/[~pool]): the dispatcher sweeps every queued event
-     into a wave, runs the wave's active groups as one pool batch or
-     inline, and flushes the buffered effects in (admission epoch, group)
-     order, so the change trace is bit-identical for every domain count
+     into a wave, runs the wave's active lanes as one pool batch or
+     inline, and flushes the buffered effects in admission epoch order,
+     so the change trace is bit-identical for every domain count
      and seed (see [Exec]; checked by the explorer's Domains mode and
      bench B19). [Sequential] keeps waves at size one. *)
 
-let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
-    ~fused ~waves ~pool ~owned_pool root =
+let start_compiled ~mode ~history ~tracer ~policy ~observer ~fused ~waves
+    ~pool ~owned_pool root =
   let pl = Compile.plan_of root in
   let gen = fresh_generation () in
   let stats = Stats.create () in
@@ -729,8 +729,8 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
   stats.Stats.fused_nodes <- fused;
   stats.Stats.compiled_regions <- Compile.region_count pl;
   let x =
-    Exec.create ?tracer ~flood:(dispatch = Flood) ~observe:(observer <> None)
-      ~policy ~stats ~epoch:0 pl (Compile.new_arena pl)
+    Exec.create ?tracer ~observe:(observer <> None) ~policy ~stats ~epoch:0
+      pl (Compile.new_arena pl)
   in
   let d_stats =
     if not waves then [||]
@@ -739,7 +739,7 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
       Array.init nworkers (fun _ -> Stats.create ())
   in
   let rt =
-    make_rt ~gen ~dispatch ~stats ~nodes:(Compile.node_count pl) ~history
+    make_rt ~gen ~dispatch:Cone ~stats ~nodes:(Compile.node_count pl) ~history
       ~sources:(Compile.sources pl) ~owned_pool ~d_stats root
   in
   List.iter
@@ -804,7 +804,7 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
               | None -> ()
             in
             admit_queued ());
-          Exec.run_groups
+          Exec.run_lanes
             ?pool:(if rt.stopped then None else pool)
             ~seed:stats.Stats.events x ~dstats:rt.d_stats;
           Exec.flush x hooks ();
@@ -813,26 +813,25 @@ let start_compiled ~mode ~dispatch ~history ~tracer ~policy ~observer
         serve None)
   else begin
     let wakes =
-      Array.init (Compile.group_count pl) (fun g ->
-          let wake = Mailbox.create ~name:(Printf.sprintf "lane:%d" g) () in
+      Array.init (Compile.region_count pl) (fun i ->
+          let wake = Mailbox.create ~name:(Printf.sprintf "lane:%d" i) () in
           Cml.spawn (fun () ->
               let rec lane () =
                 Mailbox.recv wake;
-                Exec.step_lane x g hooks ();
+                Exec.step_lane x i hooks ();
                 lane ()
               in
               lane ());
           wake)
     in
-    let wake g = Mailbox.send wakes.(g) () in
+    let wake i = Mailbox.send wakes.(i) () in
     Cml.spawn (fun () ->
         let rec serve pending =
           let source, value =
             match pending with Some e -> e | None -> Mailbox.recv new_event
           in
           Exec.admit_lanes x ~source ~value ~wake;
-          if acked && (dispatch = Flood || (Compile.schedule pl source).sc_root)
-          then
+          if acked && (Compile.schedule pl source).sc_root then
             Mailbox.recv ack;
           serve (settle ())
         in
@@ -869,9 +868,9 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   | _ -> ());
   (* The compiled backend runs plans on [Exec] with plain unbounded queues
      (backpressure would block the dispatcher or a lane itself), has no
-     site for the channel-level planted mutations, and is dirty-bit (i.e.
-     memoizing) by construction: a request outside that envelope is an
-     error, not a silent fallback. *)
+     site for the channel-level planted mutations, is dirty-bit (i.e.
+     memoizing) by construction and runs each wake's cone only: a request
+     outside that envelope is an error, not a silent fallback. *)
   let reject what =
     invalid_arg ("Runtime.start: backend Compiled cannot be combined with " ^ what)
   in
@@ -879,7 +878,8 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   | Compiled ->
     if mutate <> None then reject "mutate";
     if queue_capacity <> None then reject "queue_capacity";
-    if not memoize then reject "memoize:false"
+    if not memoize then reject "memoize:false";
+    if dispatch = Some Flood then reject "dispatch:Flood"
   | Pipelined ->
     if domains <> None || pool <> None then
       invalid_arg "Runtime.start: domains/pool need backend Compiled");
@@ -906,7 +906,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
       | None, Some k when k > 1 -> Some (Pool.create ~domains:k ())
       | _ -> None
     in
-    start_compiled ~mode ~dispatch ~history ~tracer ~policy:on_node_error
+    start_compiled ~mode ~history ~tracer ~policy:on_node_error
       ~observer
       ~fused:(fused (Compile.node_count (Compile.plan_of root)))
       ~waves:(domains <> None || pool <> None)

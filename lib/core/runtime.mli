@@ -60,9 +60,10 @@
     {!current}, {!message_log}, listeners, supervision and the per-event
     alignment invariants are identical (the equivalence is
     property-checked across the shape catalogue and through the
-    [Check.Explore] harness). [Compiled] is memoizing by construction and
-    keeps plain unbounded queues: {!start} rejects it with
-    [memoize:false], [queue_capacity] or [mutate]. *)
+    [Check.Explore] harness). [Compiled] is memoizing by construction,
+    runs each wake's cone only and keeps plain unbounded queues: {!start}
+    rejects it with [memoize:false], [dispatch:Flood], [queue_capacity] or
+    [mutate]. *)
 type backend =
   | Pipelined
       (** Fig. 10 verbatim: one green thread per node, one multicast
@@ -72,26 +73,26 @@ type backend =
           (see {!Compile}), run by one {!Exec} instance: node state in a
           flat arena, [No_change] as a dirty-bit skip, order-of-magnitude
           fewer context switches and messages per event. By default each
-          region {e group} ({!Compile.group_count}: regions joined by
-          two-way async seams) runs on its own green thread, a {e lane}
-          that applies a round's displays, async fires and delays as soon
-          as the round ran — so a costly step behind [async] holds back
-          only its own group, as the paper's §5 requires. Granularity:
-          virtual-time costs overlap between groups, not inside one (the
-          pipelined backend overlaps them node by node). A group is one
-          region unless async seams point both ways between regions, which
-          joins them into one group whose costs then run one after the
-          other. *)
+          region runs on its own green thread, a {e lane} that applies a
+          round's displays, async fires and delays as soon as the round
+          ran — so a costly step behind [async] holds back only its own
+          region, as the paper's §5 requires, whichever way the async
+          seams between regions point. Granularity: virtual-time costs
+          overlap between regions, not inside one (the pipelined backend
+          overlaps them node by node). *)
 
 type mode =
   | Pipelined  (** Paper semantics: nodes run concurrently, FIFO edges. *)
   | Sequential  (** Baseline: one event fully displayed before the next. *)
 
 type dispatch =
-  | Flood  (** Fig. 11 verbatim: every node emits every event. *)
+  | Flood
+      (** Fig. 11 verbatim: every node emits every event. The pipelined
+          backend's reference; [Compiled] rejects it. *)
   | Cone
       (** Reachability-pruned dispatch: only the affected cone runs; elided
-          [No_change] rounds are synthesized from epoch gaps. Default. *)
+          [No_change] rounds are synthesized from epoch gaps. Default, and
+          the compiled backend's only dispatch. *)
 
 (** What a node does when its user-supplied function (lifted function,
     [foldp] step, [drop_repeats] equality, fused composite step) raises.
@@ -225,10 +226,10 @@ val start :
     [domains]/[pool] place the compiled backend's rounds in {e waves}
     instead of lanes, to split one runtime's work across domains: the
     dispatcher batches queued events into a wave and runs its active
-    region groups as one flat batch on a domain pool (several groups) or
-    inline (one), flushing async/delay/display effects afterwards in
-    (admission epoch, group) order. Groups share no state and see none of
-    each other's effects before the flush, so they need no order among
+    regions' lanes as one flat batch on a domain pool (several regions)
+    or inline (one), flushing async/delay/display effects afterwards in
+    admission epoch order. Lanes share no state and see none of each
+    other's effects before the flush, so they need no order among
     themselves, and change traces are bit-identical for every domain
     count (property-checked by [Check.Explore]'s [Domains] policy and
     gated by bench B19). A wave
@@ -236,7 +237,7 @@ val start :
     ([Cml.sleep] inside a lift) delays the whole wave's flush, so async
     programs with costly branches keep their values and per-source order
     but stamp displays later than lanes would; such costs are only
-    supported inline (single-group waves or [~domains:1]) — on a pool
+    supported inline (single-region waves or [~domains:1]) — on a pool
     worker the scheduler is unavailable and the step fails under the
     node's supervision policy. [~domains:k] with [k > 1] creates a private
     pool closed by {!stop}; [~domains:1] runs waves inline with no pool
@@ -246,7 +247,8 @@ val start :
     is negative, when a [Restart] budget is negative, when
     [queue_capacity < 1], when [domains < 1], when a [mutate]
     occurrence is [< 1], when [backend = Compiled] is combined with
-    [mutate], [queue_capacity] or [memoize:false], or when
+    [mutate], [queue_capacity], [memoize:false] or [dispatch:Flood], or
+    when
     [domains]/[pool] is given with [backend = Pipelined]. *)
 
 val inject : _ t -> 'b Signal.t -> 'b -> unit
@@ -353,7 +355,7 @@ val at_quiescence : _ t -> (unit -> unit) -> unit
 val domain_stats : _ t -> Stats.t array
 (** Per-worker-slot {!Stats} attribution under wave placement
     ([start ~domains]/[~pool]): index [w] accumulates the deltas
-    of region-group work executed by pool worker [w] (slot 0 doubles as
+    of region-lane work executed by pool worker [w] (slot 0 doubles as
     the coordinator under [~domains:1]). Empty outside wave placement. *)
 
 val source_ids : _ t -> (int * string) list

@@ -93,10 +93,6 @@ val dispatch : t -> source:int -> epoch:int -> targets:int -> unit
 
 val display : t -> epoch:int -> changed:bool -> unit
 
-val chan_send : t -> chan:string -> depth:int -> unit
-
-val chan_recv : t -> chan:string -> depth:int -> unit
-
 val switch : t -> count:int -> unit
 
 val attach : t -> unit

@@ -34,26 +34,26 @@ let contains hay needle =
 
 (* ------------------------------------------------------------------ *)
 (* Randomized compiled-vs-pipelined trace equivalence over the shared
-   Gen_graph catalogue, across mode x dispatch and with fusion both on and
-   off. Chain functions are injective and cost no virtual time, so the
-   compiled backend must be bit-identical: same change values, same virtual
-   times, same display message log. *)
+   Gen_graph catalogue, across both modes and with fusion both on and off.
+   Chain functions are injective and cost no virtual time, so the compiled
+   backend (cone dispatch, its only one) must be bit-identical to the
+   pipelined Cone run: same change values, same virtual times, same
+   display message log. Pipelined Flood displays every round, so against
+   it only the changes and the current value must agree. *)
 
 let equivalent shape events (mode, dispatch) fuse =
-  let pipelined =
-    Gen_graph.run_shape ~backend:Runtime.Pipelined ~fuse ~mode ~dispatch shape
-      events
+  let run backend dispatch =
+    Gen_graph.run_shape ~backend ~fuse ~mode ~dispatch shape events
   in
-  let compiled =
-    Gen_graph.run_shape ~backend:Runtime.Compiled ~fuse ~mode ~dispatch shape
-      events
-  in
+  let pipelined = run Runtime.Pipelined dispatch in
+  let compiled = run Runtime.Compiled Runtime.Cone in
   let log_p = Runtime.message_log pipelined in
   let log_c = Runtime.message_log compiled in
   Runtime.changes pipelined = Runtime.changes compiled
   && Runtime.current pipelined = Runtime.current compiled
-  && List.length log_p = List.length log_c
-  && List.for_all2 Gen_graph.entry_equal log_p log_c
+  && (dispatch = Runtime.Flood
+     || List.length log_p = List.length log_c
+        && List.for_all2 Gen_graph.entry_equal log_p log_c)
 
 let prop_compiled_equals_pipelined =
   QCheck.Test.make
@@ -147,7 +147,7 @@ let test_partition_covers_every_shape () =
 
 (* Cone locality: every node of a source's synchronous cone lies in the
    one region its schedule names, fused and unfused, over the whole
-   catalogue. A wave runs its region groups in any order on the strength
+   catalogue. A wave runs its region lanes in any order on the strength
    of this (with buffered boundary effects), and a schedule is one region's
    op subsequence; a repartition that splits a synchronous cone must fail
    here. *)
@@ -177,9 +177,9 @@ let test_source_cone_wakes_one_region () =
    catalogue, fused and unfused, a source's schedule holds exactly its
    cone's member ops plus the async/delay taps whose inner node is in the
    cone, in plan order (deps first, each tap right after its inner node,
-   taps in plan order of their boundary node). Under flood, a region's op
-   list is the same construction over all of its members. The compiled
-   Flood-vs-Cone trace tests stay the behavioural oracle. *)
+   taps in plan order of their boundary node), and its member entries
+   number the cone's size. The compiled-vs-pipelined trace tests stay the
+   behavioural oracle. *)
 let test_source_schedule_is_its_cone () =
   for shape = 0 to Gen_graph.shape_count - 1 do
     List.iter
@@ -218,19 +218,10 @@ let test_source_schedule_is_its_cone () =
             check_int (label ^ ": one op per entry") (Array.length sc.sc_nodes)
               (Array.length sc.sc_ops);
             check_int (label ^ ": cone size") (Reach.cone_size reach src)
-              sc.sc_cone_size;
+              (List.length (List.filter in_cone (Array.to_list sc.sc_nodes)));
             check_bool (label ^ ": reaches the display iff the root is in it")
               (in_cone (Signal.id root)) sc.sc_root)
           (Compile.sources plan);
-        List.iter
-          (fun rg ->
-            check_ints
-              (Printf.sprintf "%s: region %d's flood op list" label
-                 rg.Compile.rg_index)
-              (expected (fun id -> List.mem id rg.Compile.rg_member_ids))
-              (Array.to_list
-                 (Compile.region_ops plan rg.Compile.rg_index).sc_nodes))
-          (Compile.regions plan);
         check_int (label ^ ": a non-source wakes nothing") (-1)
           (Compile.schedule plan (Signal.id root + 1_000_000)).sc_region)
       [ false; true ]
@@ -314,21 +305,36 @@ let test_trace_reports_region_rows () =
         true (ns.Trace.rounds > 0))
     s.Trace.nodes
 
-(* memoize:false is the pull-style baseline that re-runs steps on quiescent
-   rounds — incompatible with the dirty-bit skip, so the compiled backend
-   rejects it instead of silently running the pipelined one. *)
-let test_memoize_false_rejected () =
+(* Options outside the compiled envelope raise instead of silently running
+   the pipelined backend. *)
+let compiled_rejects what start =
   let raised =
     with_world (fun () ->
         let a = Signal.input ~name:"a" 0 in
-        match
-          Runtime.start ~backend:Runtime.Compiled ~memoize:false
-            (Signal.lift succ a)
-        with
+        match start (Signal.lift succ a) with
         | _ -> false
         | exception Invalid_argument _ -> true)
   in
-  check_bool "compiled + memoize:false raises" true raised
+  check_bool (Printf.sprintf "compiled + %s raises" what) true raised
+
+(* memoize:false is the pull-style baseline that re-runs steps on quiescent
+   rounds — incompatible with the dirty-bit skip. *)
+let test_memoize_false_rejected () =
+  compiled_rejects "memoize:false" (fun root ->
+      Runtime.start ~backend:Runtime.Compiled ~memoize:false root)
+
+(* Flood runs every node on every round; the compiled backend runs each
+   wake's cone only. The explorer rejects it up front too. *)
+let test_flood_rejected () =
+  compiled_rejects "dispatch:Flood" (fun root ->
+      Runtime.start ~backend:Runtime.Compiled ~dispatch:Runtime.Flood root);
+  check_bool "Explore.run: compiled + dispatch:Flood raises" true
+    (match
+       Explore.run ~backend:Runtime.Compiled ~dispatch:Runtime.Flood
+         ~schedules:1 (Mutate.victim ())
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache: compiling a graph shape is paid once; later runtimes over
@@ -454,7 +460,7 @@ let test_clear_plan_cache_clears_fuse_memos () =
     (Compile.plan_of fused2 != p1)
 
 (* ------------------------------------------------------------------ *)
-(* Schedule exploration: the compiled backend's region-group lanes interleave
+(* Schedule exploration: the compiled backend's region lanes interleave
    under the same chaos schedules, and every invariant must hold. *)
 
 let explore_deterministic () =
@@ -683,6 +689,7 @@ let () =
           tc "trace rows are regions, never stale members" `Quick
             test_trace_reports_region_rows;
           tc "memoize:false rejected" `Quick test_memoize_false_rejected;
+          tc "dispatch:Flood rejected" `Quick test_flood_rejected;
         ] );
       ( "plan-cache",
         [

@@ -1,13 +1,14 @@
 (* Intra-session parallel region dispatch (Runtime.start ~domains / ~pool).
 
-   The oracle is determinism: one event wave may fan its region groups out
+   The oracle is determinism: one event wave may fan its region lanes out
    over a domain pool, but admission order, epoch assignment and effect
    flushing are coordinator-side and plan-deterministic, so the observable
    behaviour — change trace (virtual times included), message log and
    counter totals — must be bit-identical for every domain count and every
    pool schedule seed. The properties here check exactly that over the
-   shared gen_graph catalogue and on a wave with several active groups,
-   plus the satellite fixes that ride along: Pool.run's error path,
+   shared gen_graph catalogue, on a wave with several active regions and
+   on two regions with async seams both ways, plus the satellite fixes
+   that ride along: Pool.run's error path,
    atomic generation minting under Domain.spawn, and the Keyboard/Touch
    per-generation tables returning to baseline after open/run/stop
    churn. *)
@@ -22,6 +23,7 @@ module World = Elm_std.World
 module Keyboard = Elm_std.Keyboard
 module Touch = Elm_std.Touch
 module Explore = Elm_check.Explore
+module Compile = Elm_core.Compile
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -55,14 +57,14 @@ let observe rt =
       s.Stats.region_steps,
       s.Stats.notified_nodes ) )
 
-let run_wave ?policy ?dispatch ~config shape events =
+let run_wave ?policy ~config shape events =
   let domains, pool =
     match config with
     | `Inline -> (Some 1, None)
     | `Pool k -> (None, Some (pool_of k))
   in
   observe
-    (Gen_graph.run_shape ~backend:Runtime.Compiled ?policy ?dispatch ?domains
+    (Gen_graph.run_shape ~backend:Runtime.Compiled ?policy ?domains
        ?pool shape events)
 
 (* Tentpole oracle: over the whole catalogue (async and delay shapes
@@ -87,22 +89,17 @@ let prop_domain_count_invisible =
 
 (* Wave mode vs the sequential compiled dispatcher: for deterministic
    (async-free) shapes the wave path must reproduce the legacy trace
-   exactly, under both dispatch strategies. *)
+   exactly. *)
 let prop_wave_matches_sequential =
   QCheck.Test.make
     ~name:"wave = sequential compiled dispatcher (deterministic shapes)"
     ~count:12 Gen_graph.arb_deterministic_shape_events
     (fun (shape, events) ->
-      List.for_all
-        (fun dispatch ->
-          let legacy =
-            observe
-              (Gen_graph.run_shape ~backend:Runtime.Compiled ~dispatch shape
-                 events)
-          in
-          run_wave ~dispatch ~config:`Inline shape events = legacy
-          && run_wave ~dispatch ~config:(`Pool 2) shape events = legacy)
-        [ Runtime.Cone; Runtime.Flood ])
+      let legacy =
+        observe (Gen_graph.run_shape ~backend:Runtime.Compiled shape events)
+      in
+      run_wave ~config:`Inline shape events = legacy
+      && run_wave ~config:(`Pool 2) shape events = legacy)
 
 (* A runtime-owned pool ([~domains:K], K > 1): created at start, closed by
    [Runtime.stop] (run_shape stops its runtime), same trace as inline. *)
@@ -236,10 +233,10 @@ let test_supervision_parity () =
     [ ("Isolate", Runtime.Isolate); ("Restart 1", Runtime.Restart 1) ]
 
 (* ------------------------------------------------------------------ *)
-(* A wave with several active groups *)
+(* A wave with several active regions *)
 
 (* An async fan-out: the input feeds [fan_width] branches, each cut off by
-   async below and above so it is its own region group, and a merge shows
+   async below and above so it is its own region, and a merge shows
    the branch values as they come back (branch [k] of event [v] shows
    [10v + k]). All events are injected before the first yield, so the
    second wave holds every branch round at once and goes to the pool as
@@ -304,6 +301,150 @@ let test_multi_group_wave () =
     check_int (Printf.sprintf "seed %d: lanes show as many changes" seed)
       (List.length pooled) (List.length lanes)
   done
+
+(* ------------------------------------------------------------------ *)
+(* Two regions with async seams in both directions *)
+
+(* Region A holds [a], [inner2], [j1] and the root; region B holds [b],
+   [inner1] and [j2]. [inner1] (B) feeds [j1] (A) and [j2] (B) feeds the
+   root (A) through async, and [inner2] (A) feeds [j2] (B), so each
+   region is downstream of the other. [slow] makes [inner1] charge 2 s of
+   virtual time once armed. *)
+let two_way ?(slow = fun () -> false) () =
+  let a = Signal.input ~name:"a" 0 in
+  let b = Signal.input ~name:"b" 0 in
+  let inner2 = Signal.lift ~name:"inner2" (fun x -> x * 10) a in
+  let inner1 =
+    Signal.lift ~name:"inner1"
+      (fun y ->
+        if slow () then Cml.sleep 2.0;
+        y * 100)
+      b
+  in
+  let j1 = Signal.lift2 ~name:"j1" ( + ) (Signal.async inner1) a in
+  let j2 = Signal.lift2 ~name:"j2" ( - ) (Signal.async inner2) b in
+  let root =
+    Signal.lift2 ~name:"root" (fun u v -> (u * 1000) + v) j1 (Signal.async j2)
+  in
+  (a, b, root)
+
+let two_way_events =
+  [
+    (true, 1); (false, 2); (true, 3); (true, 4); (false, 5); (false, 6);
+    (true, 7);
+  ]
+
+(* [spaced] lets every event settle (1 s of virtual time) before the next;
+   otherwise all are injected before the first yield. *)
+let two_way_run ?(backend = Runtime.Compiled) ?mode ?domains ?pool ~spaced () =
+  let rt =
+    Gen_graph.with_world ~policy:Cml.Scheduler.Fifo (fun () ->
+        let a, b, root = two_way () in
+        let rt = Runtime.start ~backend ?mode ?domains ?pool root in
+        List.iter
+          (fun (left, v) ->
+            Runtime.inject rt (if left then a else b) v;
+            if spaced then Cml.sleep 1.0)
+          two_way_events;
+        rt)
+  in
+  Runtime.stop rt;
+  Runtime.changes rt
+
+(* Seams both ways between two regions, the shape that once made them one
+   lane. Each region now has its own lane, and every compiled placement
+   shows the trace measured when they shared one. Settled events match the
+   pipelined Sequential reference; a burst interleaves async re-entries
+   with queued inputs on the compiled backend in its own (per-source
+   ordered) way, pinned here as measured on the shared lane. *)
+let test_two_way_seams () =
+  let _, _, root = two_way () in
+  let plan = Compile.plan_of (Elm_core.Fuse.fuse_cached root) in
+  check_int "two regions" 2 (Compile.region_count plan);
+  check_int "two lanes" 2 (Compile.group_count plan);
+  let placements =
+    [
+      ("lanes", fun spaced -> two_way_run ~spaced ());
+      ( "sequential lanes",
+        fun spaced -> two_way_run ~mode:Runtime.Sequential ~spaced () );
+      ("waves inline", fun spaced -> two_way_run ~domains:1 ~spaced ());
+      ( "waves on 2 domains",
+        fun spaced -> two_way_run ~pool:(pool_of 2) ~spaced () );
+    ]
+  in
+  let at_zero = List.map (fun v -> (0., v)) in
+  let expected =
+    [
+      ( false,
+        at_zero
+          [ 1000; 3000; 4000; 7000; 207000; 206998; 506998; 506995; 606995;
+            606994; 607004; 607024; 607034; 607064 ] );
+      ( true,
+        [ (0., 1000); (0., 1010); (1., 201010); (1., 201008); (2., 203008);
+          (2., 203028); (3., 204028); (3., 204038); (4., 504038);
+          (4., 504035); (5., 604035); (5., 604034); (6., 607034);
+          (6., 607064) ] );
+    ]
+  in
+  let reference =
+    two_way_run ~backend:Runtime.Pipelined ~mode:Runtime.Sequential
+      ~spaced:true ()
+  in
+  check_bool "settled: the pinned trace is the pipelined Sequential one" true
+    (reference = List.assoc true expected);
+  List.iter
+    (fun (spaced, trace) ->
+      List.iter
+        (fun (name, run) ->
+          check_bool
+            (Printf.sprintf "%s (%s): the trace measured on one lane" name
+               (if spaced then "settled" else "burst"))
+            true
+            (run spaced = trace))
+        placements)
+    expected
+
+(* Paper §5 on the same shape: region B's [inner1] charges 2 s, and the
+   five [a] events injected meanwhile display at their own times on
+   region A's lane, as on the pipelined runtime. With both regions on one
+   lane they all waited until 2 s. *)
+let test_two_way_slow_region () =
+  let run ?backend ?mode () =
+    let rt =
+      Gen_graph.with_world ~policy:Cml.Scheduler.Fifo (fun () ->
+          let armed = ref false in
+          let a, b, root = two_way ~slow:(fun () -> !armed) () in
+          let rt = Runtime.start ?backend ?mode root in
+          armed := true;
+          Runtime.inject rt b 1;
+          for i = 1 to 5 do
+            Cml.sleep 0.1;
+            Runtime.inject rt a i
+          done;
+          rt)
+    in
+    Runtime.stop rt;
+    Runtime.changes rt
+  in
+  (* The distinct display times before [inner1]'s 2 s are up: the [a]
+     events' (the pipelined runtime also shows [j2]'s quick re-entry at
+     0 s). *)
+  let early changes =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (t, _) -> if t > 0.0 && t < 2.0 then Some t else None)
+         changes)
+  in
+  let reference = early (run ()) in
+  check_int "pipelined: five early display times" 5 (List.length reference);
+  List.iter
+    (fun (name, mode) ->
+      let changes = run ~backend:Runtime.Compiled ~mode () in
+      check_bool (name ^ ": a's events show when the pipelined ones do") true
+        (early changes = reference);
+      check_bool (name ^ ": b's result arrives at 2 s") true
+        (List.exists (fun (t, v) -> t = 2.0 && v >= 100_000) changes))
+    [ ("lanes", Runtime.Pipelined); ("sequential lanes", Runtime.Sequential) ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool.run error path: waves run under Propagate on it *)
@@ -440,6 +581,13 @@ let () =
             test_supervision_parity;
           tc "multi-group wave on a pool = ~domains:1 and lanes" `Quick
             test_multi_group_wave;
+        ] );
+      ( "two-way",
+        [
+          tc "a lane per region, one trace on every placement" `Quick
+            test_two_way_seams;
+          tc "a slow region holds back only itself" `Quick
+            test_two_way_slow_region;
         ] );
       ( "pool",
         [

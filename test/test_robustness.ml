@@ -224,7 +224,7 @@ let test_supervision_matrix () =
 
 (* The matrix on the compiled paths, where every op catches its user
    function's exception and hands it to one failure handler: compiled
-   lanes (both modes, both dispatches) and a serving session must count
+   lanes (both modes) and a serving session must count
    the same failures and restarts as the pipelined reference, display the
    same values, and leave the clean branch untouched. *)
 let test_supervision_matrix_compiled () =
@@ -269,7 +269,6 @@ let test_supervision_matrix_compiled () =
             [
               (Runtime.Pipelined, Runtime.Cone, "lanes");
               (Runtime.Sequential, Runtime.Cone, "sequential lanes");
-              (Runtime.Pipelined, Runtime.Flood, "flooded lanes");
             ];
           let clean, s = supervised_serve ~kind ~policy ~faulty:true in
           check "a session"
