@@ -12,7 +12,9 @@
    would otherwise show in every row) and on a short budget under
    [--smoke].
 
-   Run with:  dune exec bench/main.exe *)
+   Run with:  dune exec bench/main.exe [-- FLAG...]
+   Flags: --smoke, --json, --explore-smoke, --b18-smoke, --b19-smoke,
+   --b20-smoke and --domains=N; any other argument exits with status 2. *)
 
 module Signal = Elm_core.Signal
 module Runtime = Elm_core.Runtime
@@ -21,6 +23,11 @@ module Trace = Elm_core.Trace
 
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
+
+(* Every wall-clock figure in this file reads one clock, in seconds: the
+   monotonic clock (bechamel's, as perfbench uses). [Sys.time] is process
+   CPU time, summed over domains, and [Unix.gettimeofday] can jump. *)
+let now_wall () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 let with_world body =
   let result = ref None in
@@ -692,11 +699,11 @@ let b16_run ~backend ~fuse ~mode ~chains ~depth ~events =
     st.Stats.compiled_regions )
 
 let b16_cell ~backend ~fuse ~chains ~depth ~events =
-  let t0 = Sys.time () in
+  let t0 = now_wall () in
   let changes, messages, switches, regions =
     b16_run ~backend ~fuse ~mode:Runtime.Pipelined ~chains ~depth ~events
   in
-  let wall = Sys.time () -. t0 in
+  let wall = now_wall () -. t0 in
   let seq_changes, _, seq_switches, _ =
     b16_run ~backend ~fuse ~mode:Runtime.Sequential ~chains ~depth ~events
   in
@@ -921,29 +928,29 @@ let b17_measure ~chains ~depth ~live ~events_per_session =
      on the exact graph sessions run. *)
   let froot = Serve_dispatcher.root d in
   let compile_reps = 50 in
-  let t0 = Sys.time () in
+  let t0 = now_wall () in
   for _ = 1 to compile_reps do
     Elm_core.Compile.clear_plan_cache ();
     ignore (Elm_core.Compile.plan_of froot)
   done;
-  let cold_us = (Sys.time () -. t0) *. 1e6 /. float_of_int compile_reps in
+  let cold_us = (now_wall () -. t0) *. 1e6 /. float_of_int compile_reps in
   (* Re-prime the cache (the loop above left one entry) and measure opens. *)
   ignore (Elm_core.Compile.plan_of froot);
   let open_reps = 2_000 in
   let opened = ref [] in
-  let t0 = Sys.time () in
+  let t0 = now_wall () in
   for _ = 1 to open_reps do
     opened := Serve_dispatcher.open_session d :: !opened
   done;
-  let open_us = (Sys.time () -. t0) *. 1e6 /. float_of_int open_reps in
+  let open_us = (now_wall () -. t0) *. 1e6 /. float_of_int open_reps in
   List.iter (Serve_dispatcher.close d) !opened;
   (* Bursty churn: open+close pairs. *)
   let churn_reps = 10_000 in
-  let t0 = Sys.time () in
+  let t0 = now_wall () in
   for _ = 1 to churn_reps do
     Serve_dispatcher.close d (Serve_dispatcher.open_session d)
   done;
-  let churn_dt = Sys.time () -. t0 in
+  let churn_dt = now_wall () -. t0 in
   let churn_per_sec = float_of_int churn_reps /. Float.max 1e-9 churn_dt in
   (* The steady state: [live] sessions, every one fed the same event
      sequence round-robin, traces checked against a dedicated
@@ -962,14 +969,14 @@ let b17_measure ~chains ~depth ~live ~events_per_session =
   Gc.compact ();
   let words_before = (Gc.stat ()).Gc.live_words in
   let sessions = Array.init live (fun _ -> Serve_dispatcher.open_session d) in
-  let t0 = Sys.time () in
+  let t0 = now_wall () in
   let dispatched = ref 0 in
   List.iter
     (fun v ->
       Array.iter (fun s -> Serve_dispatcher.inject d s first v) sessions;
       dispatched := !dispatched + Serve_dispatcher.drain d)
     events;
-  let live_dt = Sys.time () -. t0 in
+  let live_dt = now_wall () -. t0 in
   Gc.compact ();
   let live_words =
     float_of_int ((Gc.stat ()).Gc.live_words - words_before)
@@ -1084,16 +1091,14 @@ let b17_to_json rows =
    or steal schedule, and per-domain Stats merging back to the session
    totals.
 
-   Wall-clock here uses [Unix.gettimeofday], not [Sys.time]: the latter is
-   process CPU time, which sums across domains and would hide any speedup.
+   Wall-clock here is [now_wall], not [Sys.time]: the latter is process
+   CPU time, which sums across domains and would hide any speedup.
    Speedup is hardware-dependent — the row table records it always, but
    the hard gate scales with [Domain.recommended_domain_count ()] (a
    1-core CI box cannot be asked for 2x). As in B19, it is the median,
    over [b18_reps] interleaved repetitions (after one warm-up round), of
    the k-domain / 1-domain uniform events/s ratio within each
    repetition; every repetition is printed. *)
-
-let now_wall () = Unix.gettimeofday ()
 
 let median l =
   let a = Array.of_list l in
@@ -2017,12 +2022,12 @@ let bench_b15 ~per_cell () =
       (fun (name, mk, on_node_error) ->
         List.map
           (fun (dname, dispatch) ->
-            let t0 = Sys.time () in
+            let t0 = now_wall () in
             let report =
               Explore.run ~schedules:per_cell ~seed:(Hashtbl.hash (name, dname))
                 ~dispatch ?on_node_error (mk ())
             in
-            let dt = Sys.time () -. t0 in
+            let dt = now_wall () -. t0 in
             let row =
               {
                 b15_program = name;
@@ -2385,8 +2390,22 @@ let b15_gates ~require_total (rows, all_caught) =
     exit 1
   end
 
+let flags =
+  [ "--smoke"; "--json"; "--explore-smoke"; "--b18-smoke"; "--b19-smoke";
+    "--b20-smoke" ]
+
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  List.iter
+    (fun a ->
+      if not (List.mem a flags || String.starts_with ~prefix:"--domains=" a)
+      then begin
+        Printf.eprintf
+          "bench: error: unknown argument '%s' (expected %s or --domains=N)\n" a
+          (String.concat ", " flags);
+        exit 2
+      end)
+    args;
   let smoke = List.mem "--smoke" args in
   let emit_json = List.mem "--json" args in
   let explore_smoke = List.mem "--explore-smoke" args in

@@ -9,8 +9,9 @@
 
     - {b Trace equality} — the displayed change trace (values {e and}
       virtual timestamps) is bit-identical to the reference. Only demanded
-      of [deterministic] programs, i.e. programs without [async]/[delay]
-      sources: an async boundary deliberately re-registers inner changes as
+      of [deterministic] programs, i.e. programs without [async] sources
+      ([delay] values leave in one schedule-independent order, see
+      {!Elm_core.Delay_heap}): an async boundary deliberately re-registers inner changes as
       fresh global events, and when several async sources race, which one
       registers first is schedule-dependent. Only {e per-source} order is
       promised across an async boundary (see {!Per_source_order} and the
@@ -54,7 +55,7 @@ val program :
 
     [deterministic] (default [true]) asserts the program is async-free, so
     its full change trace is schedule-independent and {!Trace_equal}
-    applies. Set it to [false] for programs with [async]/[delay] sources.
+    applies. Set it to [false] for programs with [async] sources.
 
     [classify] enables {!Per_source_order} for async programs: it maps a
     displayed value to the async source class it originated from (or [None]

@@ -197,14 +197,19 @@ let blocked_sites () =
 let resume (k : 'a cont) (v : 'a) = push_thunk (fun () -> continue k v)
 let yield () = suspend (fun k -> resume k ())
 
+let wake_at time =
+  suspend (fun k ->
+      let seq = st.timer_seq in
+      st.timer_seq <- seq + 1;
+      st.timers <- Pqueue.insert st.timers (time, seq) k)
+
 let sleep d =
   if not st.live then raise Not_running;
-  if d <= 0.0 then yield ()
-  else
-    suspend (fun k ->
-        let seq = st.timer_seq in
-        st.timer_seq <- seq + 1;
-        st.timers <- Pqueue.insert st.timers (st.clock +. d, seq) k)
+  if d <= 0.0 then yield () else wake_at (st.clock +. d)
+
+let sleep_until t =
+  if not st.live then raise Not_running;
+  if t <= st.clock then yield () else wake_at t
 
 (* How many switches a Pct priority inversion may wait for. The change
    points are drawn uniformly from [1; pct_horizon]; longer runs simply see

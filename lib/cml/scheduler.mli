@@ -111,6 +111,11 @@ val sleep : float -> unit
 (** Block the current thread for the given amount of virtual time. Negative
     or zero durations behave like {!yield} at the current instant. *)
 
+val sleep_until : float -> unit
+(** Block the current thread until the virtual clock reads the given
+    time, exactly (no [now +. (t -. now)] rounding). A time not after
+    {!now} behaves like {!yield}. *)
+
 (** {2 Introspection} *)
 
 val spawned_count : unit -> int

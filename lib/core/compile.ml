@@ -414,33 +414,25 @@ let plan : type r. r Signal.t -> plan =
     | Signal.Input ->
       source_member ~id;
       inputs := Signal.Pack s :: !inputs
-    | Signal.Async inner ->
+    | Signal.Async inner | Signal.Delay (_, inner) ->
       source_member ~id;
       let si = slot (Signal.id inner) in
+      let delay =
+        match Signal.kind s with Signal.Delay (d, _) -> Some d | _ -> None
+      in
       (* The tap replaces the pipelined forwarder thread: ordered right
          after the inner node's op, it sees the freshly written slot and
-         registers a new global event per change — the Fig. 8(c) boundary.
-         [stamp = epoch] iff the inner node changed this round. *)
+         registers a new global event per change, at once or after the
+         delay — the Fig. 8(c) boundary. [stamp = epoch] iff the inner
+         node changed this round. *)
       add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
           let ar = x.x_arena in
           if ar.ar_stamps.(si) = r.epoch then
+            let epoch = r.epoch and value = ar.ar_values.(si) in
             Queue.push
-              (Fire { epoch = r.epoch; source = id; value = ar.ar_values.(si) })
-              x.x_effects)
-    | Signal.Delay (d, inner) ->
-      source_member ~id;
-      let si = slot (Signal.id inner) in
-      add_op ~node:(Signal.id inner) ~serves:id (fun x r ->
-          let ar = x.x_arena in
-          if ar.ar_stamps.(si) = r.epoch then
-            Queue.push
-              (Delay
-                 {
-                   epoch = r.epoch;
-                   node = id;
-                   seconds = d;
-                   value = ar.ar_values.(si);
-                 })
+              (match delay with
+              | None -> Fire { epoch; source = id; value }
+              | Some seconds -> Delay { epoch; node = id; seconds; value })
               x.x_effects)
     | Signal.Lift1 (f, a) ->
       let sl = slot id and sa = slot (Signal.id a) in

@@ -91,7 +91,7 @@ let epoch_of : Compile.effect -> int = function
 
 type 'c hooks = {
   fire : 'c -> int -> Obj.t -> unit;
-  delay : 'c -> node:int -> seconds:float -> Obj.t -> unit;
+  delay : 'c -> node:int -> epoch:int -> seconds:float -> Obj.t -> unit;
   display : 'c -> epoch:int -> changed:bool -> Obj.t -> unit;
   observe : 'c -> node:int -> epoch:int -> changed:bool -> unit;
 }
@@ -301,7 +301,8 @@ let apply x hooks c : Compile.effect -> unit = function
     let st = stats x in
     st.Stats.async_events <- st.Stats.async_events + 1;
     hooks.fire c source value
-  | Delay { node; seconds; value; _ } -> hooks.delay c ~node ~seconds value
+  | Delay { epoch; node; seconds; value } ->
+    hooks.delay c ~node ~epoch ~seconds value
   | Observe { node; epoch; changed } -> hooks.observe c ~node ~epoch ~changed
   | Display { epoch; changed; value } ->
     (match x.tracer with

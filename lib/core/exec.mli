@@ -114,9 +114,9 @@ val run_lanes : ?pool:Pool.t -> ?seed:int -> t -> dstats:Stats.t array -> unit
 type 'c hooks = {
   fire : 'c -> int -> Obj.t -> unit;
       (** An async boundary fired: a new event for it, with its value. *)
-  delay : 'c -> node:int -> seconds:float -> Obj.t -> unit;
-      (** A delay boundary fired: register an event for [node], with the
-          value, [seconds] later. *)
+  delay : 'c -> node:int -> epoch:int -> seconds:float -> Obj.t -> unit;
+      (** A delay boundary fired at [epoch]: register an event for [node],
+          with the value, [seconds] later (a {!Delay_heap} entry). *)
   display : 'c -> epoch:int -> changed:bool -> Obj.t -> unit;
       (** The root's emission for one round that reached it (unless the
           instance has a [~display] sink). *)

@@ -103,6 +103,40 @@ let drain_quiesce rt =
     (Queue.pop rt.quiesce) ()
   done
 
+(* A runtime's delay timer, on either backend: every pending delayed
+   value waits in one Delay_heap and re-enters, once due, in the heap's
+   (due, epoch, node) order, so equal-due wakes leave in an order the
+   program fixes, not the scheduler. One sleeper is live: a push that
+   lowers the heap's minimum below its wake time spawns a new one (the
+   old one exits when it wakes), and a sleeper that has re-entered
+   everything due sleeps on until the next minimum. *)
+type 'a timer = {
+  t_heap : 'a Delay_heap.t;
+  mutable t_armed : float;  (* the live sleeper's wake time; infinity: none *)
+  t_reenter : 'a -> int -> Obj.t -> unit;
+}
+
+let new_timer reenter =
+  { t_heap = Delay_heap.create (); t_armed = infinity; t_reenter = reenter }
+
+let rec sleeper t at =
+  Cml.Scheduler.sleep_until at;
+  if t.t_armed = at then begin
+    while Delay_heap.min_due t.t_heap <= Cml.now () do
+      Delay_heap.pop t.t_heap t.t_reenter
+    done;
+    t.t_armed <- Delay_heap.min_due t.t_heap;
+    if t.t_armed < infinity then sleeper t t.t_armed
+  end
+
+let schedule t ~epoch ~node ~seconds x v =
+  let due = Cml.now () +. seconds in
+  Delay_heap.push t.t_heap ~due ~epoch ~node x v;
+  if due < t.t_armed then begin
+    t.t_armed <- due;
+    Cml.spawn (fun () -> sleeper t due)
+  end
+
 type ctx = {
   rt_gen : int;
   memoize : bool;
@@ -111,6 +145,7 @@ type ctx = {
   c_capacity : int option;  (* wake/value mailbox bound; None = unbounded *)
   c_stats : Stats.t;
   c_new_event : int Mailbox.t;
+  c_timer : (Obj.t -> unit) timer;  (* entries re-enter through their closure *)
   c_reach : Reach.t;
   c_tracer : Trace.t option;
   c_observer : (node:int -> epoch:int -> changed:bool -> unit) option;
@@ -449,56 +484,37 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
         in
         loop default);
     plain out
-  | Signal.Async inner ->
-    (* Fig. 10's async translation: build the inner subgraph normally, then
-       forward each of its changes to a fresh source node by registering a
-       new global event. Ordering between the subgraph and the rest of the
-       program is thereby relaxed, but preserved within each. The forwarder
-       is not a graph node: it consumes whatever the inner subgraph emits,
-       at whatever epochs it was affected. *)
-    let iinner = build ctx inner in
-    let inner_port = Multicast.port iinner.Signal.out in
+  | Signal.Async inner | Signal.Delay (_, inner) ->
+    (* Fig. 10's async translation, shared by [delay]: build the inner
+       subgraph normally, then forward each of its changes to a fresh
+       source node as a new global event, at once ([async]) or through the
+       runtime's delay timer, [d] virtual seconds later. Ordering between
+       the subgraph and the rest of the program is thereby relaxed, but
+       preserved within each. The forwarder is not a graph node: it
+       consumes whatever the inner subgraph emits, at whatever epochs it
+       was affected. *)
+    let inner_port = Multicast.port (build ctx inner).Signal.out in
     let value_mb = value_mailbox ctx s in
     let source_id = Signal.id s in
     let out =
       source_node ctx ~source_id ~name:(Signal.name s) ~default ~value_mb
     in
-    Cml.spawn (fun () ->
-        let rec forward () =
-          (match (Multicast.recv inner_port).Event.event with
-          | Event.No_change _ -> ()
-          | Event.Change v ->
-            Mailbox.send value_mb v;
-            ctx.c_stats.async_events <- ctx.c_stats.async_events + 1;
-            Mailbox.send ctx.c_new_event source_id);
-          forward ()
-        in
-        forward ());
-    plain out
-  | Signal.Delay (d, inner) ->
-    (* Like async, but each change re-enters the dispatcher [d] virtual
-       seconds later. One thread per pending value keeps delivery at the
-       right absolute time while preserving order (equal delays). *)
-    let iinner = build ctx inner in
-    let inner_port = Multicast.port iinner.Signal.out in
-    let value_mb = value_mailbox ctx s in
-    let source_id = Signal.id s in
-    let out =
-      source_node ctx ~source_id ~name:(Signal.name s) ~default ~value_mb
+    let reenter v =
+      Mailbox.send value_mb (Obj.obj v);
+      Mailbox.send ctx.c_new_event source_id
     in
-    Cml.spawn (fun () ->
-        let rec forward () =
-          (match (Multicast.recv inner_port).Event.event with
-          | Event.No_change _ -> ()
-          | Event.Change v ->
-            Cml.spawn (fun () ->
-                Cml.sleep d;
-                Mailbox.send value_mb v;
-                ctx.c_stats.async_events <- ctx.c_stats.async_events + 1;
-                Mailbox.send ctx.c_new_event source_id));
-          forward ()
-        in
-        forward ());
+    let rec forward () =
+      (match (Multicast.recv inner_port, Signal.kind s) with
+      | { Event.epoch; event = Event.Change v }, Signal.Delay (d, _) ->
+        schedule ctx.c_timer ~epoch ~node:source_id ~seconds:d reenter
+          (Obj.repr v)
+      | { event = Event.Change v; _ }, _ ->
+        ctx.c_stats.async_events <- ctx.c_stats.async_events + 1;
+        reenter (Obj.repr v)
+      | { event = Event.No_change _; _ }, _ -> ());
+      forward ()
+    in
+    Cml.spawn forward;
     plain out
   | Signal.Merge (a, b) ->
     let ea = edge ctx a in
@@ -703,7 +719,7 @@ let attach_tracer tracer gen =
    A dispatcher thread admits events FIFO (epochs assigned in arrival
    order, so per-source order is the paper's whatever runs where), and the
    instance's hooks act as the display loop, the async boundary threads
-   and the delay spawner. Two placements run the admitted rounds:
+   and the runtime's delay timer. Two placements run the admitted rounds:
 
    - Lanes (the default): one thread per region, woken once per round
      queued on it. A lane runs one round and applies its effects before
@@ -757,15 +773,14 @@ let start_compiled ~mode ~history ~tracer ~policy ~observer ~fused ~waves
     (Compile.inputs pl);
   let ack = Mailbox.create ~name:"displayAck" () in
   let acked = mode = Sequential && not waves in
+  let reenter () id v = Mailbox.send new_event (id, v) in
+  let timer = new_timer reenter in
   let hooks =
     {
-      Exec.fire = (fun () id v -> Mailbox.send new_event (id, v));
+      Exec.fire = reenter;
       delay =
-        (fun () ~node ~seconds v ->
-          Cml.spawn (fun () ->
-              Cml.sleep seconds;
-              stats.Stats.async_events <- stats.Stats.async_events + 1;
-              Mailbox.send new_event (node, v)));
+        (fun () ~node ~epoch ~seconds v ->
+          schedule timer ~epoch ~node ~seconds () v);
       display =
         (fun () ~epoch:_ ~changed v ->
           let v = Obj.obj v in
@@ -926,6 +941,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
       c_capacity = queue_capacity;
       c_stats = stats;
       c_new_event = new_event;
+      c_timer = new_timer (fun reenter _ v -> reenter v);
       c_reach = reach;
       c_tracer = tracer;
       c_observer = observer;

@@ -126,7 +126,9 @@ val delay : ?name:string -> float -> 'a t -> 'a t
     clock. Like [async], the node is a source — each delayed value re-enters
     through the global dispatcher as a fresh event, so a delayed subgraph
     never blocks the rest of the program. Order among the delayed changes is
-    preserved. *)
+    preserved: changes due at the same virtual instant re-enter in the
+    order of the epochs that emitted them, then of the delay nodes' ids
+    (creation order, so topological), whatever the scheduler does. *)
 
 (** {1 Introspection} *)
 

@@ -27,7 +27,10 @@ type t = {
   mutable recomputations : int;
       (** Applications forced only by [memoize:false] (all-[No_change] rounds). *)
   mutable fold_steps : int;  (** [foldp] accumulator updates. *)
-  mutable async_events : int;  (** Events originating from [async] nodes. *)
+  mutable async_events : int;
+      (** Events originating from [async] nodes: async re-entries only, on
+          every path. A due [delay] value re-enters as an event too, but
+          is not counted here. *)
   mutable switches : int;
       (** Scheduler context-switch count sampled at the last dispatched or
           displayed message; divide by [events] for switches per event. *)

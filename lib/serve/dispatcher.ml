@@ -26,10 +26,10 @@
    when its inbox was empty, so routing and draining never look a
    session up by id.
 
-   Delays use a virtual clock: the heap orders (due time, sequence) and
-   [drain] advances [now] to each due time once the ready queue is empty —
-   the same deterministic timer semantics as the Cml scheduler's wheel,
-   without running a scheduler. Everything here is synchronous and
+   Delays use a virtual clock: the one Delay_heap of every path orders
+   (due time, emitting epoch, delay node) and [drain] advances [now] to
+   each due time once the ready queue is empty — the runtimes' timer
+   semantics, without running a scheduler. Everything here is synchronous and
    single-threaded; no Cml.run is needed, which is what lets felmc serve
    sessions (and the benches churn 10k of them) from plain code. *)
 
@@ -42,93 +42,10 @@ module Runtime = Elm_core.Runtime
 module Upgrade = Elm_core.Upgrade
 module Exec = Elm_core.Exec
 module Pool = Elm_core.Pool
+module Delay_heap = Elm_core.Delay_heap
 
-(* The virtual delay heap: a binary min-heap over flat arrays, ordered by
-   (due time, sequence number) with monomorphic float and int
-   comparisons. Distinct sequence numbers make the order total, so equal
-   due times pop first-in first-out. *)
-module Heap = struct
-  type 'a t = {
-    mutable due : float array;
-    mutable seq : int array;
-    mutable items : 'a array;
-    mutable size : int;
-  }
-
-  let create () = { due = [||]; seq = [||]; items = [||]; size = 0 }
-  let length h = h.size
-  let min_due h = h.due.(0)
-  let top h = h.items.(0)
-
-  let before h i j =
-    h.due.(i) < h.due.(j) || (h.due.(i) = h.due.(j) && h.seq.(i) < h.seq.(j))
-
-  let swap h i j =
-    let d = h.due.(i) and q = h.seq.(i) and x = h.items.(i) in
-    h.due.(i) <- h.due.(j);
-    h.seq.(i) <- h.seq.(j);
-    h.items.(i) <- h.items.(j);
-    h.due.(j) <- d;
-    h.seq.(j) <- q;
-    h.items.(j) <- x
-
-  let push h ~due ~seq x =
-    let n = h.size in
-    if n = Array.length h.items then begin
-      let grow a fill =
-        let b = Array.make (max 16 (2 * n)) fill in
-        Array.blit a 0 b 0 n;
-        b
-      in
-      h.due <- grow h.due 0.0;
-      h.seq <- grow h.seq 0;
-      h.items <- grow h.items x
-    end;
-    h.due.(n) <- due;
-    h.seq.(n) <- seq;
-    h.items.(n) <- x;
-    h.size <- n + 1;
-    let rec up i =
-      let p = (i - 1) / 2 in
-      if i > 0 && before h i p then begin
-        swap h i p;
-        up p
-      end
-    in
-    up n
-
-  (* Remove the minimum (see [top]). Its slot is refilled with a live
-     entry, so a popped item stays reachable only while the heap is
-     empty. *)
-  let pop h =
-    let n = h.size - 1 in
-    swap h 0 n;
-    h.items.(n) <- h.items.(0);
-    h.size <- n;
-    let rec down i =
-      let l = (2 * i) + 1 in
-      let c = if l + 1 < n && before h (l + 1) l then l + 1 else l in
-      if c < n && before h c i then begin
-        swap h i c;
-        down c
-      end
-    in
-    down 0
-end
-
-type 'a delayed = {
-  dl_session : 'a Row.t;
-  dl_node : int;  (* the delay node to wake *)
-  dl_value : Obj.t;
-}
-
-(* The virtual clock: the due time of the latest delay delivered, and the
-   sequence number of the latest one scheduled (equal due times stay
-   FIFO). *)
-type clock = {
-  mutable now : float;
-  mutable seq : int;
-}
+(* The virtual clock: the due time of the latest delay delivered. *)
+type clock = { mutable now : float }
 
 type 'a t = {
   mutable d_root : 'a Signal.t;
@@ -140,7 +57,7 @@ type 'a t = {
   d_sessions : (int, 'a Row.t) Hashtbl.t;
   d_ready : 'a Row.t Queue.t;
       (* sessions with inbox wakes, in the order their first wake came *)
-  d_delays : 'a delayed Heap.t;
+  d_delays : 'a Row.t Delay_heap.t;  (* each entry's context: its session *)
   d_clock : clock;  (* advanced by drain *)
   d_tracer : Trace.t option;
   d_policy : Runtime.error_policy;
@@ -184,12 +101,10 @@ let hooks ready delays clock =
     Exec.fire =
       (fun (s : _ Row.t) source v -> if not s.r_closed then route ready s source v);
     delay =
-      (fun s ~node ~seconds v ->
+      (fun s ~node ~epoch ~seconds v ->
         if not s.r_closed then begin
           s.r_pending_delays <- s.r_pending_delays + 1;
-          clock.seq <- clock.seq + 1;
-          Heap.push delays ~due:(clock.now +. seconds) ~seq:clock.seq
-            { dl_session = s; dl_node = node; dl_value = v }
+          Delay_heap.push delays ~due:(clock.now +. seconds) ~epoch ~node s v
         end);
     display = (fun _ ~epoch:_ ~changed:_ _ -> ());
     observe = (fun _ ~node:_ ~epoch:_ ~changed:_ -> ());
@@ -206,8 +121,8 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
   | _ -> ());
   let root = if fuse then Fuse.fuse_cached root else root in
   let ready = Queue.create ()
-  and delays = Heap.create ()
-  and clock = { now = 0.0; seq = 0 } in
+  and delays = Delay_heap.create ()
+  and clock = { now = 0.0 } in
   {
     d_root = root;
     d_plan = Compile.plan_of root;
@@ -422,25 +337,15 @@ let upgrade_all ?migrate ?mutate d new_root =
     (fun (s : _ Row.t) ->
       if not (Queue.is_empty s.r_inbox) then Queue.push s d.d_ready)
     ready;
-  (* Delay heap: rebuilt under new node ids, preserving (due, seq) keys so
-     virtual-time order is unchanged. In-flight values of
-     detached delay nodes are released with their pending counters.
-     (A drain runs to quiescence unless a node's exception aborts it, so
-     the heap is empty at every upgrade point but that one.) *)
-  let h = d.d_delays in
-  let entries =
-    List.init (Heap.length h) (fun i ->
-        (h.Heap.due.(i), h.Heap.seq.(i), h.Heap.items.(i)))
-  in
-  h.Heap.size <- 0;
-  List.iter
-    (fun (due, seq, dl) ->
-      match Upgrade.node_of_old patch dl.dl_node with
-      | Some node' -> Heap.push h ~due ~seq { dl with dl_node = node' }
-      | None ->
-        let s = dl.dl_session in
-        if not s.r_closed then s.r_pending_delays <- s.r_pending_delays - 1)
-    entries;
+  (* Delay heap: rewritten under the new node ids. In-flight values of
+     detached delay nodes are released with their pending counters. (A
+     drain runs to quiescence unless a node's exception aborts it, so the
+     heap is empty at every upgrade point but that one.) *)
+  Delay_heap.remap d.d_delays (fun (s : _ Row.t) node ->
+      let node' = Upgrade.node_of_old patch node in
+      if node' = None && not s.r_closed then
+        s.r_pending_delays <- s.r_pending_delays - 1;
+      node');
   d.d_root <- new_root;
   d.d_plan <- new_plan;
   patch
@@ -486,21 +391,16 @@ let ensure_domain_stats d n =
    it. A batch of closed sessions' entries delivers nothing: go on. *)
 let rec deliver_due_delays d =
   let h = d.d_delays in
-  if Heap.length h > 0 then begin
-    let due = Heap.min_due h in
+  let due = Delay_heap.min_due h in
+  if due < infinity then begin
     if due > d.d_clock.now then d.d_clock.now <- due;
     let rec collect () =
-      if Heap.length h > 0 && Heap.min_due h = due then begin
-        let dl = Heap.top h in
-        let s = dl.dl_session in
-        if s.r_closed then begin
-          Heap.pop h;
-          collect ()
-        end
-        else if Queue.is_empty s.r_inbox then begin
-          Heap.pop h;
-          s.r_pending_delays <- s.r_pending_delays - 1;
-          route d.d_ready s dl.dl_node dl.dl_value;
+      if Delay_heap.min_due h = due then begin
+        let s = Delay_heap.top h in
+        if s.r_closed || Queue.is_empty s.r_inbox then begin
+          if not s.r_closed then s.r_pending_delays <- s.r_pending_delays - 1;
+          (* A due delay re-enters as an async fire does. *)
+          Delay_heap.pop h d.d_hooks.fire;
           collect ()
         end
       end

@@ -197,28 +197,3 @@ type accounting = {
 
 val accounting : 'a t -> accounting
 val pp_accounting : Format.formatter -> accounting -> unit
-
-(** {1 The delay heap} *)
-
-(** The virtual delay heap's structure, exposed for its tests: a binary
-    min-heap over flat arrays ordered by [(due, seq)] — monomorphic float
-    and int comparisons, nothing allocated per push or pop but the growth
-    of the arrays. The dispatcher numbers its entries with increasing
-    [seq], so equal due times pop first-in first-out. *)
-module Heap : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val length : 'a t -> int
-  val push : 'a t -> due:float -> seq:int -> 'a -> unit
-
-  val min_due : 'a t -> float
-  (** The least due time. Undefined on an empty heap, as are [top] and
-      [pop]. *)
-
-  val top : 'a t -> 'a
-  (** The entry with the least [(due, seq)]. *)
-
-  val pop : 'a t -> unit
-  (** Remove the [top] entry. *)
-end

@@ -9,9 +9,10 @@
    chaos schedules) all draw from it, so a new node kind added here is
    exercised by every equivalence property at once.
 
-   Shapes [0, deterministic_count) are async/delay-free: their change
-   traces are schedule-independent, so they may be compared across
-   scheduler policies bit-for-bit. The remaining shapes cross an async
+   Shapes [0, deterministic_count) have schedule-independent change
+   traces, so they may be compared across scheduler policies bit-for-bit:
+   the async-free ones, and the delay shape, whose equal-due wakes leave
+   in (due, epoch, node) order. The remaining shape crosses an async
    boundary, where only per-source ordering is promised (see DESIGN.md).
 
    [with_world] honours FELM_SCHED_SEED / FELM_SCHED_PCT, which is how the
@@ -46,7 +47,7 @@ let rec chain k n s =
 let comb x y = (x * 31) + y
 
 let shape_count = 12
-let deterministic_count = 10
+let deterministic_count = 11
 let shape_deterministic shape = shape mod shape_count < deterministic_count
 
 let build_shape shape =
@@ -94,11 +95,11 @@ let build_shape shape =
            [ Signal.drop_repeats (Signal.lift2 ( + ) a b) ])
         (Signal.foldp ( + ) 0 (chain 2 2 a))
     | 10 ->
-      (* async boundary: the inner chain fuses, the boundary survives *)
-      Signal.lift2 comb (chain 3 2 a) (Signal.async (chain 2 4 b))
-    | _ ->
       (* timer boundary *)
       Signal.lift2 comb (Signal.count a) (Signal.delay 1.0 (chain 2 2 b))
+    | _ ->
+      (* async boundary: the inner chain fuses, the boundary survives *)
+      Signal.lift2 comb (chain 3 2 a) (Signal.async (chain 2 4 b))
   in
   (a, b, s)
 

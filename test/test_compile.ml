@@ -66,6 +66,26 @@ let prop_compiled_equals_pipelined =
           List.for_all (equivalent shape events combo) [ false; true ])
         Gen_graph.all_combos)
 
+(* The delay shape runs alike on both backends under chaos schedules,
+   virtual times included: equal-due wakes leave in the delay heap's
+   (due, epoch, node) order on each, not in the order the scheduler ran
+   sleeping threads. *)
+let prop_delay_shape_backends_agree =
+  QCheck.Test.make
+    ~name:"delay shape: compiled = pipelined under Seeded_random"
+    ~count:60
+    QCheck.(pair (list (pair bool (int_bound 7))) small_nat)
+    (fun (events, seed) ->
+      let policy = Cml.Scheduler.Seeded_random seed in
+      List.for_all
+        (fun mode ->
+          let run backend =
+            Runtime.changes
+              (Gen_graph.run_shape ~backend ~mode ~policy 10 events)
+          in
+          run Runtime.Compiled = run Runtime.Pipelined)
+        [ Runtime.Pipelined; Runtime.Sequential ])
+
 (* The elision invariant holds for the compiled backend too: the root's
    display emission is the only real message, everything else is accounted
    as elided, and the per-event sum still equals node_count. *)
@@ -262,7 +282,7 @@ let test_foldp_state_fresh_per_runtime () =
 
 let test_stats_report_regions () =
   let run backend =
-    Gen_graph.run_shape ~backend 10 [ (true, 1); (false, 2); (true, 3) ]
+    Gen_graph.run_shape ~backend 11 [ (true, 1); (false, 2); (true, 3) ]
   in
   let compiled = Runtime.stats (run Runtime.Compiled) in
   let pipelined = Runtime.stats (run Runtime.Pipelined) in
@@ -659,6 +679,7 @@ let () =
         [
           qc prop_compiled_equals_pipelined;
           qc prop_compiled_accounting;
+          qc prop_delay_shape_backends_agree;
           tc "B12 program: async work never holds back the display" `Quick
             test_async_responsive_compiled;
         ] );

@@ -6,6 +6,9 @@ module Runtime = Elm_core.Runtime
 module Event = Elm_core.Event
 module Stats = Elm_core.Stats
 module Reach = Elm_core.Reach
+module Delay_heap = Elm_core.Delay_heap
+module Dispatcher = Elm_serve.Dispatcher
+module Session = Elm_serve.Session
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -494,6 +497,191 @@ let test_delay_does_not_block_siblings () =
     check_bool "undelayed branch prompt" true (t1 < 2.0);
     check_float "delayed branch at +100" 101.0 t2
   | _ -> Alcotest.fail "expected two changes"
+
+(* ------------------------------------------------------------------ *)
+(* The delay heap and the runtime's delay timer *)
+
+let backends : (string * Runtime.backend) list =
+  [ ("pipelined", Runtime.Pipelined); ("compiled", Runtime.Compiled) ]
+
+(* Pop the least entry: its context, node and value. *)
+let pop_entry h =
+  let due = Delay_heap.min_due h in
+  let got = ref None in
+  Delay_heap.pop h (fun c node v -> got := Some (c, node, Obj.obj v));
+  let (((d, _, _), _, _) as e) = Option.get !got in
+  check_bool "min_due is the popped entry's due" true (d = due);
+  e
+
+(* The delay heap pops in exactly [List.sort] order of its (due, epoch,
+   node) keys: 2,000 seeded entries with many equal due times and epochs,
+   pushed at once and then interleaved with pops against a sorted-list
+   model. An entry's context and value are its key, so each pop also
+   shows that context, node and value leave together. *)
+let test_delay_heap_order () =
+  let rng = Random.State.make [| 21 |] in
+  let n = 2000 in
+  let keys =
+    List.init n (fun _ ->
+        ( float_of_int (Random.State.int rng 64) /. 4.0,
+          Random.State.int rng 16,
+          Random.State.int rng n ))
+  in
+  let h = Delay_heap.create () in
+  let push ((due, epoch, node) as k) =
+    Delay_heap.push h ~due ~epoch ~node k (Obj.repr k)
+  in
+  let pop () =
+    let ((_, _, node') as k), node, v = pop_entry h in
+    check_bool "context, node and value leave together" true
+      (node = node' && v = k);
+    k
+  in
+  List.iter push keys;
+  let popped = List.init n (fun _ -> pop ()) in
+  check_bool "pushed at once: pops in List.sort order" true
+    (popped = List.sort compare keys);
+  check_bool "empty after popping everything" true
+    (Delay_heap.min_due h = infinity);
+  let model = ref [] and out = ref [] and expected = ref [] in
+  List.iteri
+    (fun i k ->
+      push k;
+      model := List.sort compare (k :: !model);
+      if i mod 3 = 2 then begin
+        out := pop () :: !out;
+        expected := List.hd !model :: !expected;
+        model := List.tl !model
+      end)
+    keys;
+  check_bool "interleaved pushes and pops match the sorted model" true
+    (!out = !expected);
+  check_bool "what is left pops in the model's order" true
+    (List.map (fun _ -> pop ()) !model = !model);
+  check_bool "then the heap is empty" true (Delay_heap.min_due h = infinity)
+
+(* [remap] renumbers and drops entries in place; the heap then pops in
+   the order of the new keys, each value still with its entry. *)
+let test_delay_heap_remap () =
+  let rng = Random.State.make [| 22 |] in
+  let keys =
+    List.init 500 (fun i ->
+        (float_of_int (Random.State.int rng 8), Random.State.int rng 4, i))
+  in
+  let h = Delay_heap.create () in
+  List.iter
+    (fun ((due, epoch, node) as k) ->
+      Delay_heap.push h ~due ~epoch ~node k (Obj.repr node))
+    keys;
+  let renumber n = if n mod 5 = 0 then None else Some (1000 - n) in
+  Delay_heap.remap h (fun _ node -> renumber node);
+  let rec pop_all () =
+    if Delay_heap.min_due h = infinity then []
+    else
+      let (d, e, old), node, v = pop_entry h in
+      check_int "the value stays with its entry" old v;
+      (d, e, node) :: pop_all ()
+  in
+  let popped = pop_all () in
+  check_bool "pops in the order of the renumbered keys" true
+    (popped
+    = List.sort compare
+        (List.filter_map
+           (fun (d, e, n) -> Option.map (fun n' -> (d, e, n')) (renumber n))
+           keys))
+
+(* One delay node's equal-due values leave in emitting order whatever
+   the scheduler does: the heap's key decides, not the order in which
+   sleeping threads happen to run. *)
+let test_delay_order_under_chaos () =
+  let run policy backend mode =
+    let rt =
+      Gen_graph.with_world ~policy (fun () ->
+          let b = Signal.input 0 in
+          let rt =
+            Runtime.start ~backend ~mode
+              (Signal.delay 1.0 (Signal.lift (( * ) 2) b))
+          in
+          List.iter (Runtime.inject rt b) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+          rt)
+    in
+    Runtime.stop rt;
+    values rt
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (pname, policy) ->
+          List.iter
+            (fun (bname, backend) ->
+              List.iter
+                (fun (mname, mode) ->
+                  check_ints
+                    (Printf.sprintf "%s %d, %s, %s" pname seed bname mname)
+                    [ 2; 4; 6; 8; 10; 12; 14; 16 ]
+                    (run policy backend mode))
+                [ ("Pipelined", Runtime.Pipelined);
+                  ("Sequential", Runtime.Sequential) ])
+            backends)
+        [
+          ("Seeded_random", Cml.Scheduler.Seeded_random seed);
+          ("Pct", Cml.Scheduler.Pct { seed; depth = 3 });
+        ])
+    (List.init 20 Fun.id)
+
+(* Pending delays share one sleeper: the threads a run spawns do not
+   grow with the number of values waiting in the heap. *)
+let test_delay_threads_constant () =
+  let spawned backend n =
+    let rt =
+      with_world (fun () ->
+          let b = Signal.input 0 in
+          let rt = Runtime.start ~backend (Signal.delay 1.0 b) in
+          for v = 1 to n do
+            Runtime.inject rt b v
+          done;
+          rt)
+    in
+    check_int "every delayed value arrives" n (List.length (values rt));
+    Cml.Scheduler.spawned_count ()
+  in
+  List.iter
+    (fun (name, backend) ->
+      check_int
+        (name ^ ": 10,000 pending delays spawn what 10 do")
+        (spawned backend 10) (spawned backend 10_000))
+    backends
+
+(* [async_events] counts async re-entries only: in a delay-only program
+   every delayed value re-enters as an event, and the counter reads 0 on
+   both backends and in a serving session. *)
+let test_delays_are_not_async_events () =
+  let build () =
+    let b = Signal.input 0 in
+    (b, Signal.delay 1.0 (Signal.lift succ b))
+  in
+  let check name (st : Stats.t) =
+    check_int (name ^ ": injections and re-entries dispatched") 6
+      st.Stats.events;
+    check_int (name ^ ": no async events") 0 st.Stats.async_events
+  in
+  List.iter
+    (fun (name, backend) ->
+      let rt =
+        with_world (fun () ->
+            let b, s = build () in
+            let rt = Runtime.start ~backend s in
+            List.iter (Runtime.inject rt b) [ 1; 2; 3 ];
+            rt)
+      in
+      check name (Runtime.stats rt))
+    backends;
+  let b, s = build () in
+  let d = Dispatcher.create s in
+  let ss = Dispatcher.open_session d in
+  List.iter (Dispatcher.inject d ss b) [ 1; 2; 3 ];
+  ignore (Dispatcher.drain d);
+  check "session" (Session.stats ss)
 
 (* ------------------------------------------------------------------ *)
 (* Execution modes *)
@@ -1012,6 +1200,18 @@ let () =
           tc "delay shifts time" `Quick test_delay_shifts_time;
           tc "delay preserves order" `Quick test_delay_preserves_order;
           tc "delay is a source" `Quick test_delay_does_not_block_siblings;
+        ] );
+      ( "delay heap",
+        [
+          tc "pops in sorted (due, epoch, node) order" `Quick
+            test_delay_heap_order;
+          tc "remap renumbers and drops" `Quick test_delay_heap_remap;
+          tc "one node's values keep their order under chaos" `Quick
+            test_delay_order_under_chaos;
+          tc "pending delays share one sleeper" `Quick
+            test_delay_threads_constant;
+          tc "delays are not async events" `Quick
+            test_delays_are_not_async_events;
         ] );
       ( "async",
         [

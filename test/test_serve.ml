@@ -56,15 +56,27 @@ let test_sessions_isolated () =
    regardless of how injections into other sessions interleave — checked
    against a dedicated compiled Runtime fed the identical sequence, across
    seeded interleavings (the serving analogue of the schedule explorer's
-   seeded schedules) and interior drains. *)
+   seeded schedules) and interior drains. A drain runs to quiescence,
+   delivering every pending delay, so the reference lets virtual time
+   pass (past the delay shape's 1 s) wherever a drain fell between two of
+   the session's events. *)
 let prop_isolated_under_interleavings =
   QCheck.Test.make
     ~name:"session trace = single-session runtime, any interleaving"
     ~count:30 Gen_graph.arb_deterministic_shape_events
     (fun (shape, events) ->
-      let reference =
+      let reference drained =
         Gen_graph.values
-          (Gen_graph.run_shape ~backend:Runtime.Compiled shape events)
+          (Gen_graph.with_world (fun () ->
+               let a, b, root = Gen_graph.build_shape shape in
+               let rt = Runtime.start ~backend:Runtime.Compiled root in
+               Cml.spawn (fun () ->
+                   List.iteri
+                     (fun k (to_a, v) ->
+                       if drained.(k) then Cml.sleep 2.0;
+                       Runtime.inject rt (if to_a then a else b) v)
+                     events);
+               rt))
       in
       List.for_all
         (fun seed ->
@@ -73,6 +85,12 @@ let prop_isolated_under_interleavings =
           let d = Dispatcher.create root in
           let sessions = Array.init 3 (fun _ -> Dispatcher.open_session d) in
           let remaining = Array.make 3 events in
+          (* per session: its events injected so far, and after which of
+             them a drain ran *)
+          let taken = Array.make 3 0 in
+          let drained =
+            Array.init 3 (fun _ -> Array.make (List.length events + 1) false)
+          in
           let left () =
             Array.exists (fun l -> l <> []) remaining
           in
@@ -82,13 +100,17 @@ let prop_isolated_under_interleavings =
             | [] -> ()
             | (to_a, v) :: rest ->
               remaining.(i) <- rest;
+              taken.(i) <- taken.(i) + 1;
               Dispatcher.inject d sessions.(i) (if to_a then a else b) v);
-            if Random.State.int st 4 = 0 then ignore (Dispatcher.drain d)
+            if Random.State.int st 4 = 0 then begin
+              ignore (Dispatcher.drain d);
+              Array.iteri (fun j k -> drained.(j).(k) <- true) taken
+            end
           done;
           ignore (Dispatcher.drain d);
-          Array.for_all
-            (fun s -> session_values s = reference)
-            sessions)
+          Array.for_all2
+            (fun s k -> session_values s = reference k)
+            sessions drained)
         [ 1; 2; 3; 4; 5 ])
 
 (* Per-session elision invariant: the root display message is the only real
@@ -376,52 +398,6 @@ let test_async_per_source_order () =
   let odds = List.filter (fun v -> v mod 2 = 1) vs in
   check_ints "synchronous side in order" [ 2; 4; 6; 8 ] evens;
   check_ints "async side in order" [ 3; 5; 7; 9 ] odds
-
-(* The delay heap pops in exactly [List.sort] order of its (due, seq)
-   keys: 2,000 seeded entries with many equal due times and shuffled
-   sequence numbers, pushed at once and then interleaved with pops
-   against a sorted-list model. *)
-let test_delay_heap_order () =
-  let rng = Random.State.make [| 21 |] in
-  let n = 2000 in
-  let seqs = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = seqs.(i) in
-    seqs.(i) <- seqs.(j);
-    seqs.(j) <- t
-  done;
-  let keys =
-    Array.to_list
-      (Array.map (fun q -> (float_of_int (Random.State.int rng 64) /. 4.0, q)) seqs)
-  in
-  let h = Dispatcher.Heap.create () in
-  let pop () =
-    let k = Dispatcher.Heap.top h in
-    check_bool "min_due is the top's due" true
-      (Dispatcher.Heap.min_due h = fst k);
-    Dispatcher.Heap.pop h;
-    k
-  in
-  List.iter (fun ((due, seq) as k) -> Dispatcher.Heap.push h ~due ~seq k) keys;
-  let popped = List.init n (fun _ -> pop ()) in
-  check_bool "pushed at once: pops in List.sort order" true
-    (popped = List.sort compare keys);
-  check_int "empty after popping everything" 0 (Dispatcher.Heap.length h);
-  let model = ref [] and out = ref [] and expected = ref [] in
-  List.iteri
-    (fun i ((due, seq) as k) ->
-      Dispatcher.Heap.push h ~due ~seq k;
-      model := List.sort compare (k :: !model);
-      if i mod 3 = 2 then begin
-        out := pop () :: !out;
-        expected := List.hd !model :: !expected;
-        model := List.tl !model
-      end)
-    keys;
-  check_bool "interleaved pushes and pops match the sorted model" true
-    (!out = !expected);
-  check_int "what is left" (List.length !model) (Dispatcher.Heap.length h)
 
 exception Crash
 
@@ -778,8 +754,6 @@ let () =
             test_delay_virtual_clock;
           tc "async preserves per-source order" `Quick
             test_async_per_source_order;
-          tc "delay heap pops in sorted (due, seq) order" `Quick
-            test_delay_heap_order;
           tc "equal-due delays stay FIFO across an upgrade" `Quick
             test_equal_due_delays_fifo_across_upgrade;
           tc "an aborted drain resumes where it stopped" `Quick
