@@ -1626,7 +1626,9 @@ let b19_gates (rows, hw) =
    dispatcher's own cold start — an upgrade must not leave serving slower
    than restarting the server would. That 5% bar is wall-clock and
    therefore soft (bench/diff.ml warns, the binary does not fail on
-   it). *)
+   it). The never-upgraded reference run's own post/cold ratio is
+   reported beside it, with the quotient of the two: what the upgrade
+   itself costs, net of the drift every run shows. *)
 
 type b20_row = {
   b20_domains : int;
@@ -1638,6 +1640,7 @@ type b20_row = {
   b20_post_ratio : float;
       (* post eps / the same dispatcher's cold-start eps: an upgrade must
          not leave serving slower than restarting the server would *)
+  b20_ref_ratio : float;  (* the same ratio in the never-upgraded run *)
   b20_dropped : int;  (* dropped + stranded pendings, both runs *)
   b20_identical : bool;  (* per-session traces = never-upgraded run *)
   b20_is_identity : bool;  (* the rebuilt plan diffed as an identity *)
@@ -1650,11 +1653,7 @@ let b20_run ~chains ~depth ~live ~domains ~upgrade =
     if domains > 1 then Some (Serve_pool.create ~domains ()) else None
   in
   let d = Serve_dispatcher.create ~fuse:false ?pool root in
-  let drain () =
-    match pool with
-    | Some _ -> Serve_dispatcher.drain d
-    | None -> Serve_dispatcher.drain d
-  in
+  let drain () = Serve_dispatcher.drain d in
   let sessions = Array.init live (fun _ -> Serve_dispatcher.open_session d) in
   let feed inp evs =
     let dispatched = ref 0 in
@@ -1700,9 +1699,9 @@ let b20_run ~chains ~depth ~live ~domains ~upgrade =
 let b20_measure ~chains ~depth ~live ~domains () =
   (* The reference run exists for the replay-differential oracle: same
      events, same drain pattern, no upgrade. Throughput is compared
-     within the upgraded run itself (post vs its own cold start) —
-     cross-run wall-clock ratios are dominated by allocator state. *)
-  let _, _, _, _, ref_dropped, ref_traces =
+     within each run (post vs its own cold start) — cross-run wall-clock
+     ratios are dominated by allocator state. *)
+  let ref_pre, ref_post, _, _, ref_dropped, ref_traces =
     b20_run ~chains ~depth ~live ~domains ~upgrade:false
   in
   let pre, post, upgrade_ms, patch, dropped, traces =
@@ -1716,6 +1715,7 @@ let b20_measure ~chains ~depth ~live ~domains () =
     b20_pre_eps = pre;
     b20_post_eps = post;
     b20_post_ratio = post /. Float.max 1e-9 pre;
+    b20_ref_ratio = ref_post /. Float.max 1e-9 ref_pre;
     b20_dropped = dropped + ref_dropped;
     b20_identical = traces = ref_traces;
     b20_is_identity =
@@ -1723,6 +1723,9 @@ let b20_measure ~chains ~depth ~live ~domains () =
       | Some p -> Elm_core.Upgrade.is_identity p
       | None -> false);
   }
+
+(* The upgraded run's post/cold ratio over the reference run's. *)
+let b20_quotient r = r.b20_post_ratio /. Float.max 1e-9 r.b20_ref_ratio
 
 let bench_b20 ?(extra_domains = []) ?(live = 10_000) () =
   section "B20 Serving: live graph upgrade under load (lib/core/upgrade)";
@@ -1736,16 +1739,18 @@ let bench_b20 ?(extra_domains = []) ?(live = 10_000) () =
     List.map (fun domains -> b20_measure ~chains ~depth ~live ~domains ())
       widths
   in
-  Printf.printf "%7s | %6s | %10s %8s | %11s %11s %9s | %5s %5s %7s\n"
-    "domains" "live" "upgrade ms" "us/sess" "cold ev/s" "post ev/s"
-    "post/cold" "same" "ident" "dropped";
+  Printf.printf
+    "%7s | %6s | %10s %8s | %11s %11s %9s %9s %9s | %5s %5s %7s\n" "domains"
+    "live" "upgrade ms" "us/sess" "cold ev/s" "post ev/s" "post/cold"
+    "ref p/c" "quotient" "same" "ident" "dropped";
   List.iter
     (fun r ->
       Printf.printf
-        "%7d | %6d | %10.2f %8.3f | %11.0f %11.0f %7.2fx | %5b %5b %7d\n"
+        "%7d | %6d | %10.2f %8.3f | %11.0f %11.0f %8.2fx %8.2fx %8.2fx | %5b \
+         %5b %7d\n"
         r.b20_domains r.b20_live r.b20_upgrade_ms r.b20_per_session_us
-        r.b20_pre_eps r.b20_post_eps r.b20_post_ratio r.b20_identical
-        r.b20_is_identity r.b20_dropped)
+        r.b20_pre_eps r.b20_post_eps r.b20_post_ratio r.b20_ref_ratio
+        (b20_quotient r) r.b20_identical r.b20_is_identity r.b20_dropped)
     rows;
   rows
 
@@ -1762,6 +1767,8 @@ let b20_to_json rows =
              ("pre_events_per_sec", Json.of_float r.b20_pre_eps);
              ("post_events_per_sec", Json.of_float r.b20_post_eps);
              ("post_throughput_ratio", Json.of_float r.b20_post_ratio);
+             ("reference_post_throughput_ratio", Json.of_float r.b20_ref_ratio);
+             ("post_ratio_over_reference", Json.of_float (b20_quotient r));
              ("dropped", Json.of_int r.b20_dropped);
              ("changes_identical", Json.of_bool r.b20_identical);
              ("patch_identity", Json.of_bool r.b20_is_identity);

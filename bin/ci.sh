@@ -49,7 +49,7 @@
 # (Gc.compact delta over the live sessions), which at K=1 must also stay
 # under an absolute ceiling of 239 words (228.0 measured plus 5%; the
 # unit suite's footprint probe in test/test_serve.ml has its own ceiling
-# of 85 words, 80.9 measured plus 5%).
+# of 85 words, 81.0 measured plus 5%).
 # B18 gates domain-parallel serving (lib/serve/pool.ml): draining the
 # 10k-session B17 workload over a work-stealing domain pool must keep
 # every per-session change trace bit-identical to the sequential
@@ -74,7 +74,8 @@
 # is queued across the seam on purpose), and leave every per-session
 # change trace bit-identical to a never-upgraded dispatcher fed the
 # same events; post-upgrade throughput vs cold start is wall-clock
-# and report-only.
+# and report-only, printed beside the never-upgraded run's own ratio
+# and the quotient of the two.
 # After the smoke gates, bench_diff compares the gated counter ratios
 # (B11/B13/B16/B17/B19) against the committed bench/baseline.json and
 # fails on > 20% regression — see bin/bench_diff.sh for how to accept

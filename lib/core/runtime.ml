@@ -89,19 +89,7 @@ type 'a t = {
   d_stats : Stats.t array;
       (* per-worker-slot attribution under wave placement; [[||]]
          otherwise *)
-  quiesce : (unit -> unit) Queue.t;
-      (* one-shot callbacks run by the dispatcher once no further global
-         events are queued — the wave-boundary seam live upgrades admit
-         at (see [at_quiescence]) *)
 }
-
-(* Run (and consume) every registered quiescence callback. Called by the
-   dispatcher thread only, between events, so callbacks observe a settled
-   graph under compiled waves and an empty event queue otherwise. *)
-let drain_quiesce rt =
-  while not (Queue.is_empty rt.quiesce) do
-    (Queue.pop rt.quiesce) ()
-  done
 
 (* A runtime's delay timer, on either backend: every pending delayed
    value waits in one Delay_heap and re-enters, once due, in the heap's
@@ -700,7 +688,6 @@ let make_rt ~gen ~dispatch ~stats ~nodes ~history ~sources ~owned_pool
     stopped = false;
     owned_pool;
     d_stats;
-    quiesce = Queue.create ();
   }
 
 (* The cml probe is process-wide: install it for this runtime, or clear a
@@ -792,14 +779,11 @@ let start_compiled ~mode ~history ~tracer ~policy ~observer ~fused ~waves
         | None -> fun () ~node:_ ~epoch:_ ~changed:_ -> ());
     }
   in
-  (* After each admission (lanes) or flushed wave: if no further event is
-     queued, this is the quiescence seam where [at_quiescence] callbacks
-     (live upgrades) run. *)
+  (* After each admission (lanes) or flushed wave: the next queued event,
+     if any. *)
   let settle () =
     stats.Stats.switches <- Cml.Scheduler.switch_count ();
-    let next = Mailbox.recv_opt new_event in
-    if Option.is_none next then drain_quiesce rt;
-    next
+    Mailbox.recv_opt new_event
   in
   if waves then
     Cml.spawn (fun () ->
@@ -1050,13 +1034,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         (match mode with
         | Sequential when reaches_root eid -> Mailbox.recv ack
         | Sequential | Pipelined -> ());
-        (* Event-queue quiescence: under [Sequential] the displayed event
-           has fully settled; under [Pipelined] node threads may still be
-           propagating, but no further global event is queued — the
-           strongest boundary this dispatcher can observe. *)
-        let next = Mailbox.recv_opt new_event in
-        if next = None then drain_quiesce rt;
-        dispatch_loop next
+        dispatch_loop (Mailbox.recv_opt new_event)
       in
       dispatch_loop None);
   rt
@@ -1091,7 +1069,6 @@ let stop rt =
   end
 
 let domain_stats rt = rt.d_stats
-let at_quiescence rt f = Queue.add f rt.quiesce
 let changes rt = logged rt.changes
 let message_log rt = logged rt.messages
 let on_change rt f = Queue.add f rt.listeners

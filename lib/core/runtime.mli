@@ -336,22 +336,6 @@ val on_stop : (int -> unit) -> unit
     free per-generation state. Hooks must be reentrant and fast; they may
     run from whichever domain calls {!stop}. *)
 
-val at_quiescence : _ t -> (unit -> unit) -> unit
-(** Register a one-shot callback run by the dispatcher at its next
-    quiescent point: after an event wave has run and flushed with no
-    further global event queued (compiled waves), or after a dispatched
-    event with an empty [newEvent] queue (lanes and the pipelined
-    backend — under [Sequential] mode the displayed event has fully
-    settled; under [Pipelined] lanes or node threads may still be
-    propagating downstream, so only the event {e queue} is known
-    empty). This is the seam where a live
-    graph upgrade is safe to admit: no round is mid-wave, so arena slots
-    and region state are not concurrently observed. Callbacks run on the
-    dispatcher thread in registration order and are dropped once run; they
-    must not block. If no further event ever arrives after registration,
-    the callback runs after the {e next} event's wave completes — register
-    before the final injection, or inject a dummy event to flush hooks. *)
-
 val domain_stats : _ t -> Stats.t array
 (** Per-worker-slot {!Stats} attribution under wave placement
     ([start ~domains]/[~pool]): index [w] accumulates the deltas

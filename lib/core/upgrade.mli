@@ -20,8 +20,7 @@
     The patch is pure data, computed once per upgrade and applied to every
     live arena by {!remap} — sessions never observe a half-upgraded graph
     because the serve layer only admits upgrades between event waves
-    (dispatcher quiescence; see [Serve.Dispatcher.upgrade_all] and
-    {!Runtime.at_quiescence}). *)
+    (dispatcher quiescence; see [Serve.Dispatcher.upgrade_all]). *)
 
 type migration
 (** A user-supplied state migration for one named node: how to turn the

@@ -26,6 +26,13 @@
    when its inbox was empty, so routing and draining never look a
    session up by id.
 
+   The rows sit in one table in id order, which is opening order: ids
+   only grow, so opening appends. A closed row stays as a hole until the
+   holes number as many as the live rows, or until the next whole-table
+   walk ([upgrade_all], [accounting]); either squeezes them out in place.
+   Every walk thus goes through the sessions in the order they were
+   opened, and the table holds at most twice the live rows.
+
    Delays use a virtual clock: the one Delay_heap of every path orders
    (due time, emitting epoch, delay node) and [drain] advances [now] to
    each due time once the ready queue is empty — the runtimes' timer
@@ -54,7 +61,10 @@ type 'a t = {
   mutable d_plan : Compile.plan;
   d_fuse : bool;  (* replayed on the replacement graph at upgrade *)
   d_hooks : 'a Row.t Exec.hooks;  (* every session's boundary wiring *)
-  d_sessions : (int, 'a Row.t) Hashtbl.t;
+  mutable d_rows : 'a Row.t array;
+      (* rows [0, d_count) in id order, live ones and holes; the slots
+         after them are [spare] *)
+  mutable d_count : int;
   d_ready : 'a Row.t Queue.t;
       (* sessions with inbox wakes, in the order their first wake came *)
   d_delays : 'a Row.t Delay_heap.t;  (* each entry's context: its session *)
@@ -128,7 +138,8 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     d_plan = Compile.plan_of root;
     d_fuse = fuse;
     d_hooks = hooks ready delays clock;
-    d_sessions = Hashtbl.create 64;
+    d_rows = [||];
+    d_count = 0;
     d_ready = ready;
     d_delays = delays;
     d_clock = clock;
@@ -152,12 +163,40 @@ let now d = d.d_clock.now
 let pool d = d.d_pool
 let domain_stats d = d.d_domain_stats
 
-(* Lifecycle mutates the sessions table, which a drain reads throughout;
-   nothing in a drain can legitimately call these (it runs no user code),
-   so a violation is a programming error. *)
+(* Lifecycle writes the rows a drain is stepping (an upgrade, every row's
+   instance); nothing in a drain can legitimately call these (it runs no
+   user code), so a violation is a programming error. *)
 let check_not_draining d what =
   if d.d_draining then
     invalid_arg (Printf.sprintf "Serve.Dispatcher.%s: drain running" what)
+
+(* A spare slot of the row table: never read (every read is below
+   [d_count]), and an immediate, so it keeps no closed row alive. *)
+let spare () : _ Row.t = Obj.magic 0
+
+let live d = d.d_opened - d.d_closed
+
+(* A whole-table walk: [f] visits the live rows in id order while the
+   holes are squeezed out in place. Each live row swaps places with the
+   first hole before it, so if [f] raises, the table still holds every
+   row once, the live ones in id order. *)
+let walk d f =
+  let rows = d.d_rows and n = ref 0 in
+  for i = 0 to d.d_count - 1 do
+    let s = rows.(i) in
+    if not s.Row.r_closed then begin
+      rows.(i) <- rows.(!n);
+      rows.(!n) <- s;
+      incr n;
+      f s
+    end
+  done;
+  Array.fill rows !n (d.d_count - !n) (spare ());
+  d.d_count <- !n
+
+(* A row with inbox wakes (re)joins the ready FIFO. *)
+let requeue d (s : _ Row.t) =
+  if not (Queue.is_empty s.r_inbox) then Queue.push s d.d_ready
 
 (* A session's instance of [pl]: trace rows offset by its id, displays
    written straight to its sink, everything else the dispatcher's. (The
@@ -171,7 +210,7 @@ let make_exec d ~sid ~stats ~sink ~epoch pl arena =
     ~display:(fun ~epoch ~changed v -> Row.display sink ~epoch ~changed v)
     ~policy:d.d_policy ~stats ~epoch pl arena
 
-(* Shared by [open_session] and [clone]: a new row, registered. *)
+(* Shared by [open_session] and [clone]: a new row, appended. *)
 let add_row d ~stats ~sink ~arena ~epoch pl =
   let sid = d.d_next_sid in
   d.d_next_sid <- sid + 1;
@@ -186,20 +225,17 @@ let add_row d ~stats ~sink ~arena ~epoch pl =
       r_closed = false;
     }
   in
-  Hashtbl.replace d.d_sessions sid s;
+  if d.d_count = Array.length d.d_rows then
+    d.d_rows <- Array.append d.d_rows (Array.make (max 16 d.d_count) (spare ()));
+  d.d_rows.(d.d_count) <- s;
+  d.d_count <- d.d_count + 1;
   d.d_opened <- d.d_opened + 1;
   s
 
 let open_session d =
   check_not_draining d "open_session";
-  let sink =
-    {
-      Runtime.latest = Signal.default d.d_root;
-      rev = [];
-      count = 0;
-      cap = d.d_history;
-    }
-  in
+  let latest = Signal.default d.d_root in
+  let sink = { Runtime.latest; rev = []; count = 0; cap = d.d_history } in
   add_row d ~stats:(Stats.create ()) ~sink
     ~arena:(Compile.new_arena d.d_plan) ~epoch:0 d.d_plan
 
@@ -227,11 +263,9 @@ let close d (s : _ Row.t) =
     s.r_closed <- true;
     (* Drop queued wakes, so a closed session pins no event payloads. *)
     Queue.clear s.r_inbox;
-    Hashtbl.remove d.d_sessions s.r_id;
-    d.d_closed <- d.d_closed + 1
+    d.d_closed <- d.d_closed + 1;
+    if d.d_count - live d >= live d then walk d ignore
   end
-
-let find d sid = Hashtbl.find_opt d.d_sessions sid
 
 (* One accepted injection = one inbox wake = exactly one future step. The
    capacity bounds the inbox (every wake waiting, whatever its source),
@@ -290,12 +324,10 @@ let inject d s input v =
 let upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch
     (s : _ Row.t) =
   let old = s.r_exec in
-  let x =
+  s.r_exec <-
     make_exec d ~sid:s.r_id ~stats:(Exec.stats old) ~sink:s.r_sink
       ~epoch:(Exec.epoch old) (Upgrade.new_plan patch)
-      (Upgrade.remap ~stale_map ~skip_migration patch (Exec.arena old))
-  in
-  s.r_exec <- x;
+      (Upgrade.remap ~stale_map ~skip_migration patch (Exec.arena old));
   let wakes = Queue.copy s.r_inbox in
   Queue.clear s.r_inbox;
   (* [leak_mailbox] is the planted Leak_seam_mailbox bug: the inbox is
@@ -312,12 +344,7 @@ let upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch
 let upgrade_all ?migrate ?mutate d new_root =
   check_not_draining d "upgrade_all";
   d.d_upgrades <- d.d_upgrades + 1;
-  let occ = d.d_upgrades in
-  let planted spec =
-    match (mutate : Runtime.mutation option) with
-    | Some m when m = spec occ -> true
-    | _ -> false
-  in
+  let planted spec = mutate = Some (spec d.d_upgrades) in
   let stale_map = planted (fun n -> Runtime.Stale_slot_map n) in
   let skip_migration = planted (fun n -> Runtime.Skip_migration n) in
   let leak_mailbox = planted (fun n -> Runtime.Leak_seam_mailbox n) in
@@ -325,18 +352,16 @@ let upgrade_all ?migrate ?mutate d new_root =
   let new_root = if d.d_fuse then Fuse.fuse_cached new_root else new_root in
   let new_plan = Compile.plan_of new_root in
   let patch = Upgrade.diff ?migrate d.d_plan new_plan in
-  Hashtbl.iter
-    (fun _ s -> upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch s)
-    d.d_sessions;
-  (* An inbox the upgrade emptied (every wake's source detached) leaves
-     the ready FIFO, so the session's next wake queues it once again
-     rather than twice. *)
-  let ready = Queue.copy d.d_ready in
+  (* Each row's new instance and arena are built in id order, so they lie
+     in memory in the order later drains step them. The same walk
+     rebuilds the ready FIFO from the rows with inbox wakes: only the
+     order within one session is observable, and an inbox the upgrade
+     emptied (every wake's source detached) leaves the FIFO, so the
+     session's next wake queues it once again rather than twice. *)
   Queue.clear d.d_ready;
-  Queue.iter
-    (fun (s : _ Row.t) ->
-      if not (Queue.is_empty s.r_inbox) then Queue.push s d.d_ready)
-    ready;
+  walk d (fun s ->
+      upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch s;
+      requeue d s);
   (* Delay heap: rewritten under the new node ids. In-flight values of
      detached delay nodes are released with their pending counters. (A
      drain runs to quiescence unless a node's exception aborts it, so the
@@ -475,24 +500,19 @@ let drain ?(seed = 0) d =
        the wakes they did not take, back on the ready FIFO, and hand over
        what their finished steps buffered, so a later drain goes on where
        this one stopped. *)
-    Queue.iter
-      (fun (s : _ Row.t) ->
-        if not (Queue.is_empty s.r_inbox) then Queue.push s d.d_ready)
-      runnable;
+    Queue.iter (requeue d) runnable;
     Queue.iter (flush d) runnable;
     d.d_draining <- false;
     raise e
 
 let accounting d =
   let idle = ref 0 and pend = ref 0 and pendd = ref 0 in
-  Hashtbl.iter
-    (fun _ s ->
+  walk d (fun s ->
       if Session.is_idle s then incr idle;
       pend := !pend + Queue.length s.Row.r_inbox;
-      pendd := !pendd + s.Row.r_pending_delays)
-    d.d_sessions;
+      pendd := !pendd + s.Row.r_pending_delays);
   {
-    live = Hashtbl.length d.d_sessions;
+    live = live d;
     opened = d.d_opened;
     closed = d.d_closed;
     routed = d.d_routed;

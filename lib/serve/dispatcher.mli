@@ -14,7 +14,9 @@
     dispatcher, and each session is a row of it — its arena, counters,
     inbox and change log ({!Session} reads them). Opening, cloning,
     feeding, draining, upgrading and closing a session all go through
-    this module.
+    this module. The rows sit in one table in id order, which is the
+    order the sessions were opened, and every walk over all sessions
+    ({!upgrade_all}, {!accounting}) goes in that order.
 
     A wake is one item, a source and its value, from the moment it is
     admitted (an injection, an async re-entry, a due delay) until the
@@ -92,11 +94,12 @@ val clone : 'a t -> 'a Session.t -> 'a Session.t
     through a half-dispatched event). *)
 
 val close : 'a t -> 'a Session.t -> unit
-(** Close and unregister: the inbox is dropped, its wakes and their values
+(** Close the session: the inbox is dropped, its wakes and their values
     together, so a closed session pins no event payload; later events for
-    the session are ignored. *)
-
-val find : 'a t -> int -> 'a Session.t option
+    the session are ignored. The dispatcher may still hold the closed row
+    itself for a while: it leaves a hole in the session table, squeezed
+    out once the holes number as many as the open sessions, or at the next
+    {!upgrade_all} or {!accounting}. *)
 
 (** {1 Routing} *)
 
@@ -144,12 +147,12 @@ val upgrade_all :
     dispatcher was created with [~fuse:true], the shared plan cache (and
     the fusion memos with it) is invalidated and reseeded with the new
     plan, and the patch ({!Upgrade.diff} against the current plan, with
-    the caller's [migrate] list) is applied to each session — its arena
-    remapped ({!Upgrade.remap}), its instance rebuilt against the new slot
-    layout, its inbox wakes moved with their values to their matched
-    sources' new ids, trace rows re-registered; its change history,
-    counters and epoch numbering persist — then the delay heap's entries
-    move to their matched new node ids. Wakes and delays of detached
+    the caller's [migrate] list) is applied to each session in id order —
+    its arena remapped ({!Upgrade.remap}), its instance rebuilt against
+    the new slot layout, its inbox wakes moved with their values to their
+    matched sources' new ids, trace rows re-registered; its change
+    history, counters and epoch numbering persist — then the delay heap's
+    entries move to their matched new node ids. Wakes and delays of detached
     sources are released (and leave the pending counts with them), so
     the accounting stays exact and no accepted event of a surviving
     subgraph is dropped. An identity
@@ -157,8 +160,7 @@ val upgrade_all :
     a no-op at any drain point.
 
     Admission is wave-boundary only: raises [Invalid_argument] during a
-    drain; drains never run user code, so calling this between [drain]s — or
-    from a {!Runtime.at_quiescence} hook on a runtime-driven graph —
+    drain; drains never run user code, so calling this between [drain]s
     always sees consistent arenas.
 
     [mutate] plants one of the upgrade bugs of the mutation-testing

@@ -311,32 +311,6 @@ let test_detach_empties_ready_fifo () =
       check_int "its trace" 3 (Session.current s))
 
 (* ------------------------------------------------------------------ *)
-(* The runtime-side upgrade seam: at_quiescence runs once, settled. *)
-
-let test_at_quiescence_hook () =
-  List.iter
-    (fun backend ->
-      let ran = ref 0 in
-      let seen = ref (-1) in
-      let rt =
-        Gen_graph.with_world (fun () ->
-            let a = Signal.input ~name:"a" 0 in
-            let root = Signal.foldp ( + ) 0 a in
-            let rt = Runtime.start ~backend ~mode:Runtime.Sequential root in
-            Runtime.inject rt a 1;
-            Runtime.inject rt a 2;
-            Runtime.at_quiescence rt (fun () ->
-                incr ran;
-                seen := List.length (Runtime.changes rt));
-            Runtime.inject rt a 3;
-            rt)
-      in
-      Runtime.stop rt;
-      check_int "callback ran exactly once" 1 !ran;
-      check_int "ran at a settled point (all three events displayed)" 3 !seen)
-    [ Runtime.Pipelined; Runtime.Compiled ]
-
-(* ------------------------------------------------------------------ *)
 (* Planted upgrade bugs: the sweep must catch all three, and the clean
    victims must pass it. *)
 
@@ -411,8 +385,6 @@ let () =
           tc "an inbox emptied by a detach leaves the ready FIFO" `Quick
             test_detach_empties_ready_fifo;
         ] );
-      ( "seam",
-        [ tc "at_quiescence runs once, settled" `Quick test_at_quiescence_hook ] );
       ( "mutations",
         [
           tc "clean victims pass the sweep" `Quick test_clean_victims_pass;
