@@ -87,7 +87,8 @@
 # pipelined replay) passed. Its output directory is created first, since
 # run.py does not create it on a fresh checkout.
 # bin/loc.py then reports the engine's code size (lib/core + lib/serve,
-# comments and blank lines stripped) — tracked next to the numbers, not
+# comments and blank lines stripped), its exported vals and the optional
+# (?x:) parameters those vals take — tracked next to the numbers, not
 # gated.
 # The full run also writes BENCH_core.json (latency percentiles, trace
 # summaries, B13 fusion ratios, B14 fault-injection matrix, B15

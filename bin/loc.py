@@ -5,14 +5,16 @@ lib/serve/*.ml.
     python3 bin/loc.py
 
 Prints one row per file with its line count after stripping comments
-(OCaml comments nest) and blank lines, and the number of `val`
-declarations in its interface (the .mli next to it; "-" for a module
-without one), then the totals. A report for tracking code size and API
-surface alongside the benchmark numbers, not a gate.
+(OCaml comments nest) and blank lines, the number of `val` declarations
+in its interface (the .mli next to it; "-" for a module without one) and
+the optional parameters (`?x:`) those declarations take, then the
+totals. A report for tracking code size and API surface alongside the
+benchmark numbers, not a gate.
 """
 
 import glob
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,29 +62,47 @@ def code_lines(path):
     return sum(1 for line in text.splitlines() if line.strip())
 
 
-def exported_vals(path):
-    """The `val` declarations of the interface next to path, or None."""
+OPTIONAL = re.compile(r"\?[a-z_][A-Za-z0-9_']*:")
+# A line that starts a new interface item ends the `val` before it.
+ITEM = re.compile(r"\s*(val|type|module|exception|external|include|open|end)\b")
+
+
+def interface(path):
+    """(`val` declarations, optional parameters in their signatures) of the
+    interface next to path, or None."""
     mli = path + "i"
     if not os.path.exists(mli):
         return None
     with open(mli, encoding="utf-8") as f:
         text = strip_comments(f.read())
-    return sum(1 for line in text.splitlines() if line.lstrip().startswith("val "))
+    vals = optional = 0
+    in_val = False
+    for line in text.splitlines():
+        if ITEM.match(line):
+            in_val = line.lstrip().startswith("val ")
+            vals += in_val
+        if in_val:
+            optional += len(OPTIONAL.findall(line))
+    return vals, optional
 
 
 def main():
     files = sorted(glob.glob(os.path.join(ROOT, "lib", "core", "*.ml"))
                    + glob.glob(os.path.join(ROOT, "lib", "serve", "*.ml")))
-    total = total_vals = 0
-    print("%6s %5s  %s" % ("lines", "vals", "file"))
+    total = total_vals = total_optional = 0
+    print("%6s %5s %5s  %s" % ("lines", "vals", "?opt", "file"))
     for path in files:
         n = code_lines(path)
-        v = exported_vals(path)
+        iface = interface(path)
         total += n
-        total_vals += v or 0
-        print("%6d %5s  %s" % (n, "-" if v is None else v,
-                                os.path.relpath(path, ROOT)))
-    print("%6d %5d  total" % (total, total_vals))
+        if iface is None:
+            v = o = "-"
+        else:
+            v, o = iface
+            total_vals += v
+            total_optional += o
+        print("%6d %5s %5s  %s" % (n, v, o, os.path.relpath(path, ROOT)))
+    print("%6d %5d %5d  total" % (total, total_vals, total_optional))
     return 0
 
 

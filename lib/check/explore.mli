@@ -193,7 +193,7 @@ val upgrade_program :
     upgrade point. *)
 
 val run_upgrade :
-  ?mutate:Elm_core.Runtime.mutation ->
+  ?mutate:Elm_core.Upgrade.mutation ->
   ?domains:int ->
   'a uprogram ->
   report
@@ -207,6 +207,6 @@ val run_upgrade :
     stepped), {!Accounting} (nothing pending, every session idle, zero
     dropped events). Runs use the dispatcher's default (fused) plans.
     [mutate] plants an upgrade bug on every upgrade
-    ({!Elm_core.Runtime.mutation}, occurrence counted per dispatcher);
+    ({!Elm_core.Upgrade.mutation}, occurrence counted per dispatcher);
     [domains] drains through a worker pool of that size. Violations carry
     [[k; style]] (style [1] = quiescent) in [v_decisions]. *)

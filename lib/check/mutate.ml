@@ -1,9 +1,10 @@
 module Runtime = Elm_core.Runtime
 module Signal = Elm_core.Signal
+module Upgrade = Elm_core.Upgrade
 
-type planted = {
+type 'm planted = {
   name : string;
-  spec : Runtime.mutation;
+  spec : 'm;
 }
 
 (* Occurrence indices land each fault mid-run: past the first event (so
@@ -70,9 +71,9 @@ let all_caught ?schedules ?seed () =
 
 let upgrade_all =
   [
-    { name = "stale-slot-map"; spec = Runtime.Stale_slot_map 1 };
-    { name = "skip-migration"; spec = Runtime.Skip_migration 1 };
-    { name = "leak-seam-mailbox"; spec = Runtime.Leak_seam_mailbox 1 };
+    { name = "stale-slot-map"; spec = Upgrade.Stale_slot_map 1 };
+    { name = "skip-migration"; spec = Upgrade.Skip_migration 1 };
+    { name = "leak-seam-mailbox"; spec = Upgrade.Leak_seam_mailbox 1 };
   ]
 
 (* All-int slots on purpose: the stale-map mutation rotates live values
@@ -129,7 +130,7 @@ let migration_victim () =
   Explore.upgrade_program ~name:"upgrade-migration-victim"
     ~show:string_of_int
     ~migrate:(fun () ->
-      [ Elm_core.Upgrade.migrate ~name:"sum" (fun (acc : int) -> acc + migration_bias) ])
+      [ Upgrade.migrate ~name:"sum" (fun (acc : int) -> acc + migration_bias) ])
     ~old_graph:upgrade_graph ~new_graph upgrade_events
 
 let upgrade_catches ?domains () =
@@ -137,8 +138,8 @@ let upgrade_catches ?domains () =
     (fun planted ->
       let victim =
         match planted.spec with
-        | Runtime.Skip_migration _ -> migration_victim ()
-        | _ -> upgrade_victim ()
+        | Upgrade.Skip_migration _ -> migration_victim ()
+        | Stale_slot_map _ | Leak_seam_mailbox _ -> upgrade_victim ()
       in
       (planted, Explore.run_upgrade ?domains ~mutate:planted.spec victim))
     upgrade_all

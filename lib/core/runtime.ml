@@ -42,21 +42,6 @@ type mutation =
   | Reorder_wakeup of int
       (* hold the nth dispatcher wakeup and deliver it after the next round
          bound for the same node: an out-of-order mailbox admit *)
-  (* Upgrade mutations: planted by [Upgrade.diff]/[Dispatcher.upgrade_all]
-     (lib/serve) rather than by the dispatch path below — the runtime's
-     graph is fixed at [start], so these have no effect here beyond
-     occurrence validation. They live in this type so the checker passes
-     one [?mutate] spec through either seam. *)
-  | Stale_slot_map of int
-      (* rotate the nth upgrade's matched-slot mapping by one: values land
-         in the neighbouring slot, as if the remap table were stale *)
-  | Skip_migration of int
-      (* apply the nth upgrade without running user migrations: migrated
-         state keeps its old representation *)
-  | Leak_seam_mailbox of int
-      (* the nth upgrade forgets each session's inbox, wakes and values
-         together, instead of moving it onto the new node ids: accepted
-         events lost at the seam *)
 
 type mut_state = {
   m_spec : mutation;
@@ -75,13 +60,11 @@ type ('k, 'a) log = {
 
 type 'a t = {
   gen : int;
-  dispatch : dispatch;
   stats : Stats.t;
   nodes : int;
   changes : (float, 'a) log;
   messages : (float, 'a Event.t) log;
   listeners : (float -> 'a -> unit) Queue.t;
-  mutable sources : (int * string) list;
   mutable stopped : bool;
   owned_pool : Pool.t option;
       (* a pool created by [start ~domains:k] (k > 1), closed by [stop];
@@ -139,7 +122,6 @@ type ctx = {
   c_observer : (node:int -> epoch:int -> changed:bool -> unit) option;
   c_mutate : mut_state option;
   wakeups : (int, round Mailbox.t) Hashtbl.t;
-  mutable c_sources : (int * string) list;
 }
 
 (* Runtime generations are minted from an [Atomic.t]: [start] may be
@@ -216,38 +198,11 @@ let send_round ctx mb r =
       if m.m_count = n then m.m_held <- Some (mb, r) else Mailbox.send mb r)
   | _ -> Mailbox.send mb r
 
-let recv_wake ctx ~id wake =
-  let r = Mailbox.recv wake in
-  (match ctx.c_tracer with
-  | None -> ()
-  | Some tr -> Trace.node_start tr ~node:id ~epoch:r.epoch);
-  r
-
 (* The node's failure handler (see [Exec.handler]): one per node, so a
    [Restart] budget stays local to it. *)
-let supervisor ctx ~id =
+let supervisor ctx s =
   Exec.handler ~policy:ctx.c_policy ~stats:ctx.c_stats ~tracer:ctx.c_tracer
-    ~node:id
-
-(* Register this node with the dispatcher: the returned mailbox receives one
-   [round] per event whose cone contains the node. The mailbox is named so
-   queue-depth probes can attribute backlog to the node. *)
-let node_wakeup ctx ~id ~name =
-  let mb =
-    Mailbox.create ?capacity:ctx.c_capacity
-      ~name:(Printf.sprintf "wake:%d:%s" id name) ()
-  in
-  Hashtbl.replace ctx.wakeups id mb;
-  (match ctx.c_tracer with
-  | None -> ()
-  | Some tr -> Trace.register_node tr ~id ~name);
-  mb
-
-let value_mailbox : type b. ctx -> b Signal.t -> b Mailbox.t =
- fun ctx s ->
-  Mailbox.create ?capacity:ctx.c_capacity
-    ~name:(Printf.sprintf "value:%d:%s" (Signal.id s) (Signal.name s))
-    ()
+    ~node:(Signal.id s)
 
 (* An incoming edge, from the receiver's point of view. [last] caches the
    most recent body seen so that rounds the producer elided (its cone did
@@ -278,63 +233,80 @@ let read_edge ctx e (r : round) =
   end
   else Event.No_change e.e_last
 
-(* Source nodes (inputs, constants, async): the Fig. 10 translation of
-   ⟨id, mc, v⟩. The thread answers every round it is woken for with exactly
-   one message: the freshly arrived value when the event is its own, a
-   [No_change] of the latest value otherwise (flood dispatch only — under
-   cone dispatch a source is woken only by its own events). *)
-let source_node ctx ~source_id ~name ~default ~value_mb =
-  let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" source_id name) () in
-  let wake = node_wakeup ctx ~id:source_id ~name in
-  ctx.c_sources <- (source_id, name) :: ctx.c_sources;
-  Cml.spawn (fun () ->
-      let rec loop prev =
-        let r = recv_wake ctx ~id:source_id wake in
-        let msg =
-          if r.source = source_id then Event.Change (Mailbox.recv value_mb)
-          else Event.No_change prev
-        in
-        emit ctx ~id:source_id out r msg;
-        loop (Event.body msg)
-      in
-      loop default);
-  out
-
-(* Lift-style nodes share this loop. [round] reads one message per incoming
-   edge (real or synthesized) and returns whether any of them changed plus a
-   thunk recomputing the node's function on the current input bodies. *)
-let lift_node ctx ~id ~name ~default ~round =
+(* Every node kind of Fig. 10 is one thread over this loop: take the next
+   round, let [step] read the node's inputs and answer it with exactly one
+   message, emit that, and carry its body as the node's latest value. The
+   kinds differ only in their [step]; node state beyond the latest value
+   lives in the step's closure. The wakeup mailbox, registered with the
+   dispatcher, receives one [round] per event whose cone contains the
+   node; it is named so queue-depth probes can attribute backlog to the
+   node. *)
+let node ctx s step =
+  let id = Signal.id s and name = Signal.name s in
   let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id name) () in
-  let wake = node_wakeup ctx ~id ~name in
-  let fail = supervisor ctx ~id in
+  let wake =
+    Mailbox.create ?capacity:ctx.c_capacity
+      ~name:(Printf.sprintf "wake:%d:%s" id name) ()
+  in
+  Hashtbl.replace ctx.wakeups id wake;
+  (match ctx.c_tracer with
+  | None -> ()
+  | Some tr -> Trace.register_node tr ~id ~name);
   Cml.spawn (fun () ->
       let rec loop prev =
-        let r = recv_wake ctx ~id wake in
-        let changed, compute = round r in
-        let msg =
-          if changed then begin
-            ctx.c_stats.applications <- ctx.c_stats.applications + 1;
-            match compute () with
-            | v -> Event.Change v
-            | exception e ->
-              ignore (fail ~epoch:r.epoch e);
-              Event.No_change prev
-          end
-          else begin
-            if not ctx.memoize then begin
-              ctx.c_stats.recomputations <- ctx.c_stats.recomputations + 1;
-              match compute () with
-              | _ -> ()
-              | exception e -> ignore (fail ~epoch:r.epoch e)
-            end;
-            Event.No_change prev
-          end
-        in
+        let r = Mailbox.recv wake in
+        (match ctx.c_tracer with
+        | None -> ()
+        | Some tr -> Trace.node_start tr ~node:id ~epoch:r.epoch);
+        let msg = step r prev in
         emit ctx ~id out r msg;
         loop (Event.body msg)
       in
-      loop default);
-  out
+      loop (Signal.default s));
+  { Signal.gen = ctx.rt_gen; out; push = None }
+
+(* Source nodes (inputs, constants, async): the Fig. 10 translation of
+   ⟨id, mc, v⟩. A source answers the freshly arrived value, from its value
+   mailbox, when the round is its own event, and [No_change] of its latest
+   value otherwise (flood dispatch only — under cone dispatch a source is
+   woken only by its own events). *)
+let source ctx s =
+  let value_mb =
+    Mailbox.create ?capacity:ctx.c_capacity
+      ~name:(Printf.sprintf "value:%d:%s" (Signal.id s) (Signal.name s))
+      ()
+  in
+  let i =
+    node ctx s (fun r prev ->
+        if r.source = Signal.id s then Event.Change (Mailbox.recv value_mb)
+        else Event.No_change prev)
+  in
+  (value_mb, i)
+
+(* The step of a lift-style node. [round] reads one message per incoming
+   edge (real or synthesized) and returns whether any of them changed plus a
+   thunk recomputing the node's function on the current input bodies. *)
+let lift ctx s round =
+  let fail = supervisor ctx s in
+  node ctx s (fun r prev ->
+      let changed, compute = round r in
+      if changed then begin
+        ctx.c_stats.applications <- ctx.c_stats.applications + 1;
+        match compute () with
+        | v -> Event.Change v
+        | exception e ->
+          ignore (fail ~epoch:r.epoch e);
+          Event.No_change prev
+      end
+      else begin
+        if not ctx.memoize then begin
+          ctx.c_stats.recomputations <- ctx.c_stats.recomputations + 1;
+          match compute () with
+          | _ -> ()
+          | exception e -> ignore (fail ~epoch:r.epoch e)
+        end;
+        Event.No_change prev
+      end)
 
 let rec build : type b. ctx -> b Signal.t -> b Signal.inst =
  fun ctx s ->
@@ -357,121 +329,90 @@ and edge : type b. ctx -> b Signal.t -> b edge =
 
 and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
  fun ctx s ->
-  let default = Signal.default s in
-  let plain out = { Signal.gen = ctx.rt_gen; out; push = None } in
   match Signal.kind s with
-  | Signal.Constant ->
-    (* A constant is a source whose event never fires: under cone dispatch
-       it is never woken at all; under flood it answers every round with
-       [No_change default]. *)
-    let value_mb = value_mailbox ctx s in
-    plain
-      (source_node ctx ~source_id:(Signal.id s) ~name:(Signal.name s) ~default
-         ~value_mb)
+  | Signal.Constant | Signal.Lift_list (_, []) ->
+    (* A source whose event never fires: under cone dispatch it is never
+       woken at all; under flood it answers every round with [No_change
+       default]. A lift_list of no signals is one: a node loop with no
+       incoming edges would spin. *)
+    snd (source ctx s)
   | Signal.Input ->
-    let value_mb = value_mailbox ctx s in
-    let source_id = Signal.id s in
-    let out = source_node ctx ~source_id ~name:(Signal.name s) ~default ~value_mb in
+    let value_mb, i = source ctx s in
     let push v =
       (* Value first, notification second: when the dispatcher wakes this
          source's cone, the source thread finds the value waiting. *)
       Mailbox.send value_mb v;
-      Mailbox.send ctx.c_new_event source_id
+      Mailbox.send ctx.c_new_event (Signal.id s)
     in
-    { Signal.gen = ctx.rt_gen; out; push = Some push }
+    { i with push = Some push }
   | Signal.Lift1 (f, a) ->
     let ea = edge ctx a in
-    let round r =
-      let ma = read_edge ctx ea r in
-      (Event.is_change ma, fun () -> f (Event.body ma))
-    in
-    plain (lift_node ctx ~id:(Signal.id s) ~name:(Signal.name s) ~default ~round)
+    lift ctx s (fun r ->
+        let ma = read_edge ctx ea r in
+        (Event.is_change ma, fun () -> f (Event.body ma)))
   | Signal.Lift2 (f, a, b) ->
     let ea = edge ctx a in
     let eb = edge ctx b in
-    let round r =
-      let ma = read_edge ctx ea r in
-      let mb = read_edge ctx eb r in
-      ( Event.is_change ma || Event.is_change mb,
-        fun () -> f (Event.body ma) (Event.body mb) )
-    in
-    plain (lift_node ctx ~id:(Signal.id s) ~name:(Signal.name s) ~default ~round)
+    lift ctx s (fun r ->
+        let ma = read_edge ctx ea r in
+        let mb = read_edge ctx eb r in
+        ( Event.is_change ma || Event.is_change mb,
+          fun () -> f (Event.body ma) (Event.body mb) ))
   | Signal.Lift3 (f, a, b, c) ->
     let ea = edge ctx a in
     let eb = edge ctx b in
     let ec = edge ctx c in
-    let round r =
-      let ma = read_edge ctx ea r in
-      let mb = read_edge ctx eb r in
-      let mc = read_edge ctx ec r in
-      ( Event.is_change ma || Event.is_change mb || Event.is_change mc,
-        fun () -> f (Event.body ma) (Event.body mb) (Event.body mc) )
-    in
-    plain (lift_node ctx ~id:(Signal.id s) ~name:(Signal.name s) ~default ~round)
+    lift ctx s (fun r ->
+        let ma = read_edge ctx ea r in
+        let mb = read_edge ctx eb r in
+        let mc = read_edge ctx ec r in
+        ( Event.is_change ma || Event.is_change mb || Event.is_change mc,
+          fun () -> f (Event.body ma) (Event.body mb) (Event.body mc) ))
   | Signal.Lift4 (f, a, b, c, d) ->
     let ea = edge ctx a in
     let eb = edge ctx b in
     let ec = edge ctx c in
     let ed = edge ctx d in
-    let round r =
-      let ma = read_edge ctx ea r in
-      let mb = read_edge ctx eb r in
-      let mc = read_edge ctx ec r in
-      let md = read_edge ctx ed r in
-      ( Event.is_change ma || Event.is_change mb || Event.is_change mc
-        || Event.is_change md,
-        fun () ->
-          f (Event.body ma) (Event.body mb) (Event.body mc) (Event.body md) )
-    in
-    plain (lift_node ctx ~id:(Signal.id s) ~name:(Signal.name s) ~default ~round)
-  | Signal.Lift_list (_, []) ->
-    (* No incoming edges: a node loop would spin. Behave as a constant. *)
-    let value_mb = value_mailbox ctx s in
-    plain
-      (source_node ctx ~source_id:(Signal.id s) ~name:(Signal.name s) ~default
-         ~value_mb)
+    lift ctx s (fun r ->
+        let ma = read_edge ctx ea r in
+        let mb = read_edge ctx eb r in
+        let mc = read_edge ctx ec r in
+        let md = read_edge ctx ed r in
+        ( Event.is_change ma || Event.is_change mb || Event.is_change mc
+          || Event.is_change md,
+          fun () ->
+            f (Event.body ma) (Event.body mb) (Event.body mc) (Event.body md) ))
   | Signal.Lift_list (f, ds) ->
     let edges = List.map (fun d -> edge ctx d) ds in
-    let round r =
-      let msgs = List.map (fun e -> read_edge ctx e r) edges in
-      ( List.exists Event.is_change msgs,
-        fun () -> f (List.map Event.body msgs) )
-    in
-    plain (lift_node ctx ~id:(Signal.id s) ~name:(Signal.name s) ~default ~round)
+    lift ctx s (fun r ->
+        let msgs = List.map (fun e -> read_edge ctx e r) edges in
+        ( List.exists Event.is_change msgs,
+          fun () -> f (List.map Event.body msgs) ))
   | Signal.Foldp (f, src) ->
     let e = edge ctx src in
-    let id = Signal.id s in
-    let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) () in
-    let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    let fail = supervisor ctx ~id in
-    Cml.spawn (fun () ->
-        (* A [Restart] re-seeds the accumulator with the signal default; the
-           flag defers it until after the failed round's [No_change acc] has
-           gone out, so downstream caches hold the last-good value until the
-           restarted fold produces its next genuine change. *)
-        let restart = ref false in
-        let rec loop acc =
-          let r = recv_wake ctx ~id wake in
-          let msg =
-            match read_edge ctx e r with
-            | Event.Change v -> (
-              ctx.c_stats.fold_steps <- ctx.c_stats.fold_steps + 1;
-              match f v acc with
-              | acc' -> Event.Change acc'
-              | exception ex ->
-                restart := fail ~epoch:r.epoch ex;
-                Event.No_change acc)
-            | Event.No_change _ -> Event.No_change acc
-          in
-          emit ctx ~id out r msg;
+    let fail = supervisor ctx s in
+    (* A [Restart] re-seeds the accumulator with the signal default; the
+       flag defers it to the next round, so the failed round's [No_change
+       acc] still goes out and downstream caches hold the last-good value
+       until the restarted fold produces its next genuine change. *)
+    let restart = ref false in
+    node ctx s (fun r acc ->
+        let acc =
           if !restart then begin
             restart := false;
-            loop default
+            Signal.default s
           end
-          else loop (Event.body msg)
+          else acc
         in
-        loop default);
-    plain out
+        match read_edge ctx e r with
+        | Event.Change v -> (
+          ctx.c_stats.fold_steps <- ctx.c_stats.fold_steps + 1;
+          match f v acc with
+          | acc' -> Event.Change acc'
+          | exception ex ->
+            restart := fail ~epoch:r.epoch ex;
+            Event.No_change acc)
+        | Event.No_change _ -> Event.No_change acc)
   | Signal.Async inner | Signal.Delay (_, inner) ->
     (* Fig. 10's async translation, shared by [delay]: build the inner
        subgraph normally, then forward each of its changes to a fresh
@@ -482,11 +423,8 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
        consumes whatever the inner subgraph emits, at whatever epochs it
        was affected. *)
     let inner_port = Multicast.port (build ctx inner).Signal.out in
-    let value_mb = value_mailbox ctx s in
+    let value_mb, i = source ctx s in
     let source_id = Signal.id s in
-    let out =
-      source_node ctx ~source_id ~name:(Signal.name s) ~default ~value_mb
-    in
     let reenter v =
       Mailbox.send value_mb (Obj.obj v);
       Mailbox.send ctx.c_new_event source_id
@@ -503,75 +441,39 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
       forward ()
     in
     Cml.spawn forward;
-    plain out
+    i
   | Signal.Merge (a, b) ->
     let ea = edge ctx a in
     let eb = edge ctx b in
-    let id = Signal.id s in
-    let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) () in
-    let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    Cml.spawn (fun () ->
-        let rec loop prev =
-          let r = recv_wake ctx ~id wake in
-          let ma = read_edge ctx ea r in
-          let mb = read_edge ctx eb r in
-          let msg =
-            match ma, mb with
-            | Event.Change v, _ -> Event.Change v
-            | Event.No_change _, Event.Change v -> Event.Change v
-            | Event.No_change _, Event.No_change _ -> Event.No_change prev
-          in
-          emit ctx ~id out r msg;
-          loop (Event.body msg)
-        in
-        loop default);
-    plain out
+    node ctx s (fun r prev ->
+        let ma = read_edge ctx ea r in
+        let mb = read_edge ctx eb r in
+        match (ma, mb) with
+        | Event.Change v, _ | Event.No_change _, Event.Change v ->
+          Event.Change v
+        | Event.No_change _, Event.No_change _ -> Event.No_change prev)
   | Signal.Drop_repeats (eq, src) ->
     let e = edge ctx src in
-    let id = Signal.id s in
-    let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) () in
-    let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    let fail = supervisor ctx ~id in
-    Cml.spawn (fun () ->
-        let rec loop prev =
-          let r = recv_wake ctx ~id wake in
-          let msg =
-            match read_edge ctx e r with
-            | Event.Change v -> (
-              (* The user-supplied equality can raise too. *)
-              match eq v prev with
-              | false -> Event.Change v
-              | true -> Event.No_change prev
-              | exception ex ->
-                ignore (fail ~epoch:r.epoch ex);
-                Event.No_change prev)
-            | Event.No_change _ -> Event.No_change prev
-          in
-          emit ctx ~id out r msg;
-          loop (Event.body msg)
-        in
-        loop default);
-    plain out
+    let fail = supervisor ctx s in
+    node ctx s (fun r prev ->
+        match read_edge ctx e r with
+        | Event.Change v -> (
+          (* The user-supplied equality can raise too. *)
+          match eq v prev with
+          | false -> Event.Change v
+          | true -> Event.No_change prev
+          | exception ex ->
+            ignore (fail ~epoch:r.epoch ex);
+            Event.No_change prev)
+        | Event.No_change _ -> Event.No_change prev)
   | Signal.Sample_on (ticks, src) ->
     let et = edge ctx ticks in
     let es = edge ctx src in
-    let id = Signal.id s in
-    let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) () in
-    let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    Cml.spawn (fun () ->
-        let rec loop prev =
-          let r = recv_wake ctx ~id wake in
-          let mt = read_edge ctx et r in
-          let ms = read_edge ctx es r in
-          let msg =
-            if Event.is_change mt then Event.Change (Event.body ms)
-            else Event.No_change prev
-          in
-          emit ctx ~id out r msg;
-          loop (Event.body msg)
-        in
-        loop default);
-    plain out
+    node ctx s (fun r prev ->
+        let mt = read_edge ctx et r in
+        let ms = read_edge ctx es r in
+        if Event.is_change mt then Event.Change (Event.body ms)
+        else Event.No_change prev)
   | Signal.Composite (c, dep) ->
     (* A fused chain (see {!Fuse}): one thread and one channel in place of
        [comp_size] originals. Each instantiation gets its own copy of the
@@ -579,65 +481,41 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
        state across runtimes. Composites always memoize — the step is
        stateful, so the [memoize:false] recompute-always baseline cannot
        safely re-run it on quiescent rounds (and [Runtime.start
-       ~memoize:false] keeps graphs unfused for exactly that reason). *)
+       ~memoize:false] keeps graphs unfused for exactly that reason). A
+       crash anywhere inside the chain isolates (or restarts) the
+       composite as a unit: the stages share one step, so partial
+       per-stage state cannot be salvaged. [Restart] re-seeds every cell
+       from the composite's initial values. *)
     let e = edge ctx dep in
     let cells = Array.copy c.Signal.comp_cells in
-    let id = Signal.id s in
-    let out =
-      Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) ()
-    in
-    let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    let fail = supervisor ctx ~id in
-    Cml.spawn (fun () ->
-        (* A crash anywhere inside the fused chain isolates (or restarts)
-           the composite as a unit: the stages share one step, so partial
-           per-stage state cannot be salvaged. [Restart] re-seeds every
-           cell from the composite's initial values. *)
-        let rec loop prev =
-          let r = recv_wake ctx ~id wake in
-          let msg =
-            match read_edge ctx e r with
-            | Event.Change v -> (
-              ctx.c_stats.applications <- ctx.c_stats.applications + 1;
-              match c.Signal.comp_step cells 0 v with
-              | w when Obj.repr w == Signal.filtered -> Event.No_change prev
-              | w -> Event.Change w
-              | exception ex ->
-                if fail ~epoch:r.epoch ex then
-                  Array.blit c.Signal.comp_cells 0 cells 0 (Array.length cells);
-                Event.No_change prev)
-            | Event.No_change _ -> Event.No_change prev
-          in
-          emit ctx ~id out r msg;
-          loop (Event.body msg)
-        in
-        loop default);
-    plain out
+    let fail = supervisor ctx s in
+    node ctx s (fun r prev ->
+        match read_edge ctx e r with
+        | Event.Change v -> (
+          ctx.c_stats.applications <- ctx.c_stats.applications + 1;
+          match c.Signal.comp_step cells 0 v with
+          | w when Obj.repr w == Signal.filtered -> Event.No_change prev
+          | w -> Event.Change w
+          | exception ex ->
+            if fail ~epoch:r.epoch ex then
+              Array.blit c.Signal.comp_cells 0 cells 0 (Array.length cells);
+            Event.No_change prev)
+        | Event.No_change _ -> Event.No_change prev)
   | Signal.Keep_when (gate, src, _base) ->
     let eg = edge ctx gate in
     let es = edge ctx src in
-    let id = Signal.id s in
-    let out = Multicast.create ~name:(Printf.sprintf "out:%d:%s" id (Signal.name s)) () in
-    let wake = node_wakeup ctx ~id ~name:(Signal.name s) in
-    Cml.spawn (fun () ->
-        (* Emits while the gate is open, and also on the gate's rising edge
-           so the kept signal resynchronizes with its source. *)
-        let rec loop gate_prev prev =
-          let r = recv_wake ctx ~id wake in
-          let mg = read_edge ctx eg r in
-          let ms = read_edge ctx es r in
-          let gate_now = Event.body mg in
-          let rising = gate_now && not gate_prev in
-          let msg =
-            if gate_now && (Event.is_change ms || rising) then
-              Event.Change (Event.body ms)
-            else Event.No_change prev
-          in
-          emit ctx ~id out r msg;
-          loop gate_now (Event.body msg)
-        in
-        loop (Signal.default gate) default);
-    plain out
+    (* Emits while the gate is open, and also on the gate's rising edge so
+       the kept signal resynchronizes with its source. *)
+    let gate_prev = ref (Signal.default gate) in
+    node ctx s (fun r prev ->
+        let mg = read_edge ctx eg r in
+        let ms = read_edge ctx es r in
+        let gate_now = Event.body mg in
+        let rising = gate_now && not !gate_prev in
+        gate_prev := gate_now;
+        if gate_now && (Event.is_change ms || rising) then
+          Event.Change (Event.body ms)
+        else Event.No_change prev)
 
 (* Bounded history: a newest-first list capped at [2*cap] transiently and
    truncated back to [cap] (amortized O(1) per append). [Some 0] disables
@@ -673,18 +551,15 @@ let show rt msg =
     Queue.iter (fun f -> f time v) rt.listeners
   | Event.No_change _ -> ()
 
-let make_rt ~gen ~dispatch ~stats ~nodes ~history ~sources ~owned_pool
-    ~d_stats root =
+let make_rt ~gen ~stats ~nodes ~history ~owned_pool ~d_stats root =
   let default = Signal.default root in
   {
     gen;
-    dispatch;
     stats;
     nodes;
     changes = new_log history default;
     messages = new_log history (Event.No_change default);
     listeners = Queue.create ();
-    sources;
     stopped = false;
     owned_pool;
     d_stats;
@@ -742,8 +617,8 @@ let start_compiled ~mode ~history ~tracer ~policy ~observer ~fused ~waves
       Array.init nworkers (fun _ -> Stats.create ())
   in
   let rt =
-    make_rt ~gen ~dispatch:Cone ~stats ~nodes:(Compile.node_count pl) ~history
-      ~sources:(Compile.sources pl) ~owned_pool ~d_stats root
+    make_rt ~gen ~stats ~nodes:(Compile.node_count pl) ~history ~owned_pool
+      ~d_stats root
   in
   List.iter
     (fun (Signal.Pack s) ->
@@ -852,9 +727,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   | _ -> ());
   (match mutate with
   | Some
-      ( Drop_no_change n | Skip_epoch n | Reorder_wakeup n | Stale_slot_map n
-      | Skip_migration n | Leak_seam_mailbox n )
-    when n < 1 ->
+      (Drop_no_change n | Skip_epoch n | Reorder_wakeup n) when n < 1 ->
     invalid_arg "Runtime.start: mutation occurrence must be >= 1"
   | _ -> ());
   (match on_node_error with
@@ -940,7 +813,6 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
             })
           mutate;
       wakeups = Hashtbl.create 64;
-      c_sources = [];
     }
   in
   attach_tracer tracer gen;
@@ -968,8 +840,8 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
     match Hashtbl.find_opt cones eid with Some c -> c | None -> [||]
   in
   let rt =
-    make_rt ~gen ~dispatch ~stats ~nodes:node_count ~history
-      ~sources:(List.rev ctx.c_sources) ~owned_pool:None ~d_stats:[||] root
+    make_rt ~gen ~stats ~nodes:node_count ~history ~owned_pool:None
+      ~d_stats:[||] root
   in
   let root_reach = Reach.reaching reach (Signal.id root) in
   let reaches_root eid =
@@ -1073,6 +945,4 @@ let changes rt = logged rt.changes
 let message_log rt = logged rt.messages
 let on_change rt f = Queue.add f rt.listeners
 let stats rt = rt.stats
-let source_ids rt = rt.sources
 let node_count rt = rt.nodes
-let dispatch_of rt = rt.dispatch

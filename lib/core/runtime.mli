@@ -2,8 +2,11 @@
 
     {!start} performs the paper's Fig. 10 translation at runtime: every node
     of the {!Signal.t} DAG gets its own green thread and a multicast output
-    channel, and the Fig. 11 runtime loops — the global event dispatcher and
-    the display loop — are spawned alongside. All of it runs on the {!Cml}
+    channel. Every node kind runs the same loop — take the next round, read
+    its inputs, send exactly one [Change]/[No_change] message — and differs
+    only in how it computes that message. The Fig. 11 runtime loops — the
+    global event dispatcher and the display loop — are spawned alongside.
+    All of it runs on the {!Cml}
     cooperative scheduler and must therefore be called inside {!Cml.run}.
 
     {b Dispatch strategies.} The paper's Fig. 11 dispatcher {e floods}: every
@@ -123,7 +126,8 @@ type error_policy = Exec.error_policy =
     prove it catches real protocol violations. Each breaks the per-event
     alignment discipline in one place; the [int] picks the nth occurrence
     (1-based), so the fault lands mid-run rather than at startup. Never used
-    outside tests and benches. *)
+    outside tests and benches. The live-upgrade path has its own planted
+    bugs, {!Upgrade.mutation}. *)
 type mutation =
   | Drop_no_change of int
       (** Swallow the nth [No_change] emission: the message is neither sent
@@ -134,20 +138,6 @@ type mutation =
   | Reorder_wakeup of int
       (** Hold the nth dispatcher wakeup admit and deliver it after the next
           round bound for the same node — an out-of-order mailbox admit. *)
-  | Stale_slot_map of int
-      (** {e Upgrade mutation} (applied by [Serve.Dispatcher.upgrade_all],
-          not by this runtime): rotate the nth upgrade's matched-slot
-          mapping by one position, as if the remap table were stale —
-          values land in a neighbouring slot of the new arena layout. *)
-  | Skip_migration of int
-      (** {e Upgrade mutation}: apply the nth upgrade without running the
-          user-supplied [?migrate] functions, so migrated state keeps its
-          old representation under the new program's code. *)
-  | Leak_seam_mailbox of int
-      (** {e Upgrade mutation}: the nth upgrade forgets each session's
-          inbox — its queued wakes and their values together — instead of
-          moving it onto the new node ids, so events accepted before the
-          upgrade are never dispatched. *)
 
 type 'a t
 (** A running instantiation of a signal graph with output type ['a]. *)
@@ -342,14 +332,7 @@ val domain_stats : _ t -> Stats.t array
     of region-lane work executed by pool worker [w] (slot 0 doubles as
     the coordinator under [~domains:1]). Empty outside wave placement. *)
 
-val source_ids : _ t -> (int * string) list
-(** Identifier and name of every source node registered with the
-    dispatcher. *)
-
 val node_count : _ t -> int
 (** Number of graph nodes instantiated: the per-event message cost of flood
     dispatch, and the denominator of the elision invariant
     [messages + elided_messages = node_count * events]. *)
-
-val dispatch_of : _ t -> dispatch
-(** The dispatch strategy this runtime is using. *)

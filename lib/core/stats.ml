@@ -35,8 +35,6 @@ let create () =
 
 let total_computations s = s.applications + s.recomputations
 
-let total_flood_messages s = s.messages + s.elided_messages
-
 (* Every ratio printed or exported must go through this guard: an empty run
    (events = 0) prints 0.0 rather than raising Division_by_zero / nan. *)
 let per_event total s =

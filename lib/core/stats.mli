@@ -71,9 +71,6 @@ val pp : Format.formatter -> t -> unit
 val total_computations : t -> int
 (** [applications + recomputations]: everything a pull system would pay. *)
 
-val total_flood_messages : t -> int
-(** [messages + elided_messages]: what a flooding dispatcher would send. *)
-
 val per_event : int -> t -> float
 (** [per_event total s] is [total / events] (0 when no events). *)
 

@@ -17,9 +17,23 @@
    value from the next event on. The serve layer (Dispatcher.upgrade_all)
    owns the other half of the seam: moving each session's inbox wakes and
    the delay heap's entries onto the new node ids. The planted upgrade
-   mutations hook in via [remap]'s flags ([Runtime.Stale_slot_map],
-   [Runtime.Skip_migration]) and in the dispatcher
-   ([Runtime.Leak_seam_mailbox]). *)
+   mutations hook in via [remap]'s [?mutate] ([Stale_slot_map],
+   [Skip_migration]) and in the dispatcher ([Leak_seam_mailbox]). *)
+
+(* Planted upgrade bugs for the mutation-testing catalogue (Check.Mutate).
+   The [int] selects the nth upgrade of a dispatcher (1-based), counted by
+   Dispatcher.upgrade_all, which plants the bug on that upgrade only. *)
+type mutation =
+  | Stale_slot_map of int
+      (* rotate the matched-slot mapping by one: values land in the
+         neighbouring slot, as if the remap table were stale *)
+  | Skip_migration of int
+      (* apply the upgrade without running user migrations: migrated
+         state keeps its old representation *)
+  | Leak_seam_mailbox of int
+      (* forget each session's inbox, wakes and values together, instead
+         of moving it onto the new node ids: accepted events lost at the
+         seam *)
 
 type migration = {
   m_name : string;
@@ -174,14 +188,18 @@ let obj_array n fill =
   a
 
 (* The two planted upgrade bugs that live at arena granularity.
-   [stale_map] rotates the matched-slot assignment by one — not an
+   [Stale_slot_map] rotates the matched-slot assignment by one — not an
    identity permutation, so any program with >= 2 matched stateful or
-   observable slots detects it; [skip_migration] drops the user migration
-   and copies raw. The third ([Runtime.Leak_seam_mailbox]) forgets the
-   sessions' inboxes, a dispatcher-side bug, and hooks into
-   Dispatcher.upgrade_all instead. *)
-let remap ?(stale_map = false) ?(skip_migration = false) p
-    (ar : Compile.arena) =
+   observable slots detects it; [Skip_migration] drops the user migration
+   and copies raw. The third ([Leak_seam_mailbox]) forgets the sessions'
+   inboxes, a dispatcher-side bug, and has no site here. *)
+let remap ?mutate p (ar : Compile.arena) =
+  let stale_map, skip_migration =
+    match mutate with
+    | Some (Stale_slot_map _) -> (true, false)
+    | Some (Skip_migration _) -> (false, true)
+    | Some (Leak_seam_mailbox _) | None -> (false, false)
+  in
   let np = p.up_new in
   let n = Compile.node_count np in
   let map =

@@ -44,9 +44,25 @@ val diff : ?migrate:migration list -> Compile.plan -> Compile.plan -> patch
     [Invalid_argument] if a migration names no slot of the new plan or
     targets an attached slot (there is no old value to migrate). *)
 
-val remap :
-  ?stale_map:bool -> ?skip_migration:bool -> patch -> Compile.arena ->
-  Compile.arena
+(** A planted upgrade bug, for the mutation-testing catalogue
+    ([Check.Mutate]): [Serve.Dispatcher.upgrade_all ?mutate] plants it on
+    the nth upgrade of that dispatcher ([n] is 1-based). Never used
+    outside tests and benches. *)
+type mutation =
+  | Stale_slot_map of int
+      (** Rotate the matched-slot mapping by one position, as if the remap
+          table were stale: values land in a neighbouring slot of the new
+          arena layout. *)
+  | Skip_migration of int
+      (** Apply the upgrade without running the user-supplied [?migrate]
+          functions, so migrated state keeps its old representation under
+          the new program's code. *)
+  | Leak_seam_mailbox of int
+      (** Forget each session's inbox — its queued wakes and their values
+          together — instead of moving it onto the new node ids, so events
+          accepted before the upgrade are never dispatched. *)
+
+val remap : ?mutate:mutation -> patch -> Compile.arena -> Compile.arena
 (** Remap one live arena onto the new plan's layout: matched slots keep
     value and stamp (migrated where a migration targets them), attached
     slots seed from defaults with stamp 0, dropped slots are simply not
@@ -55,11 +71,11 @@ val remap :
     seeded from the new plan otherwise. All state is plain data, so an
     identity upgrade of a fused plan is as exact as of an unfused one.
 
-    The flags plant upgrade bugs for the mutation-testing catalogue and
-    are driven by [Serve.Dispatcher.upgrade_all]'s [?mutate]:
-    [stale_map] rotates the matched-slot assignment by one
-    ({!Runtime.mutation.Stale_slot_map}); [skip_migration] copies raw
-    values past the user migration ({!Runtime.mutation.Skip_migration}). *)
+    [mutate] plants an upgrade bug into this remap, whatever its
+    occurrence number (the caller, [Serve.Dispatcher.upgrade_all], picks
+    the upgrade): [Stale_slot_map] rotates the matched-slot assignment by
+    one, [Skip_migration] copies raw values past the user migration, and
+    [Leak_seam_mailbox] has no site here. *)
 
 (** {1 Inspection} *)
 

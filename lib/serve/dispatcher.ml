@@ -321,19 +321,20 @@ let inject d s input v =
    Matched slots carry value/stamp (via the patch's migrations), attached
    slots seed from defaults. Inbox wakes keep their order and their values
    under their new source ids; wakes of detached sources are dropped. *)
-let upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch
-    (s : _ Row.t) =
+let upgrade_row d ?mutate patch (s : _ Row.t) =
   let old = s.r_exec in
   s.r_exec <-
     make_exec d ~sid:s.r_id ~stats:(Exec.stats old) ~sink:s.r_sink
       ~epoch:(Exec.epoch old) (Upgrade.new_plan patch)
-      (Upgrade.remap ~stale_map ~skip_migration patch (Exec.arena old));
+      (Upgrade.remap ?mutate patch (Exec.arena old));
   let wakes = Queue.copy s.r_inbox in
   Queue.clear s.r_inbox;
-  (* [leak_mailbox] is the planted Leak_seam_mailbox bug: the inbox is
-     forgotten, wakes and values together, so events accepted before the
-     upgrade are never dispatched and the replayed trace diverges. *)
-  if not leak_mailbox then
+  (* The planted Leak_seam_mailbox bug: the inbox is forgotten, wakes and
+     values together, so events accepted before the upgrade are never
+     dispatched and the replayed trace diverges. *)
+  match mutate with
+  | Some (Upgrade.Leak_seam_mailbox _) -> ()
+  | Some (Stale_slot_map _ | Skip_migration _) | None ->
     Queue.iter
       (fun (src, v) ->
         match Upgrade.node_of_old patch src with
@@ -344,10 +345,14 @@ let upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch
 let upgrade_all ?migrate ?mutate d new_root =
   check_not_draining d "upgrade_all";
   d.d_upgrades <- d.d_upgrades + 1;
-  let planted spec = mutate = Some (spec d.d_upgrades) in
-  let stale_map = planted (fun n -> Runtime.Stale_slot_map n) in
-  let skip_migration = planted (fun n -> Runtime.Skip_migration n) in
-  let leak_mailbox = planted (fun n -> Runtime.Leak_seam_mailbox n) in
+  (* The planted bug lands on its nth upgrade only. *)
+  let mutate =
+    match mutate with
+    | Some (Upgrade.Stale_slot_map n | Skip_migration n | Leak_seam_mailbox n)
+      when n = d.d_upgrades ->
+      mutate
+    | Some _ | None -> None
+  in
   Compile.clear_plan_cache ();
   let new_root = if d.d_fuse then Fuse.fuse_cached new_root else new_root in
   let new_plan = Compile.plan_of new_root in
@@ -360,7 +365,7 @@ let upgrade_all ?migrate ?mutate d new_root =
      session's next wake queues it once again rather than twice. *)
   Queue.clear d.d_ready;
   walk d (fun s ->
-      upgrade_row d ~stale_map ~skip_migration ~leak_mailbox patch s;
+      upgrade_row d ?mutate patch s;
       requeue d s);
   (* Delay heap: rewritten under the new node ids. In-flight values of
      detached delay nodes are released with their pending counters. (A

@@ -138,7 +138,7 @@ val drain : ?seed:int -> 'a t -> int
 
 val upgrade_all :
   ?migrate:Upgrade.migration list ->
-  ?mutate:Runtime.mutation ->
+  ?mutate:Upgrade.mutation ->
   'a t ->
   'a Signal.t ->
   Upgrade.patch
@@ -164,8 +164,7 @@ val upgrade_all :
     always sees consistent arenas.
 
     [mutate] plants one of the upgrade bugs of the mutation-testing
-    catalogue ({!Runtime.mutation.Stale_slot_map},
-    [Skip_migration], [Leak_seam_mailbox]); the occurrence [n] counts
+    catalogue ({!Upgrade.mutation}); the occurrence [n] counts
     [upgrade_all] calls on this dispatcher. Not for applications. *)
 
 val upgrades : 'a t -> int

@@ -3,11 +3,13 @@
    One catalogue of graph shapes over two int inputs, covering every node
    kind the runtime treats specially — deep pure chains (the fusion sweet
    spot), drop_repeats mid-chain, shared subgraphs, foldp barriers,
-   constants absorbed into lift2, merge, sample_on, unary lift_list, plus
-   the async/delay boundary shapes. test_fuse (fused-vs-unfused),
-   test_runtime (cone-vs-flood) and test_robustness (supervision under
-   chaos schedules) all draw from it, so a new node kind added here is
-   exercised by every equivalence property at once.
+   constants absorbed into lift2, merge (with and without both sides
+   changing on one event), sample_on, unary lift_list, a keep_when whose
+   gate closes and reopens, plus the async/delay boundary shapes.
+   test_fuse (fused-vs-unfused), test_runtime (cone-vs-flood) and
+   test_robustness (supervision under chaos schedules) all draw from it,
+   so a new node kind added here is exercised by every equivalence
+   property at once.
 
    Shapes [0, deterministic_count) have schedule-independent change
    traces, so they may be compared across scheduler policies bit-for-bit:
@@ -46,8 +48,8 @@ let rec chain k n s =
 
 let comb x y = (x * 31) + y
 
-let shape_count = 12
-let deterministic_count = 11
+let shape_count = 14
+let deterministic_count = 13
 let shape_deterministic shape = shape mod shape_count < deterministic_count
 
 let build_shape shape =
@@ -97,6 +99,16 @@ let build_shape shape =
     | 10 ->
       (* timer boundary *)
       Signal.lift2 comb (Signal.count a) (Signal.delay 1.0 (chain 2 2 b))
+    | 11 ->
+      (* keep_when gated on [a]'s parity: [b]'s changes pass while it is
+         even, and an [a] event that reopens it resyncs to [b]'s latest *)
+      Signal.lift2 comb
+        (Signal.keep_when (Signal.lift (fun x -> x mod 2 = 0) a) (-1)
+           (chain 2 2 b))
+        (Signal.count a)
+    | 12 ->
+      (* merge whose sides both change on every [a] event: left wins *)
+      Signal.merge (chain 2 2 a) (Signal.lift2 comb a b)
     | _ ->
       (* async boundary: the inner chain fuses, the boundary survives *)
       Signal.lift2 comb (chain 3 2 a) (Signal.async (chain 2 4 b))

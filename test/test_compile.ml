@@ -282,7 +282,7 @@ let test_foldp_state_fresh_per_runtime () =
 
 let test_stats_report_regions () =
   let run backend =
-    Gen_graph.run_shape ~backend 11 [ (true, 1); (false, 2); (true, 3) ]
+    Gen_graph.run_shape ~backend 13 [ (true, 1); (false, 2); (true, 3) ]
   in
   let compiled = Runtime.stats (run Runtime.Compiled) in
   let pipelined = Runtime.stats (run Runtime.Pipelined) in

@@ -102,9 +102,9 @@ let test_listener_crash () =
 exception Crash of int
 
 (* Two independent branches: a crashing one fed by [a] (the crash kind —
-   plain lift, foldp step, fused composite chain, or a fused drop_repeats
-   whose equality raises — is the parameter) and a clean one fed by [b]
-   whose applications are recorded in [clean_log]. [a] values that are
+   plain lift, foldp step, fused composite chain, or a drop_repeats whose
+   equality raises, fused or not — is the parameter) and a clean one fed
+   by [b] whose applications are recorded in [clean_log]. [a] values that are
    multiples of 3 raise [Crash v] when [faulty]; both branches join at the
    root so the session exercises partial-failure dispatch. *)
 let supervised_graph ~kind ~faulty clean_log =
@@ -123,10 +123,11 @@ let supervised_graph ~kind ~faulty clean_log =
          composite node, so the crash happens inside a fused step and must
          isolate the composite as a unit. *)
       Signal.lift ~name:"post" (fun x -> x + 1) (Signal.lift ~name:"boom" boom a)
-    | `Fused_eq ->
+    | `Fused_eq | `Unfused_eq ->
       (* lift + drop_repeats fuse into one composite whose filtering stage
          raises from the user's equality: whatever the chain uses to mean
-         "filtered" must not swallow it. *)
+         "filtered" must not swallow it. Unfused ([fuse kind] is false),
+         the raising equality runs in a drop_repeats node of its own. *)
       Signal.drop_repeats ~name:"dedup"
         ~eq:(fun x y -> ignore (boom (x / 10)); x = y)
         (Signal.lift ~name:"scale" (fun x -> x * 10) a)
@@ -151,6 +152,11 @@ let kind_name = function
   | `Foldp -> "foldp"
   | `Fused -> "fused"
   | `Fused_eq -> "fused drop_repeats eq"
+  | `Unfused_eq -> "unfused drop_repeats eq"
+
+(* The fusion pass runs for every kind except [`Unfused_eq], which is
+   [`Fused_eq]'s graph left unfused. *)
+let fuse kind = kind <> `Unfused_eq
 
 let policy_name = function
   | Runtime.Isolate -> "isolate"
@@ -166,7 +172,8 @@ let supervised_session ?(backend : Runtime.backend = Pipelined) ~kind ~policy ~m
     with_world (fun () ->
         let a, b, root = supervised_graph ~kind ~faulty clean_log in
         let rt =
-          Runtime.start ~backend ~mode ~dispatch ~on_node_error:policy root
+          Runtime.start ~backend ~mode ~dispatch ~fuse:(fuse kind)
+            ~on_node_error:policy root
         in
         feed (Runtime.inject rt) a b;
         rt)
@@ -177,7 +184,7 @@ let supervised_session ?(backend : Runtime.backend = Pipelined) ~kind ~policy ~m
 let supervised_serve ~kind ~policy ~faulty =
   let clean_log = ref [] in
   let a, b, root = supervised_graph ~kind ~faulty clean_log in
-  let d = Dispatcher.create ~on_node_error:policy root in
+  let d = Dispatcher.create ~fuse:(fuse kind) ~on_node_error:policy root in
   let s = Dispatcher.open_session d in
   feed (Dispatcher.inject d s) a b;
   ignore (Dispatcher.drain d);
@@ -220,7 +227,7 @@ let test_supervision_matrix () =
                 [ Runtime.Flood; Runtime.Cone ])
             [ Runtime.Pipelined; Runtime.Sequential ])
         [ Runtime.Isolate; Runtime.Restart 1; Runtime.Restart 10 ])
-    [ `Lift; `Foldp; `Fused; `Fused_eq ]
+    [ `Lift; `Foldp; `Fused; `Fused_eq; `Unfused_eq ]
 
 (* The matrix on the compiled paths, where every op catches its user
    function's exception and hands it to one failure handler: compiled
@@ -274,7 +281,7 @@ let test_supervision_matrix_compiled () =
           check "a session"
             (clean, List.map snd (Session.changes s), Session.stats s))
         [ Runtime.Isolate; Runtime.Restart 1 ])
-    [ `Lift; `Foldp; `Fused; `Fused_eq ]
+    [ `Lift; `Foldp; `Fused; `Fused_eq; `Unfused_eq ]
 
 (* Under Propagate the user's own exception — the same constructor and
    payload — escapes [Runtime.inject] (out of [Cml.run]) on both backends
@@ -303,7 +310,7 @@ let test_propagate_escapes_unchanged () =
         [ Runtime.Pipelined; Runtime.Compiled ];
       escapes (kind_name kind ^ " on a session") (fun () ->
           supervised_serve ~kind ~policy:Runtime.Propagate ~faulty:true))
-    [ `Lift; `Foldp; `Fused; `Fused_eq ]
+    [ `Lift; `Foldp; `Fused; `Fused_eq; `Unfused_eq ]
 
 let test_isolate_emits_last_good () =
   let rt =

@@ -6,6 +6,7 @@ module Runtime = Elm_core.Runtime
 module Event = Elm_core.Event
 module Stats = Elm_core.Stats
 module Reach = Elm_core.Reach
+module Compile = Elm_core.Compile
 module Delay_heap = Elm_core.Delay_heap
 module Dispatcher = Elm_serve.Dispatcher
 module Session = Elm_serve.Session
@@ -216,20 +217,26 @@ let prop_foldp_is_list_fold =
 (* Extended combinators *)
 
 let test_merge_left_bias () =
-  let rt =
-    with_world (fun () ->
-        let a = Signal.input 0 in
-        let b = Signal.input 100 in
-        let s = Signal.merge a b in
-        let rt = Runtime.start s in
-        Runtime.inject rt a 1;
-        Runtime.inject rt b 2;
-        Runtime.inject rt a 3;
-        rt)
+  (* [merge a (right a b)], fed [(is_a, v)] events. *)
+  let run right events =
+    let rt =
+      with_world (fun () ->
+          let a = Signal.input 0 in
+          let b = Signal.input 100 in
+          let rt = Runtime.start (Signal.merge a (right a b)) in
+          List.iter
+            (fun (is_a, v) -> Runtime.inject rt (if is_a then a else b) v)
+            events;
+          rt)
+    in
+    values rt
   in
-  check_ints "merge interleaves" [ 1; 2; 3 ] (values rt);
+  check_ints "merge interleaves" [ 1; 2; 3 ]
+    (run (fun _ b -> b) [ (true, 1); (false, 2); (true, 3) ]);
+  check_ints "left wins when both sides change" [ 1; 2 ]
+    (run (fun a _ -> Signal.lift (fun x -> x * 10) a) [ (true, 1); (true, 2) ]);
   check_int "default is left default" 0
-    (match Runtime.message_log rt with _ -> 0)
+    (Signal.default (Signal.merge (Signal.input 0) (Signal.input 100)))
 
 let test_drop_repeats () =
   let rt =
@@ -259,7 +266,7 @@ let test_sample_on () =
   check_ints "sampled at ticks" [ 5; 12 ] (values rt)
 
 let test_keep_when () =
-  let rt =
+  let rt, s =
     with_world (fun () ->
         let gate = Signal.input false in
         let data = Signal.input 0 in
@@ -273,11 +280,12 @@ let test_keep_when () =
         Runtime.inject rt gate false;
         Runtime.inject rt data 3;
         (* closed again: dropped *)
-        rt)
+        Runtime.inject rt gate true;
+        (* reopened: resync to the value dropped while closed *)
+        (rt, s))
   in
-  check_ints "gated" [ 1; 2 ] (values rt);
-  check_int "default from base when closed" (-1)
-    (match Runtime.changes rt with [] -> -1 | _ -> -1)
+  check_ints "gated" [ 1; 2; 3 ] (values rt);
+  check_int "default from base when closed" (-1) (Signal.default s)
 
 let test_keep_when_default () =
   with_world (fun () ->
@@ -772,15 +780,13 @@ let test_two_runtimes_sequentially () =
   check_ints "first run" [ 42 ] (values (run ()));
   check_ints "second run" [ 42 ] (values (run ()))
 
-let test_source_ids_registered () =
-  let rt =
-    with_world (fun () ->
-        let a = Signal.input ~name:"Mouse.x" 0 in
-        let k = Signal.constant 1 in
-        let s = Signal.async (Signal.lift2 ( + ) a k) in
-        Runtime.start s)
-  in
-  let names = List.map snd (Runtime.source_ids rt) in
+let test_sources_registered () =
+  (* The sources a runtime dispatches to are its plan's: every input,
+     constant and async boundary of the graph. *)
+  let a = Signal.input ~name:"Mouse.x" 0 in
+  let k = Signal.constant 1 in
+  let s = Signal.async (Signal.lift2 ( + ) a k) in
+  let names = List.map snd (Compile.sources (Compile.plan s)) in
   check_bool "input registered" true (List.mem "Mouse.x" names);
   check_bool "constant registered" true (List.mem "constant" names);
   check_bool "async registered" true (List.mem "async" names);
@@ -962,7 +968,7 @@ let prop_cone_message_accounting =
       sf.Stats.events = sc.Stats.events
       && sf.Stats.elided_messages = 0
       && sf.Stats.messages = Runtime.node_count flood * sf.Stats.events
-      && Stats.total_flood_messages sc = sf.Stats.messages)
+      && sc.Stats.messages + sc.Stats.elided_messages = sf.Stats.messages)
 
 let sparse_chains ~dispatch ~chains ~depth ~events =
   with_world (fun () ->
@@ -991,7 +997,7 @@ let test_cone_elides_quiescent_chains () =
     (Runtime.node_count flood * events)
     sf.Stats.messages;
   check_int "account balances: cone + elided = flood" sf.Stats.messages
-    (Stats.total_flood_messages sc);
+    (sc.Stats.messages + sc.Stats.elided_messages);
   check_bool "cone sends >= 4x fewer messages" true
     (sf.Stats.messages >= 4 * sc.Stats.messages);
   check_bool "cone wakes >= 4x fewer nodes" true
@@ -1042,23 +1048,30 @@ let test_sequential_cone_no_deadlock () =
     (List.map snd (Runtime.changes rt) = [ (2, 0); (2, 7) ])
 
 let test_dispatch_default_and_memoize_interaction () =
-  let got =
-    with_world (fun () ->
-        let a = Signal.input 0 in
-        let s = Signal.lift (fun x -> x) a in
-        let rt_memo = Runtime.start s in
-        let rt_pull = Runtime.start ~memoize:false s in
-        let rt_forced = Runtime.start ~memoize:false ~dispatch:Runtime.Cone s in
-        ( Runtime.dispatch_of rt_memo,
-          Runtime.dispatch_of rt_pull,
-          Runtime.dispatch_of rt_forced ))
+  (* Each input's cone misses the other input, so cone dispatch elides a
+     message on every event; flood dispatch elides nothing, and wakes the
+     quiet input too, which must answer with its latest value. *)
+  let run ?memoize ?dispatch () =
+    let rt =
+      with_world (fun () ->
+          let a = Signal.input 0 in
+          let b = Signal.input 0 in
+          let rt = Runtime.start ?memoize ?dispatch (Signal.lift2 ( + ) a b) in
+          Runtime.inject rt a 1;
+          Runtime.inject rt b 2;
+          rt)
+    in
+    ((Runtime.stats rt).Stats.elided_messages, values rt)
   in
-  check_bool "memoized default is Cone" true
-    (match got with Runtime.Cone, _, _ -> true | _ -> false);
-  check_bool "pull baseline defaults to Flood" true
-    (match got with _, Runtime.Flood, _ -> true | _ -> false);
-  check_bool "explicit dispatch wins" true
-    (match got with _, _, Runtime.Cone -> true | _ -> false)
+  let memo = run ()
+  and pull = run ~memoize:false ()
+  and forced = run ~memoize:false ~dispatch:Runtime.Cone () in
+  check_bool "memoized default is Cone" true (fst memo > 0);
+  check_int "pull baseline defaults to Flood" 0 (fst pull);
+  check_bool "explicit dispatch wins" true (fst forced > 0);
+  List.iter
+    (fun (_, changes) -> check_ints "same changes either way" [ 1; 3 ] changes)
+    [ memo; pull; forced ]
 
 (* ------------------------------------------------------------------ *)
 (* Reach analysis *)
@@ -1229,7 +1242,7 @@ let () =
           tc "inject non-input" `Quick test_inject_non_input_rejected;
           tc "start outside run" `Quick test_start_outside_run_rejected;
           tc "re-instantiation" `Quick test_two_runtimes_sequentially;
-          tc "sources registered" `Quick test_source_ids_registered;
+          tc "sources registered" `Quick test_sources_registered;
         ] );
       ( "graph",
         [
