@@ -1302,7 +1302,7 @@ let b18_to_json (rows, hw) =
    bench actually has — demand a median 2x at 4 domains only where 4
    cores exist, 1.2x at 2 domains on 2-3 core boxes, and on a 1-core box
    record the rows without a wall-clock bar (the oracles still gate). *)
-let b18_gates (rows, hw) =
+let b18_gates (rows, _) =
   let expected = ref None in
   List.iter
     (fun r ->
@@ -1326,31 +1326,35 @@ let b18_gates (rows, hw) =
             r.b18_dispatched;
           exit 1
         end)
-    rows;
+    rows
+
+(* The wall-clock bar, checked after every counter and identity gate of
+   B18-B20 has run: its miss, with the value, or [None]. *)
+let b18_bar (rows, hw) =
   let speedup_at k =
     Option.map (fun r -> r.b18_speedup)
       (List.find_opt (fun r -> r.b18_domains = k) rows)
   in
-  if hw >= 4 then begin
+  if hw >= 4 then
     match speedup_at 4 with
     | Some s when s < 2.0 ->
-      Printf.eprintf
-        "B18: median %.2fx at 4 domains on %d-core hardware (need 2x)!\n" s hw;
-      exit 1
-    | _ -> ()
-  end
-  else if hw >= 2 then begin
+      Some
+        (Printf.sprintf
+           "B18: median %.2fx at 4 domains on %d-core hardware (need 2x)!" s hw)
+    | _ -> None
+  else if hw >= 2 then
     match speedup_at 2 with
     | Some s when s < 1.2 ->
-      Printf.eprintf
-        "B18: median %.2fx at 2 domains on %d-core hardware (need 1.2x)!\n" s
-        hw;
-      exit 1
-    | _ -> ()
-  end
-  else
+      Some
+        (Printf.sprintf
+           "B18: median %.2fx at 2 domains on %d-core hardware (need 1.2x)!" s
+           hw)
+    | _ -> None
+  else begin
     print_endline
-      "B18: 1-core hardware - speedup reported, not gated (oracles still hard)."
+      "B18: 1-core hardware - speedup reported, not gated (oracles still hard).";
+    None
+  end
 
 (* ------------------------------------------------------------------ *)
 (* B19: one runtime's waves split across domains (Runtime.start ~domains).
@@ -1550,7 +1554,7 @@ let b19_to_json (rows, hw) =
              rows) );
     ]
 
-let b19_gates (rows, hw) =
+let b19_gates (rows, _) =
   let expected = ref None in
   List.iter
     (fun r ->
@@ -1582,33 +1586,40 @@ let b19_gates (rows, hw) =
             r.b19_dispatched;
           exit 1
         end)
-    rows;
+    rows
+
+let b19_bar (rows, hw) =
   let speedup_at k =
     Option.map
       (fun r -> r.b19_speedup)
       (List.find_opt (fun r -> r.b19_domains = k) rows)
   in
-  if hw >= 4 then begin
+  if hw >= 4 then
     match speedup_at 4 with
     | Some s when s < 1.4 ->
-      Printf.eprintf
-        "B19: median %.2fx at 4 domains on %d-core hardware (need 1.4x)!\n"
-        s hw;
-      exit 1
-    | _ -> ()
-  end
-  else if hw >= 2 then begin
+      Some
+        (Printf.sprintf
+           "B19: median %.2fx at 4 domains on %d-core hardware (need 1.4x)!" s
+           hw)
+    | _ -> None
+  else if hw >= 2 then
     match speedup_at 2 with
     | Some s when s < 1.1 ->
-      Printf.eprintf
-        "B19: median %.2fx at 2 domains on %d-core hardware (need 1.1x)!\n"
-        s hw;
-      exit 1
-    | _ -> ()
-  end
-  else
+      Some
+        (Printf.sprintf
+           "B19: median %.2fx at 2 domains on %d-core hardware (need 1.1x)!" s
+           hw)
+    | _ -> None
+  else begin
     print_endline
-      "B19: 1-core hardware - speedup reported, not gated (oracles still hard)."
+      "B19: 1-core hardware - speedup reported, not gated (oracles still hard).";
+    None
+  end
+
+(* Print every wall-clock bar miss, with its value; whether all held. *)
+let bars_hold misses =
+  List.iter prerr_endline misses;
+  misses = []
 
 (* ------------------------------------------------------------------ *)
 (* B20: live graph upgrade under load.
@@ -2438,14 +2449,18 @@ let () =
   if b18_smoke then begin
     (* CI quick path: the domain-pool bench alone, full oracles. *)
     print_endline "FElm domain-pool smoke (B18 only)";
-    b18_gates (bench_b18 ~extra_domains ());
+    let b18 = bench_b18 ~extra_domains () in
+    b18_gates b18;
+    if not (bars_hold (Option.to_list (b18_bar b18))) then exit 1;
     print_endline "\nb18 smoke: OK";
     exit 0
   end;
   if b19_smoke then begin
     (* CI quick path: parallel waves alone, full oracles. *)
     print_endline "FElm parallel wave smoke (B19 only)";
-    b19_gates (bench_b19 ~extra_domains ());
+    let b19 = bench_b19 ~extra_domains () in
+    b19_gates b19;
+    if not (bars_hold (Option.to_list (b19_bar b19))) then exit 1;
     print_endline "\nb19 smoke: OK";
     exit 0
   end;
@@ -2671,23 +2686,29 @@ let () =
         exit 1
       end)
     b17_rows;
-  (* B18 gates: parallel drain must be bit-identical to the sequential
+  (* B18-B20 counter and identity gates first, then the wall-clock bars:
+     a bar miss is recorded with its value and fails the run once, after
+     BENCH_core.json is written, so it never hides another gate.
+     B18: parallel drain must be bit-identical to the sequential
      dispatcher at every width, per-domain counters must merge back to the
-     session totals, dispatch counts must agree across widths, and the
-     speedup bar scales with the hardware (see b18_gates). *)
+     session totals and dispatch counts must agree across widths.
+     B19: parallel waves must be trace-identical to the 1-domain run at
+     every width, per-domain region-step attribution must merge back, and
+     each event's wave must actually expose parallel regions.
+     B20: the hot-swap must be invisible — identity patch, zero dropped
+     events, per-session traces equal to the never-upgraded run. *)
   let b18 = bench_b18 ~extra_domains () in
   b18_gates b18;
-  (* B19 gates: parallel waves must be trace-identical to the
-     1-domain run at every width, per-domain region-step attribution must
-     merge back, and each event's wave must actually expose parallel
-     regions (see b19_gates). *)
   let b19 = bench_b19 ~extra_domains () in
   b19_gates b19;
-  (* B20 gates: the hot-swap must be invisible — identity patch, zero
-     dropped events, per-session traces equal to the never-upgraded run. *)
   let b20 = bench_b20 ~extra_domains () in
   b20_gates b20;
+  (* The speedup bars scale with the hardware (see b18_bar, b19_bar). *)
+  let bars_ok =
+    bars_hold (List.filter_map Fun.id [ b18_bar b18; b19_bar b19 ])
+  in
   if emit_json then
     write_json ~path:"BENCH_core.json" b11_rows b12 b13_rows b14_rows b15
       (b16_rows, b16_alloc) b17_rows b18 b19 b20 micro;
+  if not bars_ok then exit 1;
   print_endline "\ndone."

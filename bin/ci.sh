@@ -76,6 +76,9 @@
 # same events; post-upgrade throughput vs cold start is wall-clock
 # and report-only, printed beside the never-upgraded run's own ratio
 # and the quotient of the two.
+# The smoke run checks every B18-B20 counter and identity gate before
+# either wall-clock bar; a bar miss is printed with its value and fails
+# the run once, after BENCH_core.json is written.
 # After the smoke gates, bench_diff compares the gated counter ratios
 # (B11/B13/B16/B17/B19) against the committed bench/baseline.json and
 # fails on > 20% regression — see bin/bench_diff.sh for how to accept
@@ -125,6 +128,5 @@ if [ "$quick" -eq 1 ]; then
 fi
 
 dune exec bench/main.exe -- --smoke --json
-dune exec bench/main.exe -- --b20-smoke
 dune exec bench/diff.exe -- bench/baseline.json BENCH_core.json
 mkdir -p .perfbench_out/smoke && python3 perfbench/run.py --smoke

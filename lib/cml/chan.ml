@@ -22,6 +22,7 @@ let rec pop_live_receiver t =
   | Some w -> if !(w.claimed) then pop_live_receiver t else Some w
 
 let send t v =
+  Scheduler.home ();
   match pop_live_receiver t with
   | Some w ->
     w.claimed := true;
@@ -38,6 +39,7 @@ let send t v =
     Scheduler.suspend ?site:(site t "send") (fun k -> Queue.push (v, k) t.senders)
 
 let recv t =
+  Scheduler.home ();
   match Queue.take_opt t.senders with
   | Some (v, k) ->
     (match !Probe.current with
@@ -59,6 +61,7 @@ let select_recv chans =
         Some v
       | None -> try_ready rest)
   in
+  Scheduler.home ();
   match try_ready chans with
   | Some v -> v
   | None ->

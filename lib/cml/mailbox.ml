@@ -49,6 +49,7 @@ let report_recv t =
    non-empty only when [buf] is at capacity (so probe-observed depth never
    exceeds [cap] under [Block]). *)
 let send t v =
+  Scheduler.home ();
   match Queue.take_opt t.readers with
   | Some k ->
     Scheduler.resume k v;
@@ -85,6 +86,7 @@ let drain_sender t =
     report_send t
 
 let recv t =
+  Scheduler.home ();
   match Queue.take_opt t.buf with
   | Some v ->
     report_recv t;
@@ -93,6 +95,7 @@ let recv t =
   | None -> Scheduler.suspend ?site:(site t "recv") (fun k -> Queue.push k t.readers)
 
 let recv_opt t =
+  Scheduler.home ();
   match Queue.take_opt t.buf with
   | None -> None
   | Some v ->

@@ -20,7 +20,9 @@ let port t =
 
 (* Hot path: iterate ports in subscription order without building any
    intermediate list (the seed reversed a fresh list on every send). *)
-let send t v = Queue.iter (fun p -> Mailbox.send p v) t.ports
+let send t v =
+  Scheduler.home ();
+  Queue.iter (fun p -> Mailbox.send p v) t.ports
 
 let recv = Mailbox.recv
 

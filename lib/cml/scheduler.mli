@@ -65,14 +65,17 @@ type policy =
 
 val run : ?policy:policy -> ?max_switches:int -> (unit -> unit) -> unit
 (** [run main] resets the scheduler state, executes [main] and every thread it
-    spawns until quiescence: no thread is runnable and no timer is pending.
+    spawns until quiescence: no thread is runnable, no timer is pending and
+    no {!offload} is outstanding.
     Threads still blocked on a channel at quiescence are dropped (a reactive
     program's node threads wait forever for the next event by design).
     [policy] selects the interleaving (default [Fifo]).
     [max_switches] bounds context switches and raises [Stuck] when exceeded,
     which keeps accidental livelocks out of the test suite.
 
-    Exceptions raised by any thread propagate out of [run]. *)
+    Exceptions raised by any thread propagate out of [run]. A helper
+    domain spawned by {!offload} is joined before [run] returns or
+    raises. *)
 
 val run_value : ?policy:policy -> ?max_switches:int -> (unit -> 'a) -> 'a
 (** Like {!run} but returns the main thread's result.
@@ -116,6 +119,43 @@ val sleep_until : float -> unit
     time, exactly (no [now +. (t -. now)] rounding). A time not after
     {!now} behaves like {!yield}. *)
 
+val offload : (unit -> 'a) -> 'a
+(** [offload f] runs [f] on a helper domain owned by the enclosing {!run}
+    and returns its result; an exception raised by [f] is re-raised here,
+    with its backtrace. Only the calling thread is suspended: the others
+    keep running on the run's domain meanwhile. No virtual time passes
+    while [f] runs on the helper.
+    While an offload is outstanding the scheduler neither advances the
+    clock nor ends the run; with nothing else runnable it waits for the
+    offload to finish.
+
+    The run's first offload spawns the helper; offloads queue on it in
+    call order, and it is joined when {!run} returns or raises. An idle
+    helper spins for the next offload for 0.5 ms of real time, then blocks
+    until one comes; a scheduler waiting for an offload with nothing else
+    to run does the same. No domain is spawned by a run that never
+    offloads.
+
+    [f] may use the scheduler: its first Cml operation ({!spawn},
+    {!resume}, {!suspend}, so also {!yield}, {!sleep}, every channel and
+    mailbox operation, and [offload] itself) moves the rest of [f] to the
+    run's domain before touching any state ({!home}), where the caller
+    finishes it as if [f] had been called inline there: a {!sleep} then
+    suspends the caller. Until that point [f] shares memory with the run's
+    domain from another domain, so it must touch nothing the run's threads
+    touch.
+    @raise Not_running outside {!run}. *)
+
+val home : unit -> unit
+(** [home ()] does nothing on the run's own domain. Called from an
+    {!offload}ed function while it runs on the helper, it moves the rest
+    of that function to the run's domain and returns there. Every
+    operation of this library calls it before touching shared state. *)
+
+val now_ns : unit -> int
+(** A monotonic real-time clock, in nanoseconds: what {!offload}'s helper
+    measures its idle time with. Unrelated to the virtual {!now}. *)
+
 (** {2 Introspection} *)
 
 val spawned_count : unit -> int
@@ -129,6 +169,9 @@ val blocked_sites : unit -> string list
     (registration order), then one ["<anonymous>"] entry per thread suspended
     without a site. After a {!run} returns, reports the threads that were
     still parked at quiescence; reset when the next {!run} starts. *)
+
+val offload_count : unit -> int
+(** {!offload} calls since the current (or last) {!run} started. *)
 
 val decision_log : unit -> int list
 (** The pool indices chosen at each context switch of the current (or last)

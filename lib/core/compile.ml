@@ -10,13 +10,16 @@
    edge, paying a scheduler switch and a channel hop for every node of every
    event. Here we exploit the determinism instead:
 
-   - [plan] partitions the graph into maximal synchronous regions by
-     union-find over dependency edges, *cutting* the edge into every
-     [async]/[delay] node (their inner subgraph reaches them only through
-     the global dispatcher, so that edge carries no synchronous round), and
-     compiles each region to a single array of op templates in topological
-     order. The plan is immutable and carries no instance state: it is the
-     per-graph-shape template, built once and cached ([plan_of]).
+   - [plan] partitions the graph into synchronous regions by union-find
+     over dependency edges, *cutting* the edge into every [async]/[delay]
+     node (their inner subgraph reaches them only through the global
+     dispatcher, so that edge carries no synchronous round), and compiles
+     each region to a single array of op templates in topological order.
+     A runtime source does not glue an [async] branch into its class: a
+     component that reads the class's sources and feeds only its own
+     class's boundaries, holding no display, is a region of its own (see
+     [branches]). The plan is immutable and carries no instance state: it
+     is the per-graph-shape template, built once and cached ([plan_of]).
 
    - An [arena] is everything one running instance owns: a flat block of
      per-node value/stamp slots plus a few extra state slots ([foldp]
@@ -39,9 +42,12 @@
 
    - Each source gets a [schedule]: the ops of its synchronous cone, in
      plan order. A wake runs its source's schedule and nothing else — no
-     per-op reachability test — and the cone sits in one region because
-     union-find joins every uncut edge. A region is also the unit of
-     placement: one lane per region.
+     per-op reachability test. The cone sits in one region, as union-find
+     joins every uncut edge, except where branches read the source: each
+     such region reads its own shadow slot of the source, and the
+     schedule has one part per region it touches, so a lane placement
+     queues one round on each. A region is also the unit of placement:
+     one lane per region.
 
    Node state lives in the arena as [Obj.t]: the graph is heterogeneous,
    and moving cells out of the nodes (where a generation-stamped slot
@@ -140,14 +146,19 @@ type op = exec -> round -> unit
 
 (* The work of one wake of a source: the ops of its synchronous cone (its
    members, and the async/delay taps whose inner node is in it) in plan
-   order. A cone never crosses a cut edge, so it sits in one region. *)
+   order. A cone never crosses a cut edge, so it sits in one region unless
+   branches read the source: then [sc_parts] splits it by region. *)
 type schedule = {
   sc_region : int;  (* -1: the wake runs nothing *)
   sc_root : bool;  (* the root is a member: the wake reaches the display *)
-  sc_ops : op array;
+  sc_ops : op array;  (* [||] when split into [sc_parts] *)
   sc_nodes : int array;
       (* per op, the node it serves: the member's id, or for a tap its
          async/delay node's id *)
+  sc_parts : schedule array;
+      (* [||] when the ops lie in one region; otherwise one schedule per
+         region the wake touches, in region order, each led by that
+         region's writer of the source *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -179,6 +190,9 @@ type plan = {
          key *)
   p_reps : int array;  (* region index -> representative node id *)
   p_schedules : (int, schedule) Hashtbl.t;  (* source id -> its schedule *)
+  p_shadow_src : int array;
+      (* shadow slot [p_nodes + k] -> the slot of the source it copies *)
+  p_root_region : int;  (* the region holding the display *)
   p_sources : (int * string) list;  (* runtime sources, topological order *)
   p_propagate : handler array;
       (* per slot, [propagate]: every Propagate lane's [x_fail] *)
@@ -217,63 +231,139 @@ let rec any_dirty ar epoch = function
   | [] -> false
   | sd :: rest -> ar.ar_stamps.(sd) = epoch || any_dirty ar epoch rest
 
-let plan : type r. r Signal.t -> plan =
- fun root ->
-  let order = Signal.reachable root in
-  let root_id = Signal.id root in
-  (* Union-find over node ids; path-halving find, arbitrary union. *)
-  let parent = Hashtbl.create 64 in
-  List.iter
-    (fun (Signal.Pack s) -> Hashtbl.replace parent (Signal.id s) (Signal.id s))
-    order;
+(* Union-find over slots [0, n); path-halving find, arbitrary union. *)
+let union_find n =
+  let parent = Array.init n Fun.id in
   let rec find i =
-    let p = Hashtbl.find parent i in
+    let p = parent.(i) in
     if p = i then i
     else begin
       let r = find p in
-      Hashtbl.replace parent i r;
+      parent.(i) <- r;
       r
     end
   in
   let union i j =
     let ri = find i and rj = find j in
-    if ri <> rj then Hashtbl.replace parent ri rj
+    if ri <> rj then parent.(ri) <- rj
   in
+  (find, union)
+
+(* The region keys of a plan whose classes hold [async]/[delay] seams
+   back into themselves. A component of a class (joined to the rest only
+   through runtime sources) leaves it as a region of its own, a {e
+   branch}, when it holds no display and every async/delay boundary it
+   feeds lies in its class: it only reads the class's sources and hands
+   its results back through the dispatcher (the §5 shape, [pair (lift f
+   x) (async (lift slow x))]). A component with a seam into another class
+   stays, and so does a class's last component. A slot's key is its
+   class, or for a branch member [-1 - its component]; a source sits with
+   the readers its class keeps, or with its first branch reader when its
+   class keeps none. Returns the key and, per source slot, its readers'
+   keys (newest first): every reader region but the source's own gets a
+   shadow slot of it. [deps.(i)] are slot [i]'s synchronous dependency
+   slots (none for an async/delay node) and [cuts] the (inner, boundary)
+   slot pairs. *)
+let branches ~n ~deps ~sources ~root ~find cuts =
+  let is_source = Array.make n false in
+  List.iter (fun i -> is_source.(i) <- true) sources;
+  let comp, join = union_find n in
+  Array.iteri
+    (fun i ds -> List.iter (fun d -> if not is_source.(d) then join d i) ds)
+    deps;
+  let stays = Array.make n false in  (* component -> not a branch *)
+  List.iter
+    (fun (inner, b) -> if find inner <> find b then stays.(comp inner) <- true)
+    cuts;
+  stays.(comp root) <- true;
+  let kept = Array.make n false in  (* class -> keeps a component *)
+  for i = 0 to n - 1 do
+    if (not is_source.(i)) && stays.(comp i) then kept.(find i) <- true
+  done;
+  let key i =
+    if (not is_source.(i)) && (not stays.(comp i)) && kept.(find i) then
+      -1 - comp i
+    else find i
+  in
+  let readers = Array.make n [] in
+  Array.iteri
+    (fun i ds ->
+      List.iter
+        (fun d ->
+          if is_source.(d) && not (List.mem (key i) readers.(d)) then
+            readers.(d) <- key i :: readers.(d))
+        ds)
+    deps;
+  let key i =
+    match readers.(i) with
+    | _ :: _ as ks when not (List.mem (find i) ks) -> List.hd (List.rev ks)
+    | _ -> key i
+  in
+  (key, readers)
+
+let plan : type r. r Signal.t -> plan =
+ fun root ->
+  let order = Signal.reachable root in
+  let root_id = Signal.id root in
+  let reach = Reach.analyze root in
+  let n = List.length order in
+  let slot_of = Hashtbl.create n in
+  List.iteri
+    (fun i (Signal.Pack s) -> Hashtbl.replace slot_of (Signal.id s) i)
+    order;
+  let slot id = Hashtbl.find slot_of id in
+  let order_arr = Array.of_list order in
+  let slot_ids = Array.map (fun (Signal.Pack s) -> Signal.id s) order_arr in
+  let slot_names = Array.map (fun (Signal.Pack s) -> Signal.name s) order_arr in
+  (* The synchronous dependency slots of every slot; the edges into
+     async/delay nodes are cut. *)
   let cuts = ref [] in
-  List.iter
-    (fun (Signal.Pack s) ->
-      match Signal.kind s with
-      | Signal.Async inner | Signal.Delay (_, inner) ->
-        cuts := (Signal.id inner, Signal.id s) :: !cuts
-      | _ ->
-        List.iter
-          (fun (Signal.Pack d) -> union (Signal.id d) (Signal.id s))
-          (Signal.deps s))
-    order;
+  let deps =
+    Array.map
+      (fun (Signal.Pack s) ->
+        match Signal.kind s with
+        | Signal.Async inner | Signal.Delay (_, inner) ->
+          cuts := (Signal.id inner, Signal.id s) :: !cuts;
+          []
+        | _ ->
+          List.map (fun (Signal.Pack d) -> slot (Signal.id d)) (Signal.deps s))
+      order_arr
+  in
+  let find, union = union_find n in
+  Array.iteri (fun i ds -> List.iter (fun d -> union d i) ds) deps;
+  (* The synchronous classes are the regions, unless a class holds a seam
+     back into itself: then its branches split off. *)
+  let slot_cuts = List.map (fun (inner, b) -> (slot inner, slot b)) !cuts in
+  let key, readers =
+    if List.for_all (fun (inner, b) -> find inner <> find b) slot_cuts then
+      (find, [||])
+    else
+      branches ~n ~deps ~sources:(List.map slot (Reach.sources reach))
+        ~root:(slot root_id) ~find slot_cuts
+  in
   let index_of_class = Hashtbl.create 16 in
-  let region_of = Hashtbl.create 64 in
-  let buckets = Hashtbl.create 16 in  (* region index -> members, reversed *)
+  let region_at = Array.make n 0 in  (* slot -> region index *)
   let count = ref 0 in
-  List.iter
-    (fun (Signal.Pack s as p) ->
-      let id = Signal.id s in
-      let cls = find id in
-      let idx =
-        match Hashtbl.find_opt index_of_class cls with
-        | Some i -> i
-        | None ->
-          let i = !count in
-          incr count;
-          Hashtbl.replace index_of_class cls i;
-          i
-      in
-      Hashtbl.replace region_of id idx;
-      let prev = try Hashtbl.find buckets idx with Not_found -> [] in
-      Hashtbl.replace buckets idx (p :: prev))
-    order;
+  for i = 0 to n - 1 do
+    let k = key i in
+    region_at.(i) <-
+      (match Hashtbl.find_opt index_of_class k with
+      | Some r -> r
+      | None ->
+        let r = !count in
+        incr count;
+        Hashtbl.replace index_of_class k r;
+        r)
+  done;
+  let region_of = Hashtbl.create n in
+  Array.iteri (fun i id -> Hashtbl.replace region_of id region_at.(i)) slot_ids;
+  let buckets = Array.make !count [] in  (* region index -> members, reversed *)
+  Array.iteri
+    (fun i p -> buckets.(region_at.(i)) <- p :: buckets.(region_at.(i)))
+    order_arr;
   let regions =
     List.init !count (fun i ->
-        let rev_members = Hashtbl.find buckets i in
+        let rev_members = buckets.(i) in
         let (Signal.Pack rep) = List.hd rev_members in
         let members = List.rev rev_members in
         {
@@ -285,18 +375,36 @@ let plan : type r. r Signal.t -> plan =
         })
   in
   (* ---- template compilation ---- *)
-  let reach = Reach.analyze root in
-  let n = List.length order in
-  let slot_of = Hashtbl.create n in
-  List.iteri
-    (fun i (Signal.Pack s) -> Hashtbl.replace slot_of (Signal.id s) i)
-    order;
-  let slot id = Hashtbl.find slot_of id in
-  let order_arr = Array.of_list order in
-  let slot_ids = Array.map (fun (Signal.Pack s) -> Signal.id s) order_arr in
-  let slot_names = Array.map (fun (Signal.Pack s) -> Signal.name s) order_arr in
+  (* Shadow slots follow the node slots: one per (region, source) pair
+     where the region reads a source that sits in another region. A wake
+     of the source writes each of them in its region's own round, so two
+     regions never share a written slot. *)
+  let shadows = ref [] in  (* (region, source id), reversed *)
+  Array.iteri
+    (fun src ks ->
+      List.iter
+        (fun k ->
+          let r = Hashtbl.find index_of_class k in
+          if r <> region_at.(src) then
+            shadows := (r, slot_ids.(src)) :: !shadows)
+        ks)
+    readers;
+  let shadows = Array.of_list (List.sort compare !shadows) in
+  let shadow_slot = Hashtbl.create 4 in
+  Array.iteri (fun k rs -> Hashtbl.replace shadow_slot rs (n + k)) shadows;
+  let shadow_src = Array.map (fun (_, src) -> slot src) shadows in
+  (* The slot a node reads a dependency from: the dependency's own, or
+     the reader region's shadow of it. *)
+  let dep_slot ~reader d =
+    if Array.length shadows = 0 then slot d
+    else
+      match Hashtbl.find_opt shadow_slot (Hashtbl.find region_of reader, d) with
+      | Some sl -> sl
+      | None -> slot d
+  in
   let defaults =
-    obj_array n (fun i ->
+    obj_array (n + Array.length shadows) (fun i ->
+        let i = if i < n then i else shadow_src.(i - n) in
         let (Signal.Pack s) = order_arr.(i) in
         Obj.repr (Signal.default s))
   in
@@ -363,13 +471,11 @@ let plan : type r. r Signal.t -> plan =
      op is filed under the node whose dirty bit drives it (a member under
      itself, a tap under its inner node), which decides the schedules it
      joins, and it records the node it serves. *)
-  let pos = Hashtbl.create 64 in
-  List.iteri (fun i (Signal.Pack s) -> Hashtbl.replace pos (Signal.id s) i) order;
   let acc = Array.make !count [] in
   let add_op ~node ~serves op =
     let idx = Hashtbl.find region_of node in
-    let rank = if node = serves then 0 else 1 + Hashtbl.find pos serves in
-    acc.(idx) <- ((Hashtbl.find pos node, rank), (node, serves, op)) :: acc.(idx)
+    let rank = if node = serves then 0 else 1 + slot serves in
+    acc.(idx) <- ((slot node, rank), (node, serves, op)) :: acc.(idx)
   in
   let root_slot = slot root_id in
   (* A member op: computes whether the node changed and, for an observer,
@@ -406,6 +512,7 @@ let plan : type r. r Signal.t -> plan =
   let build_node : type x. x Signal.t -> unit =
    fun s ->
     let id = Signal.id s in
+    let rd d = dep_slot ~reader:id (Signal.id d) in
     match Signal.kind s with
     | Signal.Constant -> source_member ~id
     | Signal.Lift_list (_, []) ->
@@ -435,7 +542,7 @@ let plan : type r. r Signal.t -> plan =
               | Some seconds -> Delay { epoch; node = id; seconds; value })
               x.x_effects)
     | Signal.Lift1 (f, a) ->
-      let sl = slot id and sa = slot (Signal.id a) in
+      let sl = slot id and sa = rd a in
       member ~id (fun x r ->
           let ar = x.x_arena in
           ar.ar_stamps.(sa) = r.epoch
@@ -445,8 +552,8 @@ let plan : type r. r Signal.t -> plan =
               | exception e -> failed x sl r e))
     | Signal.Lift2 (f, a, b) ->
       let sl = slot id
-      and sa = slot (Signal.id a)
-      and sb = slot (Signal.id b) in
+      and sa = rd a
+      and sb = rd b in
       member ~id (fun x r ->
           let ar = x.x_arena in
           (ar.ar_stamps.(sa) = r.epoch || ar.ar_stamps.(sb) = r.epoch)
@@ -456,9 +563,9 @@ let plan : type r. r Signal.t -> plan =
               | exception e -> failed x sl r e))
     | Signal.Lift3 (f, a, b, d) ->
       let sl = slot id
-      and sa = slot (Signal.id a)
-      and sb = slot (Signal.id b)
-      and sd = slot (Signal.id d) in
+      and sa = rd a
+      and sb = rd b
+      and sd = rd d in
       member ~id (fun x r ->
           let ar = x.x_arena in
           (ar.ar_stamps.(sa) = r.epoch
@@ -475,10 +582,10 @@ let plan : type r. r Signal.t -> plan =
               | exception e -> failed x sl r e))
     | Signal.Lift4 (f, a, b, d, e) ->
       let sl = slot id
-      and sa = slot (Signal.id a)
-      and sb = slot (Signal.id b)
-      and sd = slot (Signal.id d)
-      and se = slot (Signal.id e) in
+      and sa = rd a
+      and sb = rd b
+      and sd = rd d
+      and se = rd e in
       member ~id (fun x r ->
           let ar = x.x_arena in
           (ar.ar_stamps.(sa) = r.epoch
@@ -497,7 +604,7 @@ let plan : type r. r Signal.t -> plan =
               | exception e -> failed x sl r e))
     | Signal.Lift_list (f, ds) ->
       let sl = slot id in
-      let sds = List.map (fun d -> slot (Signal.id d)) ds in
+      let sds = List.map rd ds in
       member ~id (fun x r ->
           let ar = x.x_arena in
           any_dirty ar r.epoch sds
@@ -506,7 +613,7 @@ let plan : type r. r Signal.t -> plan =
               | v -> set x sl r v
               | exception e -> failed x sl r e))
     | Signal.Foldp (f, src) ->
-      let sl = slot id and ss = slot (Signal.id src) in
+      let sl = slot id and ss = rd src in
       let init = Signal.default s in
       (* A [Restart] re-seeds the accumulator slot at the next fold step —
          the same observable schedule as the pipelined deferral: downstream
@@ -531,14 +638,14 @@ let plan : type r. r Signal.t -> plan =
                 false))
     | Signal.Merge (a, b) ->
       let sl = slot id
-      and sa = slot (Signal.id a)
-      and sb = slot (Signal.id b) in
+      and sa = rd a
+      and sb = rd b in
       member ~id (fun x r ->
           let ar = x.x_arena in
           if ar.ar_stamps.(sa) = r.epoch then set x sl r ar.ar_values.(sa)
           else ar.ar_stamps.(sb) = r.epoch && set x sl r ar.ar_values.(sb))
     | Signal.Drop_repeats (eq, src) ->
-      let sl = slot id and ss = slot (Signal.id src) in
+      let sl = slot id and ss = rd src in
       member ~id (fun x r ->
           let ar = x.x_arena in
           ar.ar_stamps.(ss) = r.epoch
@@ -551,15 +658,15 @@ let plan : type r. r Signal.t -> plan =
           | exception e -> failed x sl r e))
     | Signal.Sample_on (ticks, src) ->
       let sl = slot id
-      and st = slot (Signal.id ticks)
-      and ss = slot (Signal.id src) in
+      and st = rd ticks
+      and ss = rd src in
       member ~id (fun x r ->
           let ar = x.x_arena in
           ar.ar_stamps.(st) = r.epoch && set x sl r ar.ar_values.(ss))
     | Signal.Keep_when (gate, src, _base) ->
       let sl = slot id
-      and sg = slot (Signal.id gate)
-      and ss = slot (Signal.id src) in
+      and sg = rd gate
+      and ss = rd src in
       (* Tracks the gate across the rounds that reach this node, exactly
          like the pipelined loop's [gate_prev] parameter: emit while open,
          and on the rising edge to resynchronize with the source. *)
@@ -573,7 +680,7 @@ let plan : type r. r Signal.t -> plan =
           && (ar.ar_stamps.(ss) = r.epoch || rising)
           && set x sl r ar.ar_values.(ss))
     | Signal.Composite (comp, dep) ->
-      let sl = slot id and sd = slot (Signal.id dep) in
+      let sl = slot id and sd = rd dep in
       (* The chain's cells are ordinary state slots [k, k + n): plain data,
          copied by [clone_arena] and carried across upgrades like any other
          state. A [Restart] re-seeds them from the composite's initial
@@ -596,31 +703,61 @@ let plan : type r. r Signal.t -> plan =
                 false))
   in
   List.iter (fun (Signal.Pack s) -> build_node s) order;
-  let sorted =
-    Array.map
-      (fun pending ->
-        List.map snd
-          (List.sort (fun ((k1 : int * int), _) (k2, _) -> compare k1 k2) pending))
-      acc
+  let sort entries =
+    List.sort (fun ((k1 : int * int), _) (k2, _) -> compare k1 k2) entries
   in
-  let schedule ~region ~root entries =
+  let sorted = Array.map sort acc in
+  let schedule ~region ~root ?(parts = [||]) entries =
     {
       sc_region = region;
       sc_root = root;
-      sc_ops = Array.of_list (List.map (fun (_, _, op) -> op) entries);
-      sc_nodes = Array.of_list (List.map (fun (_, serves, _) -> serves) entries);
+      sc_ops = Array.of_list (List.map (fun (_, (_, _, op)) -> op) entries);
+      sc_nodes =
+        Array.of_list (List.map (fun (_, (_, serves, _)) -> serves) entries);
+      sc_parts = parts;
     }
   in
+  (* A region's shadow writers, keyed like the source's own member op. *)
+  let writers = Array.make !count [] in
+  Array.iteri
+    (fun k (r, src) ->
+      let sl = n + k in
+      writers.(r) <-
+        ((slot src, 0), (src, src, fun x r -> ignore (set x sl r r.value)))
+        :: writers.(r))
+    shadows;
+  let root_region = Hashtbl.find region_of root_id in
   (* Per-source schedules, the Asynchronous Modal FRP clock of a source: a
-     wake runs exactly the ops whose driving node the source reaches. *)
+     wake runs exactly the ops whose driving node the source reaches. A
+     source read by other regions through shadows has one part per region
+     it touches instead, each led by that region's writer of the source:
+     its own member op, or a shadow writer. *)
   let schedules = Hashtbl.create 16 in
   List.iter
     (fun src ->
       let in_cone node = Reach.affects reach ~source:src ~node in
+      let cone = List.filter (fun (_, (node, _, _)) -> in_cone node) in
       let region = Hashtbl.find region_of src in
+      let root = in_cone root_id in
+      let others =
+        Array.fold_right
+          (fun (r, s) acc -> if s = src then r :: acc else acc)
+          shadows []
+      in
       Hashtbl.replace schedules src
-        (schedule ~region ~root:(in_cone root_id)
-           (List.filter (fun (node, _, _) -> in_cone node) sorted.(region))))
+        (match others with
+        | [] -> schedule ~region ~root (cone sorted.(region))
+        | _ ->
+          let touched = List.sort_uniq compare (region :: others) in
+          let parts =
+            List.map
+              (fun r ->
+                schedule ~region:r
+                  ~root:(root && r = root_region)
+                  (cone (sort (sorted.(r) @ writers.(r)))))
+              touched
+          in
+          schedule ~region ~root ~parts:(Array.of_list parts) []))
     (Reach.sources reach);
   let name_of = Hashtbl.create 64 in
   List.iter
@@ -652,6 +789,8 @@ let plan : type r. r Signal.t -> plan =
     p_state_node = state_node;
     p_reps = Array.of_list (List.map (fun rg -> rg.rg_rep) regions);
     p_schedules = schedules;
+    p_shadow_src = shadow_src;
+    p_root_region = root_region;
     p_sources = sources;
     p_propagate = Array.make n propagate;
     p_inputs = List.rev !inputs;
@@ -669,6 +808,8 @@ let slot pl id = try Hashtbl.find pl.p_slot_of id with Not_found -> -1
 let propagate_handlers pl = pl.p_propagate
 let region_count pl = Array.length pl.p_reps
 let region_rep pl i = pl.p_reps.(i)
+let root_region pl = pl.p_root_region
+let shadow_sources pl = pl.p_shadow_src
 
 let no_schedule =
   {
@@ -676,6 +817,7 @@ let no_schedule =
     sc_root = false;
     sc_ops = [||];
     sc_nodes = [||];
+    sc_parts = [||];
   }
 
 let schedule pl source =
@@ -773,7 +915,7 @@ let plan_of root =
 let new_arena pl =
   {
     ar_values = Array.copy pl.p_defaults;
-    ar_stamps = Array.make pl.p_nodes 0;
+    ar_stamps = Array.make (Array.length pl.p_defaults) 0;
     ar_state = Array.copy pl.p_state_init;
   }
 

@@ -34,9 +34,11 @@
     holds the partitioning and the op compiler; {!Exec} owns dispatch,
     accounting, supervision and the effects' application.
 
-    A region is also the unit of placement: a source's {!schedule} lies in
-    one region, so a wake runs one region, and {!Exec} runs each region on
-    its own lane. *)
+    A region is also the unit of placement: {!Exec} runs each region on
+    its own lane. A source's {!schedule} lies in one region, except where
+    an [async] branch reads it: the branch is a region of its own with a
+    shadow slot of the source, and a wake queues one round on each
+    region it touches. *)
 
 type round = {
   epoch : int;
@@ -68,9 +70,15 @@ type plan
     own {!arena}. *)
 
 val plan : 'a Signal.t -> plan
-(** Partition the graph rooted here into maximal synchronous regions
-    (union-find over dependency edges, cutting the edge into every
-    [async]/[delay] node) and compile each region's op array. Pure;
+(** Partition the graph rooted here into synchronous regions (union-find
+    over dependency edges, cutting the edge into every [async]/[delay]
+    node) and compile each region's op array. A runtime source does not
+    glue a {e branch} into its class: a component of the class, joined to
+    the rest only through sources, that holds no display and whose every
+    async/delay boundary feeds back into the class — the work a display
+    hands to [async] ([pair (lift f x) (async (lift slow x))]). A branch
+    is a region of its own, with a shadow slot per source it reads from
+    another region (see {!shadow_sources}). Pure;
     deterministic for a given graph (regions, members and ops ordered by
     the {!Signal.reachable} topological order). Prefer {!plan_of}, which
     caches the result per graph. *)
@@ -133,7 +141,17 @@ val slot : plan -> int -> int
 val region_count : plan -> int
 
 val region_rep : plan -> int -> int
+
 (** The representative node id of region [i] (its trace row). *)
+
+val root_region : plan -> int
+(** The index of the region holding the root, whose rounds display. *)
+
+val shadow_sources : plan -> int array
+(** Shadow slot [node_count plan + k] copies slot [(shadow_sources plan).(k)]
+    (a source's): a region that reads a source sitting in another region
+    reads its own copy, written in its own round. An arena holds
+    [node_count + Array.length shadow_sources] value and stamp slots. *)
 
 val slot_ids : plan -> int array
 (** Slot -> node id. The plan's own array — treat as read-only. *)
@@ -249,19 +267,31 @@ type op = exec -> round -> unit
     an async/delay tap's. *)
 
 type schedule = {
-  sc_region : int;  (** The region the ops belong to; [-1] for none. *)
+  sc_region : int;
+      (** The region the ops belong to (for a split source, the region
+          holding its own member); [-1] for none. *)
   sc_root : bool;  (** The root is a member: the wake reaches the display. *)
-  sc_ops : op array;  (** Run in order. *)
+  sc_ops : op array;  (** Run in order; [[||]] for a split source. *)
   sc_nodes : int array;
       (** Per op, the node it serves: the member's id, or for a tap the
           id of its async/delay node. *)
+  sc_parts : schedule array;
+      (** [[||]] when the ops lie in one region. For a source that other
+          regions read through shadow slots, one schedule per region the
+          wake touches, in region order: that region's ops of the cone,
+          led by its writer of the source (the source's member op, or
+          its shadow writer). *)
 }
 (** The work of one wake. A source's schedule holds the ops of its
     synchronous cone — its member ops plus the async/delay taps whose
-    inner node is in the cone — in plan order. The cone never crosses a
-    cut edge, so it sits in one region. This is the {e clock} of a source
-    in Asynchronous Modal FRP: an event advances only what its source
-    reaches, with no per-op test. *)
+    inner node is in the cone — in plan order. This is the {e clock} of a
+    source in Asynchronous Modal FRP: an event advances only what its
+    source reaches, with no per-op test. The cone never crosses a cut
+    edge, so it sits in one region unless a branch reads the source (see
+    {!plan}): then its work is [sc_parts], one round per region, and
+    every placement runs them as separate region steps — the sequential
+    lane in region order, the region lanes each on its own. No effect of
+    one epoch reads another, so their order does not matter. *)
 
 val schedule : plan -> int -> schedule
 (** [schedule plan source]: the plan's own record (no allocation); a

@@ -13,15 +13,19 @@
      dispatch row), all computable from the schedule alone. The wake
      becomes one [Compile.round] that carries the value to the source
      member, which writes it.
-   - The wake's work is its source's schedule, which lies in one region,
-     and it runs on a {e lane}: a [Compile.exec] record, plain data over
-     the shared arena with its own counters, failure handlers and effect
-     queue. [step] runs the round at once on the instance's sequential
-     lane. Otherwise the round is queued on its region's lane, one lane
-     per region, in one of two placements. Waves ([admit]): [run_lanes]
-     runs every active lane inline or as one flat [Pool.run] batch. Lanes
-     ([admit_lanes]): one caller thread per region takes one round at a
-     time ([step_lane]).
+   - The wake's work is its source's schedule, which lies in one region
+     (or, when [async] branches read the source, one part per region it
+     touches), and it runs on a {e lane}: a [Compile.exec] record, plain
+     data over the shared arena with its own counters, failure handlers
+     and effect queue. [step] runs the whole schedule at once on the
+     instance's sequential lane (a split source's parts one after the
+     other, in region order). Otherwise each part is queued as a round
+     on its region's lane, one lane per region, in one of two placements.
+     Waves ([admit]): [run_lanes] runs every active lane inline or as one
+     flat [Pool.run] batch. Lanes ([admit_lanes]): one caller thread per
+     region takes one round at a time ([step_lane]), and a costly region
+     that holds no display runs its rounds on the [Cml] run's helper
+     domain (the offload rule at [step_lane]).
    - No lane performs a boundary effect: the ops append async fires and
      delay schedules (each with its value), displays and observed
      emissions to the lane's effect queue, and they are applied to the
@@ -37,14 +41,16 @@
      runtime builds one for itself over [()]. So no instance carries
      hook closures of its own.
 
-   Why buffering is exact: one event wakes one region (a source's
-   synchronous cone is region-local), lanes share no slot or counter, and
-   no boundary effect is consumed in the epoch that produces it — async
+   Why buffering is exact: a round's work is region-local (a region reads
+   a source in another region through a shadow slot of its own, written
+   by its own round), lanes share no written slot or counter, and no
+   boundary effect is consumed in the epoch that produces it — async
    fires and delays re-enter as later events, displays only leave the
    graph. So flushing after the run, stably ordered by epoch, reproduces
-   exactly what a one-event-at-a-time dispatcher would have done,
-   whatever ran where and in whatever order: a wave's lanes need no order
-   among themselves. *)
+   what a one-event-at-a-time dispatcher would have done, whatever ran
+   where and in whatever order: a wave's lanes need no order among
+   themselves. (Within one epoch, a split source's parts run as separate
+   region steps, whose effects no other effect of that epoch reads.) *)
 
 type error_policy =
   | Propagate
@@ -96,11 +102,30 @@ type 'c hooks = {
   observe : 'c -> node:int -> epoch:int -> changed:bool -> unit;
 }
 
+(* Where the lane placement runs a region's rounds: inline on its lane
+   thread, or on the run's helper domain ([Cml.Scheduler.offload]). A
+   region that may be offloaded first probes: it runs rounds inline, each
+   timed (see [step_lane]). *)
+type place =
+  | Inline
+  | Probe of int * int  (* rounds still to time, the cheapest one's ns *)
+  | Offload of int  (* the cheapest timed round's ns *)
+
+(* The offload rule's constants, explained at [step_lane]. *)
+let probe_rounds = 8
+let offload_ns = 20_000
+let max_patience = 1 lsl 16
+let lag_weight = 16
+
 (* A region's lane with the rounds admitted to it. *)
 type lane = {
+  l_region : int;
   l_exec : Compile.exec;
-  mutable l_snap : Stats.t;  (* waves: the lane's counters last merged *)
+  mutable l_snap : Stats.t;  (* scratch counters last merged *)
   l_rounds : Compile.round Queue.t;
+  mutable l_place : place;
+  mutable l_patience : int;  (* rounds the next probe times *)
+  mutable l_lag : int;  (* moving average of the offloads' lag, ns *)
 }
 
 (* [seq] is the sequential lane and holds the instance's own data: its
@@ -177,14 +202,27 @@ let epoch x = x.epoch
    instance builds only the sequential lane), whose placement picks their
    counters. Waves give each lane scratch counters, so concurrently
    running lanes never share a mutable word ([flush] merges their
-   deltas); lanes all run on the caller's domain and bill the instance's
-   counters directly. *)
-let region_lanes x ~stats =
-  if Array.length x.lanes = 0 then
+   deltas). Lanes run on the caller's domain and bill the instance's
+   counters directly, except a region that may be offloaded: one that
+   holds no display, of an untraced instance, on a host with more than
+   one core. Its lane bills scratch counters, merged after each round
+   ([step_lane]), and starts by probing. A traced instance never offloads:
+   its rows are in virtual time, which an offload does not change, and
+   [Trace] keeps one shard per domain, pairing a dispatch with its spans
+   within one shard. *)
+let region_lanes x ~waves =
+  if Array.length x.lanes = 0 then begin
+    let offload =
+      (not waves)
+      && Option.is_none x.tracer
+      && Domain.recommended_domain_count () > 1
+    in
     x.lanes <-
-      Array.init (Compile.region_count x.plan) (fun _ ->
-          let stats = stats () in
+      Array.init (Compile.region_count x.plan) (fun i ->
+          let probe = offload && i <> Compile.root_region x.plan in
+          let stats = if waves || probe then Stats.create () else stats x in
           {
+            l_region = i;
             l_exec =
               {
                 x.seq with
@@ -196,7 +234,11 @@ let region_lanes x ~stats =
               };
             l_snap = Stats.copy stats;
             l_rounds = Queue.create ();
-          });
+            l_place = (if probe then Probe (probe_rounds, max_int) else Inline);
+            l_patience = probe_rounds;
+            l_lag = 0;
+          })
+  end;
   x.lanes
 
 (* ------------------------------------------------------------------ *)
@@ -241,34 +283,67 @@ let run_ops x (ex : Compile.exec) (sc : Compile.schedule) (r : Compile.round)
   | None -> ()
   | Some tr -> Trace.node_end tr ~node ~epoch:r.epoch
 
-(* A wake's work on the sequential lane: its schedule, at most one
-   region. *)
+(* A split source's wake notifies one region per part. *)
+let bill_parts x parts =
+  let st = stats x in
+  st.Stats.notified_nodes <- st.Stats.notified_nodes + Array.length parts - 1
+
+(* A wake's work on the sequential lane: its schedule, or a split
+   source's parts in region order, one region step each. *)
 let step x ~source ~value =
   let sc = open_epoch x ~source in
-  if sc.sc_region >= 0 then
-    run_ops x x.seq sc { Compile.epoch = x.epoch; source; value }
+  if sc.sc_region >= 0 then begin
+    let r = { Compile.epoch = x.epoch; source; value } in
+    match sc.sc_parts with
+    | [||] -> run_ops x x.seq sc r
+    | parts ->
+      bill_parts x parts;
+      Array.iter (fun p -> run_ops x x.seq p r) parts
+  end
 
-(* Queue one wake's round on its region's lane and tell [wake] which. *)
-let queue_round x ~stats ~source ~value ~wake =
+(* Queue one wake's round on the lane of each region it touches (one,
+   unless branches read its source) and tell [wake] which. *)
+let queue_round x ~waves ~source ~value ~wake =
   let sc = open_epoch x ~source in
-  let i = sc.sc_region in
-  if i >= 0 then begin
-    Queue.push
-      { Compile.epoch = x.epoch; source; value }
-      (region_lanes x ~stats).(i).l_rounds;
-    wake i
+  if sc.sc_region >= 0 then begin
+    let r = { Compile.epoch = x.epoch; source; value } in
+    let lanes = region_lanes x ~waves in
+    match sc.sc_parts with
+    | [||] ->
+      Queue.push r lanes.(sc.sc_region).l_rounds;
+      wake sc.sc_region
+    | parts ->
+      bill_parts x parts;
+      Array.iter
+        (fun (p : Compile.schedule) ->
+          Queue.push r lanes.(p.sc_region).l_rounds;
+          wake p.sc_region)
+        parts
   end
 
 let admit x ~source ~value =
-  queue_round x ~stats:Stats.create ~source ~value ~wake:ignore
+  queue_round x ~waves:true ~source ~value ~wake:ignore
 
 let admit_lanes x ~source ~value ~wake =
-  queue_round x ~stats:(fun () -> stats x) ~source ~value ~wake
+  queue_round x ~waves:false ~source ~value ~wake
 
-(* Run a lane's oldest admitted round: its source's schedule. *)
+(* Round [r]'s ops on lane [ln]: its source's schedule, or the part of it
+   that lies in the lane's region. *)
+let part x ln (r : Compile.round) =
+  let sc = Compile.schedule x.plan r.source in
+  match sc.sc_parts with
+  | [||] -> sc
+  | parts ->
+    let rec find i =
+      if parts.(i).Compile.sc_region = ln.l_region then parts.(i)
+      else find (i + 1)
+    in
+    find 0
+
+(* Run a lane's oldest admitted round. *)
 let run_round x ln =
   let r = Queue.pop ln.l_rounds in
-  run_ops x ln.l_exec (Compile.schedule x.plan r.Compile.source) r
+  run_ops x ln.l_exec (part x ln r) r
 
 (* Run every active lane's admitted rounds, each lane's in epoch order:
    as one [pool] batch when several are active, otherwise inline in
@@ -318,10 +393,81 @@ let apply_all x hooks c (ex : Compile.exec) =
 
 (* Lane placement: run region [i]'s oldest admitted round, then apply
    that round's effects at once, so a display or an async fire leaves as
-   soon as its region ran rather than at the end of a wave. *)
+   soon as its region ran rather than at the end of a wave. An offloaded
+   round suspends only the lane's thread; its effects and counters are
+   applied here once it returns.
+
+   The offload rule. A probing region runs [probe_rounds] rounds inline,
+   each timed on the monotonic clock; if the cheapest took more than
+   [offload_ns], its later rounds run on the helper domain, where they
+   hold back no other region's lane. [offload_ns] is ten times the
+   offload round trip measured back to back on a 2-core host (a median of
+   1.8 us), so an offloaded round spends at most a tenth of its time in
+   transit. A region keeps to its lane for good once one of its rounds
+   uses Cml: an inline round that switched Cml threads ([Cml.sleep] in a
+   lift), so a virtual-time program keeps its deterministic schedule, or
+   an offloaded round that [Cml.Scheduler.home] moved back to the run's
+   domain, where it finished as an inline round would.
+
+   An offload pays only while the helper has a core to itself. An
+   offload's lag is how much longer it took, from hand-off to its end on
+   the helper, than the cheapest timed round (the run's first offload,
+   which spawns the helper, is not counted). On a host busier than its
+   cores the helper waits for a scheduler slice: beside one busy-looping
+   process on a 2-vCPU host, with a helper that blocked after 50 us
+   idle, about 30% of perfbench gui_async's ~100 us key rounds were
+   picked up 0.45-1 ms late, against under 30 us for all but about 0.4%
+   (a few up to ~1 ms) alone. Once the moving average of
+   the lag (weight 1/[lag_weight]) exceeds the round's cost, the region
+   goes back to probing inline, for twice as many rounds as its last
+   probe (up to [max_patience]); the count drops back to [probe_rounds]
+   after an offload that lagged less than the round's cost. A rare late
+   pickup moves the average too little to send a region back. *)
 let step_lane x i hooks c =
   let ln = x.lanes.(i) in
-  run_round x ln;
+  (match ln.l_place with
+  | Inline -> run_round x ln
+  | Offload cheapest ->
+    let r = Queue.pop ln.l_rounds in
+    let sc = part x ln r in
+    let here = (Domain.self () :> int) in
+    let spawns = Cml.Scheduler.offload_count () = 0 in
+    let t0 = Cml.Scheduler.now_ns () in
+    (* The round's end on the helper, or -1 if it moved home. *)
+    let ended =
+      Cml.Scheduler.offload (fun () ->
+          run_ops x ln.l_exec sc r;
+          if (Domain.self () :> int) = here then -1 else Cml.Scheduler.now_ns ())
+    in
+    if ended < 0 then ln.l_place <- Inline
+    else if not spawns then begin
+      let lag = max 0 (ended - t0 - cheapest) in
+      ln.l_lag <- ln.l_lag + ((lag - ln.l_lag) / lag_weight);
+      if ln.l_lag > cheapest then begin
+        ln.l_lag <- 0;
+        ln.l_patience <- min max_patience (2 * ln.l_patience);
+        ln.l_place <- Probe (ln.l_patience, max_int)
+      end
+      else if lag <= cheapest then ln.l_patience <- probe_rounds
+    end
+  | Probe (left, cheapest) ->
+    let switches = Cml.Scheduler.switch_count () in
+    let t0 = Cml.Scheduler.now_ns () in
+    run_round x ln;
+    let cheapest = min cheapest (Cml.Scheduler.now_ns () - t0) in
+    ln.l_place <-
+      (if Cml.Scheduler.switch_count () <> switches then Inline
+       else if left > 1 then Probe (left - 1, cheapest)
+       else if cheapest > offload_ns then Offload cheapest
+       else Inline));
+  (* A lane with scratch counters credits the instance with this round's
+     and advances its snapshot in place ([snap += st - snap]): a fresh
+     copy per round would be promoted garbage, the lane being old. *)
+  let st = ln.l_exec.x_stats in
+  if st != stats x then begin
+    Stats.add_delta (stats x) ~before:ln.l_snap ~after:st;
+    Stats.add_delta ln.l_snap ~before:ln.l_snap ~after:st
+  end;
   apply_all x hooks c ln.l_exec
 
 (* Apply every buffered effect to [hooks]: the sequential lane's in

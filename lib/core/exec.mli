@@ -11,15 +11,19 @@
     that writes it. A wake is taken in three phases. {!step}, {!admit} or
     {!admit_lanes} assigns the epoch, looks up the source's
     {!Compile.schedule} and bills every per-event counter it determines
-    (messages included). The schedule lies in one region, and its ops
-    then run on a {e lane}: a {!Compile.exec} record, plain data over the
-    instance's arena with its own counters, failure handlers and effect
-    queue. They run at once on the instance's sequential lane ({!step}),
-    or queued on their region's lane — one lane per region — in one of
-    two placements: {e waves} ({!admit}), whose active lanes
-    {!run_lanes} runs inline or as one flat {!Pool.run} batch, or
-    {e lanes} ({!admit_lanes}), one caller thread per region taking one
-    round at a time ({!step_lane}). An instance uses one placement.
+    (messages included). The schedule lies in one region, or has one
+    part per region it touches when [async] branches read the source
+    ({!Compile.schedule}), and its ops then run on a {e lane}: a
+    {!Compile.exec} record, plain data over the instance's arena with its
+    own counters, failure handlers and effect queue. The whole schedule
+    runs at once on the instance's sequential lane ({!step}), a split
+    source's parts one after the other in region order; otherwise
+    each part is queued as a round on its region's lane — one lane per
+    region — in one of two placements: {e waves} ({!admit}), whose
+    active lanes {!run_lanes} runs inline or as one flat {!Pool.run}
+    batch, or {e lanes} ({!admit_lanes}), one caller thread per region
+    taking one round at a time ({!step_lane}). An instance uses one
+    placement.
 
     Running never performs a boundary effect: ops append async fires and
     delay schedules (each with its value), displays and observed
@@ -133,6 +137,21 @@ val step_lane : t -> int -> 'c hooks -> 'c -> unit
     region [i]'s lane, then applies that round's effects to [hooks] as {!flush}
     would, so a display or an async fire leaves as soon as its region ran.
     Lanes need no {!flush}.
+
+    The offload rule: on a host with more than one core
+    ([Domain.recommended_domain_count]), a region of an untraced instance
+    that holds no display times its first 8 rounds on the monotonic
+    clock. If the cheapest took more than 20 us, each later round runs
+    through [Cml.Scheduler.offload], on the enclosing run's helper domain:
+    only the lane's thread waits, the other lanes keep running, and the
+    round's effects and counters are applied here once it returns. A
+    region stays inline for good once a round of it uses Cml: a timed
+    round that switched Cml threads (a [Cml.sleep] in a lift), so
+    virtual-time programs keep their deterministic schedules, or an
+    offloaded round that [Cml.Scheduler.home] moved back to the run's
+    domain to finish there. Such a region's lane bills scratch counters,
+    merged into {!stats} after every round. Call it from a thread of
+    [Cml.run].
     @raise Queue.Empty if region [i] has no admitted round. *)
 
 val flush : t -> 'c hooks -> 'c -> unit

@@ -169,7 +169,34 @@ val start :
     [Compiled]). Under [Compiled], {!Stats.t.compiled_regions} and
     {!Stats.t.region_steps} are populated, the tracer records one span per
     region step instead of per-member rows, and {!message_log} /
-    {!changes} are unchanged.
+    {!changes} are unchanged. By default its rounds run in {e lanes}, one
+    Cml thread per region ({!Compile.plan}: an [async] branch is a region
+    of its own even when it shares a source with the display).
+
+    The offload rule, lanes only: on a host with more than one core, a
+    region of an untraced runtime that holds no display times its first 8
+    rounds; if the cheapest took more than 20 us of real time, its later
+    rounds run on a helper domain of the enclosing {!Cml.run}
+    ([Cml.Scheduler.offload]), so real CPU work behind [async] no longer
+    delays the display's lane. The functions of such a region (the lifts
+    and folds inside an [async] or [delay]) then run on another domain,
+    concurrently with the display's: they must be domain-safe, sharing no
+    unsynchronised mutable state (refs, memo tables, the global
+    [Random]) with the rest of the program. A region stays inline for
+    good once a round of it uses Cml ([Cml.sleep] in a lift), whether the
+    round ran inline or was offloaded ([Cml.Scheduler.home] moves it back
+    to finish on the run's domain). [start] itself spawns no domain: the
+    run's first offload does ({!Exec.step_lane}).
+
+    What an offload keeps fixed: it takes no virtual time, and the run
+    waits for it before its clock moves, so every display keeps its
+    virtual time, and each region still sees its rounds in order. What it
+    does not: the interleaving of an offloaded branch with the other
+    lanes depends on real time, so where several events share one virtual
+    instant, the order of the {!changes} at that instant (and which
+    intermediate values they pair) can differ from run to run. With one
+    offloaded region and inputs at distinct instants, the trace is the
+    inline run's.
 
     [history] bounds the {!changes} / {!message_log} logs: absent keeps
     everything (the default, as tests expect), [~history:n] retains the [n]

@@ -79,7 +79,12 @@ val async : ?name:string -> 'a t -> 'a t
     produces a [Change] it registers a fresh global event carrying that
     value. Event order is maintained within the async subgraph and within
     the rest of the graph, but not between them, so a slow subgraph cannot
-    delay the rest of the program. *)
+    delay the rest of the program.
+
+    The functions of [s]'s subgraph may run on another domain: the
+    compiled runtime moves a costly one off the display's domain (the
+    offload rule of {!Runtime.start}). They must be domain-safe, sharing
+    no unsynchronised mutable state with the rest of the program. *)
 
 (** {1 Elm standard-library combinators (Section 4)} *)
 

@@ -220,8 +220,13 @@ let remap ?mutate p (ar : Compile.arena) =
     end
   in
   let defaults = Compile.defaults np in
+  (* A shadow slot copies its source's slot (see [Compile.shadow_sources]). *)
+  let shadows = Compile.shadow_sources np in
+  let of_slot i = if i < n then i else shadows.(i - n) in
+  let slots = n + Array.length shadows in
   let values =
-    obj_array n (fun i ->
+    obj_array slots (fun i ->
+        let i = of_slot i in
         let j = map.(i) in
         if j < 0 then defaults.(i)
         else
@@ -231,8 +236,8 @@ let remap ?mutate p (ar : Compile.arena) =
           | _ -> v)
   in
   let stamps =
-    Array.init n (fun i ->
-        let j = map.(i) in
+    Array.init slots (fun i ->
+        let j = map.(of_slot i) in
         if j < 0 then 0 else ar.Compile.ar_stamps.(j))
   in
   let state =

@@ -523,6 +523,101 @@ let counter_program () =
       done;
       Elm_core.Runtime.changes rt)
 
+(* ------------------------------------------------------------------ *)
+(* Offload: real work on the run's helper domain *)
+
+(* Spin on the wall clock for [s] seconds: real CPU, no virtual time. *)
+let burn s =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < s do
+    ()
+  done
+
+let test_offload_result_and_exception () =
+  check_int "the result reaches the caller" 42
+    (Sched.run_value (fun () -> Sched.offload (fun () -> 6 * 7)));
+  match Sched.run (fun () -> ignore (Sched.offload (fun () -> failwith "boom"))) with
+  | () -> Alcotest.fail "the offloaded exception was lost"
+  | exception Failure m -> Alcotest.(check string) "the exception too" "boom" m
+
+(* The main thread returns at once; the run still waits for the offload,
+   and the pending timer does not move the clock while it is out. *)
+let test_offload_holds_run_and_clock () =
+  let got = ref None and at = ref (-1.0) in
+  Sched.run (fun () ->
+      Sched.spawn (fun () -> Sched.sleep 1.0);
+      Sched.spawn (fun () ->
+          let v =
+            Sched.offload (fun () ->
+                burn 0.005;
+                7)
+          in
+          at := Sched.now ();
+          got := Some v));
+  check_bool "the run waited for the offload" true (!got = Some 7);
+  check_float "no virtual time passed during the offload" 0.0 !at;
+  check_float "the timer fired after it" 1.0 (Sched.now ());
+  check_int "one offload counted" 1 (Sched.offload_count ())
+
+let test_offload_runs_in_a_row () =
+  for i = 1 to 50 do
+    check_int "each run joins its helper" i
+      (Sched.run_value (fun () -> Sched.offload (fun () -> i)))
+  done;
+  check_int "a run without offloads counts none" 0
+    (Sched.run_value (fun () -> Sched.offload_count ()))
+
+(* A Cml operation on the helper would race the scheduler, so it first
+   moves the rest of the offloaded function to the run's domain, where
+   the caller finishes it inline: a sleep suspends the caller for virtual
+   time while other threads run, a mailbox send reaches its reader, and
+   an exception raised after the move still reaches the caller. *)
+let test_offload_moves_cml_calls_home () =
+  let domain () = (Domain.self () :> int) in
+  let main = domain () in
+  List.iter
+    (fun (name, call, clock) ->
+      let before = ref main and after = ref (-1) and others = ref 0 in
+      Sched.run (fun () ->
+          Sched.spawn (fun () ->
+              for _ = 1 to 3 do
+                incr others;
+                Sched.yield ()
+              done);
+          Sched.offload (fun () ->
+              before := domain ();
+              call ();
+              after := domain ()));
+      if Domain.recommended_domain_count () > 1 || !before <> main then
+        check_bool (name ^ ": began on the helper") true (!before <> main);
+      check_int (name ^ ": finished on the run's domain") main !after;
+      check_int (name ^ ": the other thread ran to its end") 3 !others;
+      check_float (name ^ ": the clock") clock (Sched.now ()))
+    [
+      ("spawn", (fun () -> Sched.spawn ignore), 0.0);
+      ("yield", Sched.yield, 0.0);
+      ("sleep", (fun () -> Sched.sleep 1.0), 1.0);
+      ("offload", (fun () -> Sched.offload ignore), 0.0);
+    ];
+  let got =
+    Sched.run_value (fun () ->
+        let mb = Mailbox.create () in
+        Sched.spawn (fun () -> Sched.offload (fun () -> Mailbox.send mb 9));
+        Mailbox.recv mb)
+  in
+  check_int "a mailbox send from the helper reaches its reader" 9 got;
+  (match
+     Sched.run (fun () ->
+         Sched.offload (fun () ->
+             Sched.sleep 1.0;
+             failwith "late"))
+   with
+  | () -> Alcotest.fail "the exception raised after the move was lost"
+  | exception Failure m ->
+    Alcotest.(check string) "an exception after the move reaches the caller" "late" m);
+  check_int "the next run is clean" 3 (Sched.run_value (fun () -> 3));
+  check_int "and spawned only its main thread" 1 (Sched.spawned_count ())
+
 let test_run_claim_across_domains () =
   let solo = counter_program () in
   let rounds = 300 in
@@ -609,6 +704,14 @@ let () =
           tc "anonymous waiters counted" `Quick test_anonymous_blocked_counted;
           tc "run claimed atomically across domains" `Quick
             test_run_claim_across_domains;
+          tc "offload: result and exception reach the caller" `Quick
+            test_offload_result_and_exception;
+          tc "offload: the run waits, the clock does not move" `Quick
+            test_offload_holds_run_and_clock;
+          tc "offload: 50 runs in a row each join their helper" `Quick
+            test_offload_runs_in_a_row;
+          tc "offload: Cml calls from the helper move it home" `Quick
+            test_offload_moves_cml_calls_home;
           qt prop_scheduler_deterministic;
         ] );
       ( "policy",

@@ -247,6 +247,88 @@ let test_source_schedule_is_its_cone () =
       [ false; true ]
   done
 
+(* The serving workloads' shapes, rebuilt here: a program without an
+   async branch of a shared source keeps the regions and per-source op
+   arrays it had before branches were split off (measured then), fused and
+   unfused; the GUI shape with one splits into two regions and still
+   upgrades onto a rebuild of itself as an identity. *)
+let churn_shape () =
+  let mask = 0xFFFFFF in
+  let fold y acc = (acc + y) land mask in
+  let clicks = Signal.input ~name:"clicks" 0 in
+  let keys = Signal.input ~name:"keys" 0 in
+  let ticks = Signal.input ~name:"ticks" 0 in
+  let rec lifts j s =
+    if j > 6 then s else lifts (j + 1) (Signal.lift (fun x -> ((x * 17) + j) land 0xFFFF) s)
+  in
+  let c = Signal.foldp fold 0 (lifts 1 clicks) in
+  let a =
+    Signal.foldp (fun x acc -> ((acc * 7) + x) land mask) 0
+      (Signal.async (Signal.lift succ keys))
+  in
+  let d = Signal.foldp fold 0 (Signal.delay 0.01 (Signal.lift (fun x -> x * 3) ticks)) in
+  Signal.lift3 (fun c a d -> (c, a, d)) c a d
+
+let steady_shape () =
+  let chain i =
+    let rec lifts j s =
+      if j > 16 then s
+      else
+        let s = Signal.lift (fun x -> x + j) s in
+        lifts (j + 1) (if j = 8 then Signal.drop_repeats s else s)
+    in
+    Signal.foldp (fun y acc -> acc + y) 0
+      (lifts 1 (Signal.input ~name:(Printf.sprintf "in%d" i) 0))
+  in
+  Signal.combine (List.init 8 chain)
+
+let gui_shape () =
+  let mouse = Signal.input ~name:"Mouse.position" (0, 0) in
+  let keys = Signal.input ~name:"Keyboard.lastPressed" (0, 0) in
+  let rec lifts j s =
+    if j > 8 then s else lifts (j + 1) (Signal.lift (fun (k, h) -> (k, h + j)) s)
+  in
+  let m = lifts 1 (Signal.lift (fun (k, p) -> (k, p land 0xFFFF)) mouse) in
+  let hist = Signal.foldp (fun (_, h) acc -> acc + h) 0 m in
+  let kc = Signal.count (Signal.drop_repeats ~eq:(fun (_, a) (_, b) -> a = b) keys) in
+  let w = Signal.async (Signal.lift (fun (s, k) -> (s, k * 3)) keys) in
+  Signal.lift4 (fun m h k w -> (m, h, k, w)) m hist kc w
+
+let test_serve_shapes_pinned () =
+  let pin name root regions fused unfused =
+    List.iter
+      (fun (mode, plan, ops) ->
+        check_int (Printf.sprintf "%s (%s): regions" name mode) regions
+          (Compile.region_count plan);
+        check_ints (Printf.sprintf "%s (%s): per-source op counts" name mode) ops
+          (List.map
+             (fun (src, _) -> Array.length (Compile.schedule plan src).sc_ops)
+             (Compile.sources plan));
+        check_int (Printf.sprintf "%s (%s): no shadow slots" name mode) 0
+          (Array.length (Compile.shadow_sources plan)))
+      [
+        ("fused", Compile.plan (Fuse.fuse (root ())), fused);
+        ("unfused", Compile.plan (root ()), unfused);
+      ]
+  in
+  pin "serve_churn" churn_shape 3 [ 4; 3; 3; 3; 3 ] [ 9; 3; 3; 3; 3 ];
+  pin "serve_steady" steady_shape 1 (List.init 8 (fun _ -> 4))
+    (List.init 8 (fun _ -> 20));
+  let plan () = Compile.plan (Fuse.fuse (gui_shape ())) in
+  let old = plan () and fresh = plan () in
+  check_int "gui_async: the key branch is a region of its own" 2
+    (Compile.region_count old);
+  let patch = Elm_core.Upgrade.diff old fresh in
+  let ar = Elm_core.Upgrade.remap patch (Compile.new_arena old) in
+  check_int "gui_async: a remapped arena keeps the shadow slot"
+    (Compile.node_count fresh + 1) (Array.length ar.Compile.ar_stamps);
+  check_bool "gui_async: a rebuild diffs as an identity" true
+    (Elm_core.Upgrade.is_identity patch);
+  check_int "gui_async: nothing added" 0
+    (List.length (Elm_core.Upgrade.added_slots patch));
+  check_int "gui_async: nothing dropped" 0
+    (List.length (Elm_core.Upgrade.dropped_slots patch))
+
 let test_compiled_dot_shows_regions () =
   let a = Signal.input ~name:"a" 0 in
   let b = Signal.input ~name:"b" 0 in
@@ -608,6 +690,322 @@ let test_async_responsive_compiled () =
         true (compiled = pipelined))
     [ ("Pipelined", Runtime.Pipelined); ("Sequential", Runtime.Sequential) ]
 
+(* The same §5 property when the slow branch shares its source with the
+   display: [x] feeds both [shown] and, behind [async], a lift that
+   charges 2 s of virtual time once armed. The branch is a region of its
+   own with a shadow of [x], so [shown] displays at 0.05 s and 0.15 s as
+   on the pipelined runtime; with one region for both, as before, every
+   display waited for the slow lift (2.05 s and 4.05 s). *)
+let shared_source_responsive ~backend ~mode =
+  with_world (fun () ->
+      let armed = ref false in
+      let x = Signal.input ~name:"x" 0 in
+      let shown = Signal.lift ~name:"shown" succ x in
+      let slow =
+        Signal.lift ~name:"slow"
+          (fun v ->
+            if !armed then Cml.sleep 2.0;
+            v * 100)
+          x
+      in
+      let rt = Runtime.start ~backend ~mode (Signal.pair shown (Signal.async slow)) in
+      armed := true;
+      Cml.spawn (fun () ->
+          Cml.sleep 0.05;
+          Runtime.inject rt x 1;
+          Cml.sleep 0.1;
+          Runtime.inject rt x 2);
+      rt)
+
+let test_shared_source_responsive () =
+  let expected = [ (0.05, (2, 0)); (0.15, (3, 0)); (2.05, (3, 100)); (4.05, (3, 200)) ] in
+  let close a b =
+    List.length a = List.length b
+    && List.for_all2 (fun (t, v) (t', v') -> Float.abs (t -. t') < 1e-9 && v = v') a b
+  in
+  List.iter
+    (fun (mname, mode) ->
+      let pipelined =
+        Runtime.changes
+          (shared_source_responsive ~backend:(Runtime.Pipelined : Runtime.backend) ~mode)
+      in
+      check_bool (mname ^ ": the pipelined trace") true (close expected pipelined);
+      check_bool (mname ^ ": compiled change list = pipelined, virtual times included")
+        true
+        (Runtime.changes (shared_source_responsive ~backend:Runtime.Compiled ~mode)
+        = pipelined))
+    [ ("Pipelined", Runtime.Pipelined); ("Sequential", Runtime.Sequential) ];
+  check_int "no sleeping branch is offloaded" 0 (Cml.Scheduler.offload_count ())
+
+(* The shared-source shape splits into two regions: the display's and the
+   branch's, which reads [x] through a shadow slot. *)
+let test_shared_source_two_regions () =
+  let x = Signal.input ~name:"x" 0 in
+  let shown = Signal.lift ~name:"shown" succ x in
+  let slow = Signal.lift ~name:"slow" (fun v -> v * 100) x in
+  let w = Signal.async slow in
+  let root = Signal.pair shown w in
+  let plan = Compile.plan root in
+  let id = Signal.id in
+  check_int "two regions" 2 (Compile.region_count plan);
+  check_bool "the branch is its own region" true
+    (Compile.region_of plan (id slow) <> Compile.region_of plan (id shown));
+  check_bool "x sits with the display" true
+    (Compile.region_of plan (id x) = Compile.region_of plan (id root));
+  check_ints "one shadow slot, of x" [ Compile.slot plan (id x) ]
+    (Array.to_list (Compile.shadow_sources plan));
+  let sc = Compile.schedule plan (id x) in
+  check_ints "x's wake touches both regions, in region order" [ 0; 1 ]
+    (Array.to_list (Array.map (fun (p : Compile.schedule) -> p.sc_region) sc.sc_parts));
+  check_ints "a split schedule's work is all in its parts" []
+    (Array.to_list sc.sc_nodes);
+  check_ints "the display's part: x, shown and the root"
+    [ id x; id shown; id root ]
+    (Array.to_list sc.sc_parts.(0).sc_nodes);
+  check_ints "the branch's part: the shadow writer, the lift and the tap"
+    [ id x; id slow; id w ]
+    (Array.to_list sc.sc_parts.(1).sc_nodes)
+
+(* Offload in the lane placement. A branch of a shared source that costs
+   ~200 us of real CPU per round runs its first 8 rounds inline, timed,
+   then on the run's helper domain, where it holds back no other lane.
+   Each branch's trace still equals the pipelined runtime's (an offload
+   takes no virtual time, and the run waits for it before its clock
+   moves). A cheap branch never offloads, so never spawns a helper; nor
+   does one that sleeps in virtual time (see the shared-source §5 test). *)
+let branch_run ?on_node_error ?tracer ~backend ~work ~events () =
+  with_world (fun () ->
+      let x = Signal.input ~name:"x" 0 in
+      let shown = Signal.lift ~name:"shown" succ x in
+      let costly =
+        Signal.lift ~name:"costly"
+          (fun v ->
+            work v;
+            v * 7)
+          x
+      in
+      let rt =
+        Runtime.start ~backend ?on_node_error ?tracer
+          (Signal.pair shown (Signal.async costly))
+      in
+      Cml.spawn (fun () ->
+          for i = 1 to events do
+            Runtime.inject rt x i;
+            Cml.sleep 0.01
+          done);
+      rt)
+
+(* The split plan on every compiled path: lanes, waves inline and on two
+   domains, and a serving session (the sequential lane, which runs the
+   parts one after the other). Each branch's trace equals
+   the pipelined runtime's, and waves stay deterministic. *)
+let test_split_plan_every_path () =
+  let events = 12 in
+  let branch_of run =
+    let dedup l =
+      List.rev
+        (List.fold_left
+           (fun acc v -> match acc with w :: _ when w = v -> acc | _ -> v :: acc)
+           [] l)
+    in
+    let l = run () in
+    (dedup (List.map fst l), dedup (List.map snd l))
+  in
+  let runtime ?domains backend () =
+    Runtime.changes
+      (with_world (fun () ->
+           let x = Signal.input ~name:"x" 0 in
+           let shown = Signal.lift ~name:"shown" succ x in
+           let w = Signal.async (Signal.lift ~name:"cheap" (fun v -> v * 7) x) in
+           let rt = Runtime.start ~backend ?domains (Signal.pair shown w) in
+           for i = 1 to events do
+             Runtime.inject rt x i
+           done;
+           rt))
+    |> List.map snd
+  in
+  let session () =
+    let x = Signal.input ~name:"x" 0 in
+    let shown = Signal.lift ~name:"shown" succ x in
+    let w = Signal.async (Signal.lift ~name:"cheap" (fun v -> v * 7) x) in
+    let d = Elm_serve.Dispatcher.create (Signal.pair shown w) in
+    let s = Elm_serve.Dispatcher.open_session d in
+    for i = 1 to events do
+      Elm_serve.Dispatcher.inject d s x i
+    done;
+    ignore (Elm_serve.Dispatcher.drain d);
+    List.map snd (Elm_serve.Session.changes s)
+  in
+  let reference = branch_of (runtime (Runtime.Pipelined : Runtime.backend)) in
+  List.iter
+    (fun (name, run) ->
+      check_bool (name ^ ": each branch equals the pipelined runtime's") true
+        (branch_of run = reference))
+    [
+      ("lanes", runtime Runtime.Compiled);
+      ("waves inline", runtime ~domains:1 Runtime.Compiled);
+      ("waves on 2 domains", runtime ~domains:2 Runtime.Compiled);
+      ("serving session", session);
+    ];
+  check_bool "waves: one trace for every domain count" true
+    (runtime ~domains:1 Runtime.Compiled () = runtime ~domains:2 Runtime.Compiled ())
+
+let burn_200us _ =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < 200e-6 do
+    ()
+  done
+
+let multicore = Domain.recommended_domain_count () > 1
+
+(* The run offloaded at least one round and at most [n] where the host
+   has several cores, and none where it has one. *)
+let offloads_within n =
+  let k = Cml.Scheduler.offload_count () in
+  if multicore then k >= 1 && k <= n else k = 0
+
+(* Events reach the branch 0.01 s apart, so no two share an instant: the
+   whole change trace, virtual times included, equals the pipelined
+   runtime's, offloaded rounds or not. *)
+let test_costly_branch_offloaded () =
+  let events = 20 in
+  let piped =
+    Runtime.changes
+      (branch_run ~backend:(Runtime.Pipelined : Runtime.backend) ~work:burn_200us
+         ~events ())
+  in
+  let rt = branch_run ~backend:Runtime.Compiled ~work:burn_200us ~events () in
+  (* Rounds 9.. run on the helper, unless one finds it short of a core
+     (this suite shares the host with others), which sends the region
+     back to probing inline. *)
+  check_bool "rounds 9.. of the costly branch ran on the helper" true
+    (offloads_within (events - 8));
+  check_bool "the whole trace equals the pipelined runtime's" true
+    (Runtime.changes rt = piped);
+  (* Offloaded rounds bill scratch counters, merged back on the run's
+     domain: the totals equal a run whose branch never leaves its lane. *)
+  let cheap = branch_run ~backend:Runtime.Compiled ~work:ignore ~events () in
+  check_int "the cheap branch is never offloaded" 0 (Cml.Scheduler.offload_count ());
+  let st = Runtime.stats rt and st' = Runtime.stats cheap in
+  check_ints "the same counters as the inline run"
+    [ st'.events; st'.applications; st'.region_steps; st'.messages; st'.async_events ]
+    [ st.events; st.applications; st.region_steps; st.messages; st.async_events ];
+  (* A costly branch that also sleeps in virtual time switches Cml threads
+     in its timed rounds, so it stays inline. *)
+  let sleepy v =
+    burn_200us v;
+    Cml.sleep 0.001
+  in
+  let piped =
+    Runtime.changes
+      (branch_run ~backend:(Runtime.Pipelined : Runtime.backend) ~work:sleepy
+         ~events ())
+  in
+  let compiled =
+    Runtime.changes (branch_run ~backend:Runtime.Compiled ~work:sleepy ~events ())
+  in
+  check_int "a sleeping branch is never offloaded" 0 (Cml.Scheduler.offload_count ());
+  check_bool "a sleeping branch: compiled = pipelined, virtual times included" true
+    (compiled = piped)
+
+(* A costly branch that starts sleeping only after it has been offloaded
+   (from the 10th event on): the 10th round's [Cml.sleep] runs on the
+   helper, which moves the round back to the run's domain, where it
+   sleeps on the lane's thread as an inline round would, and the region
+   stays inline from then on. No round fails, under any policy, and the
+   whole trace equals the pipelined runtime's. *)
+let test_late_sleeping_branch () =
+  let events = 16 in
+  let late v =
+    burn_200us v;
+    if v >= 10 then Cml.sleep 0.001
+  in
+  List.iter
+    (fun (pname, on_node_error) ->
+      let piped =
+        Runtime.changes
+          (branch_run ~on_node_error ~backend:(Runtime.Pipelined : Runtime.backend)
+             ~work:late ~events ())
+      in
+      let rt =
+        branch_run ~on_node_error ~backend:Runtime.Compiled ~work:late ~events ()
+      in
+      check_bool (pname ^ ": rounds 9 and 10 offloaded at most, then inline") true
+        (offloads_within 2);
+      check_int (pname ^ ": no round failed") 0 (Runtime.stats rt).node_failures;
+      check_bool (pname ^ ": the whole trace equals the pipelined runtime's") true
+        (Runtime.changes rt = piped))
+    [
+      ("Propagate", Runtime.Propagate);
+      ("Isolate", Runtime.Isolate);
+      ("Restart", Runtime.Restart 2);
+    ]
+
+(* A traced instance keeps every region on its lane: trace rows are in
+   virtual time, which an offload would not change, and every row — the
+   branch's spans with their dispatch-to-emit samples among them — lands
+   in the run's domain's shard. *)
+let test_traced_branch_stays_inline () =
+  let events = 12 in
+  let tr = Trace.create () in
+  let rt =
+    branch_run ~tracer:tr ~backend:Runtime.Compiled ~work:burn_200us ~events ()
+  in
+  check_int "a traced costly branch is never offloaded" 0
+    (Cml.Scheduler.offload_count ());
+  check_int "every event displayed" (2 * events) (List.length (Runtime.changes rt));
+  let branch =
+    List.find
+      (fun (n : Trace.node_summary) -> contains n.node_name "costly")
+      (Trace.summary tr).nodes
+  in
+  check_int "the branch region's spans: one per event" events branch.rounds
+
+(* Offloaded rounds interleave with the display's lane in real time, so
+   where several events share one virtual instant the order of the
+   displays at that instant can differ from run to run (runtime.mli). What
+   stays fixed: every display's virtual time, and each branch's own
+   sequence of values. *)
+let test_offloaded_burst_branches () =
+  let burst ~backend ~work =
+    Runtime.changes
+      (with_world (fun () ->
+           let x = Signal.input ~name:"x" 0 in
+           let shown = Signal.lift ~name:"shown" succ x in
+           let costly =
+             Signal.lift ~name:"costly"
+               (fun v ->
+                 work v;
+                 v * 7)
+               x
+           in
+           let rt = Runtime.start ~backend (Signal.pair shown (Signal.async costly)) in
+           Cml.spawn (fun () ->
+               for i = 1 to 8 do
+                 Runtime.inject rt x i;
+                 Cml.sleep 0.01
+               done;
+               for i = 9 to 20 do
+                 Runtime.inject rt x i
+               done);
+           rt))
+  in
+  let piped = burst ~backend:(Runtime.Pipelined : Runtime.backend) ~work:burn_200us in
+  let compiled = burst ~backend:Runtime.Compiled ~work:burn_200us in
+  check_bool "the burst's rounds were offloaded" multicore
+    (Cml.Scheduler.offload_count () > 0);
+  let dedup l =
+    List.rev
+      (List.fold_left
+         (fun acc v -> match acc with w :: _ when w = v -> acc | _ -> v :: acc)
+         [] l)
+  in
+  let branch f l = dedup (List.map (fun (_, v) -> f v) l) in
+  check_bool "every display's virtual time" true
+    (List.map fst compiled = List.map fst piped);
+  check_bool "the display branch's values" true (branch fst compiled = branch fst piped);
+  check_bool "the async branch's values" true (branch snd compiled = branch snd piped)
+
 (* ------------------------------------------------------------------ *)
 (* The op context is plain data: a source's schedule runs against a
    hand-built [Compile.exec], with no executor, on a round that carries
@@ -682,12 +1080,28 @@ let () =
           qc prop_delay_shape_backends_agree;
           tc "B12 program: async work never holds back the display" `Quick
             test_async_responsive_compiled;
+          tc "shared source: async work never holds back the display" `Quick
+            test_shared_source_responsive;
+          tc "a costly async branch runs on the helper domain" `Quick
+            test_costly_branch_offloaded;
+          tc "a branch that sleeps once offloaded moves home" `Quick
+            test_late_sleeping_branch;
+          tc "a traced costly branch stays inline" `Quick
+            test_traced_branch_stays_inline;
+          tc "offloaded burst: times and branches fixed" `Quick
+            test_offloaded_burst_branches;
+          tc "a split plan runs alike on every compiled path" `Quick
+            test_split_plan_every_path;
         ] );
       ( "partition",
         [
           tc "pure graph is one region" `Quick test_pure_graph_single_region;
           tc "async boundary splits regions" `Quick
             test_async_graph_two_regions;
+          tc "an async branch of a shared source is its own region" `Quick
+            test_shared_source_two_regions;
+          tc "serve shapes keep their regions and schedules" `Quick
+            test_serve_shapes_pinned;
           tc "partition covers every catalogue shape" `Quick
             test_partition_covers_every_shape;
           tc "every source's cone wakes at most one region" `Quick
