@@ -1,6 +1,6 @@
 (* The one executor for a compiled plan instance.
 
-   Fig. 11's runtime has one job: take events in FIFO order, give each an
+   Fig. 11's runtime has one job: take events in order, give each an
    epoch, run the synchronous part it reaches, and let async boundaries
    re-enter as new events. Every compiled execution of a plan goes through
    this module — [Runtime.start ~backend:Compiled] (lanes or waves) and
@@ -12,7 +12,12 @@
      notified regions, messages and the elided balance, the tracer's
      dispatch row), all computable from the schedule alone. The wake
      becomes one [Compile.round] that carries the value to the source
-     member, which writes it.
+     member, which writes it. Epochs follow the order of the calls: the
+     caller admits on whatever thread raises the event (a runtime's
+     [inject], its fire and delay hooks; a dispatcher's drain), with no
+     queue of its own in between. A hook may admit while [flush] or
+     [step_lane] applies effects: admission only queues rounds, which
+     neither reads while applying.
    - The wake's work is its source's schedule, which lies in one region
      (or, when [async] branches read the source, one part per region it
      touches), and it runs on a {e lane}: a [Compile.exec] record, plain
@@ -21,8 +26,8 @@
      instance's sequential lane (a split source's parts one after the
      other, in region order). Otherwise each part is queued as a round
      on its region's lane, one lane per region, in one of two placements.
-     Waves ([admit]): [run_lanes] runs every active lane inline or as one
-     flat [Pool.run] batch. Lanes ([admit_lanes]): one caller thread per
+     Waves ([admit ~waves:true]): [run_lanes] runs every active lane
+     inline or as one flat [Pool.run] batch. Lanes: one caller thread per
      region takes one round at a time ([step_lane]), and a costly region
      that holds no display runs its rounds on the [Cml] run's helper
      domain (the offload rule at [step_lane]).
@@ -303,7 +308,7 @@ let step x ~source ~value =
 
 (* Queue one wake's round on the lane of each region it touches (one,
    unless branches read its source) and tell [wake] which. *)
-let queue_round x ~waves ~source ~value ~wake =
+let admit x ~waves ~source ~value ~wake =
   let sc = open_epoch x ~source in
   if sc.sc_region >= 0 then begin
     let r = { Compile.epoch = x.epoch; source; value } in
@@ -320,12 +325,6 @@ let queue_round x ~waves ~source ~value ~wake =
           wake p.sc_region)
         parts
   end
-
-let admit x ~source ~value =
-  queue_round x ~waves:true ~source ~value ~wake:ignore
-
-let admit_lanes x ~source ~value ~wake =
-  queue_round x ~waves:false ~source ~value ~wake
 
 (* Round [r]'s ops on lane [ln]: its source's schedule, or the part of it
    that lies in the lane's region. *)

@@ -8,22 +8,25 @@
 
     A wake is a source and its value, and it stays one item: the
     {!Compile.round} it becomes carries the value to the source member
-    that writes it. A wake is taken in three phases. {!step}, {!admit} or
-    {!admit_lanes} assigns the epoch, looks up the source's
-    {!Compile.schedule} and bills every per-event counter it determines
-    (messages included). The schedule lies in one region, or has one
-    part per region it touches when [async] branches read the source
+    that writes it. A wake is taken in three phases. {!step} or {!admit}
+    assigns the epoch, looks up the source's {!Compile.schedule} and
+    bills every per-event counter it determines (messages included).
+    Epochs follow the order of those calls, made on whatever thread
+    raises the event ([Runtime.inject], an async fire or a due delay
+    applied through the {!hooks}, a serving dispatcher's drain): no queue
+    of the executor's own orders them. A hook may admit while {!flush} or
+    {!step_lane} applies effects. The schedule lies in one region, or has
+    one part per region it touches when [async] branches read the source
     ({!Compile.schedule}), and its ops then run on a {e lane}: a
     {!Compile.exec} record, plain data over the instance's arena with its
     own counters, failure handlers and effect queue. The whole schedule
     runs at once on the instance's sequential lane ({!step}), a split
-    source's parts one after the other in region order; otherwise
-    each part is queued as a round on its region's lane — one lane per
-    region — in one of two placements: {e waves} ({!admit}), whose
+    source's parts one after the other in region order; otherwise each
+    part is queued as a round on its region's lane — one lane per region
+    — in one of two placements: {e waves} ([admit ~waves:true]), whose
     active lanes {!run_lanes} runs inline or as one flat {!Pool.run}
-    batch, or {e lanes} ({!admit_lanes}), one caller thread per region
-    taking one round at a time ({!step_lane}). An instance uses one
-    placement.
+    batch, or {e lanes}, one caller thread per region taking one round at
+    a time ({!step_lane}). An instance uses one placement.
 
     Running never performs a boundary effect: ops append async fires and
     delay schedules (each with its value), displays and observed
@@ -84,7 +87,7 @@ val create :
     (after the tracer's display row, when traced): it must be safe to
     call from that lane's domain (a per-instance log, say). Opening an
     instance builds the sequential lane's record; region lanes are built
-    by the first {!admit} or {!admit_lanes}. *)
+    by the first {!admit}. *)
 
 val plan : t -> Compile.plan
 val arena : t -> Compile.arena
@@ -97,15 +100,14 @@ val step : t -> source:int -> value:Obj.t -> unit
 (** Admit one wake of [source] carrying its new [value] and run its
     schedule at once on the sequential lane. *)
 
-val admit : t -> source:int -> value:Obj.t -> unit
-(** Admit one wake of [source] carrying [value] and queue its round on
-    its region's lane, for {!run_lanes}. *)
-
-val admit_lanes : t -> source:int -> value:Obj.t -> wake:(int -> unit) -> unit
-(** The lane placement's {!admit}: queue the round on its region's lane
-    and call [wake i] with the region's index (not at all for a source
-    that wakes no region). The lanes run on the caller's domain and bill
-    {!stats} directly. *)
+val admit :
+  t -> waves:bool -> source:int -> value:Obj.t -> wake:(int -> unit) -> unit
+(** Admit one wake of [source] carrying [value], queue its round on the
+    lane of each region it touches and call [wake i] with each such
+    region's index (not at all for a source that wakes no region).
+    [waves] picks the placement, which the first admission fixes: waves,
+    whose lanes {!run_lanes} runs, or lanes, each stepped by
+    {!step_lane} on the caller's domain and billing {!stats} directly. *)
 
 val run_lanes : ?pool:Pool.t -> ?seed:int -> t -> dstats:Stats.t array -> unit
 (** Run every lane's admitted rounds, each lane's in epoch order: as one
@@ -133,7 +135,7 @@ type 'c hooks = {
     passes each session as the context. *)
 
 val step_lane : t -> int -> 'c hooks -> 'c -> unit
-(** [step_lane x i hooks c] runs the oldest round {!admit_lanes} queued on
+(** [step_lane x i hooks c] runs the oldest round {!admit} queued on
     region [i]'s lane, then applies that round's effects to [hooks] as {!flush}
     would, so a display or an async fire leaves as soon as its region ran.
     Lanes need no {!flush}.

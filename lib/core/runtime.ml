@@ -578,31 +578,43 @@ let attach_tracer tracer gen =
 (* ------------------------------------------------------------------ *)
 (* The compiled backend: one [Exec] instance over the plan.
 
-   A dispatcher thread admits events FIFO (epochs assigned in arrival
-   order, so per-source order is the paper's whatever runs where), and the
-   instance's hooks act as the display loop, the async boundary threads
-   and the runtime's delay timer. Two placements run the admitted rounds:
+   An event is admitted on the thread that raises it: an input's [push]
+   ([inject]), an async fire applied by a lane or a wave, or the delay
+   timer's re-entry all call [admit], which fixes the event's epoch (so
+   epochs follow the order of those calls, per source the paper's order
+   whatever runs where) and queues its rounds. No dispatcher thread or
+   [newEvent] mailbox stands between an input and its region: that FIFO is
+   the pipelined backend's (Fig. 11). The instance's hooks act as the
+   display loop, the async boundary threads and the runtime's delay
+   timer. Two placements run the admitted rounds:
 
    - Lanes (the default): one thread per region, woken once per round
      queued on it. A lane runs one round and applies its effects before
      it takes the next, so a display or async fire leaves as soon as its
      region ran, and a region that charges virtual time ([Cml.sleep]
      inside a lift) holds back only itself — the §5 property of [async].
-     [Sequential] waits for the display's ack.
-   - Waves ([~domains]/[~pool]): the dispatcher sweeps every queued event
-     into a wave, runs the wave's active lanes as one pool batch or
-     inline, and flushes the buffered effects in admission epoch order,
-     so the change trace is bit-identical for every domain count
-     and seed (see [Exec]; checked by the explorer's Domains mode and
-     bench B19). [Sequential] keeps waves at size one. *)
+   - Waves ([~domains]/[~pool]): one wave thread runs every admitted
+     round, as one pool batch or inline, flushes the buffered effects in
+     admission epoch order and parks until the next admission, so the
+     change trace is bit-identical for every domain count and seed (see
+     [Exec]; checked by the explorer's Domains mode and bench B19). A
+     running wave admits nothing: a wake raised meanwhile (a lift of the
+     wave sleeping in virtual time, an async fire being flushed) waits in
+     [held] for the flush, so which wave runs a round never depends on
+     how far the wave had got.
+
+   [Sequential] keeps one event in flight without a thread of its own: a
+   wake raised while an admitted event is in flight waits in [held] too,
+   and the in-flight event's display (lanes; only events that reach the
+   root are in flight) or its wave's flush (waves; every event, so waves
+   keep size one) admits the held wakes in FIFO order, until one is in
+   flight again. *)
 
 let start_compiled ~mode ~history ~tracer ~policy ~observer ~fused ~waves
     ~pool ~owned_pool root =
   let pl = Compile.plan_of root in
   let gen = fresh_generation () in
   let stats = Stats.create () in
-  (* A wake and its value travel as one item. *)
-  let new_event : (int * Obj.t) Mailbox.t = Mailbox.create ~name:"newEvent" () in
   attach_tracer tracer gen;
   stats.Stats.fused_nodes <- fused;
   stats.Stats.compiled_regions <- Compile.region_count pl;
@@ -620,6 +632,44 @@ let start_compiled ~mode ~history ~tracer ~policy ~observer ~fused ~waves
     make_rt ~gen ~stats ~nodes:(Compile.node_count pl) ~history ~owned_pool
       ~d_stats root
   in
+  let sequential = mode = Sequential in
+  let held : (int * Obj.t) Queue.t = Queue.create () in
+  (* Admissions wait in [held]: a wave runs, or an event is in flight. *)
+  let holding = ref false in
+  (* Lanes: one wake mailbox per region, sent to once per round. Waves:
+     the wave thread's, sent to once per wave ([signalled] until the wave
+     starts). *)
+  let wakes =
+    if waves then [| Mailbox.create ~name:"wave" () |]
+    else
+      Array.init (Compile.region_count pl) (fun i ->
+          Mailbox.create ~name:(Printf.sprintf "lane:%d" i) ())
+  in
+  let wake = if waves then ignore else fun i -> Mailbox.send wakes.(i) () in
+  let signalled = ref false in
+  let rec admit source value =
+    (* A lift running on the offload helper may inject: move home before
+       touching the instance. *)
+    Cml.Scheduler.home ();
+    if !holding then Queue.push (source, value) held
+    else begin
+      Exec.admit x ~waves ~source ~value ~wake;
+      holding := sequential && (waves || (Compile.schedule pl source).sc_root);
+      if waves && not !signalled then begin
+        signalled := true;
+        Mailbox.send wakes.(0) ()
+      end;
+      stats.Stats.switches <- Cml.Scheduler.switch_count ()
+    end
+  (* The wave or the in-flight event is done: admit held wakes in FIFO
+     order until one is in flight again. *)
+  and release () =
+    holding := false;
+    while (not !holding) && not (Queue.is_empty held) do
+      let source, value = Queue.pop held in
+      admit source value
+    done
+  in
   List.iter
     (fun (Signal.Pack s) ->
       let id = Signal.id s in
@@ -630,12 +680,10 @@ let start_compiled ~mode ~history ~tracer ~policy ~observer ~fused ~waves
             Multicast.create
               ~name:(Printf.sprintf "in:%d:%s" id (Signal.name s))
               ();
-          push = Some (fun v -> Mailbox.send new_event (id, Obj.repr v));
+          push = Some (fun v -> admit id (Obj.repr v));
         })
     (Compile.inputs pl);
-  let ack = Mailbox.create ~name:"displayAck" () in
-  let acked = mode = Sequential && not waves in
-  let reenter () id v = Mailbox.send new_event (id, v) in
+  let reenter () id v = admit id v in
   let timer = new_timer reenter in
   let hooks =
     {
@@ -647,70 +695,38 @@ let start_compiled ~mode ~history ~tracer ~policy ~observer ~fused ~waves
         (fun () ~epoch:_ ~changed v ->
           let v = Obj.obj v in
           show rt (if changed then Event.Change v else Event.No_change v);
-          if acked then Mailbox.send ack ());
+          if sequential && not waves then release ());
       observe =
         (match observer with
         | Some f -> fun () -> f
         | None -> fun () ~node:_ ~epoch:_ ~changed:_ -> ());
     }
   in
-  (* After each admission (lanes) or flushed wave: the next queued event,
-     if any. *)
-  let settle () =
-    stats.Stats.switches <- Cml.Scheduler.switch_count ();
-    Mailbox.recv_opt new_event
-  in
   if waves then
     Cml.spawn (fun () ->
-        let rec serve pending =
-          let source, value =
-            match pending with Some e -> e | None -> Mailbox.recv new_event
-          in
-          Exec.admit x ~source ~value;
-          (match mode with
-          | Sequential -> ()
-          | Pipelined ->
-            let rec admit_queued () =
-              match Mailbox.recv_opt new_event with
-              | Some (source, value) ->
-                Exec.admit x ~source ~value;
-                admit_queued ()
-              | None -> ()
-            in
-            admit_queued ());
+        let rec wave () =
+          Mailbox.recv wakes.(0);
+          signalled := false;
+          holding := true;
           Exec.run_lanes
             ?pool:(if rt.stopped then None else pool)
             ~seed:stats.Stats.events x ~dstats:rt.d_stats;
           Exec.flush x hooks ();
-          serve (settle ())
+          release ();
+          wave ()
         in
-        serve None)
-  else begin
-    let wakes =
-      Array.init (Compile.region_count pl) (fun i ->
-          let wake = Mailbox.create ~name:(Printf.sprintf "lane:%d" i) () in
-          Cml.spawn (fun () ->
-              let rec lane () =
-                Mailbox.recv wake;
-                Exec.step_lane x i hooks ();
-                lane ()
-              in
-              lane ());
-          wake)
-    in
-    let wake i = Mailbox.send wakes.(i) () in
-    Cml.spawn (fun () ->
-        let rec serve pending =
-          let source, value =
-            match pending with Some e -> e | None -> Mailbox.recv new_event
-          in
-          Exec.admit_lanes x ~source ~value ~wake;
-          if acked && (Compile.schedule pl source).sc_root then
-            Mailbox.recv ack;
-          serve (settle ())
-        in
-        serve None)
-  end;
+        wave ())
+  else
+    Array.iteri
+      (fun i wake ->
+        Cml.spawn (fun () ->
+            let rec lane () =
+              Mailbox.recv wake;
+              Exec.step_lane x i hooks ();
+              lane ()
+            in
+            lane ()))
+      wakes;
   rt
 
 let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch

@@ -31,7 +31,8 @@
     order. That is [Pipelined], the default. [Sequential] is the
     non-pipelined baseline used by the Section 5 comparison: the dispatcher
     waits for the display loop to acknowledge each event before dispatching
-    the next, so at most one event is in flight.
+    the next, so at most one event is in flight (the compiled backend
+    holds later events in a queue of its own instead, see {!inject}).
 
     [memoize:false] disables the [No_change] short-circuit in lift nodes
     (they re-apply their function on unchanged inputs, counted in
@@ -241,10 +242,10 @@ val start :
     benches pass it.
 
     [domains]/[pool] place the compiled backend's rounds in {e waves}
-    instead of lanes, to split one runtime's work across domains: the
-    dispatcher batches queued events into a wave and runs its active
-    regions' lanes as one flat batch on a domain pool (several regions)
-    or inline (one), flushing async/delay/display effects afterwards in
+    instead of lanes, to split one runtime's work across domains: one
+    wave thread takes every event admitted since its last wave and runs
+    its active regions' lanes as one flat batch on a domain pool (several
+    regions) or inline (one), flushing async/delay/display effects afterwards in
     admission epoch order. Lanes share no state and see none of each
     other's effects before the flush, so they need no order among
     themselves, and change traces are bit-identical for every domain
@@ -270,10 +271,17 @@ val start :
 
 val inject : _ t -> 'b Signal.t -> 'b -> unit
 (** [inject rt input v] delivers an external event: the new value [v] for
-    [input] (a node created with {!Signal.input}) is queued and a global
-    event is registered with the dispatcher. Events are processed in
-    injection order (the [newEvent] mailbox "is a FIFO queue, preserving the
-    order of events", Fig. 11).
+    [input] (a node created with {!Signal.input}). Events are processed in
+    injection order. On the [Pipelined] backend the value is queued and a
+    global event is registered with the dispatcher (the [newEvent] mailbox
+    "is a FIFO queue, preserving the order of events", Fig. 11). On
+    [Compiled] the calling thread admits the event itself: its epoch is
+    fixed when [inject] returns and its rounds are queued on the lanes (or
+    the next wave) with no dispatcher thread in between; under
+    [Sequential] an event raised while another is in flight is held in the
+    runtime and admitted, in order, once that one is displayed. Called
+    from an offloaded function, it first moves the rest of that function
+    to the run's domain ([Cml.Scheduler.home]).
     @raise Invalid_argument if [input] is not an input node of this
     runtime. *)
 

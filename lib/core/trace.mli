@@ -16,13 +16,16 @@
 
     - [Node_start]/[Node_end] spans around each node thread's processing of
       one event round (well-nested per node);
-    - [Dispatch] instants when the global dispatcher fires an event at its
-      affected cone;
+    - [Dispatch] instants when an event is admitted: the pipelined global
+      dispatcher fires it at its affected cone, the compiled runtime
+      assigns its epoch on the thread that raised it;
     - [Display] instants when the display loop processes the root's message
       for an event — the event-to-display latency samples;
     - [Chan_send]/[Chan_recv] queue-depth reports from named channels
-      (node wakeup mailboxes, output ports, [newEvent], [displayAck]),
-      via a {!Cml.Probe} installed for the duration of the run;
+      (node wakeup mailboxes and output ports; the pipelined backend's
+      [newEvent] and [displayAck], which the compiled backend does not
+      have; the compiled lanes' [lane:i] and waves' [wave] wakeups), via
+      a {!Cml.Probe} installed for the duration of the run;
     - [Switch] scheduler context-switch marks.
 
     Records land in a fixed-capacity ring buffer (oldest evicted first);

@@ -1006,6 +1006,176 @@ let test_offloaded_burst_branches () =
   check_bool "the display branch's values" true (branch fst compiled = branch fst piped);
   check_bool "the async branch's values" true (branch snd compiled = branch snd piped)
 
+(* A costly branch that injects into its own runtime once offloaded:
+   from the 10th event on, [costly] injects its value into a second input
+   [y]. Admission moves the round to the run's domain
+   ([Cml.Scheduler.home]) before it touches the instance, so the rest of
+   the round runs there too, and the region stays inline from then on.
+   Each branch's values equal those of a run whose branch is cheap and
+   never leaves its lane. *)
+let test_inject_from_helper () =
+  let events = 16 in
+  let run work =
+    let away = ref false in
+    let rt =
+      with_world (fun () ->
+          let home = (Domain.self () :> int) in
+          let me = ref None in
+          let x = Signal.input ~name:"x" 0 and y = Signal.input ~name:"y" 0 in
+          let shown = Signal.lift ~name:"shown" succ x in
+          let costly =
+            Signal.lift ~name:"costly"
+              (fun v ->
+                work v;
+                if v >= 10 then begin
+                  Runtime.inject (Option.get !me) y v;
+                  if (Domain.self () :> int) <> home then away := true
+                end;
+                v * 7)
+              x
+          in
+          let echo = Signal.lift ~name:"echo" (fun v -> -v) y in
+          let rt =
+            Runtime.start ~backend:Runtime.Compiled
+              (Signal.lift3 ~name:"root"
+                 (fun a b c -> (a, b, c))
+                 shown (Signal.async costly) echo)
+          in
+          me := Some rt;
+          Cml.spawn (fun () ->
+              for i = 1 to events do
+                Runtime.inject rt x i;
+                Cml.sleep 0.01
+              done);
+          rt)
+    in
+    (rt, !away)
+  in
+  let dedup l =
+    List.rev
+      (List.fold_left
+         (fun acc v -> match acc with w :: _ when w = v -> acc | _ -> v :: acc)
+         [] l)
+  in
+  let branches rt =
+    let l = List.map snd (Runtime.changes rt) in
+    ( dedup (List.map (fun (a, _, _) -> a) l),
+      dedup (List.map (fun (_, b, _) -> b) l),
+      dedup (List.map (fun (_, _, c) -> c) l) )
+  in
+  let rt, away = run burn_200us in
+  check_bool "rounds 9 and 10 offloaded at most, then inline" true
+    (offloads_within 2);
+  check_bool "every admission ran on the run's domain" false away;
+  let inline, _ = run ignore in
+  check_int "the cheap branch is never offloaded" 0 (Cml.Scheduler.offload_count ());
+  let _, _, echoed = branches rt in
+  check_ints "y shows every injected value" (0 :: List.init 7 (fun i -> -(10 + i)))
+    echoed;
+  check_bool "each branch's values equal the inline run's" true
+    (branches rt = branches inline)
+
+(* Admission at [inject]: the injecting thread assigns the epoch and
+   wakes the region's lane itself, so an event takes one Cml hop from
+   input to display. Over a fused chain, each event injected alone and
+   followed by yields until it shows costs two switches: to the woken
+   lane, and back once it displayed. *)
+let test_switches_per_event () =
+  let events = 50 and depth = 8 in
+  let switches =
+    with_world (fun () ->
+        let x = Signal.input ~name:"x" 0 in
+        let rec chain n s =
+          if n = 0 then s else chain (n - 1) (Signal.lift succ s)
+        in
+        let rt = Runtime.start ~backend:Runtime.Compiled (chain depth x) in
+        let s0 = Cml.Scheduler.switch_count () in
+        for i = 1 to events do
+          Runtime.inject rt x i;
+          while Runtime.current rt <> i + depth do
+            Cml.yield ()
+          done
+        done;
+        check_int "one region" 1 (Runtime.stats rt).compiled_regions;
+        Cml.Scheduler.switch_count () - s0)
+  in
+  check_int "two Cml switches per event" (2 * events) switches
+
+(* The only threads a compiled runtime leaves parked are its lanes, one
+   per region, or its one wave thread, in either mode: [Sequential] holds
+   its queued wakes without a thread. *)
+let test_parked_threads () =
+  let parked ?mode ?domains () =
+    with_world (fun () ->
+        let x = Signal.input ~name:"x" 0 in
+        let w = Signal.async (Signal.lift ~name:"cheap" (fun v -> v * 7) x) in
+        let rt =
+          Runtime.start ~backend:Runtime.Compiled ?mode ?domains (Signal.pair x w)
+        in
+        Runtime.inject rt x 1;
+        Runtime.inject rt x 2;
+        rt)
+    |> Runtime.stop;
+    List.sort compare (Cml.Scheduler.blocked_sites ())
+  in
+  List.iter
+    (fun mode ->
+      Alcotest.(check (list string))
+        "lanes: one parked thread per region" [ "recv lane:0"; "recv lane:1" ]
+        (parked ~mode ());
+      Alcotest.(check (list string))
+        "waves: one parked wave thread" [ "recv wave" ]
+        (parked ~mode ~domains:1 ()))
+    [ Runtime.Pipelined; Runtime.Sequential ]
+
+(* A wave is closed to admission while it runs: an event raised while a
+   lift of the wave sleeps in virtual time waits for the next wave, as it
+   would have waited in a queue, so the wave's displays leave when the
+   wave ends and effects keep epoch order. Here [a = 1] sleeps 1 s; at
+   0.5 s [b = 1] (another region, through [async]) and [a = 2] are
+   raised. The first wave shows [(1, 0)] at 1 s, the pipelined runtime's
+   trace; running [a = 2] in the first wave would hold that display until
+   2 s. *)
+let test_wave_closed_while_running () =
+  let armed = ref false in
+  let run ?domains backend =
+    let rt =
+      with_world (fun () ->
+          armed := false;
+          let a = Signal.input ~name:"a" 0 and b = Signal.input ~name:"b" 0 in
+          let slow =
+            Signal.lift ~name:"slow"
+              (fun v ->
+                if !armed then Cml.sleep 1.0;
+                v)
+              a
+          in
+          let rt =
+            Runtime.start ~backend ?domains
+              (Signal.pair slow (Signal.async (Signal.lift (fun v -> v * 10) b)))
+          in
+          armed := true;
+          Runtime.inject rt a 1;
+          Cml.spawn (fun () ->
+              Cml.sleep 0.5;
+              Runtime.inject rt b 1;
+              Runtime.inject rt a 2);
+          rt)
+    in
+    Runtime.stop rt;
+    Runtime.changes rt
+  in
+  let reference = run Runtime.Pipelined in
+  check_bool "the pipelined runtime shows (1, 0) at 1 s" true
+    (List.mem (1.0, (1, 0)) reference);
+  List.iter
+    (fun domains ->
+      check_bool
+        (Printf.sprintf "waves on %d domain(s): the pipelined trace" domains)
+        true
+        (run ~domains Runtime.Compiled = reference))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* The op context is plain data: a source's schedule runs against a
    hand-built [Compile.exec], with no executor, on a round that carries
@@ -1092,6 +1262,14 @@ let () =
             test_offloaded_burst_branches;
           tc "a split plan runs alike on every compiled path" `Quick
             test_split_plan_every_path;
+          tc "an offloaded branch injects on the run's domain" `Quick
+            test_inject_from_helper;
+          tc "an event takes one Cml hop from input to display" `Quick
+            test_switches_per_event;
+          tc "only lanes or the wave thread stay parked" `Quick
+            test_parked_threads;
+          tc "a running wave admits nothing" `Quick
+            test_wave_closed_while_running;
         ] );
       ( "partition",
         [

@@ -633,6 +633,69 @@ let test_sequential_with_async () =
   check_bool "async values delivered under Sequential" true
     (List.map snd (Runtime.changes rt) = [ 2; 4 ])
 
+(* The same barrier on the compiled backend, where it is a queue of held
+   wakes inside the runtime that the in-flight event's display (lanes) or
+   its wave's flush (waves) releases in FIFO order: an async re-entry
+   waits its turn there, with no thread blocked on it. Lanes and waves on
+   two domains show the pipelined Sequential trace, virtual times
+   included, for the program above, for one that also displays its input
+   (the re-entry is raised while the input's own event is in flight), and
+   for one where the barrier shows in time: [a]'s event takes 1 s to
+   display, so [b]'s, whose 1 s of work lies in another region, starts
+   only then and shows at 2 s, not 1 s. *)
+let test_sequential_with_async_compiled () =
+  let doubled s = Signal.async (Signal.lift (fun x -> x * 2) s) in
+  (* Armed once the graph is built: a lift computes its default value. *)
+  let armed = ref false in
+  let slow s =
+    Signal.lift
+      (fun v ->
+        if !armed then Cml.sleep 1.0;
+        v)
+      s
+  in
+  let run ?domains backend (shape, events) =
+    let rt =
+      with_world (fun () ->
+          armed := false;
+          let a = Signal.input 0 and b = Signal.input 0 in
+          let rt =
+            Runtime.start ~backend ~mode:Runtime.Sequential ?domains (shape a b)
+          in
+          armed := true;
+          List.iter
+            (fun (left, v) -> Runtime.inject rt (if left then a else b) v)
+            events;
+          rt)
+    in
+    Runtime.stop rt;
+    Runtime.changes rt
+  in
+  let on_a = List.map (fun v -> (true, v)) [ 1; 2; 3 ] in
+  List.iter
+    (fun (sname, program, last) ->
+      let reference = run (Runtime.Pipelined : Runtime.backend) program in
+      check_bool (sname ^ ": the last change") true
+        (List.hd (List.rev reference) = last);
+      List.iter
+        (fun (pname, domains) ->
+          check_bool
+            (Printf.sprintf "%s, %s: the pipelined Sequential trace" sname pname)
+            true
+            (run ?domains Runtime.Compiled program = reference))
+        [ ("lanes", None); ("waves on 2 domains", Some 2) ])
+    [
+      ("async root", ((fun a _ -> doubled a), on_a), (0., 6));
+      ( "input and async",
+        ((fun a _ -> Signal.lift2 (fun u w -> (u * 100) + w) a (doubled a)), on_a),
+        (0., 306) );
+      ( "slow display, slow branch",
+        ( (fun a b ->
+            Signal.lift2 (fun u w -> (u * 100) + w) (slow a) (doubled (slow b))),
+          [ (true, 1); (false, 1) ] ),
+        (2., 102) );
+    ]
+
 let test_sequential_latency_vs_pipelined () =
   (* Make the distinction observable: in Sequential mode the second event's
      processing starts only after the first is displayed. *)
@@ -812,6 +875,8 @@ let () =
       ( "modes",
         [
           tc "sequential + async" `Quick test_sequential_with_async;
+          tc "sequential + async, compiled" `Quick
+            test_sequential_with_async_compiled;
           tc "sequential latency" `Quick test_sequential_latency_vs_pipelined;
         ] );
       ( "introspection",
